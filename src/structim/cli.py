@@ -27,6 +27,7 @@ from .features import MEASURE_COLUMNS, TARGETS, label_presence, snapshot_measure
 from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .importance import DIRECTED_SCHEME, SCHEMES, STRENGTH_MODES, node_importance, node_importance_directed
 from .ingest import load_network, write_edge_csv
+from .model import MIN_NULL_TRIALS
 from .netstats import detect_communities, mean_diff_ttest, modularity
 from .pipeline import L2_GRID, run_prediction
 from .spectral import eig_sym, select_eigencomponent
@@ -154,7 +155,7 @@ def cmd_analyze(args) -> int:
                 "positive_count": spec.positive_count(),
             }
         )
-        labels = detect_communities(snap, seed=args.seed)
+        labels = detect_communities(snap)
         mod_rows.append([t, repr(modularity(snap, labels)), int(labels.max()) + 1])
         for node, rank in zip(snap.node_ids, select_eigencomponent(spec)):
             rank_rows.append([t, node, int(rank)])
@@ -185,7 +186,7 @@ def cmd_analyze(args) -> int:
         labels = label_presence(tn, t)
         if not labels:
             continue
-        measures = snapshot_measures(tn, t, seed=args.seed)
+        measures = snapshot_measures(tn, t)
         for node, present in labels.items():
             g = tn.universe_index[node]
             for name in MEASURE_COLUMNS:
@@ -245,9 +246,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    tn = load_network(args.input, aggregation=args.aggregation)
-    if tn.n_snapshots < 5:
-        raise DataError(f"prediction needs at least 5 snapshots, got {tn.n_snapshots}")
     try:
         grid = tuple(float(v) for v in args.l2_grid.split(","))
     except ValueError:
@@ -256,6 +254,15 @@ def cmd_predict(args) -> int:
     if not grid or any(v < 0 for v in grid):
         print("error: --l2-grid needs nonnegative values", file=sys.stderr)
         return 2
+    if args.trials < MIN_NULL_TRIALS:
+        print(f"error: --trials needs at least {MIN_NULL_TRIALS}, got {args.trials}", file=sys.stderr)
+        return 2
+    if args.bootstrap_iters < 1:
+        print(f"error: --bootstrap-iters needs at least 1, got {args.bootstrap_iters}", file=sys.stderr)
+        return 2
+    tn = load_network(args.input, aggregation=args.aggregation)
+    if tn.n_snapshots < 5:
+        raise DataError(f"prediction needs at least 5 snapshots, got {tn.n_snapshots}")
 
     result = run_prediction(
         tn,

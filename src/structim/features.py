@@ -103,7 +103,7 @@ class FeatureTable:
         )
 
 
-def snapshot_measures(tn: TemporalNetwork, t: int, seed: int = 0) -> dict:
+def snapshot_measures(tn: TemporalNetwork, t: int) -> dict:
     """All per-snapshot node measures as universe-aligned arrays.
 
     Returns {measure: array over tn.universe} with NaN for nodes absent from
@@ -123,10 +123,10 @@ def snapshot_measures(tn: TemporalNetwork, t: int, seed: int = 0) -> dict:
         for node, val in vec.values.items():
             out[scheme][tn.universe_index[node]] = val
 
-    cent = eigenvector_centrality(s)
+    cent = eigenvector_centrality(s, spectrum=spec)
     pr = pagerank(s)
     deg = s.degrees().astype(float)
-    labels = detect_communities(s, seed=seed)
+    labels = detect_communities(s)
     sizes = np.bincount(labels)
     strength = s.strength()
     present = strength > 0
@@ -137,7 +137,7 @@ def snapshot_measures(tn: TemporalNetwork, t: int, seed: int = 0) -> dict:
     return out
 
 
-def build_features(tn: TemporalNetwork, t: int, seed: int = 0, measures_cache: dict | None = None) -> FeatureTable:
+def build_features(tn: TemporalNetwork, t: int, measures_cache: dict | None = None) -> FeatureTable:
     """Historical-mean feature table anchored at snapshot t.
 
     ``measures_cache`` maps snapshot index -> snapshot_measures output and is
@@ -149,7 +149,7 @@ def build_features(tn: TemporalNetwork, t: int, seed: int = 0, measures_cache: d
     cache = measures_cache if measures_cache is not None else {}
     for u in range(t):
         if u not in cache:
-            cache[u] = snapshot_measures(tn, u, seed=seed)
+            cache[u] = snapshot_measures(tn, u)
 
     presence = tn.presence_matrix()
     prior_count = presence[:t].sum(axis=0).astype(float)
@@ -243,13 +243,12 @@ def build_table(
     t: int,
     target: str,
     change_threshold: float = 0.05,
-    seed: int = 0,
     measures_cache: dict | None = None,
 ) -> FeatureTable:
     """Feature table at t with the requested target attached."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
-    table = build_features(tn, t, seed=seed, measures_cache=measures_cache)
+    table = build_features(tn, t, measures_cache=measures_cache)
     if target == "presence":
         labels = label_presence(tn, t)
     elif target == "change":

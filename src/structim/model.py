@@ -23,6 +23,8 @@ from .graphs import TemporalNetwork
 
 CONSTANT_STD = 1e-12
 SEPARATION_BOUND = 30.0
+# Fewest null-model trials whose empirical quantiles are reported.
+MIN_NULL_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -430,8 +432,8 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
     scores them against the true test labels. Returns per-metric means with
     empirical ci90 and ci95 (both labeled because the conventions differ).
     """
-    if trials < 20:
-        raise ValueError(f"need at least 20 trials for stable quantiles, got {trials}")
+    if trials < MIN_NULL_TRIALS:
+        raise ValueError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
     train_y = np.asarray(train_y).astype(int)
     test_y = np.asarray(test_y).astype(int)
     if train_y.size == 0 or test_y.size == 0:

@@ -12,6 +12,8 @@ gain. PageRank and eigenvector centrality are the usual weighted variants.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,10 @@ from scipy import special
 
 from .errors import DataError, NumericalError
 from .graphs import Snapshot
-from .spectral import eig_sym
+from .spectral import Spectrum, eig_sym
+
+# A merge must beat the running best gain by more than this.
+_GAIN_TOL = 1e-15
 
 
 def modularity(snapshot: Snapshot, labels) -> float:
@@ -46,19 +51,28 @@ def modularity(snapshot: Snapshot, labels) -> float:
     return float(q / m2)
 
 
-def detect_communities(snapshot: Snapshot, seed: int = 0) -> np.ndarray:
-    """Greedy modularity agglomeration.
+def detect_communities(snapshot: Snapshot) -> np.ndarray:
+    """Greedy modularity agglomeration (Clauset, Newman & Moore 2004).
 
     Starts from singleton communities and repeatedly merges the pair with the
-    largest positive modularity gain 2 * (e_ij - a_i * a_j); ties go to the
-    lowest community-id pair. Stops when no merge improves Q; if the result
-    somehow falls below the single-community partition's Q it falls back to
-    that. Returns dense integer labels from 0 ordered by smallest member.
+    largest positive modularity gain 2 * (e_ij - a_i * a_j), where e_ij is the
+    fraction of edge ends joining the two communities and a_i the fraction
+    attached to community i. The lower id survives a merge. Stops when no gain
+    exceeds 1e-15; if the result falls below the single-community partition's
+    Q it falls back to that. Returns dense integer labels from 0 ordered by
+    smallest member.
 
-    The algorithm is deterministic; ``seed`` is accepted for interface
-    uniformity with the other analysis entry points and ignored.
+    Gains sit in a max-heap with lazy invalidation, so a merge costs
+    O(d log m) for the absorbed community's degree d instead of a rescan of
+    every pair.
+
+    Tie rule: the merge chosen is the one a scan of all pairs in (ci, cj)
+    order picks when it keeps a pair only if its gain beats the running best
+    by more than 1e-15, so near-equal gains go to the lowest pair. The heap
+    pops every pair within 1e-15 of the top gain, widening the window until a
+    gap of 2e-15 separates it from the remaining pairs, and runs that scan
+    over the popped pairs; pairs below such a gap cannot change its outcome.
     """
-    del seed
     if snapshot.directed:
         raise DataError("community detection is defined here for undirected snapshots only")
     n = snapshot.n_nodes
@@ -68,33 +82,64 @@ def detect_communities(snapshot: Snapshot, seed: int = 0) -> np.ndarray:
         raise DataError("community detection undefined for a graph with no edges")
 
     members = {i: {i} for i in range(n)}
-    a_frac = {i: adj[i].sum() / m2 for i in range(n)}
-    e_frac = {}
+    a_frac = [float(adj[i].sum() / m2) for i in range(n)]
+    nbrs = [{} for _ in range(n)]  # community -> {neighbour community: e_frac}
+    rows, cols = np.nonzero(np.triu(adj, 1) > 0)
+    for i, j, e in zip(rows.tolist(), cols.tolist(), (adj[rows, cols] / m2).tolist()):
+        nbrs[i][j] = nbrs[j][i] = e
+
+    # Heap entries are (-gain, ci, cj, stamp); an entry is live while stamp
+    # matches stamps[(ci, cj)]. A live entry's gain never underestimates the
+    # pair's current gain: a merge only grows a_ci, and the pairs whose e_ij
+    # grows are pushed afresh.
+    stamps = {}
+    heap = []
+    counter = itertools.count()
+
+    def push(ci, cj):
+        stamp = stamps[(ci, cj)] = next(counter)
+        heapq.heappush(heap, (-2.0 * (nbrs[ci][cj] - a_frac[ci] * a_frac[cj]), ci, cj, stamp))
+
     for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j] > 0:
-                e_frac[(i, j)] = adj[i, j] / m2
+        for j in nbrs[i]:
+            if i < j:
+                push(i, j)
 
     while True:
-        best_gain = 0.0
-        best_pair = None
-        for (ci, cj) in sorted(e_frac):
-            gain = 2.0 * (e_frac[(ci, cj)] - a_frac[ci] * a_frac[cj])
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best_pair = (ci, cj)
-        if best_pair is None:
+        candidates = []
+        while heap:
+            top = -heap[0][0]
+            if top <= _GAIN_TOL or (candidates and top < -candidates[-1][0] - 2 * _GAIN_TOL):
+                break
+            entry = heapq.heappop(heap)
+            _, ci, cj, stamp = entry
+            if stamps.get((ci, cj)) != stamp:
+                continue
+            if 2.0 * (nbrs[ci][cj] - a_frac[ci] * a_frac[cj]) != top:
+                push(ci, cj)
+                continue
+            candidates.append(entry)
+        if not candidates:
             break
-        ci, cj = best_pair
+        best_gain = 0.0
+        for neg_gain, ci, cj, _ in sorted(candidates, key=lambda c: c[1:3]):
+            if -neg_gain > best_gain + _GAIN_TOL:
+                best_gain, best = -neg_gain, (ci, cj)
+        for entry in candidates:
+            if entry[1:3] != best:
+                heapq.heappush(heap, entry)
+
+        ci, cj = best
         members[ci] |= members.pop(cj)
-        a_frac[ci] += a_frac.pop(cj)
-        del e_frac[(ci, cj)]
-        for (x, y) in list(e_frac):
-            if cj in (x, y):
-                other = y if x == cj else x
-                w = e_frac.pop((x, y))
-                key = (min(ci, other), max(ci, other))
-                e_frac[key] = e_frac.get(key, 0.0) + w
+        a_frac[ci] += a_frac[cj]
+        del nbrs[ci][cj], stamps[(ci, cj)]
+        for k, w in nbrs[cj].items():
+            if k == ci:
+                continue
+            del nbrs[k][cj], stamps[(min(cj, k), max(cj, k))]
+            nbrs[ci][k] = nbrs[k][ci] = nbrs[ci].get(k, 0.0) + w
+            push(min(ci, k), max(ci, k))
+        nbrs[cj] = None
 
     labels = np.empty(n, dtype=int)
     for new_id, cid in enumerate(sorted(members, key=lambda c: min(members[c]))):
@@ -106,13 +151,17 @@ def detect_communities(snapshot: Snapshot, seed: int = 0) -> np.ndarray:
     return labels
 
 
-def eigenvector_centrality(snapshot: Snapshot) -> np.ndarray:
-    """Magnitudes of the leading adjacency eigenvector (unit 2-norm)."""
+def eigenvector_centrality(snapshot: Snapshot, spectrum: Spectrum | None = None) -> np.ndarray:
+    """Magnitudes of the leading adjacency eigenvector (unit 2-norm).
+
+    ``spectrum`` may carry a precomputed decomposition of the snapshot's
+    adjacency, as in ``importance.node_importance``.
+    """
     if snapshot.directed:
         raise DataError("eigenvector centrality is defined here for undirected snapshots only")
     if snapshot.n_edges == 0:
         raise DataError("eigenvector centrality undefined for a graph with no edges")
-    spec = eig_sym(snapshot.adjacency())
+    spec = spectrum if spectrum is not None else eig_sym(snapshot.adjacency())
     return np.abs(spec.eigenvectors[:, 0])
 
 

@@ -102,7 +102,7 @@ class _Pooled:
         )
 
 
-def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = 0.05, seed: int = 0):
+def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = 0.05):
     """Feature tables for every anchor 1..T-2, sharing one measures cache."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
@@ -111,7 +111,7 @@ def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: flo
     cache: dict = {}
     tables = []
     for t in range(1, tn.n_snapshots - 1):
-        table = build_table(tn, t, target, change_threshold=change_threshold, seed=seed, measures_cache=cache)
+        table = build_table(tn, t, target, change_threshold=change_threshold, measures_cache=cache)
         if table.n_rows:
             tables.append(table)
     if not tables:
@@ -304,7 +304,7 @@ def run_prediction(
     bootstrap_iters: int = 1000,
 ) -> PredictionResult:
     """Full prediction pipeline for one target."""
-    tables = build_horizon_tables(tn, target, change_threshold=change_threshold, seed=seed)
+    tables = build_horizon_tables(tn, target, change_threshold=change_threshold)
 
     merged_for_prune = _Pooled(
         columns=tables[0].columns,

@@ -243,6 +243,24 @@ def test_predict_bad_grid_is_usage_error(synthetic_csv, tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["19", "5", "0", "-3"])
+def test_predict_too_few_trials_is_usage_error(synthetic_csv, tmp_path, capsys, trials):
+    out = str(tmp_path / "bad")
+    assert main(["predict", synthetic_csv, f"--trials={trials}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --trials needs at least 20") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("iters", ["0", "-1"])
+def test_predict_nonpositive_bootstrap_iters_is_usage_error(synthetic_csv, tmp_path, capsys, iters):
+    out = str(tmp_path / "bad")
+    assert main(["predict", synthetic_csv, f"--bootstrap-iters={iters}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bootstrap-iters needs at least 1") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_predict_too_few_snapshots(tmp_path, capsys):
     net = str(tmp_path / "static.csv")
     main(["gen", "barbell", "--repeats", "4", "--out", net])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structim import (
     DataError,
     Snapshot,
     barbell,
     detect_communities,
+    eig_sym,
     eigenvector_centrality,
     mean_diff_ttest,
     modularity,
@@ -13,7 +16,7 @@ from structim import (
     pearson,
 )
 
-from conftest import clique, random_connected, student_t_cdf
+from conftest import clique, cycle, path_graph, random_connected, student_t_cdf
 
 
 def _two_cliques(n):
@@ -95,6 +98,151 @@ def test_detect_communities_never_beaten_by_trivial():
         s = random_connected(rng, int(rng.integers(3, 10)))
         q = modularity(s, detect_communities(s))
         assert q >= -1e-12
+
+
+def _quadratic_greedy_modularity(snapshot):
+    """Frozen O(n^2)-per-merge greedy agglomeration; parity oracle only.
+
+    Rescans every community pair in (ci, cj) order after each merge and keeps
+    a pair only when it beats the running best by more than 1e-15.
+    """
+    n = snapshot.n_nodes
+    adj = snapshot.adjacency()
+    m2 = adj.sum()
+    members = {i: {i} for i in range(n)}
+    a_frac = {i: adj[i].sum() / m2 for i in range(n)}
+    e_frac = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj[i, j] > 0:
+                e_frac[(i, j)] = adj[i, j] / m2
+
+    while True:
+        best_gain = 0.0
+        best_pair = None
+        for (ci, cj) in sorted(e_frac):
+            gain = 2.0 * (e_frac[(ci, cj)] - a_frac[ci] * a_frac[cj])
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best_pair = (ci, cj)
+        if best_pair is None:
+            break
+        ci, cj = best_pair
+        members[ci] |= members.pop(cj)
+        a_frac[ci] += a_frac.pop(cj)
+        del e_frac[(ci, cj)]
+        for (x, y) in list(e_frac):
+            if cj in (x, y):
+                other = y if x == cj else x
+                w = e_frac.pop((x, y))
+                key = (min(ci, other), max(ci, other))
+                e_frac[key] = e_frac.get(key, 0.0) + w
+
+    labels = np.empty(n, dtype=int)
+    for new_id, cid in enumerate(sorted(members, key=lambda c: min(members[c]))):
+        for node in members[cid]:
+            labels[node] = new_id
+    if modularity(snapshot, labels) < 0.0:
+        labels = np.zeros(n, dtype=int)
+    return labels
+
+
+def _assert_matches_oracle(s):
+    assert np.array_equal(detect_communities(s), _quadratic_greedy_modularity(s))
+
+
+def test_detect_communities_matches_quadratic_oracle_on_fixed_graphs():
+    graphs = [barbell(4, 2, 5), barbell(6, 0, 6, weight=2.5), _two_cliques(3), _two_cliques(6)]
+    graphs += [clique(n) for n in (2, 3, 7)]
+    graphs += [cycle(n) for n in (3, 4, 9, 24)] + [path_graph(n) for n in (2, 5, 16, 31)]
+    rng = np.random.default_rng(79)
+    graphs += [random_connected(rng, int(rng.integers(3, 40))) for _ in range(40)]
+    for s in graphs:
+        _assert_matches_oracle(s)
+
+
+def test_detect_communities_matches_oracle_on_tie_heavy_graphs():
+    # Equal gains computed from different operands round apart by a few ulps;
+    # only the 1e-15 window keeps the oracle's lowest-pair choice on these.
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(6, 50))
+        p = float(rng.uniform(0.05, 0.5))
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    w = 1.0 if trial % 3 == 0 else float(rng.integers(1, 4 if trial % 3 == 1 else 3))
+                    edges.append((i, j, w))
+        if edges:
+            _assert_matches_oracle(Snapshot(node_ids=tuple(range(n)), edges=tuple(edges)))
+
+
+@st.composite
+def _weighted_graphs(draw, weights):
+    """Undirected graphs with at least one edge; isolated nodes allowed."""
+    n = draw(st.integers(2, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    edges = tuple((i, j, draw(weights)) for i, j in sorted(chosen))
+    return Snapshot(node_ids=tuple(range(n)), edges=edges, directed=False, timestamp=0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_weighted_graphs(st.just(1.0)))
+def test_detect_communities_matches_oracle_on_unit_weights(s):
+    _assert_matches_oracle(s)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_weighted_graphs(st.integers(1, 3).map(float)))
+def test_detect_communities_matches_oracle_on_small_integer_weights(s):
+    _assert_matches_oracle(s)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_weighted_graphs(st.floats(0.01, 100.0)))
+def test_detect_communities_matches_oracle_on_continuous_weights(s):
+    _assert_matches_oracle(s)
+
+
+def _to_networkx(nx, s):
+    g = nx.Graph()
+    g.add_nodes_from(range(s.n_nodes))
+    g.add_weighted_edges_from(s.edges)
+    return g
+
+
+def _blocks(labels):
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)}
+
+
+def test_modularity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(83)
+    for _ in range(30):
+        s = random_connected(rng, int(rng.integers(3, 30)))
+        labels = rng.integers(0, 4, size=s.n_nodes)
+        expected = nx.community.modularity(_to_networkx(nx, s), _blocks(labels), weight="weight")
+        assert modularity(s, labels) == pytest.approx(expected, abs=1e-12)
+
+
+def test_detect_communities_matches_networkx_greedy_modularity():
+    # Continuous random weights leave no gain ties, so the two agglomerations
+    # take the same merges whatever their tie rules.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(89)
+    for _ in range(60):
+        s = random_connected(rng, int(rng.integers(3, 40)))
+        expected = nx.community.greedy_modularity_communities(_to_networkx(nx, s), weight="weight")
+        assert _blocks(detect_communities(s)) == {frozenset(c) for c in expected}
+
+
+def test_eigenvector_centrality_reuses_a_given_spectrum():
+    rng = np.random.default_rng(97)
+    s = random_connected(rng, 12)
+    spec = eig_sym(s.adjacency())
+    assert np.array_equal(eigenvector_centrality(s, spectrum=spec), eigenvector_centrality(s))
 
 
 def test_eigenvector_centrality_uniform_on_cliques():
