@@ -261,9 +261,6 @@ def cmd_predict(args) -> int:
         print(f"error: --bootstrap-iters needs at least 1, got {args.bootstrap_iters}", file=sys.stderr)
         return 2
     tn = load_network(args.input, aggregation=args.aggregation)
-    if tn.n_snapshots < 5:
-        raise DataError(f"prediction needs at least 5 snapshots, got {tn.n_snapshots}")
-
     result = run_prediction(
         tn,
         args.target,

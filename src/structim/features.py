@@ -56,20 +56,26 @@ _DROP_PRIORITY = (
 
 @dataclass
 class FeatureTable:
-    """Feature matrix for one prediction anchor time.
+    """Feature matrix over rows keyed by node id.
 
-    Rows are keyed by node id (global ids from the network universe);
-    ``X[r, c]`` is the value of ``columns[c]`` for ``node_ids[r]``. ``y`` and
-    ``target`` are attached by the labeling step.
+    ``X[r, c]`` is the value of ``columns[c]`` for ``node_ids[r]`` (global
+    ids from the network universe) at the anchor snapshot ``as_of[r]``. A
+    table built for one anchor time carries a constant ``as_of``; an int
+    given at construction is broadcast to every row. A pooled table (see
+    ``pool``) stacks several anchors in time order. ``y`` and ``target`` are
+    attached by the labeling step.
     """
 
     columns: tuple
     X: np.ndarray
     node_ids: tuple
-    as_of: int
+    as_of: np.ndarray
     target: str | None = None
     y: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.as_of = np.full(self.n_rows, self.as_of, dtype=int)
 
     @property
     def n_rows(self) -> int:
@@ -90,17 +96,41 @@ class FeatureTable:
             meta=dict(self.meta),
         )
 
-    def select_rows(self, mask) -> "FeatureTable":
-        mask = np.asarray(mask)
+    def select_rows(self, rows) -> "FeatureTable":
+        """Rows picked by a boolean mask or an index array, in that order."""
+        idx = np.arange(self.n_rows)[np.asarray(rows)]
         return FeatureTable(
             columns=self.columns,
-            X=self.X[mask].copy(),
-            node_ids=tuple(v for v, keep in zip(self.node_ids, mask) if keep),
-            as_of=self.as_of,
+            X=self.X[idx],
+            node_ids=tuple(self.node_ids[i] for i in idx),
+            as_of=self.as_of[idx],
             target=self.target,
-            y=None if self.y is None else self.y[mask].copy(),
+            y=None if self.y is None else self.y[idx],
             meta=dict(self.meta),
         )
+
+
+def pool(tables) -> FeatureTable:
+    """Stack tables with the same columns and target into one, in the given order.
+
+    Each row keeps its own ``as_of``, so a pool of the per-anchor tables in
+    anchor order is time-ordered. Per-table ``meta`` is not carried over.
+    """
+    tables = list(tables)
+    targets = {t.target for t in tables}
+    if len(targets) != 1:
+        raise ValueError(f"tables mix targets: {sorted(targets, key=str)}")
+    columns = tables[0].columns
+    if any(t.columns != columns for t in tables):
+        raise ValueError("tables have different columns")
+    return FeatureTable(
+        columns=columns,
+        X=np.vstack([t.X for t in tables]),
+        node_ids=tuple(v for t in tables for v in t.node_ids),
+        as_of=np.concatenate([t.as_of for t in tables]),
+        target=tables[0].target,
+        y=None if tables[0].y is None else np.concatenate([t.y for t in tables]),
+    )
 
 
 def snapshot_measures(tn: TemporalNetwork, t: int) -> dict:

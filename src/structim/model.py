@@ -88,17 +88,14 @@ def oversample(table: FeatureTable, seed=0) -> FeatureTable:
     n0 = int((y == 0).sum())
     if n1 == 0 or n0 == 0:
         raise DataError("oversample needs both classes present")
+    rows = np.arange(len(y))
     if n1 == n0:
-        return table.select_rows(np.ones(len(y), dtype=bool))
+        return table.select_rows(rows)
     minority = 1 if n1 < n0 else 0
     idx = np.flatnonzero(y == minority)
     rng = np.random.default_rng(seed)
     extra = rng.choice(idx, size=abs(n1 - n0), replace=True)
-    out = table.select_rows(np.ones(len(y), dtype=bool))
-    out.X = np.vstack([out.X, table.X[extra]])
-    out.y = np.concatenate([out.y, table.y[extra]])
-    out.node_ids = out.node_ids + tuple(table.node_ids[i] for i in extra)
-    return out
+    return table.select_rows(np.concatenate([rows, extra]))
 
 
 @dataclass
@@ -115,8 +112,6 @@ class LogisticModel:
     n_iter: int
     grad_norm: float
     separation_warning: bool
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
 
     def log_odds(self, x: np.ndarray) -> np.ndarray:
         """alpha + beta . x on already-standardized features."""
@@ -138,7 +133,6 @@ def fit_logistic(
     l2: float = 1.0,
     max_iter: int = 500,
     tol: float = 1e-8,
-    constants: StandardizationConstants | None = None,
 ) -> LogisticModel:
     """Newton/IRLS fit of L2-penalized logistic regression.
 
@@ -209,8 +203,6 @@ def fit_logistic(
         z = np.where(se > 0, beta / se, np.inf)
     pvals = 2.0 * special.ndtr(-np.abs(z))
 
-    means = constants.means if constants is not None else np.zeros(p)
-    stds = constants.stds if constants is not None else np.ones(p)
     return LogisticModel(
         feature_names=tuple(table.columns),
         intercept=float(beta[0]),
@@ -224,8 +216,6 @@ def fit_logistic(
         n_iter=it,
         grad_norm=grad_norm,
         separation_warning=separation,
-        feature_means=np.asarray(means, dtype=float),
-        feature_stds=np.asarray(stds, dtype=float),
     )
 
 
@@ -476,44 +466,56 @@ def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator)
     return present.astype(int)
 
 
-def null_edge_presence(tn: TemporalNetwork, t: int, scores_by_node: dict, trials: int = 100, seed=0) -> dict:
+def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = 100, seed=0) -> dict:
     """Benchmark for the presence target: labels from random-graph snapshots.
 
-    Each trial synthesizes snapshot t+1 as an independent random graph over
-    the nodes present at t, with pair probability equal to the observed edge
-    density of the real snapshot t+1 over those nodes, then scores the given
-    predicted probabilities against the synthetic presence labels.
+    ``scores[r]`` is the predicted probability for row r of ``table``; rows
+    are grouped by their anchor time ``as_of`` (a single-anchor table is one
+    group). Each trial synthesizes snapshot t+1 of every group as an
+    independent random graph over the nodes present at t, with pair
+    probability equal to the observed edge density of the real snapshot t+1
+    over those nodes, and scores all groups' predictions together against
+    the synthetic presence labels. Anchors with fewer than two present nodes
+    are skipped.
     """
-    if not 0 <= t < tn.n_snapshots - 1:
-        raise ValueError("null_edge_presence needs snapshot t+1 to exist")
-    cur = tn.snapshots[t]
-    n_t = cur.n_nodes
-    if n_t < 2:
-        raise DataError("need at least two present nodes")
-    density = min(1.0, tn.snapshots[t + 1].n_edges / (n_t * (n_t - 1) / 2.0))
-    node_pos = {v: i for i, v in enumerate(cur.node_ids)}
-    scored = [v for v in cur.node_ids if v in scores_by_node]
-    if not scored:
-        raise DataError("no scored nodes are present at t")
-    scores = np.array([scores_by_node[v] for v in scored])
-    rows = np.array([node_pos[v] for v in scored])
-
+    if trials < MIN_NULL_TRIALS:
+        raise ValueError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
+    scores = np.asarray(scores, dtype=float)
     rng = np.random.default_rng(seed)
+    groups = []
+    for t in sorted(set(table.as_of)):
+        if not 0 <= t < tn.n_snapshots - 1:
+            raise ValueError(f"null_edge_presence needs snapshot {t + 1} to exist")
+        rows_here = np.flatnonzero(table.as_of == t)
+        cur = tn.snapshots[t]
+        n_t = cur.n_nodes
+        if n_t < 2:
+            continue
+        density = min(1.0, tn.snapshots[t + 1].n_edges / (n_t * (n_t - 1) / 2.0))
+        pos = {v: i for i, v in enumerate(cur.node_ids)}
+        try:
+            node_rows = np.array([pos[table.node_ids[i]] for i in rows_here])
+        except KeyError as exc:
+            raise DataError(f"node {exc.args[0]!r} is not present at its anchor snapshot {t}") from None
+        groups.append((n_t, density, node_rows, rows_here))
+    if not groups:
+        raise DataError("no scored rows available for the edge-presence null")
+
+    svec = scores[np.concatenate([rows for *_, rows in groups])]
+    yhat = (svec >= 0.5).astype(int)
     precisions, recalls, aucs = [], [], []
     for _ in range(trials):
-        labels = edge_presence_labels(n_t, density, rng)[rows]
-        yhat = (scores >= 0.5).astype(int)
+        labels = np.concatenate([edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups])
         tp = int(np.sum((yhat == 1) & (labels == 1)))
         fp = int(np.sum((yhat == 1) & (labels == 0)))
         fn = int(np.sum((yhat == 0) & (labels == 1)))
         precisions.append(tp / (tp + fp) if tp + fp else np.nan)
         recalls.append(tp / (tp + fn) if tp + fn else np.nan)
-        aucs.append(auc_score(labels, scores) if labels.min() != labels.max() else np.nan)
+        aucs.append(auc_score(labels, svec) if labels.min() != labels.max() else np.nan)
     return {
         "kind": "edge_presence",
-        "density": density,
-        "n_nodes": n_t,
         "trials": trials,
+        "groups": len(groups),
         "precision": _percentile_summary(precisions),
         "recall": _percentile_summary(recalls),
         "auc": _percentile_summary(aucs),
@@ -571,8 +573,6 @@ class LinearModel:
     intercept_se: float
     intercept_pvalue: float
     r2: float | None
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + np.asarray(x, dtype=float) @ self.coef
@@ -591,7 +591,6 @@ def fit_linear(
     table: FeatureTable,
     heldout: FeatureTable | None = None,
     jitter: float = 1e-10,
-    constants: StandardizationConstants | None = None,
 ) -> LinearModel:
     """Least squares with a ridge jitter for conditioning.
 
@@ -619,8 +618,6 @@ def fit_linear(
         tstat = np.where(se > 0, beta / se, np.inf)
     pvals = 2.0 * special.stdtr(dof, -np.abs(tstat))
 
-    means = constants.means if constants is not None else np.zeros(p)
-    stds = constants.stds if constants is not None else np.ones(p)
     model = LinearModel(
         feature_names=tuple(table.columns),
         intercept=float(beta[0]),
@@ -630,8 +627,6 @@ def fit_linear(
         intercept_se=float(se[0]),
         intercept_pvalue=float(pvals[0]),
         r2=None,
-        feature_means=np.asarray(means, dtype=float),
-        feature_stds=np.asarray(stds, dtype=float),
     )
     target = heldout if heldout is not None else table
     model.r2 = r2_score(target.y, model.predict(target.X))
@@ -644,6 +639,8 @@ def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: 
     Each trial permutes the pooled train+heldout target, refits on the train
     rows, and scores R^2 on the held-out rows.
     """
+    if trials < MIN_NULL_TRIALS:
+        raise ValueError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
     y_all = np.concatenate([train.y, heldout.y])
     n_train = len(train.y)
     rng = np.random.default_rng(seed)

@@ -188,8 +188,6 @@ def test_A09_attribution_exactness():
         n_iter=0,
         grad_norm=0.0,
         separation_warning=False,
-        feature_means=np.zeros(p),
-        feature_stds=np.ones(p),
     )
     x = rng.normal(size=(1000, p))
     mean = rng.normal(size=p)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from structim import load_network, node_importance
+from structim import DataError, load_network, node_importance, run_prediction
 from structim.cli import main
 
 
@@ -266,4 +266,15 @@ def test_predict_too_few_snapshots(tmp_path, capsys):
     main(["gen", "barbell", "--repeats", "4", "--out", net])
     code = main(["predict", net, "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "at least 5 snapshots" in capsys.readouterr().err
+    assert "at least 7 snapshots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, repeats", [("presence", 4), ("rel_change", 2)])
+def test_predict_snapshot_minimum_is_the_library_rule(tmp_path, capsys, target, repeats):
+    net = str(tmp_path / "static.csv")
+    main(["gen", "barbell", "--repeats", str(repeats), "--out", net])
+    capsys.readouterr()
+    with pytest.raises(DataError) as exc:
+        run_prediction(load_network(net), target)
+    assert main(["predict", net, "--target", target, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {exc.value}\n"

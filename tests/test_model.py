@@ -59,8 +59,6 @@ def _manual_logistic(intercept, coef, names=None):
         n_iter=0,
         grad_norm=0.0,
         separation_warning=False,
-        feature_means=np.zeros_like(coef),
-        feature_stds=np.ones_like(coef),
     )
 
 
@@ -427,14 +425,20 @@ def test_edge_presence_label_rate():
     assert abs(draws.mean() - expected) < 0.02
 
 
+def _scored_rows(scores, as_of=0):
+    """Feature rows anchored at ``as_of`` for the nodes of {node: score}."""
+    table = FeatureTable(columns=("ma",), X=np.zeros((len(scores), 1)), node_ids=tuple(scores), as_of=as_of)
+    return table, np.array(list(scores.values()), dtype=float)
+
+
 def test_null_edge_presence_empty_next_snapshot():
     tn = network_from([
         clique(4, timestamp=0),
         Snapshot(node_ids=(0, 1, 2, 3), edges=(), directed=False, timestamp=1),
     ])
-    scores = {0: 0.9, 1: 0.8, 2: 0.2, 3: 0.1}
-    res = null_edge_presence(tn, 0, scores, trials=30, seed=0)
-    assert res["density"] == 0.0
+    table, scores = _scored_rows({0: 0.9, 1: 0.8, 2: 0.2, 3: 0.1})
+    res = null_edge_presence(tn, table, scores, trials=30, seed=0)
+    assert res["groups"] == 1
     assert res["recall"]["mean"] is None  # labels never positive
     assert res["auc"]["mean"] is None
     assert res["precision"]["mean"] == 0.0
@@ -442,9 +446,9 @@ def test_null_edge_presence_empty_next_snapshot():
 
 def test_null_edge_presence_saturated_next_snapshot():
     tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
-    scores = {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6}  # all predicted positive
-    res = null_edge_presence(tn, 0, scores, trials=30, seed=0)
-    assert res["density"] == 1.0
+    table, scores = _scored_rows({0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6})  # all predicted positive
+    res = null_edge_presence(tn, table, scores, trials=30, seed=0)
+    assert res["groups"] == 1
     assert res["recall"]["mean"] == 1.0
     assert res["precision"]["mean"] == 1.0
 
@@ -452,9 +456,20 @@ def test_null_edge_presence_saturated_next_snapshot():
 def test_null_edge_presence_validation():
     tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
     with pytest.raises(ValueError):
-        null_edge_presence(tn, 1, {0: 0.5})
+        null_edge_presence(tn, *_scored_rows({0: 0.5}, as_of=1))
     with pytest.raises(DataError):
-        null_edge_presence(tn, 0, {99: 0.5})
+        null_edge_presence(tn, *_scored_rows({99: 0.5}))
+    with pytest.raises(DataError):
+        null_edge_presence(tn, *_scored_rows({}))
+
+
+def test_nulls_need_min_trials():
+    tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
+    with pytest.raises(ValueError, match="at least 20 trials"):
+        null_edge_presence(tn, *_scored_rows({0: 0.5}), trials=19)
+    x = np.arange(12.0).reshape(6, 2) ** 1.5
+    with pytest.raises(ValueError, match="at least 20 trials"):
+        null_shuffle_regression(_table(("a", "b"), x[:4], y=x[:4, 0]), _table(("a", "b"), x[4:], y=x[4:, 0]), trials=19)
 
 
 # --------------------------------------------------- permutation / attribution

@@ -13,6 +13,7 @@ from structim import (
     FeatureTable,
     build_horizon_tables,
     forward_chain_folds,
+    pool,
     repeat_snapshot,
     run_prediction,
     synthetic_temporal,
@@ -52,7 +53,7 @@ def test_build_horizon_tables_one_per_anchor():
     tn = synthetic_temporal(30, 2, 2, 0.0, horizon=6, seed=1)
     tables = build_horizon_tables(tn, "presence")
     assert len(tables) == 4  # anchors 1..T-2
-    assert [t.as_of for t in tables] == [1, 2, 3, 4]
+    assert [set(t.as_of) for t in tables] == [{1}, {2}, {3}, {4}]
     for t in tables:
         assert t.target == "presence"
         assert t.columns == FEATURE_COLUMNS
@@ -102,18 +103,18 @@ def test_forward_chain_folds_too_small():
 
 def test_select_needs_five_tables():
     with pytest.raises(DataError, match="at least 5"):
-        time_ordered_select(_mk_tables(n_tables=4))
+        time_ordered_select(pool(_mk_tables(n_tables=4)))
 
 
 def test_select_rejects_mixed_targets():
     tables = _mk_tables()
     tables[2].target = "change"
     with pytest.raises(ValueError, match="mix targets"):
-        time_ordered_select(tables)
+        time_ordered_select(pool(tables))
 
 
 def test_select_single_value_grid():
-    _, best = time_ordered_select(_mk_tables(seed=1), l2_grid=(0.1,))
+    _, best = time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=(0.1,))
     assert best == 0.1
 
 
@@ -124,7 +125,7 @@ def test_select_uninformative_ties_keep_lowest_l2():
     details = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, best = time_ordered_select(tables, details=details)
+        _, best = time_ordered_select(pool(tables), details=details)
     assert best == min(L2_GRID)
     assert set(details["cv_auc_by_l2"].values()) == {0.5}
 
@@ -132,11 +133,10 @@ def test_select_uninformative_ties_keep_lowest_l2():
 def test_select_details_and_split():
     tables = _mk_tables(seed=3)
     details = {}
-    model, best = time_ordered_select(tables, details=details)
+    model, best = time_ordered_select(pool(tables), details=details)
     assert best in L2_GRID
     assert sorted(details["cv_auc_by_l2"]) == sorted(float(v) for v in L2_GRID)
     assert details["split"] == {"train": 48, "validation": 48, "test": 24}
-    assert len(details["pooled"].y) == 120
     assert details["constants"].columns == ("ma", "mb")
     assert model.feature_names == ("ma", "mb")
 
@@ -144,7 +144,7 @@ def test_select_details_and_split():
 def test_select_informative_beats_shuffled_control():
     tables = _mk_tables(seed=3)
     details = {}
-    time_ordered_select(tables, details=details)
+    time_ordered_select(pool(tables), details=details)
     best_real = max(details["cv_auc_by_l2"].values())
 
     rng = np.random.default_rng(99)
@@ -154,15 +154,15 @@ def test_select_informative_beats_shuffled_control():
         c.y = rng.permutation(t.y)
         shuffled.append(c)
     details2 = {}
-    time_ordered_select(shuffled, details=details2)
+    time_ordered_select(pool(shuffled), details=details2)
     best_null = max(details2["cv_auc_by_l2"].values())
     assert best_real > 0.9
     assert best_real > best_null + 0.15
 
 
 def test_select_deterministic():
-    a_model, a_best = time_ordered_select(_mk_tables(seed=4), seed=7)
-    b_model, b_best = time_ordered_select(_mk_tables(seed=4), seed=7)
+    a_model, a_best = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
+    b_model, b_best = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
     assert a_best == b_best
     assert np.array_equal(a_model.coef, b_model.coef)
     assert a_model.intercept == b_model.intercept
@@ -264,3 +264,34 @@ def test_run_prediction_needs_enough_rows():
     few_rows = repeat_snapshot(clique(4), 7)  # 5 anchors but 20 rows
     with pytest.raises(DataError, match="only 20 rows"):
         run_prediction(few_rows, "presence")
+
+
+@pytest.mark.parametrize("target, counts", [
+    ("rel_change", {"null_trials": 2}),
+    ("rel_change", {"bootstrap_iters": 0}),
+    ("presence", {"bootstrap_iters": 0}),
+])
+def test_run_prediction_checks_counts_before_building_tables(monkeypatch, coupled_network, target, counts):
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("tables built before the argument checks")
+
+    monkeypatch.setattr("structim.pipeline.build_horizon_tables", build_nothing)
+    with pytest.raises(ValueError, match="at least"):
+        run_prediction(coupled_network, target, **counts)
+
+
+def test_pruning_ignores_held_out_rows(monkeypatch):
+    # ma and mb are uncorrelated in the first 80% of the 120 pooled rows; one
+    # outlier in the held-out block correlates them over all rows
+    clean = _mk_tables(seed=5)
+    spiked = _mk_tables(seed=5)
+    spiked[-1].X[-1] = [1000.0, 1000.0]
+    assert abs(np.corrcoef(pool(spiked).X.T)[0, 1]) > 0.8
+    dropped = []
+    for tables in (clean, spiked):
+        for t in tables:
+            t.target = "sign"
+        monkeypatch.setattr("structim.pipeline.build_horizon_tables", lambda *args, **kwargs: tables)
+        res = run_prediction(repeat_snapshot(clique(4), 8), "sign", null_trials=20, bootstrap_iters=20)
+        dropped.append(res.dropped_correlated)
+    assert dropped[1] == dropped[0] == ()
