@@ -7,10 +7,17 @@ jitter for conditioning. Evaluation follows the usual schema: precision and
 recall at a probability threshold with exact binomial intervals, AUC by the
 midrank statistic with a percentile bootstrap, and two null benchmarks
 (training-prior label draws and random-edge-presence labels).
+
+Every AUC, including the bootstrap resamples, the null trials and the
+permutation repeats, comes from one batched kernel, ``_auc_rows``, which
+scores many label/score rows per call with exact integer arithmetic. Its
+callers draw their random numbers in the same order as one call per draw
+would, so fixed-seed outputs do not depend on the batching.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -219,26 +226,66 @@ def fit_logistic(
     )
 
 
+# Rows of one AUC kernel chunk: its temporaries stay near 128 KiB.
+_CHUNK_CELLS = 16384
+
+
+def _auc_rows(y, s) -> np.ndarray:
+    """AUC of each row of 0/1 labels ``y`` against the same row of ``s``.
+
+    Each row is sorted once; a tie group spans ``start..end`` of the sorted
+    row, so its members share the midrank (start + end) / 2 + 1. Twice the
+    Mann-Whitney U, 2 * (rank sum of positives) - n1 (n1 + 1), is an exact
+    integer, so the result equals the rank-sum value bit for bit. A
+    single-class row gives NaN. Rows are scored ``_CHUNK_CELLS // n`` at a
+    time.
+    """
+    y = np.asarray(y)
+    s = np.asarray(s, dtype=float)
+    pos = y == 1
+    if not np.all(pos | (y == 0)):
+        raise DataError("AUC needs 0/1 labels")
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("AUC needs finite scores")
+    m, n = s.shape
+    out = np.empty(m)
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    idx = np.arange(n)
+    for lo in range(0, m, step):
+        order = np.argsort(s[lo : lo + step], axis=1, kind="stable")
+        ss = np.take_along_axis(s[lo : lo + step], order, axis=1)
+        ys = np.take_along_axis(pos[lo : lo + step], order, axis=1)
+        new = np.ones(ss.shape, dtype=bool)
+        new[:, 1:] = ss[:, 1:] != ss[:, :-1]
+        start = np.maximum.accumulate(np.where(new, idx, 0), axis=1)
+        last = np.ones(ss.shape, dtype=bool)
+        last[:, :-1] = new[:, 1:]
+        end = np.minimum.accumulate(np.where(last, idx, n - 1)[:, ::-1], axis=1)[:, ::-1]
+        n1 = ys.sum(axis=1)
+        two_u = np.where(ys, start + end + 2, 0).sum(axis=1) - n1 * (n1 + 1)
+        with np.errstate(invalid="ignore"):
+            out[lo : lo + step] = (two_u * 0.5) / (n1 * (n - n1))
+    return out
+
+
+def _stacked(rows, width: int):
+    """Stack an iterable of length-``width`` rows one kernel chunk at a time."""
+    rows = iter(rows)
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    while chunk := list(itertools.islice(rows, step)):
+        yield np.array(chunk)
+
+
 def auc_score(y_true, scores) -> float:
-    """Area under the ROC curve via the rank-sum statistic, ties by midrank."""
-    y = np.asarray(y_true).astype(int)
-    s = np.asarray(scores, dtype=float)
-    n1 = int((y == 1).sum())
-    n0 = int((y == 0).sum())
-    if n1 == 0 or n0 == 0:
+    """Area under the ROC curve via the rank-sum statistic, ties by midrank.
+
+    Raises DataError for labels outside {0, 1} or a single class, and
+    NumericalError for non-finite scores.
+    """
+    auc = _auc_rows(np.asarray(y_true)[None, :], np.asarray(scores, dtype=float)[None, :])[0]
+    if np.isnan(auc):
         raise DataError("AUC needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    rank_sum = ranks[y == 1].sum()
-    return float((rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    return float(auc)
 
 
 @dataclass
@@ -384,23 +431,36 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
     scores = model.predict_proba(table.X)
     rng = np.random.default_rng(seed)
     n = len(y)
-    samples = []
     skipped = 0
-    for _ in range(iters):
-        for _attempt in range(11):
-            idx = rng.integers(0, n, size=n)
-            yb = y[idx]
-            if yb.min() != yb.max():
-                samples.append(auc_score(yb, scores[idx]))
-                break
-        else:
-            skipped += 1
+
+    def resamples():
+        nonlocal skipped
+        for _ in range(iters):
+            for _attempt in range(11):
+                idx = rng.integers(0, n, size=n)
+                yb = y[idx]
+                if yb.min() != yb.max():
+                    yield idx
+                    break
+            else:
+                skipped += 1
+
+    samples = [auc for idx in _stacked(resamples(), n) for auc in _auc_rows(y[idx], scores[idx])]
     if skipped:
         warnings.warn(f"bootstrap skipped {skipped} persistently single-class resamples")
     if not samples:
         raise NumericalError("every bootstrap resample was single-class")
     lo, hi = np.percentile(samples, [100 * alpha / 2.0, 100 * (1.0 - alpha / 2.0)])
     return (float(lo), float(hi))
+
+
+def _precision_recall(yhat, labels):
+    """Per-row precision and recall of 0/1 predictions (NaN when undefined)."""
+    tp = np.sum((yhat == 1) & (labels == 1), axis=-1)
+    fp = np.sum((yhat == 1) & (labels == 0), axis=-1)
+    fn = np.sum((yhat == 0) & (labels == 1), axis=-1)
+    with np.errstate(invalid="ignore"):
+        return np.where(tp + fp > 0, tp / (tp + fp), np.nan), np.where(tp + fn > 0, tp / (tp + fn), np.nan)
 
 
 def _percentile_summary(values) -> dict:
@@ -430,18 +490,14 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
         raise DataError("null prior predictor needs nonempty label arrays")
     prior = float(train_y.mean())
     rng = np.random.default_rng(seed)
+    draws = ((rng.random(test_y.size) < prior).astype(int) for _ in range(trials))
     precisions, recalls, aucs = [], [], []
-    for _ in range(trials):
-        yhat = (rng.random(test_y.size) < prior).astype(int)
-        tp = int(np.sum((yhat == 1) & (test_y == 1)))
-        fp = int(np.sum((yhat == 1) & (test_y == 0)))
-        fn = int(np.sum((yhat == 0) & (test_y == 1)))
-        precisions.append(tp / (tp + fp) if tp + fp else np.nan)
-        recalls.append(tp / (tp + fn) if tp + fn else np.nan)
-        if test_y.min() != test_y.max() and yhat.min() != yhat.max():
-            aucs.append(auc_score(test_y, yhat.astype(float)))
-        else:
-            aucs.append(np.nan)
+    for yhat in _stacked(draws, test_y.size):
+        p, r = _precision_recall(yhat, test_y)
+        precisions.extend(p)
+        recalls.extend(r)
+        varied = yhat.min(axis=1) != yhat.max(axis=1)
+        aucs.extend(np.where(varied, _auc_rows(np.broadcast_to(test_y, yhat.shape), yhat), np.nan))
     return {
         "kind": "prior_predictor",
         "prior": prior,
@@ -456,14 +512,9 @@ def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator)
     """Presence labels from one random graph draw: pair on with prob density."""
     if n_nodes < 2:
         return np.zeros(n_nodes, dtype=int)
-    present = np.zeros(n_nodes, dtype=bool)
-    draws = rng.random((n_nodes, n_nodes)) < density
-    iu = np.triu_indices(n_nodes, k=1)
-    adj = np.zeros((n_nodes, n_nodes), dtype=bool)
-    adj[iu] = draws[iu]
-    adj |= adj.T
-    present = adj.any(axis=1)
-    return present.astype(int)
+    # the dense draw keeps the random stream; only the upper triangle is used
+    upper = np.triu(rng.random((n_nodes, n_nodes)) < density, 1)
+    return (upper.any(axis=0) | upper.any(axis=1)).astype(int)
 
 
 def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = 100, seed=0) -> dict:
@@ -503,15 +554,16 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
 
     svec = scores[np.concatenate([rows for *_, rows in groups])]
     yhat = (svec >= 0.5).astype(int)
+    draws = (
+        np.concatenate([edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups])
+        for _ in range(trials)
+    )
     precisions, recalls, aucs = [], [], []
-    for _ in range(trials):
-        labels = np.concatenate([edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups])
-        tp = int(np.sum((yhat == 1) & (labels == 1)))
-        fp = int(np.sum((yhat == 1) & (labels == 0)))
-        fn = int(np.sum((yhat == 0) & (labels == 1)))
-        precisions.append(tp / (tp + fp) if tp + fp else np.nan)
-        recalls.append(tp / (tp + fn) if tp + fn else np.nan)
-        aucs.append(auc_score(labels, svec) if labels.min() != labels.max() else np.nan)
+    for labels in _stacked(draws, svec.size):
+        p, r = _precision_recall(yhat, labels)
+        precisions.extend(p)
+        recalls.extend(r)
+        aucs.extend(_auc_rows(labels, np.broadcast_to(svec, labels.shape)))
     return {
         "kind": "edge_presence",
         "trials": trials,
@@ -528,18 +580,20 @@ def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: i
     Positive values mean the model leaned on the feature; a feature with a
     zero coefficient scores exactly zero because predictions cannot change.
     """
+    if repeats < 1:
+        raise ValueError(f"need at least 1 repeat, got {repeats}")
     if table.y is None:
         raise DataError("permutation importance needs a labeled table")
     base = auc_score(table.y, model.predict_proba(table.X))
     out = {}
     for j, name in enumerate(table.columns):
-        deltas = []
+        probs = []
         for r in range(repeats):
             rng = np.random.default_rng([seed, j, r])
             xp = table.X.copy()
             xp[:, j] = rng.permutation(xp[:, j])
-            deltas.append(base - auc_score(table.y, model.predict_proba(xp)))
-        out[name] = float(np.mean(deltas))
+            probs.append(model.predict_proba(xp))
+        out[name] = float(np.mean(base - _auc_rows(np.broadcast_to(table.y, (repeats, table.n_rows)), probs)))
     return out
 
 

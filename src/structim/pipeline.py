@@ -146,8 +146,10 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, det
 
     ``table`` is a labeled pool of horizon tables in time order (see
     ``features.pool``) whose rows come from at least five distinct anchor
-    times ``as_of``, so the forward-chaining folds see distinct eras. The
-    first 80% of rows feed the grid search, and the winner is refit on them.
+    times ``as_of``, so the forward-chaining folds see distinct eras; rows
+    out of time order raise DataError, since a fold would then validate on
+    rows older than its training rows. The first 80% of rows feed the grid
+    search, and the winner is refit on them.
     Each fold's standardized, class-balanced training rows and standardized
     validation rows are prepared once and scored for every L2 value. Returns
     (model, chosen_l2); pass a dict as ``details`` to also receive the CV
@@ -159,6 +161,8 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, det
     anchors = len(set(table.as_of))
     if anchors < FOLDS:
         raise DataError(f"need at least {FOLDS} horizon tables for forward chaining, got {anchors}")
+    if np.any(np.diff(table.as_of) < 0):
+        raise DataError("forward chaining needs the pooled rows in time order (non-decreasing as_of)")
     n = table.n_rows
     i1, i2 = _split_ends(n)
 

@@ -1,0 +1,30 @@
+"""The package's public surface."""
+
+import structim
+
+PUBLIC = (
+    "BASE_PRESENCE", "DIRECTED_SCHEME", "DataError", "EvaluationReport", "FEATURE_COLUMNS",
+    "FeatureTable", "ImportanceVector", "L2_GRID", "LinearModel", "LogisticModel",
+    "MEASURE_COLUMNS", "NumericalError", "PredictionResult", "SCHEMES", "STRENGTH_MODES",
+    "SingularTriplet", "Snapshot", "Spectrum", "StandardizationConstants", "StructimError",
+    "TARGETS", "TTestResult", "TemporalNetwork", "apply_standardization", "auc_score",
+    "barbell", "binom_ci", "bootstrap_auc_ci", "build_features", "build_horizon_tables",
+    "build_table", "detect_communities", "edge_importance", "eig_sym", "eigenvector_centrality",
+    "evaluate", "fit_linear", "fit_logistic", "forward_chain_folds", "importance_components",
+    "kmeans_eigvecs", "label_change", "label_presence", "label_rel_change", "label_sign",
+    "leading_singular", "load_network", "load_snapshots", "load_snapshots_text",
+    "mean_diff_ttest", "modularity", "node_importance", "node_importance_directed",
+    "null_edge_presence", "null_prior_predictor", "null_shuffle_regression", "oversample",
+    "pagerank", "pearson", "permutation_importance", "pool", "prune_correlated", "r2_score",
+    "repeat_snapshot", "run_prediction", "select_eigencomponent", "shap_linear",
+    "snapshot_measures", "standardize", "synthetic_temporal", "time_ordered_select",
+    "write_edge_csv",
+)
+
+
+def test_public_surface_is_pinned():
+    # a new export (or a private helper leaking out) must be added here on purpose
+    assert len(PUBLIC) == 72
+    assert sorted(structim.__all__) == sorted(PUBLIC)
+    assert len(set(structim.__all__)) == len(structim.__all__)
+    assert all(hasattr(structim, name) for name in PUBLIC)

@@ -1,7 +1,12 @@
 """Classifier, regressor, metrics, intervals, nulls, and attributions."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from structim import (
     DataError,
@@ -21,11 +26,13 @@ from structim import (
     null_shuffle_regression,
     oversample,
     permutation_importance,
+    pool,
     r2_score,
     shap_linear,
     standardize,
 )
-from structim.model import edge_presence_labels
+from structim.generators import synthetic_temporal
+from structim.model import _CHUNK_CELLS, _auc_rows, edge_presence_labels
 
 from conftest import binom_ci_oracle, clique, network_from
 
@@ -253,6 +260,35 @@ def test_auc_invariant_under_monotone_transforms():
 def test_auc_single_class_rejected():
     with pytest.raises(DataError):
         auc_score([1, 1, 1], [0.1, 0.2, 0.3])
+
+
+def test_auc_rejects_labels_outside_zero_one():
+    # a label 2 used to be ranked but counted in neither class (AUC 1.0 here)
+    with pytest.raises(DataError, match="0/1 labels"):
+        auc_score([2, 1, 0], [0.1, 0.5, 0.9])
+    with pytest.raises(DataError, match="0/1 labels"):
+        auc_score([0.0, 0.5, 1.0], [0.1, 0.5, 0.9])
+
+
+def test_auc_rejects_non_finite_scores():
+    # NaNs used to be ranked arbitrarily (AUC 0.5 here)
+    with pytest.raises(NumericalError, match="finite"):
+        auc_score([0, 1, 1, 0], [0.1, np.nan, 0.9, np.nan])
+    with pytest.raises(NumericalError, match="finite"):
+        auc_score([0, 1], [0.1, np.inf])
+
+
+def test_auc_matches_mann_whitney_oracle():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        y = rng.integers(0, 2, size=n)
+        if y.min() == y.max():
+            continue
+        s = rng.normal(size=n) if seed % 2 else rng.integers(0, 5, size=n).astype(float)
+        n1, n0 = int(y.sum()), int(n - y.sum())
+        u = stats.mannwhitneyu(s[y == 1], s[y == 0]).statistic
+        assert auc_score(y, s) == pytest.approx(u / (n1 * n0), abs=1e-12)
 
 
 # ------------------------------------------------------------------- evaluate
@@ -508,6 +544,12 @@ def test_permutation_duplicated_feature_still_registers():
     assert imp["mb"] > 0.0
 
 
+def test_permutation_needs_a_repeat():
+    model = _manual_logistic(0.0, [1.0], names=("ma",))
+    with pytest.raises(ValueError, match="at least 1 repeat"):
+        permutation_importance(model, _table(("ma",), [[1.0], [-1.0]], y=[1, 0]), repeats=0)
+
+
 def test_permutation_deterministic():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(60, 2))
@@ -639,3 +681,252 @@ def test_null_shuffle_regression_destroys_signal():
     assert real.r2 > null["r2"]["ci95"][1]
     again = null_shuffle_regression(train, heldout, trials=100, seed=0)
     assert null == again
+
+
+# ----------------------------------------- parity with the per-call evaluation
+#
+# The evaluation stage as it was before the batched AUC kernel: one midrank
+# loop per AUC and one call per draw. Kept as frozen oracles; the batched
+# stage must reproduce their outputs exactly at fixed seeds.
+
+
+def _oracle_auc(y_true, scores):
+    y = np.asarray(y_true).astype(int)
+    s = np.asarray(scores, dtype=float)
+    n1 = int((y == 1).sum())
+    n0 = int((y == 0).sum())
+    if n1 == 0 or n0 == 0:
+        raise DataError("AUC needs both classes present")
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s))
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = ranks[y == 1].sum()
+    return float((rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+
+
+def _oracle_summary(values):
+    arr = np.asarray(values, dtype=float)
+    arr = arr[~np.isnan(arr)]
+    if arr.size == 0:
+        return {"mean": None, "ci90": None, "ci95": None}
+    return {
+        "mean": float(arr.mean()),
+        "ci90": [float(v) for v in np.percentile(arr, [5.0, 95.0])],
+        "ci95": [float(v) for v in np.percentile(arr, [2.5, 97.5])],
+    }
+
+
+def _oracle_bootstrap(model, table, iters, seed, alpha=0.05):
+    y = table.y.astype(int)
+    scores = model.predict_proba(table.X)
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    samples = []
+    skipped = 0
+    for _ in range(iters):
+        for _attempt in range(11):
+            idx = rng.integers(0, n, size=n)
+            yb = y[idx]
+            if yb.min() != yb.max():
+                samples.append(_oracle_auc(yb, scores[idx]))
+                break
+        else:
+            skipped += 1
+    if skipped:
+        warnings.warn(f"bootstrap skipped {skipped} persistently single-class resamples")
+    if not samples:
+        raise NumericalError("every bootstrap resample was single-class")
+    lo, hi = np.percentile(samples, [100 * alpha / 2.0, 100 * (1.0 - alpha / 2.0)])
+    return (float(lo), float(hi))
+
+
+def _oracle_null_prior(train_y, test_y, trials, seed):
+    train_y = np.asarray(train_y).astype(int)
+    test_y = np.asarray(test_y).astype(int)
+    prior = float(train_y.mean())
+    rng = np.random.default_rng(seed)
+    precisions, recalls, aucs = [], [], []
+    for _ in range(trials):
+        yhat = (rng.random(test_y.size) < prior).astype(int)
+        tp = int(np.sum((yhat == 1) & (test_y == 1)))
+        fp = int(np.sum((yhat == 1) & (test_y == 0)))
+        fn = int(np.sum((yhat == 0) & (test_y == 1)))
+        precisions.append(tp / (tp + fp) if tp + fp else np.nan)
+        recalls.append(tp / (tp + fn) if tp + fn else np.nan)
+        if test_y.min() != test_y.max() and yhat.min() != yhat.max():
+            aucs.append(_oracle_auc(test_y, yhat.astype(float)))
+        else:
+            aucs.append(np.nan)
+    return {
+        "kind": "prior_predictor",
+        "prior": prior,
+        "trials": trials,
+        "precision": _oracle_summary(precisions),
+        "recall": _oracle_summary(recalls),
+        "auc": _oracle_summary(aucs),
+    }
+
+
+def _oracle_edge_presence_labels(n_nodes, density, rng):
+    if n_nodes < 2:
+        return np.zeros(n_nodes, dtype=int)
+    draws = rng.random((n_nodes, n_nodes)) < density
+    iu = np.triu_indices(n_nodes, k=1)
+    adj = np.zeros((n_nodes, n_nodes), dtype=bool)
+    adj[iu] = draws[iu]
+    adj |= adj.T
+    return adj.any(axis=1).astype(int)
+
+
+def _oracle_null_edge_presence(tn, table, scores, trials, seed):
+    scores = np.asarray(scores, dtype=float)
+    rng = np.random.default_rng(seed)
+    groups = []
+    for t in sorted(set(table.as_of)):
+        rows_here = np.flatnonzero(table.as_of == t)
+        cur = tn.snapshots[t]
+        n_t = cur.n_nodes
+        if n_t < 2:
+            continue
+        density = min(1.0, tn.snapshots[t + 1].n_edges / (n_t * (n_t - 1) / 2.0))
+        pos = {v: i for i, v in enumerate(cur.node_ids)}
+        groups.append((n_t, density, np.array([pos[table.node_ids[i]] for i in rows_here]), rows_here))
+    svec = scores[np.concatenate([rows for *_, rows in groups])]
+    yhat = (svec >= 0.5).astype(int)
+    precisions, recalls, aucs = [], [], []
+    for _ in range(trials):
+        labels = np.concatenate(
+            [_oracle_edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups]
+        )
+        tp = int(np.sum((yhat == 1) & (labels == 1)))
+        fp = int(np.sum((yhat == 1) & (labels == 0)))
+        fn = int(np.sum((yhat == 0) & (labels == 1)))
+        precisions.append(tp / (tp + fp) if tp + fp else np.nan)
+        recalls.append(tp / (tp + fn) if tp + fn else np.nan)
+        aucs.append(_oracle_auc(labels, svec) if labels.min() != labels.max() else np.nan)
+    return {
+        "kind": "edge_presence",
+        "trials": trials,
+        "groups": len(groups),
+        "precision": _oracle_summary(precisions),
+        "recall": _oracle_summary(recalls),
+        "auc": _oracle_summary(aucs),
+    }
+
+
+def _oracle_permutation_importance(model, table, repeats, seed):
+    base = _oracle_auc(table.y, model.predict_proba(table.X))
+    out = {}
+    for j, name in enumerate(table.columns):
+        deltas = []
+        for r in range(repeats):
+            rng = np.random.default_rng([seed, j, r])
+            xp = table.X.copy()
+            xp[:, j] = rng.permutation(xp[:, j])
+            deltas.append(base - _oracle_auc(table.y, model.predict_proba(xp)))
+        out[name] = float(np.mean(deltas))
+    return out
+
+
+def _tie_heavy_table(seed, n, p=2, levels=3, positive=0.4):
+    """Small-integer features, so many scores tie exactly."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, p)).astype(float)
+    y = (rng.random(n) < positive).astype(float)
+    return _table(tuple(f"f{i}" for i in range(p)), x, y=y)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4)), min_size=2, max_size=80))
+def test_auc_matches_oracle_on_tie_heavy_data(pairs):
+    y, s = (np.array(v) for v in zip(*pairs))
+    assume(y.min() != y.max())
+    assert auc_score(y, s) == _oracle_auc(y, s)
+
+
+def test_auc_rows_match_oracle_across_chunks():
+    rng = np.random.default_rng(30)
+    n = 100
+    m = 3 * (_CHUNK_CELLS // n) + 7  # four chunks, the last one partial
+    y = rng.integers(0, 2, size=(m, n))
+    y[:3] = 1  # single-class rows give NaN
+    s = rng.integers(0, 6, size=(m, n)).astype(float)
+    s[m // 2 :] += rng.normal(size=(m - m // 2, n))
+    got = _auc_rows(y, s)
+    assert np.all(np.isnan(got[:3]))
+    assert all(got[i] == _oracle_auc(y[i], s[i]) for i in range(3, m))
+
+
+def test_bootstrap_matches_oracle():
+    # n=200 with 300 resamples spans four kernel chunks
+    for seed, n, iters in ((0, 40, 300), (1, 25, 200), (2, 200, 300)):
+        table = _tie_heavy_table(seed, n)
+        model = fit_logistic(table, l2=1.0)
+        assert bootstrap_auc_ci(model, table, iters=iters, seed=[seed, 4]) == _oracle_bootstrap(
+            model, table, iters, [seed, 4]
+        )
+
+
+def test_bootstrap_redraw_and_skip_paths_match_oracle():
+    model = _manual_logistic(0.0, [1.0], names=("ma",))
+    # one positive in six rows: a third of resamples are single-class and redrawn
+    six = _table(("ma",), [[0.3], [0.1], [0.3], [0.2], [0.4], [0.1]], y=[0, 0, 1, 0, 0, 0])
+    assert bootstrap_auc_ci(model, six, iters=500, seed=1) == _oracle_bootstrap(model, six, 500, 1)
+    # one positive in two rows: half the draws are single-class, so some slots
+    # fail all 11 attempts and are skipped
+    two = _table(("ma",), [[0.2], [0.5]], y=[1, 0])
+    with pytest.warns(UserWarning, match="persistently single-class") as got:
+        ci = bootstrap_auc_ci(model, two, iters=6000, seed=2)
+    with pytest.warns(UserWarning, match="persistently single-class") as want:
+        expected = _oracle_bootstrap(model, two, 6000, 2)
+    assert ci == expected
+    assert str(got[0].message) == str(want[0].message)
+
+
+def test_null_prior_matches_oracle():
+    rng = np.random.default_rng(31)
+    cases = [
+        (rng.integers(0, 2, 50), rng.integers(0, 2, 40), 100, 5),
+        (np.ones(20), np.array([1, 1, 0, 0, 0]), 50, 0),  # constant predictions
+        (rng.integers(0, 2, 30), np.zeros(12), 30, 1),  # single-class test labels
+        (rng.random(200) < 0.1, rng.integers(0, 2, 200), 300, 3),  # several chunks
+    ]
+    for train_y, test_y, trials, seed in cases:
+        got = null_prior_predictor(train_y, test_y, trials=trials, seed=[seed, 5])
+        assert got == _oracle_null_prior(train_y, test_y, trials, [seed, 5])
+
+
+def test_edge_presence_labels_match_oracle_and_stream():
+    for n, d in ((0, 0.5), (1, 0.5), (2, 0.5), (7, 0.0), (7, 1.0), (30, 0.1), (64, 0.03)):
+        a, b = np.random.default_rng([n, 9]), np.random.default_rng([n, 9])
+        for _ in range(5):
+            assert np.array_equal(edge_presence_labels(n, d, a), _oracle_edge_presence_labels(n, d, b))
+        assert a.random() == b.random()  # same number of draws consumed
+
+
+def test_null_edge_presence_matches_oracle():
+    for seed in (3, 4):
+        tn = synthetic_temporal(40, 2, 2, -2.0, 8, seed=seed)
+        rng = np.random.default_rng(seed)
+        anchors = range(tn.n_snapshots - 1)
+        table = pool([_scored_rows(dict.fromkeys(tn.snapshots[t].node_ids, 0.0), as_of=t)[0] for t in anchors])
+        scores = rng.integers(0, 5, size=table.n_rows) / 4.0  # tie-heavy, some at 0.5
+        # 250 trials over ~210 rows span four kernel chunks
+        got = null_edge_presence(tn, table, scores, trials=250, seed=[seed, 6])
+        assert got == _oracle_null_edge_presence(tn, table, scores, 250, [seed, 6])
+
+
+def test_permutation_importance_matches_oracle():
+    for seed, n, repeats in ((0, 60, 10), (1, 200, 10), (2, 30, 3)):
+        table = _tie_heavy_table(seed, n, p=3)
+        model = fit_logistic(table, l2=1.0)
+        assert permutation_importance(model, table, repeats=repeats, seed=[seed, 7]) == (
+            _oracle_permutation_importance(model, table, repeats, [seed, 7])
+        )

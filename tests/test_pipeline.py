@@ -106,6 +106,12 @@ def test_select_needs_five_tables():
         time_ordered_select(pool(_mk_tables(n_tables=4)))
 
 
+def test_select_rejects_rows_out_of_time_order():
+    # pooled newest first, every fold would validate on rows older than it trains on
+    with pytest.raises(DataError, match="time order"):
+        time_ordered_select(pool(_mk_tables(seed=3)[::-1]))
+
+
 def test_select_rejects_mixed_targets():
     tables = _mk_tables()
     tables[2].target = "change"
