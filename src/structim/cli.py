@@ -137,28 +137,46 @@ def cmd_analyze(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     written = []
 
+    # One pass: each snapshot's spectrum and communities feed its spectra,
+    # modularity and eigen-rank rows and its measure rows, then are dropped.
     spectra = []
     mod_rows = []
     rank_rows = []
+    measure_rows = []
+    by_measure = {name: {0: [], 1: []} for name in MEASURE_COLUMNS}
     for t, snap in enumerate(tn.snapshots):
+        spec = communities = None
         if snap.n_edges == 0:
             spectra.append({"snapshot": t, "n_nodes": snap.n_nodes, "n_edges": 0,
                             "eigenvalues": [], "positive_count": 0})
+        else:
+            spec = eig_sym(snap.adjacency())
+            spectra.append(
+                {
+                    "snapshot": t,
+                    "n_nodes": snap.n_nodes,
+                    "n_edges": snap.n_edges,
+                    "eigenvalues": spec.eigenvalues.tolist(),
+                    "positive_count": spec.positive_count(),
+                }
+            )
+            communities = detect_communities(snap)
+            mod_rows.append([t, repr(modularity(snap, communities)), int(communities.max()) + 1])
+            for node, rank in zip(snap.node_ids, select_eigencomponent(spec)):
+                rank_rows.append([t, node, int(rank)])
+
+        # Measure distributions split by presence in the next snapshot.
+        labels = label_presence(tn, t) if t < tn.n_snapshots - 1 else {}
+        if not labels:
             continue
-        spec = eig_sym(snap.adjacency())
-        spectra.append(
-            {
-                "snapshot": t,
-                "n_nodes": snap.n_nodes,
-                "n_edges": snap.n_edges,
-                "eigenvalues": spec.eigenvalues.tolist(),
-                "positive_count": spec.positive_count(),
-            }
-        )
-        labels = detect_communities(snap)
-        mod_rows.append([t, repr(modularity(snap, labels)), int(labels.max()) + 1])
-        for node, rank in zip(snap.node_ids, select_eigencomponent(spec)):
-            rank_rows.append([t, node, int(rank)])
+        measures = snapshot_measures(tn, t, spectrum=spec, communities=communities)
+        for node, present in labels.items():
+            g = tn.universe_index[node]
+            for name in MEASURE_COLUMNS:
+                val = measures[name][g]
+                if val == val:  # skip NaN
+                    measure_rows.append([t, node, name, repr(float(val)), present])
+                    by_measure[name][present].append(float(val))
 
     if _wants(args, "json"):
         _write_json(os.path.join(args.out, "spectra.json"), {"meta": _meta(args, "analyze"), "snapshots": spectra})
@@ -178,22 +196,6 @@ def cmd_analyze(args) -> int:
         with open(os.path.join(args.out, "modularity.svg"), "w") as fh:
             fh.write(svg)
         written.append("modularity.svg")
-
-    # Measure distributions split by presence in the next snapshot.
-    measure_rows = []
-    by_measure = {name: {0: [], 1: []} for name in MEASURE_COLUMNS}
-    for t in range(tn.n_snapshots - 1):
-        labels = label_presence(tn, t)
-        if not labels:
-            continue
-        measures = snapshot_measures(tn, t)
-        for node, present in labels.items():
-            g = tn.universe_index[node]
-            for name in MEASURE_COLUMNS:
-                val = measures[name][g]
-                if val == val:  # skip NaN
-                    measure_rows.append([t, node, name, repr(float(val)), present])
-                    by_measure[name][present].append(float(val))
 
     ttests = []
     for name in MEASURE_COLUMNS:
@@ -385,6 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "aggregation", 1) < 1:
+        print(f"error: --aggregation needs at least 1, got {args.aggregation}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except DataError as exc:

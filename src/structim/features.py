@@ -23,7 +23,7 @@ from .errors import DataError
 from .graphs import Snapshot, TemporalNetwork
 from .importance import SCHEMES, node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
-from .spectral import eig_sym
+from .spectral import Spectrum, eig_sym
 
 MEASURE_COLUMNS = (
     "ma",
@@ -133,12 +133,19 @@ def pool(tables) -> FeatureTable:
     )
 
 
-def snapshot_measures(tn: TemporalNetwork, t: int) -> dict:
+def snapshot_measures(
+    tn: TemporalNetwork,
+    t: int,
+    spectrum: Spectrum | None = None,
+    communities: np.ndarray | None = None,
+) -> dict:
     """All per-snapshot node measures as universe-aligned arrays.
 
     Returns {measure: array over tn.universe} with NaN for nodes absent from
     snapshot t (and for zero-strength nodes, whose importance is undefined).
-    A snapshot with no edges yields all-NaN columns.
+    A snapshot with no edges yields all-NaN columns. ``spectrum`` and
+    ``communities`` may carry the snapshot's ``eig_sym`` decomposition and
+    ``detect_communities`` labels when the caller has already computed them.
     """
     s = tn.snapshots[t]
     n_uni = tn.n_nodes
@@ -147,7 +154,7 @@ def snapshot_measures(tn: TemporalNetwork, t: int) -> dict:
         return out
 
     gidx = np.array([tn.universe_index[v] for v in s.node_ids])
-    spec = eig_sym(s.adjacency())
+    spec = spectrum if spectrum is not None else eig_sym(s.adjacency())
     for scheme in SCHEMES:
         vec = node_importance(s, scheme, spectrum=spec)
         for node, val in vec.values.items():
@@ -156,7 +163,7 @@ def snapshot_measures(tn: TemporalNetwork, t: int) -> dict:
     cent = eigenvector_centrality(s, spectrum=spec)
     pr = pagerank(s)
     deg = s.degrees().astype(float)
-    labels = detect_communities(s)
+    labels = communities if communities is not None else detect_communities(s)
     sizes = np.bincount(labels)
     strength = s.strength()
     present = strength > 0
@@ -193,6 +200,7 @@ def build_features(tn: TemporalNetwork, t: int, measures_cache: dict | None = No
         else:
             skipped_new += 1
 
+    g_rows = np.array([g for _, g in rows], dtype=int)
     x = np.empty((len(rows), len(FEATURE_COLUMNS)))
     for c, name in enumerate(MEASURE_COLUMNS):
         hist = np.stack([cache[u][name] for u in range(t)])
@@ -200,10 +208,8 @@ def build_features(tn: TemporalNetwork, t: int, measures_cache: dict | None = No
         counts = defined_mask.sum(axis=0)
         sums = np.where(defined_mask, hist, 0.0).sum(axis=0)
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        for r, (_, g) in enumerate(rows):
-            x[r, c] = means[g]
-    for r, (_, g) in enumerate(rows):
-        x[r, len(MEASURE_COLUMNS)] = prior_count[g]
+        x[:, c] = means[g_rows]
+    x[:, len(MEASURE_COLUMNS)] = prior_count[g_rows]
 
     # A node can be present without defined importance (zero strength in every
     # prior appearance); such rows cannot be featurized either.

@@ -3,8 +3,9 @@
 A :class:`Snapshot` is one observation window: a set of node ids plus weighted
 edges between them. A :class:`TemporalNetwork` is an ordered sequence of
 snapshots over a shared node universe. Both are frozen dataclasses; analysis
-code builds numpy views (adjacency matrices, strength vectors) on demand and
-never mutates the containers.
+code never mutates the containers. Adjacency matrices are built on demand and
+never kept; the O(E + n) views (edge arrays, strength vectors, the presence
+matrix) are built once per container and are read-only.
 
 Node ids are opaque (ints or strings). Edges are stored with local indices
 into ``node_ids``; undirected edges are stored once with ``i < j``.
@@ -23,6 +24,11 @@ from .errors import DataError
 
 _FORMAT_TAG = "structim-network"
 _FORMAT_VERSION = 1
+
+
+def _state_without_caches(self) -> dict:
+    """Pickle state without the cached views, which unpickling would make writable."""
+    return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,8 @@ class Snapshot:
                 raise DataError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
 
+    __getstate__ = _state_without_caches
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
@@ -82,35 +90,58 @@ class Snapshot:
         """Map node id -> local index."""
         return {v: k for k, v in enumerate(self.node_ids)}
 
+    @cached_property
+    def _edge_arrays(self) -> tuple:
+        """Edges as read-only (i, j, w) arrays: int, int, float."""
+        arrays = (
+            np.array([e[0] for e in self.edges], dtype=int),
+            np.array([e[1] for e in self.edges], dtype=int),
+            np.array([e[2] for e in self.edges], dtype=float),
+        )
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
+
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency matrix (n x n, float64, zero diagonal).
 
-        Undirected snapshots produce a symmetric matrix.
+        Undirected snapshots produce a symmetric matrix. Each call returns a
+        fresh, writable matrix.
         """
+        i, j, w = self._edge_arrays
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j, w in self.edges:
-            a[i, j] += w
-            if not self.directed:
-                a[j, i] += w
+        # Edges are unique and off-diagonal, so each cell is written at most once.
+        a[i, j] = w
+        if not self.directed:
+            a[j, i] = w
         return a
+
+    @cached_property
+    def _strengths(self) -> dict:
+        a = self.adjacency()
+        out_s = a.sum(axis=1)
+        if not self.directed:
+            by_mode = dict.fromkeys(("total", "in", "out"), out_s)
+        else:
+            in_s = a.sum(axis=0)
+            by_mode = {"total": out_s + in_s, "in": in_s, "out": out_s}
+        for vec in by_mode.values():
+            vec.setflags(write=False)
+        return by_mode
 
     def strength(self, mode: str = "total", node: int | None = None):
         """Per-node strength vector, or a single node's strength.
 
         Undirected snapshots return adjacency row sums for every mode.
         Directed snapshots honor ``mode``: "out" sums outgoing arc weights,
-        "in" incoming, "total" their sum. With ``node`` set, returns that
-        node's strength as a float; out-of-range indices raise IndexError.
+        "in" incoming, "total" their sum. The vector is computed once per
+        snapshot and is read-only; copy it before changing it. With ``node``
+        set, returns that node's strength as a float; out-of-range indices
+        raise IndexError.
         """
         if mode not in ("total", "in", "out"):
             raise ValueError(f"unknown strength mode {mode!r}")
-        a = self.adjacency()
-        if not self.directed:
-            s = a.sum(axis=1)
-        else:
-            out_s = a.sum(axis=1)
-            in_s = a.sum(axis=0)
-            s = out_s if mode == "out" else in_s if mode == "in" else out_s + in_s
+        s = self._strengths[mode]
         if node is None:
             return s
         if not 0 <= node < self.n_nodes:
@@ -119,11 +150,8 @@ class Snapshot:
 
     def degrees(self) -> np.ndarray:
         """Number of incident edges per node (in + out for directed)."""
-        d = np.zeros(self.n_nodes, dtype=int)
-        for i, j, _ in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return d
+        i, j, _ = self._edge_arrays
+        return np.bincount(i, minlength=self.n_nodes) + np.bincount(j, minlength=self.n_nodes)
 
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
@@ -178,6 +206,8 @@ class TemporalNetwork:
             if missing:
                 raise DataError(f"snapshot nodes outside universe: {sorted(map(repr, missing))[:5]}")
 
+    __getstate__ = _state_without_caches
+
     @property
     def n_snapshots(self) -> int:
         return len(self.snapshots)
@@ -194,13 +224,20 @@ class TemporalNetwork:
     def universe_index(self) -> dict:
         return {v: k for k, v in enumerate(self.universe)}
 
-    def presence_matrix(self) -> np.ndarray:
-        """Boolean (T x n_universe) matrix: node appears in snapshot t."""
+    @cached_property
+    def _presence(self) -> np.ndarray:
         out = np.zeros((self.n_snapshots, self.n_nodes), dtype=bool)
         for t, s in enumerate(self.snapshots):
-            for v in s.node_ids:
-                out[t, self.universe_index[v]] = True
+            out[t, [self.universe_index[v] for v in s.node_ids]] = True
+        out.setflags(write=False)
         return out
+
+    def presence_matrix(self) -> np.ndarray:
+        """Boolean (T x n_universe) matrix: node appears in snapshot t.
+
+        Built once per network and read-only; copy it before changing it.
+        """
+        return self._presence
 
     def to_json(self) -> str:
         """Serialize to JSON. Floats go through repr, so round-trips are exact."""

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from structim import DataError, load_network, node_importance, run_prediction
+from structim import DataError, cli, features, load_network, node_importance, run_prediction
 from structim.cli import main
 
 
@@ -176,6 +176,25 @@ def test_analyze_artifacts(synthetic_csv, tmp_path):
         assert name in listed
 
 
+def test_analyze_decomposes_each_snapshot_once(synthetic_csv, tmp_path, monkeypatch):
+    spectra, partitions = [], []
+
+    def counting(fn, calls):
+        def wrapped(arg):
+            calls.append(arg)
+            return fn(arg)
+        return wrapped
+
+    for module in (cli, features):
+        monkeypatch.setattr(module, "eig_sym", counting(module.eig_sym, spectra))
+        monkeypatch.setattr(module, "detect_communities", counting(module.detect_communities, partitions))
+    assert main(["analyze", synthetic_csv, "--out", str(tmp_path / "analysis")]) == 0
+    with_edges = [s for s in load_network(synthetic_csv).snapshots if s.n_edges]
+    assert len(with_edges) == 8
+    assert len(spectra) == len(with_edges)
+    assert [s.timestamp for s in partitions] == [s.timestamp for s in with_edges]
+
+
 def test_analyze_format_restriction(synthetic_csv, tmp_path):
     out = str(tmp_path / "json_only")
     assert main(["analyze", synthetic_csv, "--format", "json", "--out", out]) == 0
@@ -258,6 +277,20 @@ def test_predict_nonpositive_bootstrap_iters_is_usage_error(synthetic_csv, tmp_p
     assert main(["predict", synthetic_csv, f"--bootstrap-iters={iters}", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --bootstrap-iters needs at least 1") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", []),
+    ("importance", []),
+    ("predict", ["--target", "presence"]),
+])
+def test_nonpositive_aggregation_is_usage_error(tmp_path, capsys, command, extra):
+    out = str(tmp_path / "out")
+    missing = str(tmp_path / "missing.csv")  # the check runs before the input is read
+    assert main([command, missing, "--aggregation", "0", *extra, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --aggregation needs at least 1, got 0\n"
     assert not os.path.exists(out)
 
 

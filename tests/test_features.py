@@ -11,12 +11,15 @@ from structim import (
     Snapshot,
     build_features,
     build_table,
+    detect_communities,
+    eig_sym,
     label_change,
     label_presence,
     label_rel_change,
     label_sign,
     prune_correlated,
     snapshot_measures,
+    synthetic_temporal,
 )
 
 from conftest import clique, network_from
@@ -60,6 +63,19 @@ def test_snapshot_measures_empty_snapshot():
     out = snapshot_measures(tn, 1)
     for vals in out.values():
         assert np.isnan(vals).all()
+
+
+def test_snapshot_measures_reuses_given_spectrum_and_communities():
+    tn = synthetic_temporal(40, 2, 2, -2.0, 4, seed=3)
+    absent = 0
+    for t, s in enumerate(tn.snapshots):
+        given = snapshot_measures(tn, t, spectrum=eig_sym(s.adjacency()), communities=detect_communities(s))
+        own = snapshot_measures(tn, t)
+        assert set(given) == set(own)
+        for name in own:
+            assert np.array_equal(given[name], own[name], equal_nan=True), name
+        absent += int(np.isnan(own["ma"]).sum())
+    assert absent > 0  # NaN positions are compared too
 
 
 def test_static_network_repeats_single_snapshot_values():

@@ -1,7 +1,10 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structim import DataError, Snapshot, TemporalNetwork
 
@@ -74,6 +77,89 @@ def test_strength_single_node_accessor():
 def test_degrees():
     s = Snapshot(node_ids=(0, 1, 2), edges=((0, 1, 1.0), (0, 2, 1.0)), directed=False, timestamp=0)
     assert list(s.degrees()) == [2, 1, 1]
+
+
+def _loop_adjacency(s):
+    """The per-edge loop build that the vectorized adjacency replaced; oracle only."""
+    a = np.zeros((s.n_nodes, s.n_nodes))
+    for i, j, w in s.edges:
+        a[i, j] += w
+        if not s.directed:
+            a[j, i] += w
+    return a
+
+
+def _loop_degrees(s):
+    d = np.zeros(s.n_nodes, dtype=int)
+    for i, j, _ in s.edges:
+        d[i] += 1
+        d[j] += 1
+    return d
+
+
+@st.composite
+def _snapshots(draw):
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 16))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and (directed or i < j)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)) if pairs else []
+    weights = st.one_of(st.integers(1, 5), st.floats(1e-3, 1e3))
+    edges = tuple((i, j, draw(weights)) for i, j in chosen)
+    return Snapshot(node_ids=tuple(range(n)), edges=edges, directed=directed, timestamp=0)
+
+
+def _assert_matches_loop_build(s):
+    a = s.adjacency()
+    old = _loop_adjacency(s)
+    assert a.dtype == old.dtype and np.array_equal(a, old)
+    assert s.degrees().dtype == _loop_degrees(s).dtype
+    assert np.array_equal(s.degrees(), _loop_degrees(s))
+    if s.directed:
+        by_mode = {"out": old.sum(axis=1), "in": old.sum(axis=0)}
+        by_mode["total"] = by_mode["out"] + by_mode["in"]
+    else:
+        by_mode = dict.fromkeys(("total", "in", "out"), old.sum(axis=1))
+    for mode, expected in by_mode.items():
+        assert np.array_equal(s.strength(mode), expected)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_snapshots())
+def test_vectorized_views_match_loop_build(s):
+    _assert_matches_loop_build(s)
+
+
+def test_vectorized_views_of_an_edgeless_snapshot():
+    for directed in (False, True):
+        s = Snapshot(node_ids=(0, 1, 2), edges=(), directed=directed, timestamp=0)
+        _assert_matches_loop_build(s)
+        assert np.array_equal(s.adjacency(), np.zeros((3, 3)))
+
+
+def test_adjacency_is_fresh_and_writable():
+    s = clique(3)
+    a = s.adjacency()
+    a[0, 1] = 9.0
+    assert s.adjacency()[0, 1] == 1.0
+    assert s.adjacency() is not s.adjacency()
+
+
+def test_strength_and_presence_are_cached_read_only():
+    s = Snapshot(node_ids=(0, 1, 2), edges=((0, 1, 1.0), (2, 1, 4.0)), directed=True, timestamp=0)
+    for mode, expected in (("total", [1.0, 5.0, 4.0]), ("in", [0.0, 5.0, 0.0]), ("out", [1.0, 0.0, 4.0])):
+        first = s.strength(mode)
+        with pytest.raises(ValueError):
+            first[0] = 5.0
+        assert s.strength(mode).tolist() == first.tolist() == expected
+    tn = TemporalNetwork(snapshots=(clique(2, timestamp=0), clique(3, timestamp=1)), universe=(0, 1, 2))
+    pm = tn.presence_matrix()
+    with pytest.raises(ValueError):
+        pm[0, 2] = True
+    assert tn.presence_matrix().tolist() == [[True, True, False], [True, True, True]]
+    s_copy, tn_copy = pickle.loads(pickle.dumps((s, tn)))
+    assert s_copy == s and tn_copy == tn
+    assert not s_copy.strength().flags.writeable
+    assert not tn_copy.presence_matrix().flags.writeable
 
 
 def test_total_weight():
