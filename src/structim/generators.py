@@ -63,27 +63,23 @@ def repeat_snapshot(snapshot: Snapshot, repeats: int) -> TemporalNetwork:
 
 
 def _base_graph(n: int, communities: int, hub_count: int, rng: np.random.Generator):
-    block_of = np.array([min(i * communities // n, communities - 1) for i in range(n)])
+    block_of = np.minimum(np.arange(n) * communities // n, communities - 1)
     members = [np.flatnonzero(block_of == b) for b in range(communities)]
-    hubs = set()
+    is_hub = np.zeros(n, dtype=bool)
     for h in range(hub_count):
         block = members[h % communities]
-        hubs.add(int(block[(h // communities) % len(block)]))
+        is_hub[block[(h // communities) % len(block)]] = True
 
+    # One uniform draw per pair in (i, j) order and one lognormal per kept
+    # pair, as a plain double loop would make them. Probabilities are built
+    # a row at a time, so memory stays O(n) rather than O(n^2).
     edges = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            same = block_of[i] == block_of[j]
-            hub_pair = i in hubs or j in hubs
-            if same and hub_pair:
-                p = 1.0
-            elif same:
-                p = _P_IN
-            elif hub_pair:
-                p = _P_HUB_OUT
-            else:
-                p = _P_OUT
-            if rng.random() < p:
+        same = block_of[i + 1 :] == block_of[i]
+        hub_pair = is_hub[i + 1 :] | is_hub[i]
+        p = np.where(same, np.where(hub_pair, 1.0, _P_IN), np.where(hub_pair, _P_HUB_OUT, _P_OUT))
+        for j, p_ij in enumerate(p.tolist(), start=i + 1):
+            if rng.random() < p_ij:
                 edges[(i, j)] = float(rng.lognormal(0.0, 1.0))
     return edges
 
@@ -123,6 +119,7 @@ def synthetic_temporal(
 
     base = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
     snapshots = [_snapshot_from_edges(base, 0)]
+    base_edges = sorted(base.items())
 
     for t in range(1, horizon):
         rng = np.random.default_rng([seed, 1, t])
@@ -139,7 +136,7 @@ def synthetic_temporal(
         keep_logit = _ALPHA + dropout_coupling * z
         keep = rng.random(n) < 1.0 / (1.0 + np.exp(-keep_logit))
         survivors = {}
-        for (a, b), w in sorted(base.items()):
+        for (a, b), w in base_edges:
             if keep[a] and keep[b]:
                 survivors[(a, b)] = float(w * rng.lognormal(0.0, _NOISE_SIGMA))
         snapshots.append(_snapshot_from_edges(survivors, t))

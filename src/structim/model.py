@@ -18,11 +18,12 @@ would, so fixed-seed outputs do not depend on the batching.
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import DataError, NumericalError
 from .features import FeatureTable
@@ -377,10 +378,15 @@ def evaluate(model: LogisticModel, table: FeatureTable, threshold: float = 0.5) 
 def binom_ci(successes: int, n: int, alpha: float = 0.05, method: str = "exact"):
     """Two-sided binomial proportion interval.
 
-    "exact" is Clopper-Pearson solved by bisection on the binomial CDF;
-    "normal" is the flagged large-n approximation p +- z * sqrt(p(1-p)/n),
-    clipped to [0, 1].
+    ``successes`` and ``n`` must be integers (Python or numpy). "exact" is
+    Clopper-Pearson, whose bounds are beta quantiles (Clopper & Pearson,
+    Biometrika 1934): with k = successes, the lower bound is the alpha/2
+    quantile of Beta(k, n-k+1) and the upper bound the 1-alpha/2 quantile of
+    Beta(k+1, n-k), with 0 at k = 0 and 1 at k = n. "normal" is the flagged
+    large-n approximation p +- z * sqrt(p(1-p)/n), clipped to [0, 1].
     """
+    if not (isinstance(successes, numbers.Integral) and isinstance(n, numbers.Integral)):
+        raise ValueError(f"successes and n must be integers, got {successes!r} and {n!r}")
     if not 0 <= successes <= n or n < 1:
         raise ValueError("need 0 <= successes <= n with n >= 1")
     if not 0 < alpha < 1:
@@ -392,29 +398,9 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05, method: str = "exact")
         return (max(0.0, phat - half), min(1.0, phat + half))
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
-
-    def bisect(fn, lo, hi):
-        # fn must change sign over [lo, hi]
-        flo = fn(lo)
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            fmid = fn(mid)
-            if (flo <= 0) == (fmid <= 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-            if hi - lo <= 1e-10:
-                break
-        return (lo + hi) / 2.0
-
-    if successes == 0:
-        lower = 0.0
-    else:
-        lower = bisect(lambda p: (1.0 - stats.binom.cdf(successes - 1, n, p)) - alpha / 2.0, 0.0, 1.0)
-    if successes == n:
-        upper = 1.0
-    else:
-        upper = bisect(lambda p: alpha / 2.0 - stats.binom.cdf(successes, n, p), 0.0, 1.0)
+    k = successes
+    lower = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2.0))
+    upper = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return (lower, upper)
 
 

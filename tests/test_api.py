@@ -1,5 +1,9 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+
 import structim
 
 PUBLIC = (
@@ -28,3 +32,12 @@ def test_public_surface_is_pinned():
     assert sorted(structim.__all__) == sorted(PUBLIC)
     assert len(set(structim.__all__)) == len(structim.__all__)
     assert all(hasattr(structim, name) for name in PUBLIC)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up time; a cold CLI process must not pay it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(structim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, structim, structim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structim import BASE_PRESENCE, barbell, repeat_snapshot, synthetic_temporal
+from structim.generators import _P_HUB_OUT, _P_IN, _P_OUT, _base_graph
+
+
+def _base_graph_oracle(n, communities, hub_count, rng):
+    """The plain double loop over pairs that ``_base_graph`` must reproduce."""
+    block_of = np.array([min(i * communities // n, communities - 1) for i in range(n)])
+    members = [np.flatnonzero(block_of == b) for b in range(communities)]
+    hubs = set()
+    for h in range(hub_count):
+        block = members[h % communities]
+        hubs.add(int(block[(h // communities) % len(block)]))
+
+    edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = block_of[i] == block_of[j]
+            hub_pair = i in hubs or j in hubs
+            if same and hub_pair:
+                p = 1.0
+            elif same:
+                p = _P_IN
+            elif hub_pair:
+                p = _P_HUB_OUT
+            else:
+                p = _P_OUT
+            if rng.random() < p:
+                edges[(i, j)] = float(rng.lognormal(0.0, 1.0))
+    return edges
 
 
 def test_barbell_default_shape():
@@ -95,3 +125,19 @@ def test_synthetic_validates_args():
         synthetic_temporal(n=10, communities=20, hub_count=1, dropout_coupling=0.0, horizon=3, seed=0)
     with pytest.raises(ValueError):
         synthetic_temporal(n=10, communities=2, hub_count=1, dropout_coupling=0.0, horizon=0, seed=0)
+
+
+@st.composite
+def _base_graph_args(draw):
+    n = draw(st.integers(1, 60))
+    return n, draw(st.integers(1, n)), draw(st.integers(0, n)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_base_graph_args())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_base_graph_matches_pairwise_loop(args):
+    n, communities, hub_count, seed = args
+    got = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
+    want = _base_graph_oracle(n, communities, hub_count, np.random.default_rng([seed, 0]))
+    assert list(got.items()) == list(want.items())
+    assert all(type(i) is int and type(j) is int and type(w) is float for (i, j), w in got.items())

@@ -377,6 +377,51 @@ def test_binom_ci_validation():
         binom_ci(2, 5, method="wilson")
 
 
+def test_binom_ci_rejects_non_integral_n():
+    with pytest.raises(ValueError):
+        binom_ci(2, 5.5)
+
+
+def test_binom_ci_rejects_non_integral_successes():
+    with pytest.raises(ValueError):
+        binom_ci(2.5, 5)
+    # numpy integers, as counted from label arrays, stay accepted
+    assert binom_ci(np.int64(3), np.int64(10)) == binom_ci(3, 10)
+
+
+@st.composite
+def _binomial_case(draw):
+    n = draw(st.integers(1, 10**7))
+    return draw(st.integers(0, n)), n, draw(st.sampled_from((0.01, 0.05, 0.1)))
+
+
+def _check_tail_probabilities(k, n, alpha):
+    lo, hi = binom_ci(k, n, alpha)
+    # Clopper-Pearson: each bound puts exactly alpha/2 in its tail
+    if k > 0:
+        assert stats.binom.sf(k - 1, n, lo) == pytest.approx(alpha / 2, rel=1e-7)
+    if k < n:
+        assert stats.binom.cdf(k, n, hi) == pytest.approx(alpha / 2, rel=1e-7)
+
+
+@given(_binomial_case())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_binom_ci_tails_hit_alpha_half_up_to_large_n(case):
+    k, n, alpha = case
+    _check_tail_probabilities(k, n, alpha)
+    lo, hi = binom_ci(k, n, alpha)
+    lo_mirror, hi_mirror = binom_ci(n - k, n, alpha)
+    assert lo == pytest.approx(1.0 - hi_mirror, abs=1e-12)
+    assert hi == pytest.approx(1.0 - lo_mirror, abs=1e-12)
+
+
+def test_binom_ci_small_lower_bound_at_large_n():
+    # a bound near 6e-8 needs relative, not absolute, precision in p
+    lo, hi = binom_ci(3, 10**7)
+    assert lo == pytest.approx(6.1867e-8, rel=1e-4)
+    _check_tail_probabilities(3, 10**7, 0.05)
+
+
 # ----------------------------------------------------------- bootstrap_auc_ci
 
 
