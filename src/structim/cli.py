@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -253,8 +254,11 @@ def cmd_predict(args) -> int:
     except ValueError:
         print(f"error: cannot parse --l2-grid {args.l2_grid!r}", file=sys.stderr)
         return 2
-    if not grid or any(v < 0 for v in grid):
-        print("error: --l2-grid needs nonnegative values", file=sys.stderr)
+    if not grid or not all(math.isfinite(v) and v >= 0 for v in grid):
+        print("error: --l2-grid needs finite nonnegative values", file=sys.stderr)
+        return 2
+    if not 0 < args.corr_threshold < 1:
+        print(f"error: --corr-threshold needs a value in (0, 1), got {args.corr_threshold}", file=sys.stderr)
         return 2
     if args.trials < MIN_NULL_TRIALS:
         print(f"error: --trials needs at least {MIN_NULL_TRIALS}, got {args.trials}", file=sys.stderr)

@@ -35,7 +35,9 @@ MEASURE_COLUMNS = (
     "degree",
     "community_size",
 )
-FEATURE_COLUMNS = MEASURE_COLUMNS + ("presence_count",)
+# mc is identically zero for a zero-diagonal adjacency: it is reported by
+# analyze as a sanity check but is not a feature.
+FEATURE_COLUMNS = tuple(c for c in MEASURE_COLUMNS if c != "mc") + ("presence_count",)
 
 TARGETS = ("presence", "change", "sign", "rel_change")
 
@@ -47,7 +49,6 @@ _DROP_PRIORITY = (
     "eig_centrality",
     "community_size",
     "presence_count",
-    "mc",
     "md",
     "ma",
     "mb",
@@ -202,14 +203,14 @@ def build_features(tn: TemporalNetwork, t: int, measures_cache: dict | None = No
 
     g_rows = np.array([g for _, g in rows], dtype=int)
     x = np.empty((len(rows), len(FEATURE_COLUMNS)))
-    for c, name in enumerate(MEASURE_COLUMNS):
+    for c, name in enumerate(FEATURE_COLUMNS[:-1]):
         hist = np.stack([cache[u][name] for u in range(t)])
         defined_mask = ~np.isnan(hist)
         counts = defined_mask.sum(axis=0)
         sums = np.where(defined_mask, hist, 0.0).sum(axis=0)
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         x[:, c] = means[g_rows]
-    x[:, len(MEASURE_COLUMNS)] = prior_count[g_rows]
+    x[:, -1] = prior_count[g_rows]
 
     # A node can be present without defined importance (zero strength in every
     # prior appearance); such rows cannot be featurized either.

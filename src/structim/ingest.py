@@ -2,9 +2,9 @@
 
 The interchange format is a CSV with rows ``time,src,dst,value``. ``time`` is
 an integer label or an ISO-8601 date (dates become day ordinals, so an
-aggregation period is a count of days); ``value`` is a signed float (flows
-net out during aggregation). An optional header line matching the canonical
-column names is skipped.
+aggregation period is a count of days); ``value`` is a finite signed float
+(flows net out during aggregation). An optional header line matching the
+canonical column names is skipped.
 
 Aggregation: records are bucketed into periods of ``aggregation`` consecutive
 time labels starting at the earliest observed label. Within a period, parallel
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
 import os
 
 from .errors import DataError
@@ -76,6 +77,8 @@ def _parse_rows(lines, source: str):
             w = float(val)
         except ValueError:
             raise DataError(f"{source}:{lineno}: value {val!r} is not a number") from None
+        if not math.isfinite(w):
+            raise DataError(f"{source}:{lineno}: value {val!r} is not finite")
         a, b = _coerce_id(src), _coerce_id(dst)
         if a == b:
             raise DataError(f"{source}:{lineno}: self loop on node {src!r}")

@@ -50,35 +50,19 @@ def standardize(table: FeatureTable):
     scaling, so they are dropped with a warning. Returns the standardized
     table and the constants needed to transform other tables the same way.
     """
-    stds_all = table.X.std(axis=0)
-    keep = [c for c, s in zip(table.columns, stds_all) if s > CONSTANT_STD]
+    keep = [c for c, s in zip(table.columns, table.X.std(axis=0)) if s > CONSTANT_STD]
     dropped = tuple(c for c in table.columns if c not in keep)
     if dropped:
         warnings.warn(f"dropping near-constant feature columns: {', '.join(dropped)}")
-    reduced = table.select_columns(keep)
-    means = reduced.X.mean(axis=0)
-    stds = reduced.X.std(axis=0)
-    constants = StandardizationConstants(columns=tuple(keep), means=means, stds=stds, dropped=dropped)
-    reduced.X = (reduced.X - means) / stds
-    reduced.meta = dict(reduced.meta)
-    reduced.meta["standardization"] = {
-        "columns": list(keep),
-        "means": [float(v) for v in means],
-        "stds": [float(v) for v in stds],
-    }
-    return reduced, constants
+    x = table.select_columns(keep).X
+    constants = StandardizationConstants(tuple(keep), x.mean(axis=0), x.std(axis=0), dropped)
+    return apply_standardization(constants, table), constants
 
 
 def apply_standardization(constants: StandardizationConstants, table: FeatureTable) -> FeatureTable:
     """Transform a table with previously fitted constants."""
     reduced = table.select_columns(constants.columns)
     reduced.X = (reduced.X - constants.means) / constants.stds
-    reduced.meta = dict(reduced.meta)
-    reduced.meta["standardization"] = {
-        "columns": list(constants.columns),
-        "means": [float(v) for v in constants.means],
-        "stds": [float(v) for v in constants.stds],
-    }
     return reduced
 
 
@@ -130,6 +114,28 @@ class LogisticModel:
         return special.expit(self.log_odds(x))
 
 
+def _wald(columns, beta, cov, lower_tail) -> dict:
+    """The coefficient fields shared by LogisticModel and LinearModel.
+
+    ``beta`` is (intercept, coefficients...) with covariance ``cov``; each
+    estimate gets its Wald standard error and the two-sided p-value
+    2 * lower_tail(-|beta / se|) under the reference distribution.
+    """
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0, beta / se, np.inf)
+    pvals = 2.0 * lower_tail(-np.abs(z))
+    return dict(
+        feature_names=tuple(columns),
+        intercept=float(beta[0]),
+        coef=beta[1:].copy(),
+        coef_se=se[1:].copy(),
+        coef_pvalues=pvals[1:].copy(),
+        intercept_se=float(se[0]),
+        intercept_pvalue=float(pvals[0]),
+    )
+
+
 def _penalized_ll(design, y, beta, l2):
     eta = design @ beta
     ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
@@ -153,8 +159,8 @@ def fit_logistic(
     Wald standard errors come from the observed information of the penalized
     objective at the optimum.
     """
-    if l2 < 0:
-        raise ValueError("l2 must be nonnegative")
+    if not 0 <= l2 < np.inf:
+        raise ValueError(f"l2 must be finite and nonnegative, got {l2}")
     if table.y is None:
         raise DataError("fit_logistic needs a labeled table")
     y = table.y.astype(float)
@@ -206,19 +212,8 @@ def fit_logistic(
     w = prob * (1.0 - prob)
     info = design.T @ (design * w[:, None]) + ridge
     cov = np.linalg.inv(info + 1e-12 * np.eye(p + 1))
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, np.inf)
-    pvals = 2.0 * special.ndtr(-np.abs(z))
-
     return LogisticModel(
-        feature_names=tuple(table.columns),
-        intercept=float(beta[0]),
-        coef=beta[1:].copy(),
-        coef_se=se[1:].copy(),
-        coef_pvalues=pvals[1:].copy(),
-        intercept_se=float(se[0]),
-        intercept_pvalue=float(pvals[0]),
+        **_wald(table.columns, beta, cov, special.ndtr),
         l2=float(l2),
         converged=converged,
         n_iter=it,
@@ -294,8 +289,8 @@ class EvaluationReport:
     """Classification metrics plus the optional benchmarking extras.
 
     evaluate() fills the metric fields; the prediction pipeline attaches CIs,
-    null-model summaries, permutation importances, attribution values, and
-    the coefficient table before serialization.
+    null-model summaries, permutation importances and attribution values
+    before serialization.
     """
 
     n_rows: int
@@ -317,7 +312,6 @@ class EvaluationReport:
     null_edge_presence: dict | None = None
     permutation_importance: dict | None = None
     shap_mean_abs: dict | None = None
-    coefficients: list | None = None
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -653,21 +647,7 @@ def fit_linear(
     dof = n - (p + 1)
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(gram)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = np.where(se > 0, beta / se, np.inf)
-    pvals = 2.0 * special.stdtr(dof, -np.abs(tstat))
-
-    model = LinearModel(
-        feature_names=tuple(table.columns),
-        intercept=float(beta[0]),
-        coef=beta[1:].copy(),
-        coef_se=se[1:].copy(),
-        coef_pvalues=pvals[1:].copy(),
-        intercept_se=float(se[0]),
-        intercept_pvalue=float(pvals[0]),
-        r2=None,
-    )
+    model = LinearModel(**_wald(table.columns, beta, cov, lambda t: special.stdtr(dof, t)), r2=None)
     target = heldout if heldout is not None else table
     model.r2 = r2_score(target.y, model.predict(target.X))
     return model

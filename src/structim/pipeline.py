@@ -196,30 +196,20 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, det
     return model, best_l2
 
 
-def _coefficient_table(names, coefs, ses, pvals, intercept, intercept_se, intercept_pvalue):
+def _coefficient_table(model) -> list:
+    """One row per estimate, intercept first: coef, Wald SE, p-value, 95% CI."""
     z975 = 1.959963984540054
-    rows = [
-        {
-            "feature": "(intercept)",
-            "coef": float(intercept),
-            "se": float(intercept_se),
-            "pvalue": float(intercept_pvalue),
-            "ci_lo": float(intercept - z975 * intercept_se),
-            "ci_hi": float(intercept + z975 * intercept_se),
-        }
+    estimates = zip(
+        ("(intercept)",) + model.feature_names,
+        (model.intercept, *model.coef),
+        (model.intercept_se, *model.coef_se),
+        (model.intercept_pvalue, *model.coef_pvalues),
+    )
+    return [
+        {"feature": name, "coef": float(b), "se": float(s), "pvalue": float(p),
+         "ci_lo": float(b - z975 * s), "ci_hi": float(b + z975 * s)}
+        for name, b, s, p in estimates
     ]
-    for name, b, s, p in zip(names, coefs, ses, pvals):
-        rows.append(
-            {
-                "feature": name,
-                "coef": float(b),
-                "se": float(s),
-                "pvalue": float(p),
-                "ci_lo": float(b - z975 * s),
-                "ci_hi": float(b + z975 * s),
-            }
-        )
-    return rows
 
 
 def run_prediction(
@@ -235,65 +225,70 @@ def run_prediction(
     """Full prediction pipeline for one target.
 
     The horizon tables are pooled once, in anchor order. Correlation pruning
-    is fitted on the training and validation rows (the first 80%) only.
+    and standardization are fitted on the training and validation rows (the
+    first 80%) only. A classifier is chosen by ``time_ordered_select`` and
+    evaluated with its nulls; ``rel_change`` fits least squares against a
+    shuffled-target null. Both report from the same held-out rows.
     """
     if null_trials < MIN_NULL_TRIALS:
         raise ValueError(f"need at least {MIN_NULL_TRIALS} null trials, got {null_trials}")
     if bootstrap_iters < 1:
         raise ValueError(f"need at least 1 bootstrap iteration, got {bootstrap_iters}")
+    if not 0 < corr_threshold < 1:
+        raise ValueError(f"corr_threshold must be in (0, 1), got {corr_threshold}")
+    grid = [float(v) for v in l2_grid]
+    if not grid or not all(np.isfinite(v) and v >= 0 for v in grid):
+        raise ValueError(f"l2_grid needs finite nonnegative values, got {grid}")
     _check_snapshots(tn, target)
     pooled = pool(build_horizon_tables(tn, target, change_threshold=change_threshold))
-    _, i2 = _split_ends(pooled.n_rows)
+    n = pooled.n_rows
+    _, i2 = _split_ends(n)
     _, dropped_corr = prune_correlated(pooled.select_rows(np.arange(i2)), threshold=corr_threshold)
     pooled = pooled.select_columns([c for c in pooled.columns if c not in dropped_corr])
 
-    if target == "rel_change":
-        return _run_regression(pooled, i2, seed, null_trials, dropped_corr)
-
-    details: dict = {}
-    model, best_l2 = time_ordered_select(pooled, l2_grid=l2_grid, seed=seed, details=details)
-    constants = details["constants"]
-    test_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, pooled.n_rows)))
-
-    report = evaluate(model, test_std)
-    report.ci_method = "exact"
-    if report.precision is not None:
-        report.precision_ci = binom_ci(report.tp, report.tp + report.fp)
-    if report.recall is not None:
-        report.recall_ci = binom_ci(report.tp, report.tp + report.fn)
-    if report.auc is not None:
-        report.auc_ci = bootstrap_auc_ci(model, test_std, iters=bootstrap_iters, seed=[seed, 4])
-
-    report.null_prior = null_prior_predictor(pooled.y[:i2], test_std.y, trials=null_trials, seed=[seed, 5])
-    if target == "presence":
-        report.null_edge_presence = null_edge_presence(
-            tn, test_std, model.predict_proba(test_std.X), trials=null_trials, seed=[seed, 6]
-        )
-    report.permutation_importance = permutation_importance(model, test_std, repeats=10, seed=[seed, 7])
-
-    phi, base = shap_linear(model, test_std.X)
-    report.shap_mean_abs = {c: float(np.mean(np.abs(phi[:, j]))) for j, c in enumerate(test_std.columns)}
-    coeffs = _coefficient_table(
-        model.feature_names,
-        model.coef,
-        model.coef_se,
-        model.coef_pvalues,
-        model.intercept,
-        model.intercept_se,
-        model.intercept_pvalue,
-    )
-    report.coefficients = coeffs
-
+    # rel_change keeps these; time_ordered_select replaces them with its own
+    details = {"split": {"train": i2, "validation": 0, "test": n - i2}, "cv_auc_by_l2": None}
+    best_l2 = report = regression = phi = base = None
+    shap_rows = ()
     warnings_list = []
-    if model.separation_warning:
-        warnings_list.append("perfect separation detected; coefficients clamped")
+    if target == "rel_change":
+        train_std, constants = standardize(pooled.select_rows(np.arange(i2)))
+    else:
+        model, best_l2 = time_ordered_select(pooled, l2_grid=grid, seed=seed, details=details)
+        constants = details["constants"]
+    test_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, n)))
+
+    if target == "rel_change":
+        model = fit_linear(train_std, heldout=test_std)
+        null = null_shuffle_regression(train_std, test_std, trials=null_trials, seed=[seed, 8])
+        regression = {"r2_heldout": model.r2, "null": null, "split": {"train": i2, "heldout": n - i2}}
+    else:
+        report = evaluate(model, test_std)
+        report.ci_method = "exact"
+        if report.precision is not None:
+            report.precision_ci = binom_ci(report.tp, report.tp + report.fp)
+        if report.recall is not None:
+            report.recall_ci = binom_ci(report.tp, report.tp + report.fn)
+        if report.auc is not None:
+            report.auc_ci = bootstrap_auc_ci(model, test_std, iters=bootstrap_iters, seed=[seed, 4])
+        report.null_prior = null_prior_predictor(pooled.y[:i2], test_std.y, trials=null_trials, seed=[seed, 5])
+        if target == "presence":
+            report.null_edge_presence = null_edge_presence(
+                tn, test_std, model.predict_proba(test_std.X), trials=null_trials, seed=[seed, 6]
+            )
+        report.permutation_importance = permutation_importance(model, test_std, repeats=10, seed=[seed, 7])
+        phi, base = shap_linear(model, test_std.X)
+        report.shap_mean_abs = {c: float(np.mean(np.abs(phi[:, j]))) for j, c in enumerate(test_std.columns)}
+        shap_rows = test_std.node_ids
+        if model.separation_warning:
+            warnings_list.append("perfect separation detected; coefficients clamped")
     if constants.dropped:
         warnings_list.append(f"near-constant features dropped: {', '.join(constants.dropped)}")
 
     return PredictionResult(
         target=target,
         seed=seed,
-        n_rows=pooled.n_rows,
+        n_rows=n,
         split=details["split"],
         columns=constants.columns,
         dropped_correlated=tuple(dropped_corr),
@@ -301,47 +296,10 @@ def run_prediction(
         chosen_l2=best_l2,
         cv_auc_by_l2=details["cv_auc_by_l2"],
         report=report,
-        regression=None,
-        coefficients=coeffs,
+        regression=regression,
+        coefficients=_coefficient_table(model),
         shap_values=phi,
         shap_base=base,
-        shap_rows=test_std.node_ids,
+        shap_rows=shap_rows,
         warnings=warnings_list,
-    )
-
-
-def _run_regression(pooled, i2, seed, null_trials, dropped_corr) -> PredictionResult:
-    n = pooled.n_rows
-    train_std, constants = standardize(pooled.select_rows(np.arange(i2)))
-    heldout_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, n)))
-    model = fit_linear(train_std, heldout=heldout_std)
-    null = null_shuffle_regression(train_std, heldout_std, trials=null_trials, seed=[seed, 8])
-    coeffs = _coefficient_table(
-        model.feature_names,
-        model.coef,
-        model.coef_se,
-        model.coef_pvalues,
-        model.intercept,
-        model.intercept_se,
-        model.intercept_pvalue,
-    )
-    regression = {
-        "r2_heldout": model.r2,
-        "null": null,
-        "split": {"train": i2, "heldout": n - i2},
-    }
-    return PredictionResult(
-        target="rel_change",
-        seed=seed,
-        n_rows=n,
-        split={"train": i2, "validation": 0, "test": n - i2},
-        columns=constants.columns,
-        dropped_correlated=tuple(dropped_corr),
-        dropped_constant=constants.dropped,
-        chosen_l2=None,
-        cv_auc_by_l2=None,
-        report=None,
-        regression=regression,
-        coefficients=coeffs,
-        warnings=[f"near-constant features dropped: {', '.join(constants.dropped)}"] if constants.dropped else [],
     )

@@ -280,6 +280,22 @@ def test_predict_nonpositive_bootstrap_iters_is_usage_error(synthetic_csv, tmp_p
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--l2-grid=nan", "error: --l2-grid needs finite nonnegative values"),
+    ("--l2-grid=inf", "error: --l2-grid needs finite nonnegative values"),
+    ("--l2-grid=0.1,-inf", "error: --l2-grid needs finite nonnegative values"),
+    ("--corr-threshold=1.5", "error: --corr-threshold needs a value in (0, 1), got 1.5"),
+    ("--corr-threshold=0", "error: --corr-threshold needs a value in (0, 1), got 0.0"),
+    ("--corr-threshold=nan", "error: --corr-threshold needs a value in (0, 1), got nan"),
+], ids=["l2-nan", "l2-inf", "l2-minus-inf", "corr-1.5", "corr-0", "corr-nan"])
+def test_predict_bad_flag_value_is_usage_error(tmp_path, capsys, flag, message):
+    out = str(tmp_path / "out")
+    missing = str(tmp_path / "missing.csv")  # the check runs before the input is read
+    assert main(["predict", missing, flag, "--out", out]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command, extra", [
     ("analyze", []),
     ("importance", []),

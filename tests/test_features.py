@@ -31,7 +31,8 @@ def _snap(node_ids, edges, timestamp=0):
 
 
 def test_feature_columns():
-    assert FEATURE_COLUMNS == MEASURE_COLUMNS + ("presence_count",)
+    # mc (identically zero) is measured and reported but not a feature
+    assert FEATURE_COLUMNS == tuple(c for c in MEASURE_COLUMNS if c != "mc") + ("presence_count",)
     for name in ("ma", "mb", "mc", "md", "eig_centrality", "pagerank", "degree",
                  "community_size"):
         assert name in MEASURE_COLUMNS
@@ -87,7 +88,8 @@ def test_static_network_repeats_single_snapshot_values():
     table = build_features(tn, 3)
     assert table.n_rows == 4
     single = snapshot_measures(tn, 0)
-    for name in MEASURE_COLUMNS:
+    assert table.columns == FEATURE_COLUMNS
+    for name in FEATURE_COLUMNS[:-1]:
         assert np.allclose(table.column(name), single[name][:4])
     assert np.array_equal(table.column("presence_count"), np.full(4, 3.0))
     assert table.meta["skipped_new_nodes"] == 0

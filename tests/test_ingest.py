@@ -87,6 +87,9 @@ def test_malformed_rows_report_line_numbers():
         load_snapshots_text("0,0,1,abc\n")
     with pytest.raises(DataError, match="self loop"):
         load_snapshots_text("0,7,7,1.0\n")
+    for bad in ("nan", "inf", "-inf", "NaN", "1e999"):
+        with pytest.raises(DataError, match=f"^<text>:2: value '{bad}' is not finite$"):
+            load_snapshots_text(f"0,a,b,1.0\n0,a,b,{bad}\n")
     with pytest.raises(DataError):
         load_snapshots_text("")  # nothing to build
     with pytest.raises(DataError):

@@ -79,9 +79,9 @@ def test_standardize_three_values():
     assert constants.columns == ("ma",)
     assert constants.means[0] == pytest.approx(2.0)
     assert constants.stds[0] == pytest.approx(np.sqrt(2.0 / 3.0))
-    stamp = out.meta["standardization"]
-    assert stamp["columns"] == ["ma"]
-    assert stamp["means"][0] == pytest.approx(2.0)
+    assert constants.dropped == ()
+    assert out.columns == constants.columns
+    assert "standardization" not in out.meta
 
 
 def test_standardize_drops_constant_columns():
@@ -101,7 +101,8 @@ def test_apply_standardization_uses_train_constants():
     out = apply_standardization(constants, other)
     expected = (np.array([4.0, 2.0]) - 2.0) / np.sqrt(2.0 / 3.0)
     assert np.allclose(out.column("ma"), expected)
-    assert out.meta["standardization"]["columns"] == ["ma"]
+    assert out.columns == constants.columns == ("ma",)
+    assert "standardization" not in out.meta
 
 
 # ----------------------------------------------------------------- oversample
@@ -224,6 +225,9 @@ def test_logistic_validation():
     x = np.ones((4, 1))
     with pytest.raises(ValueError):
         fit_logistic(_table(("ma",), x, y=[0, 1, 0, 1]), l2=-1.0)
+    for l2 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_logistic(_table(("ma",), x, y=[0, 1, 0, 1]), l2=l2)
     with pytest.raises(DataError):
         fit_logistic(_table(("ma",), x))
     with pytest.raises(DataError):

@@ -232,6 +232,20 @@ def test_run_prediction_coefficient_rows(presence_result):
     assert len(res.shap_rows) == res.split["test"]
 
 
+@pytest.fixture(scope="module")
+def regression_result(coupled_network):
+    return run_prediction(coupled_network, "rel_change", seed=3, null_trials=40)
+
+
+@pytest.mark.parametrize("result", ["presence_result", "regression_result"])
+def test_run_prediction_json_has_one_coefficient_table(request, result):
+    res = request.getfixturevalue(result)
+    doc = json.loads(json.dumps(res.to_json_dict()))
+    assert doc["coefficients"] == res.coefficients
+    assert [r["feature"] for r in doc["coefficients"]] == ["(intercept)", *res.columns]
+    assert doc["report"] is None or "coefficients" not in doc["report"]
+
+
 def test_run_prediction_other_classifier_targets(coupled_network):
     res = run_prediction(coupled_network, "sign", seed=3,
                          null_trials=50, bootstrap_iters=100)
@@ -240,8 +254,8 @@ def test_run_prediction_other_classifier_targets(coupled_network):
     assert res.regression is None
 
 
-def test_run_prediction_regression_target(coupled_network):
-    res = run_prediction(coupled_network, "rel_change", seed=3, null_trials=40)
+def test_run_prediction_regression_target(regression_result):
+    res = regression_result
     assert res.target == "rel_change"
     assert res.report is None
     assert res.chosen_l2 is None and res.cv_auc_by_l2 is None
@@ -284,6 +298,24 @@ def test_run_prediction_checks_counts_before_building_tables(monkeypatch, couple
     monkeypatch.setattr("structim.pipeline.build_horizon_tables", build_nothing)
     with pytest.raises(ValueError, match="at least"):
         run_prediction(coupled_network, target, **counts)
+
+
+@pytest.mark.parametrize("target, option, value", [
+    ("presence", "corr_threshold", 1.5),
+    ("rel_change", "corr_threshold", 0.0),
+    ("presence", "corr_threshold", float("nan")),
+    ("presence", "l2_grid", ()),
+    ("presence", "l2_grid", (1.0, float("nan"))),
+    ("rel_change", "l2_grid", (float("inf"),)),
+    ("presence", "l2_grid", (-0.5,)),
+])
+def test_run_prediction_checks_options_before_building_tables(monkeypatch, coupled_network, target, option, value):
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("tables built before the argument checks")
+
+    monkeypatch.setattr("structim.pipeline.build_horizon_tables", build_nothing)
+    with pytest.raises(ValueError, match=option):
+        run_prediction(coupled_network, target, **{option: value})
 
 
 def test_pruning_ignores_held_out_rows(monkeypatch):
