@@ -8,15 +8,18 @@ Subcommands:
   predict                       the full prediction pipeline with benchmarks
 
 Inputs are edge-list CSVs (``time,src,dst,value``) or network JSON documents.
-Every output carries the tool version, the resolved arguments, and the seed,
-either embedded (JSON) or in a sidecar. Exit codes: 0 success, 2 usage error,
-3 data error, 4 numerical error.
+``importance`` writes JSON or CSV by its ``--out`` extension; ``analyze`` and
+``predict`` write a directory of artifacts that ``--format`` filters by
+extension. Every output carries the tool version, the resolved arguments, and
+the seed, either embedded (JSON) or in a sidecar. Exit codes: 0 success, 2
+usage error, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -42,29 +45,45 @@ def _meta(args: argparse.Namespace, command: str) -> dict:
     return {"tool": "structim", "version": __version__, "command": command, "config": resolved}
 
 
-def _wants(args, ext: str) -> bool:
-    fmt = getattr(args, "format", "all")
-    return fmt == "all" or fmt == ext
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
-def _add_io_args(sub, with_aggregation=True):
+def _write_artifacts(args, artifacts) -> list:
+    """Write each ``(name, render)`` artifact that ``--format`` keeps (``all``
+    or the name's extension) into ``--out``, calling ``render`` only for kept
+    ones. Returns the names written, in order."""
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for name, render in artifacts:
+        if args.format in ("all", name.rsplit(".", 1)[1]):
+            _write_text(os.path.join(args.out, name), render())
+            written.append(name)
+    return written
+
+
+def _add_io_args(sub):
     sub.add_argument("input", help="edge-list CSV or network JSON")
-    if with_aggregation:
-        sub.add_argument("--aggregation", type=int, default=1, help="time labels per snapshot (default 1)")
+    sub.add_argument("--aggregation", type=int, default=1, help="time labels per snapshot (default 1)")
     sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_job_args(sub):
+    """``analyze`` and ``predict``: the io arguments plus the artifact filter."""
+    _add_io_args(sub)
     sub.add_argument("--format", choices=("all", "csv", "json", "svg"), default="all",
                      help="restrict emitted artifact formats")
 
@@ -82,7 +101,7 @@ def cmd_gen(args) -> int:
     meta["n_snapshots"] = tn.n_snapshots
     meta["n_nodes"] = tn.n_nodes
     meta["n_edges_total"] = sum(s.n_edges for s in tn.snapshots)
-    _write_json(args.out + ".meta.json", meta)
+    _write_text(args.out + ".meta.json", _json_text(meta))
     print(f"wrote {args.out} ({meta['n_snapshots']} snapshots, {meta['n_nodes']} nodes)")
     return 0
 
@@ -105,39 +124,49 @@ def cmd_importance(args) -> int:
 
     meta = _meta(args, "importance")
     if args.out.endswith(".json"):
-        _write_json(
-            args.out,
-            {
-                "meta": meta,
-                "scheme": vec.scheme,
-                "snapshot": args.snapshot,
-                "values": [
-                    {
-                        "node": node,
-                        "value": val,
-                        "eig_rank": vec.eig_rank.get(node) if vec.eig_rank else None,
-                    }
-                    for node, val in vec.values.items()
-                ],
-                "excluded_zero_strength": list(vec.excluded),
-            },
-        )
+        doc = {
+            "meta": meta,
+            "scheme": vec.scheme,
+            "snapshot": args.snapshot,
+            "values": [
+                {
+                    "node": node,
+                    "value": val,
+                    "eig_rank": vec.eig_rank.get(node) if vec.eig_rank else None,
+                }
+                for node, val in vec.values.items()
+            ],
+            "excluded_zero_strength": list(vec.excluded),
+        }
+        _write_text(args.out, _json_text(doc))
     else:
         rows = [
             [node, vec.scheme, repr(val), vec.eig_rank.get(node, "") if vec.eig_rank else ""]
             for node, val in vec.values.items()
         ]
-        _write_csv(args.out, ["node", "scheme", "value", "eig_rank"], rows)
-        _write_json(args.out + ".meta.json", meta)
+        _write_text(args.out, _csv_text(["node", "scheme", "value", "eig_rank"], rows))
+        _write_text(args.out + ".meta.json", _json_text(meta))
     print(f"wrote {args.out} ({len(vec.values)} nodes, {len(vec.excluded)} excluded)")
     return 0
 
 
+def _ttests(meta: dict, by_measure: dict, alpha: float = 0.05) -> dict:
+    """Welch tests of each measure, present-next against absent-next."""
+    tests = []
+    for name in MEASURE_COLUMNS:
+        absent, present = by_measure[name][0], by_measure[name][1]
+        entry = {"measure": name, "n_present": len(present), "n_absent": len(absent)}
+        try:
+            res = mean_diff_ttest(present, absent)
+            entry.update(t_stat=res.t_stat, dof=res.dof, p_value=res.p_value)
+        except DataError as exc:
+            entry.update(t_stat=None, dof=None, p_value=None, note=str(exc))
+        tests.append(entry)
+    return {"meta": meta, "alpha": alpha, "bonferroni_alpha": alpha / len(MEASURE_COLUMNS), "tests": tests}
+
+
 def cmd_analyze(args) -> int:
     tn = load_network(args.input, aggregation=args.aggregation)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-
     # One pass: each snapshot's spectrum and communities feed its spectra,
     # modularity and eigen-rank rows and its measure rows, then are dropped.
     spectra = []
@@ -179,71 +208,30 @@ def cmd_analyze(args) -> int:
                     measure_rows.append([t, node, name, repr(float(val)), present])
                     by_measure[name][present].append(float(val))
 
-    if _wants(args, "json"):
-        _write_json(os.path.join(args.out, "spectra.json"), {"meta": _meta(args, "analyze"), "snapshots": spectra})
-        written.append("spectra.json")
-    if _wants(args, "csv"):
-        _write_csv(os.path.join(args.out, "modularity.csv"), ["snapshot", "modularity", "n_communities"], mod_rows)
-        _write_csv(os.path.join(args.out, "eigen_ranks.csv"), ["snapshot", "node", "eig_rank"], rank_rows)
-        written += ["modularity.csv", "eigen_ranks.csv"]
-    if _wants(args, "svg") and mod_rows:
-        svg = line_chart(
-            [r[0] for r in mod_rows],
-            [float(r[1]) for r in mod_rows],
-            title="Modularity over time",
-            xlabel="snapshot",
-            ylabel="Q",
-        )
-        with open(os.path.join(args.out, "modularity.svg"), "w") as fh:
-            fh.write(svg)
-        written.append("modularity.svg")
-
-    ttests = []
-    for name in MEASURE_COLUMNS:
-        absent, present = by_measure[name][0], by_measure[name][1]
-        entry = {"measure": name, "n_present": len(present), "n_absent": len(absent)}
-        try:
-            res = mean_diff_ttest(present, absent)
-            entry.update(t_stat=res.t_stat, dof=res.dof, p_value=res.p_value)
-        except DataError as exc:
-            entry.update(t_stat=None, dof=None, p_value=None, note=str(exc))
-        ttests.append(entry)
-
+    meta = _meta(args, "analyze")
+    artifacts = [
+        ("spectra.json", lambda: _json_text({"meta": meta, "snapshots": spectra})),
+        ("modularity.csv", lambda: _csv_text(["snapshot", "modularity", "n_communities"], mod_rows)),
+        ("eigen_ranks.csv", lambda: _csv_text(["snapshot", "node", "eig_rank"], rank_rows)),
+    ]
+    if mod_rows:
+        artifacts.append(("modularity.svg", lambda: line_chart(
+            [r[0] for r in mod_rows], [float(r[1]) for r in mod_rows],
+            title="Modularity over time", xlabel="snapshot", ylabel="Q",
+        )))
     if measure_rows:
-        if _wants(args, "csv"):
-            _write_csv(
-                os.path.join(args.out, "measures.csv"),
-                ["snapshot", "node", "measure", "value", "next_present"],
-                measure_rows,
-            )
-            written.append("measures.csv")
-        if _wants(args, "json"):
-            alpha = 0.05
-            _write_json(
-                os.path.join(args.out, "ttests.json"),
-                {
-                    "meta": _meta(args, "analyze"),
-                    "alpha": alpha,
-                    "bonferroni_alpha": alpha / len(MEASURE_COLUMNS),
-                    "tests": ttests,
-                },
-            )
-            written.append("ttests.json")
-        if _wants(args, "svg"):
-            for name in MEASURE_COLUMNS:
-                groups = [
-                    ("absent next", by_measure[name][0]),
-                    ("present next", by_measure[name][1]),
-                ]
-                svg = violin_chart(groups, title=f"{name} by next-snapshot presence", ylabel=name)
-                fname = f"violin_{name}.svg"
-                with open(os.path.join(args.out, fname), "w") as fh:
-                    fh.write(svg)
-                written.append(fname)
-
-    run_meta = _meta(args, "analyze")
-    run_meta["artifacts"] = written
-    _write_json(os.path.join(args.out, "run.json"), run_meta)
+        artifacts.append(("measures.csv", lambda: _csv_text(
+            ["snapshot", "node", "measure", "value", "next_present"], measure_rows)))
+        artifacts.append(("ttests.json", lambda: _json_text(_ttests(meta, by_measure))))
+        artifacts += [
+            (f"violin_{name}.svg", lambda name=name: violin_chart(
+                [("absent next", by_measure[name][0]), ("present next", by_measure[name][1])],
+                title=f"{name} by next-snapshot presence", ylabel=name,
+            ))
+            for name in MEASURE_COLUMNS
+        ]
+    written = _write_artifacts(args, artifacts)
+    _write_text(os.path.join(args.out, "run.json"), _json_text({**meta, "artifacts": written}))
     print(f"wrote {len(written) + 1} artifacts to {args.out}")
     return 0
 
@@ -259,6 +247,10 @@ def cmd_predict(args) -> int:
         return 2
     if not 0 < args.corr_threshold < 1:
         print(f"error: --corr-threshold needs a value in (0, 1), got {args.corr_threshold}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.change_threshold) and args.change_threshold >= 0):
+        print(f"error: --change-threshold needs a finite nonnegative value, got {args.change_threshold}",
+              file=sys.stderr)
         return 2
     if args.trials < MIN_NULL_TRIALS:
         print(f"error: --trials needs at least {MIN_NULL_TRIALS}, got {args.trials}", file=sys.stderr)
@@ -277,46 +269,29 @@ def cmd_predict(args) -> int:
         null_trials=args.trials,
         bootstrap_iters=args.bootstrap_iters,
     )
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-
-    if _wants(args, "json"):
-        payload = {"meta": _meta(args, "predict")}
-        payload.update(result.to_json_dict())
-        _write_json(os.path.join(args.out, "prediction.json"), payload)
-        written.append("prediction.json")
-    if _wants(args, "csv"):
-        _write_csv(
-            os.path.join(args.out, "coefficients.csv"),
+    meta = _meta(args, "predict")
+    artifacts = [
+        ("prediction.json", lambda: _json_text({"meta": meta, **result.to_json_dict()})),
+        ("coefficients.csv", lambda: _csv_text(
             ["feature", "coef", "se", "pvalue", "ci_lo", "ci_hi"],
             [
                 [c["feature"], repr(c["coef"]), repr(c["se"]), repr(c["pvalue"]), repr(c["ci_lo"]), repr(c["ci_hi"])]
                 for c in result.coefficients
             ],
-        )
-        written.append("coefficients.csv")
-    if result.report is not None:
-        perm = result.report.permutation_importance or {}
-        if _wants(args, "csv") and perm:
-            _write_csv(
-                os.path.join(args.out, "permutation_importance.csv"),
-                ["feature", "importance"],
-                [[k, repr(v)] for k, v in perm.items()],
-            )
-            written.append("permutation_importance.csv")
-        if _wants(args, "svg") and perm:
-            svg = bar_chart(list(perm), list(perm.values()),
-                            title="Permutation importance", ylabel="mean increase in 1-AUC")
-            with open(os.path.join(args.out, "permutation_importance.svg"), "w") as fh:
-                fh.write(svg)
-            written.append("permutation_importance.svg")
-        if _wants(args, "csv") and result.shap_values is not None:
-            rows = []
-            for r, node in enumerate(result.shap_rows):
-                for j, feat in enumerate(result.columns):
-                    rows.append([node, feat, repr(float(result.shap_values[r, j]))])
-            _write_csv(os.path.join(args.out, "shap.csv"), ["node", "feature", "phi"], rows)
-            written.append("shap.csv")
+        )),
+    ]
+    perm = result.report.permutation_importance if result.report is not None else None
+    if perm:
+        artifacts.append(("permutation_importance.csv", lambda: _csv_text(
+            ["feature", "importance"], [[k, repr(v)] for k, v in perm.items()])))
+        artifacts.append(("permutation_importance.svg", lambda: bar_chart(
+            list(perm), list(perm.values()), title="Permutation importance", ylabel="mean increase in 1-AUC")))
+    if result.shap_values is not None:
+        artifacts.append(("shap.csv", lambda: _csv_text(["node", "feature", "phi"], [
+            [node, feat, repr(float(result.shap_values[r, j]))]
+            for r, node in enumerate(result.shap_rows) for j, feat in enumerate(result.columns)
+        ])))
+    written = _write_artifacts(args, artifacts)
 
     if result.report is not None:
         auc = result.report.auc
@@ -366,16 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("--snapshot", type=int, default=0)
     imp.add_argument("--directed", action="store_true", help="treat input arcs as directed")
     imp.add_argument("--strength-mode", choices=STRENGTH_MODES, default="total")
-    imp.add_argument("--out", required=True)
+    imp.add_argument("--out", required=True, help="a .json path, or a CSV path with a .meta.json sidecar")
     imp.set_defaults(func=cmd_importance)
 
     ana = subs.add_parser("analyze", help="spectra, communities, measure distributions")
-    _add_io_args(ana)
+    _add_job_args(ana)
     ana.add_argument("--out", required=True, help="output directory")
     ana.set_defaults(func=cmd_analyze)
 
     pred = subs.add_parser("predict", help="fit and benchmark activity prediction")
-    _add_io_args(pred)
+    _add_job_args(pred)
     pred.add_argument("--target", choices=TARGETS, default="presence")
     pred.add_argument("--l2-grid", default=",".join(str(v) for v in L2_GRID))
     pred.add_argument("--change-threshold", type=float, default=0.05)

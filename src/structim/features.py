@@ -247,7 +247,9 @@ def label_change(tn: TemporalNetwork, t: int, threshold: float = 0.05) -> dict:
     """1 iff the relative strength change from t to t+1 exceeds ``threshold``.
 
     Defined only for nodes with positive strength in both snapshots.
+    ``threshold`` must be finite and nonnegative.
     """
+    _check_change_threshold(threshold)
     _check_horizon(tn, t)
     cur = _strengths_by_node(tn.snapshots[t])
     nxt = _strengths_by_node(tn.snapshots[t + 1])
@@ -268,6 +270,11 @@ def label_rel_change(tn: TemporalNetwork, t: int) -> dict:
     cur = _strengths_by_node(tn.snapshots[t])
     nxt = _strengths_by_node(tn.snapshots[t + 1])
     return {v: (nxt[v] - s0) / s0 for v, s0 in cur.items() if v in nxt}
+
+
+def _check_change_threshold(threshold: float) -> None:
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"change_threshold must be finite and nonnegative, got {threshold}")
 
 
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:

@@ -127,6 +127,11 @@ def _build_network(rows, aggregation: int, directed: bool) -> TemporalNetwork:
     for period in sorted(periods):
         edges_net = {}
         for key, w in periods[period].items():
+            if not math.isfinite(w):
+                raise DataError(
+                    f"pair ({key[0]!r}, {key[1]!r}) in the period starting at time "
+                    f"{t_min + period * aggregation} nets to non-finite weight {w}"
+                )
             if w == 0.0:
                 continue
             if w < 0:
@@ -137,12 +142,11 @@ def _build_network(rows, aggregation: int, directed: bool) -> TemporalNetwork:
             continue
         nodes = sorted({v for key in edges_net for v in key}, key=_id_sort_key)
         index = {v: k for k, v in enumerate(nodes)}
-        edges = []
-        for (a, b), w in sorted(edges_net.items(), key=lambda kv: (_id_sort_key(kv[0][0]), _id_sort_key(kv[0][1]))):
-            i, j = index[a], index[b]
-            if not directed and i > j:
-                i, j = j, i
-            edges.append((i, j, w))
+        # an undirected key is sorted by id, so its local indices have i < j
+        edges = [
+            (index[a], index[b], w)
+            for (a, b), w in sorted(edges_net.items(), key=lambda kv: (_id_sort_key(kv[0][0]), _id_sort_key(kv[0][1])))
+        ]
         universe.update(nodes)
         snapshots.append(Snapshot(node_ids=tuple(nodes), edges=tuple(edges), directed=directed, timestamp=next_stamp))
         next_stamp += 1

@@ -405,6 +405,8 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
     the AUC undefined, so it is redrawn up to 10 times; a slot still
     single-class after that is skipped and counted.
     """
+    if iters < 1:
+        raise ValueError(f"need at least 1 bootstrap iteration, got {iters}")
     if table.y is None:
         raise DataError("bootstrap needs a labeled table")
     y = table.y.astype(int)

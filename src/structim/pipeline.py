@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .features import FeatureTable, TARGETS, build_table, pool, prune_correlated
+from .features import FeatureTable, TARGETS, _check_change_threshold, build_table, pool, prune_correlated
 from .graphs import TemporalNetwork
 from .model import (
     MIN_NULL_TRIALS,
@@ -236,6 +236,7 @@ def run_prediction(
         raise ValueError(f"need at least 1 bootstrap iteration, got {bootstrap_iters}")
     if not 0 < corr_threshold < 1:
         raise ValueError(f"corr_threshold must be in (0, 1), got {corr_threshold}")
+    _check_change_threshold(change_threshold)
     grid = [float(v) for v in l2_grid]
     if not grid or not all(np.isfinite(v) and v >= 0 for v in grid):
         raise ValueError(f"l2_grid needs finite nonnegative values, got {grid}")

@@ -52,11 +52,6 @@ class SingularTriplet:
     vector: np.ndarray
 
 
-def _orient(column: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(column)))
-    return -column if column[pivot] < 0 else column
-
-
 def eig_sym(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix with deterministic orientation.
 
@@ -72,8 +67,10 @@ def eig_sym(a: np.ndarray) -> Spectrum:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        vecs[:, k] = _orient(vecs[:, k])
+    if vecs.size:  # flip each column whose first largest-magnitude entry is negative
+        pivot = np.argmax(np.abs(vecs), axis=0)
+        flip = vecs[pivot, np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)

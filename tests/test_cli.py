@@ -203,6 +203,71 @@ def test_analyze_format_restriction(synthetic_csv, tmp_path):
     assert not any(f.endswith(".csv") or f.endswith(".svg") for f in files)
 
 
+_JOBS = {
+    "analyze": ["analyze"],
+    "predict": ["predict", "--target", "presence", "--trials", "30", "--bootstrap-iters", "100"],
+}
+
+
+def _run_job(where, command, csv_path, *extra):
+    """Run one job with the relative ``--out out`` inside ``where``, so that the
+    echoed config of two runs differs only in ``format``; returns {file: bytes}."""
+    argv = [command, csv_path, *_JOBS[command][1:], *extra, "--out", "out"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(where)
+        assert main(argv) == 0
+    return {name: (where / "out" / name).read_bytes() for name in os.listdir(where / "out")}
+
+
+@pytest.fixture(scope="module")
+def full_runs(synthetic_csv, tmp_path_factory):
+    return {command: _run_job(tmp_path_factory.mktemp(command), command, synthetic_csv) for command in _JOBS}
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("rendered an artifact that --format leaves out")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+@pytest.mark.parametrize("command", ["analyze", "predict"])
+def test_format_writes_exactly_that_extension_of_the_full_run(
+        synthetic_csv, full_runs, tmp_path, monkeypatch, command, fmt):
+    if fmt != "svg":  # a chart is rendered only when it is written
+        for chart in ("line_chart", "violin_chart", "bar_chart"):
+            monkeypatch.setattr(cli, chart, _never)
+    got = _run_job(tmp_path, command, synthetic_csv, "--format", fmt)
+    assert ("run.json" in got) == (command == "analyze")
+    got.pop("run.json", None)
+    expected = {
+        name: data.replace(b'"format": "all"', f'"format": "{fmt}"'.encode())
+        for name, data in full_runs[command].items()
+        if name.endswith("." + fmt) and name != "run.json"
+    }
+    assert expected
+    assert got == expected
+
+
+@pytest.mark.parametrize("fmt", ["all", "csv", "json", "svg"])
+def test_run_json_lists_exactly_the_files_written(synthetic_csv, tmp_path, capsys, fmt):
+    out = tmp_path / "out"
+    assert main(["analyze", synthetic_csv, "--format", fmt, "--out", str(out)]) == 0
+    listed = _read_json(out / "run.json")["artifacts"]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(os.listdir(out)) - {"run.json"}
+    assert capsys.readouterr().out == f"wrote {len(listed) + 1} artifacts to {out}\n"
+
+
+def test_importance_takes_its_format_from_out(tmp_path):
+    net = str(tmp_path / "net.csv")
+    main(["gen", "barbell", "--out", net])
+    with pytest.raises(SystemExit) as exc:
+        main(["importance", net, "--format", "csv", "--out", str(tmp_path / "imp.csv")])
+    assert exc.value.code == 2
+    out = str(tmp_path / "imp.json")
+    assert main(["importance", net, "--out", out]) == 0
+    assert "format" not in _read_json(out)["meta"]["config"]
+
+
 def test_predict_artifacts(synthetic_csv, tmp_path, capsys):
     out = str(tmp_path / "pred")
     code = main([
@@ -287,7 +352,11 @@ def test_predict_nonpositive_bootstrap_iters_is_usage_error(synthetic_csv, tmp_p
     ("--corr-threshold=1.5", "error: --corr-threshold needs a value in (0, 1), got 1.5"),
     ("--corr-threshold=0", "error: --corr-threshold needs a value in (0, 1), got 0.0"),
     ("--corr-threshold=nan", "error: --corr-threshold needs a value in (0, 1), got nan"),
-], ids=["l2-nan", "l2-inf", "l2-minus-inf", "corr-1.5", "corr-0", "corr-nan"])
+    ("--change-threshold=nan", "error: --change-threshold needs a finite nonnegative value, got nan"),
+    ("--change-threshold=-1", "error: --change-threshold needs a finite nonnegative value, got -1.0"),
+    ("--change-threshold=inf", "error: --change-threshold needs a finite nonnegative value, got inf"),
+], ids=["l2-nan", "l2-inf", "l2-minus-inf", "corr-1.5", "corr-0", "corr-nan",
+        "change-nan", "change-minus-1", "change-inf"])
 def test_predict_bad_flag_value_is_usage_error(tmp_path, capsys, flag, message):
     out = str(tmp_path / "out")
     missing = str(tmp_path / "missing.csv")  # the check runs before the input is read

@@ -175,6 +175,16 @@ def test_label_change_threshold_is_strict():
     assert label_change(tn_down, 0, threshold=0.25) == {0: 1, 1: 1}
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf"), float("-inf")])
+def test_label_change_rejects_non_finite_or_negative_threshold(threshold):
+    tn = network_from([
+        _snap((0, 1), [(0, 1, 1.0)], timestamp=0),
+        _snap((0, 1), [(0, 1, 1.25)], timestamp=1),
+    ])
+    with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
+        label_change(tn, 0, threshold=threshold)
+
+
 def test_label_sign_drops_ties():
     tn = network_from([
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),

@@ -96,6 +96,15 @@ def test_malformed_rows_report_line_numbers():
         load_snapshots_text("0,0,1,0.0\n")  # everything nets to zero
 
 
+@pytest.mark.parametrize("value, net", [("1e308", "inf"), ("-1e308", "-inf")])
+def test_pair_netting_to_non_finite_weight_is_a_data_error(value, net):
+    text = f"0,c,d,1\n4,a,b,{value}\n4,b,a,{value}\n4,c,d,1\n"
+    with pytest.raises(DataError, match=(
+        rf"^pair \('a', 'b'\) in the period starting at time 4 nets to non-finite weight {net}$"
+    )):
+        load_snapshots_text(text, aggregation=2)
+
+
 def test_aggregation_must_be_positive_int():
     with pytest.raises(ValueError):
         load_snapshots_text("0,0,1,1.0\n", aggregation=0)

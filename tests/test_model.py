@@ -467,6 +467,13 @@ def test_bootstrap_all_single_class_raises_after_warning():
             bootstrap_auc_ci(model, table, iters=5, seed=0)
 
 
+@pytest.mark.parametrize("iters", [0, -5])
+def test_bootstrap_needs_an_iteration(iters):
+    model = _manual_logistic(0.0, [1.0], names=("ma",))
+    with pytest.raises(ValueError, match="at least 1 bootstrap iteration"):
+        bootstrap_auc_ci(model, _table(("ma",), [[1.0], [-1.0]], y=[1, 0]), iters=iters)
+
+
 # ---------------------------------------------------------------- null models
 
 

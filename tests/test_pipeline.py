@@ -308,6 +308,11 @@ def test_run_prediction_checks_counts_before_building_tables(monkeypatch, couple
     ("presence", "l2_grid", (1.0, float("nan"))),
     ("rel_change", "l2_grid", (float("inf"),)),
     ("presence", "l2_grid", (-0.5,)),
+    ("change", "change_threshold", float("nan")),
+    ("change", "change_threshold", -1.0),
+    ("change", "change_threshold", float("inf")),
+    ("presence", "change_threshold", float("nan")),
+    ("rel_change", "change_threshold", -0.5),
 ])
 def test_run_prediction_checks_options_before_building_tables(monkeypatch, coupled_network, target, option, value):
     def build_nothing(*args, **kwargs):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structim import (
     DataError,
@@ -46,6 +48,45 @@ def test_eig_sym_sign_convention_tie_goes_to_lowest_index():
     assert np.allclose(spec.eigenvalues, [1.0, -1.0])
     assert np.allclose(spec.eigenvectors[:, 0], [r, r])
     assert np.allclose(spec.eigenvectors[:, 1], [r, -r])
+
+
+def _oriented_by_loop(a):
+    """Frozen per-column orientation: negate a column whose first
+    largest-magnitude entry is negative."""
+    vals, vecs = np.linalg.eigh(a)
+    vecs = vecs[:, np.argsort(vals)[::-1]]
+    for k in range(vecs.shape[1]):
+        column = vecs[:, k]
+        pivot = int(np.argmax(np.abs(column)))
+        vecs[:, k] = -column if column[pivot] < 0 else column
+    return vecs
+
+
+@st.composite
+def _tied_symmetric(draw):
+    """Small-integer symmetric blocks repeated along the diagonal: exact
+    magnitude ties and exact zeros in the eigenvectors are common."""
+    k = draw(st.integers(1, 4))
+    upper = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=k * (k - 1) // 2,
+                          max_size=k * (k - 1) // 2))
+    block = np.zeros((k, k))
+    block[np.triu_indices(k, 1)] = upper
+    return np.kron(np.eye(draw(st.integers(1, 3))), block + block.T)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tied_symmetric())
+@example(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
+def test_eig_sym_orientation_matches_per_column_loop(a):
+    got = eig_sym(a).eigenvectors
+    assert got.tobytes() == _oriented_by_loop(a).tobytes()  # bit-equal, signs of zeros included
+
+
+def test_eig_sym_orientation_flips_signs_of_zeros():
+    vecs = eig_sym(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])).eigenvectors
+    ties = np.abs(vecs) == np.abs(vecs).max(axis=0)
+    assert np.any(ties.sum(axis=0) > 1)  # a magnitude tie goes to the lowest index
+    assert np.any((vecs == 0) & np.signbit(vecs))  # a flipped column turns 0.0 into -0.0
 
 
 def test_eig_sym_rejects_nonsymmetric_and_nonsquare():
