@@ -10,9 +10,10 @@ Subcommands:
 Inputs are edge-list CSVs (``time,src,dst,value``) or network JSON documents.
 ``importance`` writes JSON or CSV by its ``--out`` extension; ``analyze`` and
 ``predict`` write a directory of artifacts that ``--format`` filters by
-extension. Every output carries the tool version, the resolved arguments, and
-the seed, either embedded (JSON) or in a sidecar. Exit codes: 0 success, 2
-usage error, 3 data error, 4 numerical error.
+extension. Every output carries the tool version and the resolved arguments,
+either embedded (JSON) or in a sidecar. Exit codes: 0 success, 2 usage error
+(a bad option value gets the message of the library check that owns it), 3
+data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -21,26 +22,25 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
 from . import __version__
-from .errors import DataError, NumericalError
+from .errors import ArgumentError, DataError, NumericalError
 from .features import MEASURE_COLUMNS, TARGETS, label_presence, snapshot_measures
 from .generators import barbell, repeat_snapshot, synthetic_temporal
-from .importance import DIRECTED_SCHEME, SCHEMES, STRENGTH_MODES, node_importance, node_importance_directed
+from .graphs import STRENGTH_MODES
+from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
 from .ingest import load_network, write_edge_csv
-from .model import MIN_NULL_TRIALS
 from .netstats import detect_communities, mean_diff_ttest, modularity
-from .pipeline import L2_GRID, run_prediction
+from .pipeline import L2_GRID, _check_prediction_args, run_prediction
 from .spectral import eig_sym, select_eigencomponent
 from .svgplot import bar_chart, line_chart, violin_chart
 
 
 def _meta(args: argparse.Namespace, command: str) -> dict:
     """Run configuration echoed into every artifact: command plus every
-    resolved parameter, including defaulted seeds."""
+    resolved parameter, including defaulted ones."""
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     return {"tool": "structim", "version": __version__, "command": command, "config": resolved}
 
@@ -78,7 +78,6 @@ def _write_artifacts(args, artifacts) -> list:
 def _add_io_args(sub):
     sub.add_argument("input", help="edge-list CSV or network JSON")
     sub.add_argument("--aggregation", type=int, default=1, help="time labels per snapshot (default 1)")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_job_args(sub):
@@ -242,33 +241,11 @@ def cmd_predict(args) -> int:
     except ValueError:
         print(f"error: cannot parse --l2-grid {args.l2_grid!r}", file=sys.stderr)
         return 2
-    if not grid or not all(math.isfinite(v) and v >= 0 for v in grid):
-        print("error: --l2-grid needs finite nonnegative values", file=sys.stderr)
-        return 2
-    if not 0 < args.corr_threshold < 1:
-        print(f"error: --corr-threshold needs a value in (0, 1), got {args.corr_threshold}", file=sys.stderr)
-        return 2
-    if not (math.isfinite(args.change_threshold) and args.change_threshold >= 0):
-        print(f"error: --change-threshold needs a finite nonnegative value, got {args.change_threshold}",
-              file=sys.stderr)
-        return 2
-    if args.trials < MIN_NULL_TRIALS:
-        print(f"error: --trials needs at least {MIN_NULL_TRIALS}, got {args.trials}", file=sys.stderr)
-        return 2
-    if args.bootstrap_iters < 1:
-        print(f"error: --bootstrap-iters needs at least 1, got {args.bootstrap_iters}", file=sys.stderr)
-        return 2
+    options = dict(seed=args.seed, l2_grid=grid, change_threshold=args.change_threshold,
+                   corr_threshold=args.corr_threshold, null_trials=args.trials, bootstrap_iters=args.bootstrap_iters)
+    _check_prediction_args(**options)  # before the input is read
     tn = load_network(args.input, aggregation=args.aggregation)
-    result = run_prediction(
-        tn,
-        args.target,
-        seed=args.seed,
-        l2_grid=grid,
-        change_threshold=args.change_threshold,
-        corr_threshold=args.corr_threshold,
-        null_trials=args.trials,
-        bootstrap_iters=args.bootstrap_iters,
-    )
+    result = run_prediction(tn, args.target, **options)
     meta = _meta(args, "predict")
     artifacts = [
         ("prediction.json", lambda: _json_text({"meta": meta, **result.to_json_dict()})),
@@ -322,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--n-right", type=int, default=5)
     gb.add_argument("--weight", type=float, default=1.0)
     gb.add_argument("--repeats", type=int, default=1, help="emit the graph at this many time steps")
-    gb.add_argument("--seed", type=int, default=0)
     gb.add_argument("--out", required=True)
     gb.set_defaults(func=cmd_gen)
     gs = gen_subs.add_parser("synthetic", help="temporal network with importance-coupled dropout")
@@ -351,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = subs.add_parser("predict", help="fit and benchmark activity prediction")
     _add_job_args(pred)
+    pred.add_argument("--seed", type=int, default=0)
     pred.add_argument("--target", choices=TARGETS, default="presence")
     pred.add_argument("--l2-grid", default=",".join(str(v) for v in L2_GRID))
     pred.add_argument("--change-threshold", type=float, default=0.05)
@@ -366,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "aggregation", 1) < 1:
-        print(f"error: --aggregation needs at least 1, got {args.aggregation}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
+    except ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ArgumentError, DataError
 from .graphs import Snapshot, TemporalNetwork
 from .importance import SCHEMES, node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
@@ -274,7 +274,12 @@ def label_rel_change(tn: TemporalNetwork, t: int) -> dict:
 
 def _check_change_threshold(threshold: float) -> None:
     if not (np.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"change_threshold must be finite and nonnegative, got {threshold}")
+        raise ArgumentError(f"change_threshold must be finite and nonnegative, got {threshold}")
+
+
+def _check_corr_threshold(threshold: float) -> None:
+    if not 0 < threshold < 1:
+        raise ArgumentError(f"corr_threshold must be in (0, 1), got {threshold}")
 
 
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:
@@ -316,8 +321,7 @@ def prune_correlated(table: FeatureTable, threshold: float = 0.8):
     columns have no defined correlation and are never dropped here; the
     standardization step handles them. Returns (reduced table, dropped names).
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be in (0, 1)")
+    _check_corr_threshold(threshold)
     if table.n_rows < 2:
         raise DataError("correlation pruning needs at least two rows")
 

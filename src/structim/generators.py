@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .errors import ArgumentError, _check_seed
 from .graphs import Snapshot, TemporalNetwork
 from .importance import node_importance
 
@@ -35,7 +36,7 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
     last left-clique node and the first right-clique node. All weights equal.
     """
     if n_left < 2 or n_right < 2 or bridge < 0:
-        raise ValueError("barbell needs n_left >= 2, n_right >= 2, bridge >= 0")
+        raise ArgumentError(f"barbell needs n_left >= 2, bridge >= 0, n_right >= 2; got {n_left}, {bridge}, {n_right}")
     n = n_left + bridge + n_right
     edges = []
     for i in range(n_left):
@@ -54,7 +55,7 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
 def repeat_snapshot(snapshot: Snapshot, repeats: int) -> TemporalNetwork:
     """A static temporal network: the same snapshot at times 0..repeats-1."""
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ArgumentError(f"repeats must be >= 1, got {repeats}")
     snaps = tuple(
         Snapshot(node_ids=snapshot.node_ids, edges=snapshot.edges, directed=snapshot.directed, timestamp=t)
         for t in range(repeats)
@@ -111,11 +112,14 @@ def synthetic_temporal(
     Same arguments and seed give an identical network, byte for byte.
     """
     if communities < 1 or n < communities:
-        raise ValueError("need n >= communities >= 1")
+        raise ArgumentError(f"need n >= communities >= 1, got n={n}, communities={communities}")
     if not 0 <= hub_count <= n:
-        raise ValueError("hub_count out of range")
+        raise ArgumentError(f"hub_count must be in 0..n={n}, got {hub_count}")
+    if not math.isfinite(dropout_coupling):
+        raise ArgumentError(f"dropout_coupling must be finite, got {dropout_coupling}")
     if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+        raise ArgumentError(f"horizon must be >= 2, got {horizon}")
+    _check_seed(seed)
 
     base = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
     snapshots = [_snapshot_from_edges(base, 0)]

@@ -24,6 +24,7 @@ from .errors import DataError
 
 _FORMAT_TAG = "structim-network"
 _FORMAT_VERSION = 1
+STRENGTH_MODES = ("total", "in", "out")
 
 
 def _state_without_caches(self) -> dict:
@@ -139,7 +140,7 @@ class Snapshot:
         set, returns that node's strength as a float; out-of-range indices
         raise IndexError.
         """
-        if mode not in ("total", "in", "out"):
+        if mode not in STRENGTH_MODES:
             raise ValueError(f"unknown strength mode {mode!r}")
         s = self._strengths[mode]
         if node is None:

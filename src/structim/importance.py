@@ -37,7 +37,6 @@ from .spectral import Spectrum, eig_sym, leading_singular, select_eigencomponent
 
 SCHEMES = ("ma", "mb", "mc", "md")
 DIRECTED_SCHEME = "directed"
-STRENGTH_MODES = ("total", "in", "out")
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,6 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
 
 def node_importance_directed(snapshot: Snapshot, strength_mode: str = "total") -> ImportanceVector:
     """Directed importance from the leading singular structure of the arc matrix."""
-    if strength_mode not in STRENGTH_MODES:
-        raise ValueError(f"unknown strength mode {strength_mode!r}")
     if not snapshot.directed:
         raise DataError("directed importance requires a directed snapshot")
     a = snapshot.adjacency()

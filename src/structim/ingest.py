@@ -22,7 +22,7 @@ import io
 import math
 import os
 
-from .errors import DataError
+from .errors import ArgumentError, DataError
 from .graphs import Snapshot, TemporalNetwork
 
 _HEADER = ("time", "src", "dst", "value")
@@ -86,14 +86,18 @@ def _parse_rows(lines, source: str):
     return rows
 
 
+def _check_aggregation(aggregation: int) -> None:
+    if not isinstance(aggregation, int) or aggregation < 1:
+        raise ArgumentError(f"aggregation must be a positive integer, got {aggregation!r}")
+
+
 def load_snapshots(path: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
     """Read an edge-list CSV into a TemporalNetwork.
 
     Raises DataError for unreadable files, malformed records (with the line
     number), or an empty record set. ``aggregation`` must be a positive int.
     """
-    if not isinstance(aggregation, int) or aggregation < 1:
-        raise ValueError(f"aggregation must be a positive integer, got {aggregation!r}")
+    _check_aggregation(aggregation)
     try:
         with open(path, "r", newline="") as fh:
             rows = _parse_rows(fh, os.path.basename(path))
@@ -104,8 +108,7 @@ def load_snapshots(path: str, aggregation: int = 1, directed: bool = False) -> T
 
 def load_snapshots_text(text: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
     """Same as load_snapshots but from an in-memory CSV string."""
-    if not isinstance(aggregation, int) or aggregation < 1:
-        raise ValueError(f"aggregation must be a positive integer, got {aggregation!r}")
+    _check_aggregation(aggregation)
     rows = _parse_rows(io.StringIO(text), "<text>")
     return _build_network(rows, aggregation, directed)
 
@@ -171,7 +174,8 @@ def write_edge_csv(tn: TemporalNetwork, path: str) -> None:
 
 
 def load_network(path: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
-    """Load either a network JSON document or an edge-list CSV, by extension."""
+    """Load either a network JSON document (which ignores ``aggregation``) or an edge-list CSV, by extension."""
+    _check_aggregation(aggregation)
     if path.endswith(".json"):
         try:
             with open(path, "r") as fh:

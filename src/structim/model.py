@@ -25,14 +25,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DataError, NumericalError
-from .features import FeatureTable
+from .errors import ArgumentError, DataError, NumericalError
+from .features import FeatureTable, _check_horizon
 from .graphs import TemporalNetwork
 
 CONSTANT_STD = 1e-12
 SEPARATION_BOUND = 30.0
 # Fewest null-model trials whose empirical quantiles are reported.
 MIN_NULL_TRIALS = 20
+
+
+def _check_null_trials(trials: int) -> None:
+    if trials < MIN_NULL_TRIALS:
+        raise ArgumentError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
 
 
 @dataclass(frozen=True)
@@ -398,6 +403,11 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05, method: str = "exact")
     return (lower, upper)
 
 
+def _check_bootstrap_iters(iters: int) -> None:
+    if iters < 1:
+        raise ArgumentError(f"need at least 1 bootstrap iteration, got {iters}")
+
+
 def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 1000, seed=0, alpha: float = 0.05):
     """Percentile bootstrap interval for the AUC on a labeled table.
 
@@ -405,8 +415,7 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
     the AUC undefined, so it is redrawn up to 10 times; a slot still
     single-class after that is skipped and counted.
     """
-    if iters < 1:
-        raise ValueError(f"need at least 1 bootstrap iteration, got {iters}")
+    _check_bootstrap_iters(iters)
     if table.y is None:
         raise DataError("bootstrap needs a labeled table")
     y = table.y.astype(int)
@@ -464,8 +473,7 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
     scores them against the true test labels. Returns per-metric means with
     empirical ci90 and ci95 (both labeled because the conventions differ).
     """
-    if trials < MIN_NULL_TRIALS:
-        raise ValueError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
+    _check_null_trials(trials)
     train_y = np.asarray(train_y).astype(int)
     test_y = np.asarray(test_y).astype(int)
     if train_y.size == 0 or test_y.size == 0:
@@ -511,14 +519,12 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     the synthetic presence labels. Anchors with fewer than two present nodes
     are skipped.
     """
-    if trials < MIN_NULL_TRIALS:
-        raise ValueError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
+    _check_null_trials(trials)
     scores = np.asarray(scores, dtype=float)
     rng = np.random.default_rng(seed)
     groups = []
     for t in sorted(set(table.as_of)):
-        if not 0 <= t < tn.n_snapshots - 1:
-            raise ValueError(f"null_edge_presence needs snapshot {t + 1} to exist")
+        _check_horizon(tn, t)
         rows_here = np.flatnonzero(table.as_of == t)
         cur = tn.snapshots[t]
         n_t = cur.n_nodes
@@ -661,8 +667,7 @@ def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: 
     Each trial permutes the pooled train+heldout target, refits on the train
     rows, and scores R^2 on the held-out rows.
     """
-    if trials < MIN_NULL_TRIALS:
-        raise ValueError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
+    _check_null_trials(trials)
     y_all = np.concatenate([train.y, heldout.y])
     n_train = len(train.y)
     rng = np.random.default_rng(seed)

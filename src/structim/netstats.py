@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DataError, NumericalError
+from .errors import ArgumentError, DataError, NumericalError
 from .graphs import Snapshot
 from .spectral import Spectrum, eig_sym
 
@@ -171,6 +171,8 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_
     Transition weights are out-strength normalized; dangling nodes spread
     their mass uniformly. Iterates until the L1 change drops to ``tol``.
     """
+    if not 0 <= damping <= 1:
+        raise ArgumentError(f"damping must be in [0, 1], got {damping}")
     n = snapshot.n_nodes
     if n == 0:
         raise DataError("pagerank undefined for an empty snapshot")

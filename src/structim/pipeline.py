@@ -16,27 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .features import FeatureTable, TARGETS, _check_change_threshold, build_table, pool, prune_correlated
+from .errors import ArgumentError, DataError, _check_seed
+from .features import (FeatureTable, TARGETS, _check_change_threshold, _check_corr_threshold, build_table, pool,
+                       prune_correlated)
 from .graphs import TemporalNetwork
-from .model import (
-    MIN_NULL_TRIALS,
-    EvaluationReport,
-    apply_standardization,
-    auc_score,
-    binom_ci,
-    bootstrap_auc_ci,
-    evaluate,
-    fit_linear,
-    fit_logistic,
-    null_edge_presence,
-    null_prior_predictor,
-    null_shuffle_regression,
-    oversample,
-    permutation_importance,
-    shap_linear,
-    standardize,
-)
+from .model import (EvaluationReport, _check_bootstrap_iters, _check_null_trials, apply_standardization, auc_score,
+                    binom_ci, bootstrap_auc_ci, evaluate, fit_linear, fit_logistic, null_edge_presence,
+                    null_prior_predictor, null_shuffle_regression, oversample, permutation_importance, shap_linear,
+                    standardize)
 
 L2_GRID = (0.01, 0.1, 1.0, 10.0)
 MIN_ROWS = 25
@@ -131,6 +118,8 @@ def forward_chain_folds(n: int, folds: int = FOLDS):
     everything before a block trains. The remainder stays in the earliest
     training window.
     """
+    if folds < 1:
+        raise ArgumentError(f"need at least 1 fold, got {folds}")
     block = n // (folds + 1)
     if block < 1:
         raise DataError(f"too few rows ({n}) for {folds}-fold forward chaining")
@@ -212,6 +201,18 @@ def _coefficient_table(model) -> list:
     ]
 
 
+def _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null_trials, bootstrap_iters) -> None:
+    """run_prediction's argument rules, each the check of the function that owns the parameter."""
+    _check_seed(seed)
+    grid = [float(v) for v in l2_grid]
+    if not grid or not all(np.isfinite(v) and v >= 0 for v in grid):
+        raise ArgumentError(f"l2_grid needs finite nonnegative values, got {grid}")
+    _check_change_threshold(change_threshold)
+    _check_corr_threshold(corr_threshold)
+    _check_null_trials(null_trials)
+    _check_bootstrap_iters(bootstrap_iters)
+
+
 def run_prediction(
     tn: TemporalNetwork,
     target: str,
@@ -230,16 +231,7 @@ def run_prediction(
     evaluated with its nulls; ``rel_change`` fits least squares against a
     shuffled-target null. Both report from the same held-out rows.
     """
-    if null_trials < MIN_NULL_TRIALS:
-        raise ValueError(f"need at least {MIN_NULL_TRIALS} null trials, got {null_trials}")
-    if bootstrap_iters < 1:
-        raise ValueError(f"need at least 1 bootstrap iteration, got {bootstrap_iters}")
-    if not 0 < corr_threshold < 1:
-        raise ValueError(f"corr_threshold must be in (0, 1), got {corr_threshold}")
-    _check_change_threshold(change_threshold)
-    grid = [float(v) for v in l2_grid]
-    if not grid or not all(np.isfinite(v) and v >= 0 for v in grid):
-        raise ValueError(f"l2_grid needs finite nonnegative values, got {grid}")
+    _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null_trials, bootstrap_iters)
     _check_snapshots(tn, target)
     pooled = pool(build_horizon_tables(tn, target, change_threshold=change_threshold))
     n = pooled.n_rows
@@ -255,7 +247,7 @@ def run_prediction(
     if target == "rel_change":
         train_std, constants = standardize(pooled.select_rows(np.arange(i2)))
     else:
-        model, best_l2 = time_ordered_select(pooled, l2_grid=grid, seed=seed, details=details)
+        model, best_l2 = time_ordered_select(pooled, l2_grid=l2_grid, seed=seed, details=details)
         constants = details["constants"]
     test_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, n)))
 

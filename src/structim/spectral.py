@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ArgumentError, DataError
 
 SYMMETRY_TOL = 1e-10
 
@@ -175,10 +175,12 @@ def kmeans_eigvecs(
     for a given seed.
     """
     if which not in ("positive", "all"):
-        raise ValueError(f"unknown eigenvector subset {which!r}")
+        raise ArgumentError(f"unknown eigenvector subset {which!r}")
     n = spectrum.n
     if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} nodes")
+        raise ArgumentError(f"k={k} out of range for {n} nodes")
+    if restarts < 1 or max_iter < 1:
+        raise ArgumentError(f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}")
     cols = spectrum.positive_count() if which == "positive" else n
     if cols == 0:
         raise DataError("no positive eigenvalues to embed nodes with")

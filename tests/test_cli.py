@@ -4,9 +4,20 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from structim import DataError, cli, features, load_network, node_importance, run_prediction
+from structim import (
+    DataError,
+    barbell,
+    cli,
+    features,
+    load_network,
+    node_importance,
+    repeat_snapshot,
+    run_prediction,
+    synthetic_temporal,
+)
 from structim.cli import main
 
 
@@ -57,7 +68,7 @@ def test_gen_barbell_csv_and_sidecar(tmp_path):
     assert meta["command"] == "gen barbell"
     assert meta["n_snapshots"] == 3 and meta["n_nodes"] == 11
     cfg = meta["config"]
-    assert cfg["seed"] == 0  # defaults are echoed too
+    assert "seed" not in cfg  # gen barbell draws nothing at random
     assert cfg["n_left"] == 4 and cfg["bridge"] == 2 and cfg["n_right"] == 5
     assert cfg["out"] == out
 
@@ -332,7 +343,7 @@ def test_predict_too_few_trials_is_usage_error(synthetic_csv, tmp_path, capsys, 
     out = str(tmp_path / "bad")
     assert main(["predict", synthetic_csv, f"--trials={trials}", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --trials needs at least 20") and err.count("\n") == 1
+    assert err.startswith("error: need at least 20 trials for stable quantiles") and err.count("\n") == 1
     assert not os.path.exists(out)
 
 
@@ -341,20 +352,20 @@ def test_predict_nonpositive_bootstrap_iters_is_usage_error(synthetic_csv, tmp_p
     out = str(tmp_path / "bad")
     assert main(["predict", synthetic_csv, f"--bootstrap-iters={iters}", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --bootstrap-iters needs at least 1") and err.count("\n") == 1
+    assert err.startswith("error: need at least 1 bootstrap iteration") and err.count("\n") == 1
     assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--l2-grid=nan", "error: --l2-grid needs finite nonnegative values"),
-    ("--l2-grid=inf", "error: --l2-grid needs finite nonnegative values"),
-    ("--l2-grid=0.1,-inf", "error: --l2-grid needs finite nonnegative values"),
-    ("--corr-threshold=1.5", "error: --corr-threshold needs a value in (0, 1), got 1.5"),
-    ("--corr-threshold=0", "error: --corr-threshold needs a value in (0, 1), got 0.0"),
-    ("--corr-threshold=nan", "error: --corr-threshold needs a value in (0, 1), got nan"),
-    ("--change-threshold=nan", "error: --change-threshold needs a finite nonnegative value, got nan"),
-    ("--change-threshold=-1", "error: --change-threshold needs a finite nonnegative value, got -1.0"),
-    ("--change-threshold=inf", "error: --change-threshold needs a finite nonnegative value, got inf"),
+    ("--l2-grid=nan", "error: l2_grid needs finite nonnegative values, got [nan]"),
+    ("--l2-grid=inf", "error: l2_grid needs finite nonnegative values, got [inf]"),
+    ("--l2-grid=0.1,-inf", "error: l2_grid needs finite nonnegative values, got [0.1, -inf]"),
+    ("--corr-threshold=1.5", "error: corr_threshold must be in (0, 1), got 1.5"),
+    ("--corr-threshold=0", "error: corr_threshold must be in (0, 1), got 0.0"),
+    ("--corr-threshold=nan", "error: corr_threshold must be in (0, 1), got nan"),
+    ("--change-threshold=nan", "error: change_threshold must be finite and nonnegative, got nan"),
+    ("--change-threshold=-1", "error: change_threshold must be finite and nonnegative, got -1.0"),
+    ("--change-threshold=inf", "error: change_threshold must be finite and nonnegative, got inf"),
 ], ids=["l2-nan", "l2-inf", "l2-minus-inf", "corr-1.5", "corr-0", "corr-nan",
         "change-nan", "change-minus-1", "change-inf"])
 def test_predict_bad_flag_value_is_usage_error(tmp_path, capsys, flag, message):
@@ -375,8 +386,73 @@ def test_nonpositive_aggregation_is_usage_error(tmp_path, capsys, command, extra
     missing = str(tmp_path / "missing.csv")  # the check runs before the input is read
     assert main([command, missing, "--aggregation", "0", *extra, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err == "error: --aggregation needs at least 1, got 0\n"
+    assert err == "error: aggregation must be a positive integer, got 0\n"
     assert not os.path.exists(out)
+
+
+# Argument checks run before the network is looked at, so any network will do.
+_ANY = repeat_snapshot(barbell(), 1)
+_NAN = float("nan")
+
+
+_REJECTED = [
+    ("predict IN --trials=19", lambda: run_prediction(_ANY, "presence", null_trials=19)),
+    ("predict IN --bootstrap-iters=0", lambda: run_prediction(_ANY, "presence", bootstrap_iters=0)),
+    ("predict IN --corr-threshold=1", lambda: run_prediction(_ANY, "presence", corr_threshold=1.0)),
+    ("predict IN --change-threshold=-0.5", lambda: run_prediction(_ANY, "presence", change_threshold=-0.5)),
+    ("predict IN --l2-grid=0.1,nan", lambda: run_prediction(_ANY, "presence", l2_grid=(0.1, _NAN))),
+    ("predict IN --seed=-1", lambda: run_prediction(_ANY, "presence", seed=-1)),
+    ("predict IN --aggregation=0", lambda: load_network("any.csv", aggregation=0)),
+    ("analyze IN --aggregation=-2", lambda: load_network("any.csv", aggregation=-2)),
+    ("importance IN --aggregation=0", lambda: load_network("any.json", aggregation=0)),
+    ("gen barbell --n-left=1", lambda: barbell(n_left=1)),
+    ("gen barbell --bridge=-1", lambda: barbell(bridge=-1)),
+    ("gen barbell --repeats=0", lambda: repeat_snapshot(barbell(), 0)),
+    ("gen synthetic --n=5 --communities=10", lambda: synthetic_temporal(5, 10, 4, 0.0, 30)),
+    ("gen synthetic --hubs=-1", lambda: synthetic_temporal(120, 4, -1, 0.0, 30)),
+    ("gen synthetic --coupling=nan", lambda: synthetic_temporal(120, 4, 4, _NAN, 30)),
+    ("gen synthetic --horizon=1", lambda: synthetic_temporal(120, 4, 4, 0.0, 1)),
+    ("gen synthetic --seed=-1", lambda: synthetic_temporal(120, 4, 4, 0.0, 30, seed=-1)),
+]
+
+
+@pytest.mark.parametrize("argv, library_call", _REJECTED, ids=[argv for argv, _ in _REJECTED])
+def test_cli_rejects_a_value_with_the_library_message(tmp_path, capsys, argv, library_call):
+    # one copy of each rule: the CLI relays what the library raises for the same value
+    with pytest.raises(ValueError) as exc:
+        library_call()
+    out = str(tmp_path / "out")
+    missing = str(tmp_path / "missing.csv")  # the check runs before the input is read
+    args = [missing if a == "IN" else a for a in argv.split()]
+    assert main([*args, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", ["analyze IN", "importance IN", "gen barbell"])
+def test_seed_is_only_an_option_where_it_is_read(tmp_path, capsys, argv):
+    args = [str(tmp_path / "net.csv") if a == "IN" else a for a in argv.split()]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_predict_negative_seed_on_missing_input_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["predict", str(tmp_path / "missing.csv"), "--seed", "-1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert not os.path.exists(out)
+
+
+def test_value_error_after_the_checks_is_not_a_usage_error(synthetic_csv, tmp_path, monkeypatch):
+    # numpy's LinAlgError is a ValueError; raised mid-run it must not read as a bad option
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "run_prediction", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["predict", synthetic_csv, "--out", str(tmp_path / "out")])
 
 
 def test_predict_too_few_snapshots(tmp_path, capsys):

@@ -125,6 +125,18 @@ def test_synthetic_validates_args():
         synthetic_temporal(n=10, communities=20, hub_count=1, dropout_coupling=0.0, horizon=3, seed=0)
     with pytest.raises(ValueError):
         synthetic_temporal(n=10, communities=2, hub_count=1, dropout_coupling=0.0, horizon=0, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        synthetic_temporal(n=10, communities=2, hub_count=1, dropout_coupling=0.0, horizon=3, seed=-1)
+
+
+@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), -float("inf")])
+def test_synthetic_rejects_nonfinite_coupling(monkeypatch, coupling):
+    def generate_nothing(*args, **kwargs):
+        raise AssertionError("generated before the argument checks")
+
+    monkeypatch.setattr("structim.generators._base_graph", generate_nothing)
+    with pytest.raises(ValueError, match="dropout_coupling must be finite"):
+        synthetic_temporal(20, 2, 2, coupling, 5, seed=1)
 
 
 @st.composite

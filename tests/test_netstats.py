@@ -278,6 +278,17 @@ def test_pagerank_respects_weights():
     assert p[1] > p[2]
 
 
+@pytest.mark.parametrize("damping", [1.5, -0.2, float("nan"), float("inf")])
+def test_pagerank_rejects_damping_outside_unit_interval(damping):
+    with pytest.raises(ValueError, match="damping must be in"):
+        pagerank(clique(4), damping=damping)
+
+
+def test_pagerank_accepts_unit_interval_ends():
+    for damping in (0.0, 1.0):
+        assert pagerank(clique(4), damping=damping).sum() == pytest.approx(1.0, abs=1e-9)
+
+
 def test_welch_ttest_frozen_case_vs_quadrature():
     a = [1.0, 2.0, 3.0, 4.0, 5.0]
     b = [2.0, 3.0, 4.0, 5.0, 6.0]

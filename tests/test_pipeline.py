@@ -98,6 +98,12 @@ def test_forward_chain_folds_too_small():
         forward_chain_folds(5, folds=5)
 
 
+@pytest.mark.parametrize("folds", [0, -1])
+def test_forward_chain_folds_needs_a_fold(folds):
+    with pytest.raises(ValueError, match="at least 1 fold"):
+        forward_chain_folds(30, folds)
+
+
 # --------------------------------------------------------- time_ordered_select
 
 

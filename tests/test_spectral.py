@@ -222,3 +222,10 @@ def test_kmeans_validates_k():
         kmeans_eigvecs(spec, 0, seed=0)
     with pytest.raises(ValueError):
         kmeans_eigvecs(spec, 12, seed=0)
+
+
+@pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -1}, {"max_iter": 0}])
+def test_kmeans_needs_a_run_and_an_iteration(option):
+    spec = eig_sym(barbell(4, 2, 5).adjacency())
+    with pytest.raises(ValueError, match="restarts >= 1 and max_iter >= 1"):
+        kmeans_eigvecs(spec, 2, **option)
