@@ -32,7 +32,7 @@ from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
 from .ingest import load_network, write_edge_csv
-from .netstats import detect_communities, mean_diff_ttest, modularity
+from .netstats import _communities, detect_communities, mean_diff_ttest
 from .pipeline import L2_GRID, _check_prediction_args, run_prediction
 from .spectral import eig_sym, select_eigencomponent
 from .svgplot import bar_chart, line_chart, violin_chart
@@ -190,7 +190,8 @@ def cmd_analyze(args) -> int:
                 }
             )
             communities = detect_communities(snap)
-            mod_rows.append([t, repr(modularity(snap, communities)), int(communities.max()) + 1])
+            q = _communities(snap)[1]  # kept on the snapshot by detect_communities, not scored again
+            mod_rows.append([t, repr(q), int(communities.max()) + 1])
             for node, rank in zip(snap.node_ids, select_eigencomponent(spec)):
                 rank_rows.append([t, node, int(rank)])
 

@@ -282,6 +282,11 @@ def _check_corr_threshold(threshold: float) -> None:
         raise ArgumentError(f"corr_threshold must be in (0, 1), got {threshold}")
 
 
+def _check_target(target: str) -> None:
+    if target not in TARGETS:
+        raise ArgumentError(f"unknown target {target!r}; expected one of {TARGETS}")
+
+
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:
     if not 0 <= t < tn.n_snapshots - 1:
         raise ValueError(f"labels at t={t} need snapshot t+1 to exist")
@@ -295,8 +300,7 @@ def build_table(
     measures_cache: dict | None = None,
 ) -> FeatureTable:
     """Feature table at t with the requested target attached."""
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    _check_target(target)
     table = build_features(tn, t, measures_cache=measures_cache)
     if target == "presence":
         labels = label_presence(tn, t)

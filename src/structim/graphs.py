@@ -56,25 +56,59 @@ class Snapshot:
     timestamp: int = 0
 
     def __post_init__(self):
+        # The shape and type of each record are checked here; a record that is
+        # not an (i, j, w) triple with a real weight gets placeholder entries
+        # that _check_edges flags at its position.
+        triple = [len(e) == 3 for e in self.edges]
+        rows = [e if ok else (0, 0, math.nan) for e, ok in zip(self.edges, triple)]
+        # No dtype for the indices: a float or an oversized int must meet the
+        # range and duplicate rules as it was given.
+        i = np.array([e[0] for e in rows])
+        j = np.array([e[1] for e in rows])
+        w = np.array([e[2] if isinstance(e[2], (int, float)) else math.nan for e in rows], dtype=float)
+        self._check_edges(i, j, w, not_triple=~np.array(triple, dtype=bool))
+
+    @classmethod
+    def _from_arrays(cls, node_ids: tuple, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+                     directed: bool, timestamp: int) -> "Snapshot":
+        """A snapshot from local edge arrays (int, int, float), under the
+        public constructor's edge rules; the arrays become its edge-array
+        cache, so they must not be written to afterwards."""
+        snap = object.__new__(cls)
+        fields = {"node_ids": node_ids, "edges": tuple(zip(i.tolist(), j.tolist(), w.tolist())),
+                  "directed": directed, "timestamp": timestamp}
+        for name, value in fields.items():
+            object.__setattr__(snap, name, value)
+        snap._check_edges(i, j, w, not_triple=np.zeros(len(w), dtype=bool))
+        return snap
+
+    def _check_edges(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, not_triple: np.ndarray) -> None:
+        """The edge rules, run on all edges at once. Raises DataError for the
+        first offending edge, with the message of the first rule it breaks;
+        otherwise keeps the arrays, read-only, as the edge-array cache."""
         n = len(self.node_ids)
         if len(set(self.node_ids)) != n:
             raise DataError("snapshot has duplicate node ids")
-        seen = set()
-        for edge in self.edges:
-            if len(edge) != 3:
-                raise DataError(f"edge record {edge!r} is not an (i, j, w) triple")
-            i, j, w = edge
-            if not (0 <= i < n) or not (0 <= j < n):
-                raise DataError(f"edge ({i}, {j}) references a node outside the snapshot")
-            if i == j:
-                raise DataError(f"self loop on node {self.node_ids[i]!r}")
-            if not self.directed and i > j:
-                raise DataError("undirected edges must be stored with i < j")
-            if not (isinstance(w, (int, float)) and math.isfinite(w)) or w <= 0:
-                raise DataError(f"edge ({i}, {j}) has non-positive or non-finite weight {w!r}")
-            if (i, j) in seen:
-                raise DataError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        seen_before = np.ones(len(w), dtype=bool)
+        seen_before[np.unique(i * n + j, return_index=True)[1]] = False
+        rules = (
+            (not_triple, lambda e: f"edge record {e!r} is not an (i, j, w) triple"),
+            ((i < 0) | (i >= n) | (j < 0) | (j >= n),
+             lambda e: f"edge ({e[0]}, {e[1]}) references a node outside the snapshot"),
+            (i == j, lambda e: f"self loop on node {self.node_ids[e[0]]!r}"),
+            ((i > j) & (not self.directed), lambda e: "undirected edges must be stored with i < j"),
+            (~(np.isfinite(w) & (w > 0)),
+             lambda e: f"edge ({e[0]}, {e[1]}) has non-positive or non-finite weight {e[2]!r}"),
+            (seen_before, lambda e: f"duplicate edge ({e[0]}, {e[1]})"),
+        )
+        broken = np.logical_or.reduce([mask for mask, _ in rules])
+        if broken.any():
+            k = int(np.argmax(broken))
+            raise DataError(next(message for mask, message in rules if mask[k])(self.edges[k]))
+        arrays = (i.astype(int, copy=False), j.astype(int, copy=False), w)
+        for arr in arrays:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_edge_arrays", arrays)
 
     __getstate__ = _state_without_caches
 
@@ -93,15 +127,13 @@ class Snapshot:
 
     @cached_property
     def _edge_arrays(self) -> tuple:
-        """Edges as read-only (i, j, w) arrays: int, int, float."""
-        arrays = (
-            np.array([e[0] for e in self.edges], dtype=int),
-            np.array([e[1] for e in self.edges], dtype=int),
-            np.array([e[2] for e in self.edges], dtype=float),
-        )
-        for arr in arrays:
-            arr.setflags(write=False)
-        return arrays
+        """Edges as read-only (i, j, w) arrays: int, int, float.
+
+        The constructors leave them here when they check the edges;
+        unpickling drops them, and checking ``edges`` again rebuilds them.
+        """
+        self.__post_init__()
+        return vars(self)["_edge_arrays"]
 
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency matrix (n x n, float64, zero diagonal).

@@ -3,8 +3,11 @@
 The interchange format is a CSV with rows ``time,src,dst,value``. ``time`` is
 an integer label or an ISO-8601 date (dates become day ordinals, so an
 aggregation period is a count of days); ``value`` is a finite signed float
-(flows net out during aggregation). An optional header line matching the
-canonical column names is skipped.
+(flows net out during aggregation). The first record that is not blank is
+skipped when it matches the canonical column names (a header); line numbers
+in messages count every record, blank or header. A node id of ASCII digits
+with an optional leading sign is an int ("007" and "+7" are node 7); any
+other id is a string ("1_000" is not node 1000).
 
 Aggregation: records are bucketed into periods of ``aggregation`` consecutive
 time labels starting at the earliest observed label. Within a period, parallel
@@ -19,21 +22,25 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import math
+import itertools
 import os
+import re
+
+import numpy as np
 
 from .errors import ArgumentError, DataError
 from .graphs import Snapshot, TemporalNetwork
 
 _HEADER = ("time", "src", "dst", "value")
+_INT_ID = re.compile(r"[+-]?[0-9]+")
+# Records read per block: the fields of one block are alive at a time.
+_BLOCK = 2048
 
 
 def _coerce_id(field: str):
-    """Node ids that parse as integers become ints; everything else stays str."""
-    try:
-        return int(field)
-    except ValueError:
-        return field
+    """An id of ASCII digits with an optional sign becomes an int ("007" -> 7,
+    "+5" -> 5); any other id stays a str, so "1_000" and "1000" are two nodes."""
+    return int(field) if _INT_ID.fullmatch(field) else field
 
 
 def _id_sort_key(v):
@@ -41,8 +48,9 @@ def _id_sort_key(v):
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
 
 
-def _parse_time(field: str, source: str, lineno: int) -> int:
-    """Integer time labels pass through; ISO dates map to day ordinals."""
+def _parse_time(field: str):
+    """Integer time labels pass through and ISO dates map to day ordinals;
+    anything else gives None."""
     try:
         return int(field)
     except ValueError:
@@ -53,37 +61,91 @@ def _parse_time(field: str, source: str, lineno: int) -> int:
         try:
             return datetime.date.fromisoformat(field).toordinal()
         except ValueError:
-            raise DataError(
-                f"{source}:{lineno}: time {field!r} is not an integer or ISO date"
-            ) from None
-    if not tf.is_integer():
-        raise DataError(f"{source}:{lineno}: time {field!r} is not an integer or ISO date")
-    return int(tf)
+            return None
+    return int(tf) if tf.is_integer() else None
 
 
-def _parse_rows(lines, source: str):
-    rows = []
-    reader = csv.reader(lines)
-    for lineno, rec in enumerate(reader, start=1):
-        if not rec or (len(rec) == 1 and not rec[0].strip()):
-            continue
-        if lineno == 1 and tuple(f.strip().lower() for f in rec) == _HEADER:
-            continue
-        if len(rec) != 4:
-            raise DataError(f"{source}:{lineno}: expected 4 fields, got {len(rec)}")
-        t_field, src, dst, val = (f.strip() for f in rec)
-        t = _parse_time(t_field, source, lineno)
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_columns(reader, source: str, aggregation: int):
+    """Read the records in blocks, split each block into columns and check it.
+
+    Each distinct time and id string is coerced once. Returns per edge record
+    its period's rank, the src and dst codes (ranks in ``_id_sort_key`` order)
+    and the value, plus the sorted period start labels and the ids by code.
+    A faulty record raises DataError for the first faulty line, with the
+    message of the first check it fails, in the order: field count, time,
+    value, finite, self loop.
+    """
+    time_index, labels = {}, []  # time field -> index into labels (None: not a time)
+    id_code, codes = {}, {}  # id field -> code of its id; id -> code, both first seen first
+    blocks = []
+    offset = 0
+    header_possible = True
+    while block := list(itertools.islice(reader, _BLOCK)):
+        lens = np.fromiter(map(len, block), dtype=int, count=len(block))
+        blank = lens == 0
+        for k in np.flatnonzero(lens == 1):
+            blank[k] = not block[k][0].strip()
+        kept = np.flatnonzero(~blank)
+        # Line numbers are record numbers, so a header is skipped, not removed.
+        if header_possible and kept.size:
+            header_possible = False
+            if tuple(f.strip().lower() for f in block[kept[0]]) == _HEADER:
+                kept = kept[1:]
+        rows = kept[lens[kept] == 4]
+        t_raw, s_raw, d_raw, v_raw = tuple(zip(*[block[k] for k in rows.tolist()])) or ((),) * 4
+        n = len(rows)
+
+        for f in set(t_raw).difference(time_index):
+            time_index[f] = len(labels)
+            labels.append(_parse_time(f.strip()))
+        for f in set(s_raw).union(d_raw).difference(id_code):
+            id_code[f] = codes.setdefault(_coerce_id(f.strip()), len(codes))
+        t = np.fromiter(map(time_index.__getitem__, t_raw), dtype=int, count=n)
+        src = np.fromiter(map(id_code.__getitem__, s_raw), dtype=int, count=n)
+        dst = np.fromiter(map(id_code.__getitem__, d_raw), dtype=int, count=n)
+        v_str = list(map(str.strip, v_raw))
         try:
-            w = float(val)
+            w = np.fromiter(map(float, v_str), dtype=float, count=n)
+            number = np.ones(n, dtype=bool)
         except ValueError:
-            raise DataError(f"{source}:{lineno}: value {val!r} is not a number") from None
-        if not math.isfinite(w):
-            raise DataError(f"{source}:{lineno}: value {val!r} is not finite")
-        a, b = _coerce_id(src), _coerce_id(dst)
-        if a == b:
-            raise DataError(f"{source}:{lineno}: self loop on node {src!r}")
-        rows.append((t, a, b, w))
-    return rows
+            number = np.fromiter(map(_is_number, v_str), dtype=bool, count=n)
+            w = np.array([float(v) if ok else np.nan for v, ok in zip(v_str, number)], dtype=float)
+        timed = np.array([label is not None for label in labels], dtype=bool)[t]
+
+        faulty = ~timed | ~number | ~np.isfinite(w) | (src == dst)
+        first = min(kept[lens[kept] != 4][:1].tolist() + rows[faulty][:1].tolist(), default=None)
+        if first is not None:
+            where = f"{source}:{offset + first + 1}"
+            if lens[first] != 4:
+                raise DataError(f"{where}: expected 4 fields, got {lens[first]}")
+            k = int(np.searchsorted(rows, first))
+            if not timed[k]:
+                raise DataError(f"{where}: time {t_raw[k].strip()!r} is not an integer or ISO date")
+            if not number[k]:
+                raise DataError(f"{where}: value {v_str[k]!r} is not a number")
+            if not np.isfinite(w[k]):
+                raise DataError(f"{where}: value {v_str[k]!r} is not finite")
+            raise DataError(f"{where}: self loop on node {s_raw[k].strip()!r}")
+        blocks.append((t, src, dst, w))
+        offset += len(block)
+
+    t, src, dst, w = (np.concatenate(col) for col in zip(*blocks)) if blocks else (np.zeros(0, dtype=int),) * 4
+    t_min = min(labels, default=0)
+    starts = sorted({(label - t_min) // aggregation for label in labels})
+    rank = {p: k for k, p in enumerate(starts)}
+    period = np.array([rank[(label - t_min) // aggregation] for label in labels], dtype=int)[t]
+    ids = sorted(codes, key=_id_sort_key)
+    recode = np.empty(len(ids), dtype=int)
+    recode[[codes[v] for v in ids]] = np.arange(len(ids))
+    return period, [t_min + p * aggregation for p in starts], recode[src], recode[dst], w, ids
 
 
 def _check_aggregation(aggregation: int) -> None:
@@ -100,65 +162,64 @@ def load_snapshots(path: str, aggregation: int = 1, directed: bool = False) -> T
     _check_aggregation(aggregation)
     try:
         with open(path, "r", newline="") as fh:
-            rows = _parse_rows(fh, os.path.basename(path))
+            columns = _parse_columns(csv.reader(fh), os.path.basename(path), aggregation)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return _build_network(rows, aggregation, directed)
+    return _build_network(*columns, directed)
 
 
 def load_snapshots_text(text: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
     """Same as load_snapshots but from an in-memory CSV string."""
     _check_aggregation(aggregation)
-    rows = _parse_rows(io.StringIO(text), "<text>")
-    return _build_network(rows, aggregation, directed)
+    return _build_network(*_parse_columns(csv.reader(io.StringIO(text)), "<text>", aggregation), directed)
 
 
-def _build_network(rows, aggregation: int, directed: bool) -> TemporalNetwork:
-    if not rows:
+def _build_network(period, starts, src, dst, w, ids, directed: bool) -> TemporalNetwork:
+    if not w.size:
         raise DataError("no edge records found")
-    t_min = min(r[0] for r in rows)
-    periods = {}
-    for t, a, b, w in rows:
-        key = (a, b) if directed else tuple(sorted((a, b), key=_id_sort_key))
-        acc = periods.setdefault((t - t_min) // aggregation, {})
-        acc[key] = acc.get(key, 0.0) + w
+    lo, hi = (src, dst) if directed else (np.minimum(src, dst), np.maximum(src, dst))
+    # Group the records by (period, pair); groups come out in that order, which
+    # is the snapshot and edge order, and a stable sort puts each group's
+    # earliest record first.
+    order = np.lexsort((hi, lo, period))
+    keys = np.stack((period, lo, hi))[:, order]
+    first = np.ones(w.size, dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    group = np.empty(w.size, dtype=int)
+    group[order] = np.cumsum(first) - 1
+    # bincount adds each group's values in file order starting from 0.0, the
+    # same float sum as netting record by record.
+    net = np.bincount(group, weights=w)
+    g_period, g_lo, g_hi = keys[:, first]
 
-    negative = 0
-    snapshots = []
-    universe = set()
-    next_stamp = 0
-    for period in sorted(periods):
-        edges_net = {}
-        for key, w in periods[period].items():
-            if not math.isfinite(w):
-                raise DataError(
-                    f"pair ({key[0]!r}, {key[1]!r}) in the period starting at time "
-                    f"{t_min + period * aggregation} nets to non-finite weight {w}"
-                )
-            if w == 0.0:
-                continue
-            if w < 0:
-                negative += 1
-                w = -w
-            edges_net[key] = w
-        if not edges_net:
-            continue
-        nodes = sorted({v for key in edges_net for v in key}, key=_id_sort_key)
-        index = {v: k for k, v in enumerate(nodes)}
-        # an undirected key is sorted by id, so its local indices have i < j
-        edges = [
-            (index[a], index[b], w)
-            for (a, b), w in sorted(edges_net.items(), key=lambda kv: (_id_sort_key(kv[0][0]), _id_sort_key(kv[0][1])))
-        ]
-        universe.update(nodes)
-        snapshots.append(Snapshot(node_ids=tuple(nodes), edges=tuple(edges), directed=directed, timestamp=next_stamp))
-        next_stamp += 1
-
-    if not snapshots:
+    bad = np.flatnonzero(~np.isfinite(net))
+    if bad.size:
+        # The earliest period, then the pair first seen in the file.
+        g = bad[np.lexsort((order[first][bad], g_period[bad]))[0]]
+        raise DataError(
+            f"pair ({ids[g_lo[g]]!r}, {ids[g_hi[g]]!r}) in the period starting at time "
+            f"{starts[g_period[g]]} nets to non-finite weight {float(net[g])}"
+        )
+    live = net != 0.0
+    negative = int(np.count_nonzero(net < 0))
+    g_period, g_lo, g_hi, weight = g_period[live], g_lo[live], g_hi[live], np.abs(net[live])
+    if not weight.size:
         raise DataError("all records netted to zero; no snapshots left")
+
+    cuts = np.flatnonzero(np.diff(g_period)) + 1
+    snapshots = []
+    for stamp, (lo_t, hi_t, w_t) in enumerate(zip(np.split(g_lo, cuts), np.split(g_hi, cuts), np.split(weight, cuts))):
+        nodes = np.unique(np.concatenate((lo_t, hi_t)))
+        # an undirected pair has lo < hi, so its local indices have i < j
+        snapshots.append(Snapshot._from_arrays(
+            tuple(ids[c] for c in nodes.tolist()),
+            np.searchsorted(nodes, lo_t), np.searchsorted(nodes, hi_t), w_t,
+            directed=directed, timestamp=stamp,
+        ))
+    universe = np.unique(np.concatenate((g_lo, g_hi)))
     return TemporalNetwork(
         snapshots=tuple(snapshots),
-        universe=tuple(sorted(universe, key=_id_sort_key)),
+        universe=tuple(ids[c] for c in universe.tolist()),
         negative_weight_count=negative,
     )
 

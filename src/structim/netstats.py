@@ -72,7 +72,23 @@ def detect_communities(snapshot: Snapshot) -> np.ndarray:
     pops every pair within 1e-15 of the top gain, widening the window until a
     gap of 2e-15 separates it from the remaining pairs, and runs that scan
     over the popped pairs; pairs below such a gap cannot change its outcome.
+
+    The labels are computed once per snapshot; each call returns a copy.
     """
+    return _communities(snapshot)[0].copy()
+
+
+def _communities(snapshot: Snapshot) -> tuple:
+    """``detect_communities``' labels, read-only, and their modularity Q.
+
+    Computed once per snapshot and kept in its private state beside its edge
+    arrays (pickling drops it), so a caller that reports Q after detecting
+    communities does not score the partition again. Q is scored a second
+    time only when the partition falls back to a single community.
+    """
+    found = vars(snapshot).get("_communities")
+    if found is not None:
+        return found
     if snapshot.directed:
         raise DataError("community detection is defined here for undirected snapshots only")
     n = snapshot.n_nodes
@@ -146,9 +162,13 @@ def detect_communities(snapshot: Snapshot) -> np.ndarray:
         for node in members[cid]:
             labels[node] = new_id
 
-    if modularity(snapshot, labels) < 0.0:
+    q = modularity(snapshot, labels)
+    if q < 0.0:
         labels = np.zeros(n, dtype=int)
-    return labels
+        q = modularity(snapshot, labels)
+    labels.setflags(write=False)
+    object.__setattr__(snapshot, "_communities", (labels, q))
+    return labels, q
 
 
 def eigenvector_centrality(snapshot: Snapshot, spectrum: Spectrum | None = None) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DataError, _check_seed
-from .features import (FeatureTable, TARGETS, _check_change_threshold, _check_corr_threshold, build_table, pool,
-                       prune_correlated)
+from .features import (FeatureTable, _check_change_threshold, _check_corr_threshold, _check_target, build_table,
+                       pool, prune_correlated)
 from .graphs import TemporalNetwork
 from .model import (EvaluationReport, _check_bootstrap_iters, _check_null_trials, apply_standardization, auc_score,
                     binom_ci, bootstrap_auc_ci, evaluate, fit_linear, fit_logistic, null_edge_presence,
@@ -77,8 +77,7 @@ def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: flo
 
     An anchor whose table has no rows is left out.
     """
-    if target not in TARGETS:
-        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    _check_target(target)
     cache: dict = {}
     tables = []
     for t in range(1, tn.n_snapshots - 1):

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import numpy as np
@@ -44,6 +45,48 @@ def test_snapshot_rejects_bad_edges():
         Snapshot(node_ids=(0, 0), edges=(), directed=False, timestamp=0)  # dup ids
     with pytest.raises(DataError):
         Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0), (0, 1, 2.0)), directed=False, timestamp=0)
+
+
+
+def _first_bad_edge(node_ids, edges, directed):
+    """The per-edge loop the vectorized edge rules replaced: its message, or None."""
+    n = len(node_ids)
+    seen = set()
+    for edge in edges:
+        if len(edge) != 3:
+            return f"edge record {edge!r} is not an (i, j, w) triple"
+        i, j, w = edge
+        if not (0 <= i < n) or not (0 <= j < n):
+            return f"edge ({i}, {j}) references a node outside the snapshot"
+        if i == j:
+            return f"self loop on node {node_ids[i]!r}"
+        if not directed and i > j:
+            return "undirected edges must be stored with i < j"
+        if not (isinstance(w, (int, float)) and math.isfinite(w)) or w <= 0:
+            return f"edge ({i}, {j}) has non-positive or non-finite weight {w!r}"
+        if (i, j) in seen:
+            return f"duplicate edge ({i}, {j})"
+        seen.add((i, j))
+    return None
+
+
+_BAD_EDGES = ((0, 0, 1.0), (0, 4, 1.0), (-1, 2, 1.0), (1, 0, 1.0), (0, 1, -1.0), (0, 1, 0.0),
+              (0, 1, float("nan")), (0, 1, "1"), (0, 1), (2, 3, 4.0))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("first", _BAD_EDGES)
+def test_snapshot_names_the_first_bad_edge_like_the_edge_loop(first, directed):
+    ids = ("a", "b", "c", "d")
+    for second in _BAD_EDGES:
+        edges = ((2, 3, 1.0), first, (1, 3, 0.5), second)
+        expected = _first_bad_edge(ids, edges, directed)
+        if expected is None:
+            Snapshot(node_ids=ids, edges=edges, directed=directed)
+            continue
+        with pytest.raises(DataError) as info:
+            Snapshot(node_ids=ids, edges=edges, directed=directed)
+        assert str(info.value) == expected
 
 
 def test_directed_edges_allow_both_orientations():

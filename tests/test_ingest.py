@@ -1,7 +1,18 @@
+import csv
+import datetime
+import io
+import math
+import pickle
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from structim import DataError, load_network, load_snapshots, load_snapshots_text, write_edge_csv
+from structim import (DataError, Snapshot, TemporalNetwork, load_network, load_snapshots, load_snapshots_text,
+                      write_edge_csv)
+from structim import ingest
 from structim.generators import barbell
 
 
@@ -96,6 +107,19 @@ def test_malformed_rows_report_line_numbers():
         load_snapshots_text("0,0,1,0.0\n")  # everything nets to zero
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ("soon,7,007,abc\n", "<text>:1: time 'soon' is not an integer or ISO date"),
+    ("0,7,007,abc\n", "<text>:1: value 'abc' is not a number"),
+    ("0,7,007,nan\n", "<text>:1: value 'nan' is not finite"),
+    ("0,a,b,1\n0,7,007,1\nsoon,a\n1.5,a,b,x\n", "<text>:2: self loop on node '7'"),
+    ("0,a,b,1\n0,a,b,1,1\n0,7,7,1\n", "<text>:2: expected 4 fields, got 5"),
+])
+def test_first_faulty_line_reports_its_first_failed_check(text, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_snapshots_text(text)
+
+
 @pytest.mark.parametrize("value, net", [("1e308", "inf"), ("-1e308", "-inf")])
 def test_pair_netting_to_non_finite_weight_is_a_data_error(value, net):
     text = f"0,c,d,1\n4,a,b,{value}\n4,b,a,{value}\n4,c,d,1\n"
@@ -141,3 +165,189 @@ def test_load_network_dispatches_on_extension(tmp_path):
     cpath = tmp_path / "net.csv"
     write_edge_csv(tn, str(cpath))
     assert load_network(str(cpath)).n_snapshots == 2
+
+
+def test_only_ascii_digit_ids_become_ints():
+    tn = load_snapshots_text("0,1_000,a,1.0\n0,1000,b,2.0\n0,\u0661,d,1\n")
+    assert tn.universe == (1000, "1_000", "a", "b", "d", "\u0661")
+    # a sign and leading zeros still name the int node
+    tn = load_snapshots_text("0,007,+5,1.0\n0,7,5,2.0\n0,-3,x,1\n")
+    assert tn.universe == (-3, 5, 7, "x")
+    assert tn.snapshots[0].edges[1] == (1, 2, 3.0)
+
+
+def test_header_after_blank_lines_is_skipped():
+    tn = load_snapshots_text("\n  \nTime, src ,DST,value\n0,a,b,1\n")
+    assert tn.universe == ("a", "b")
+    with pytest.raises(DataError, match=r"^<text>:4: expected 4 fields, got 3$"):
+        load_snapshots_text("\ntime,src,dst,value\n0,a,b,1\n0,a,b\n")
+    # only the first record that is not blank can be a header
+    with pytest.raises(DataError, match=r"^<text>:3: time 'time' is not an integer or ISO date$"):
+        load_snapshots_text("0,a,b,1\n\ntime,src,dst,value\n")
+
+
+def test_loaded_snapshot_pickles_to_equal_edges_with_read_only_arrays():
+    tn = load_snapshots_text("0,a,b,1.5\n0,c,b,2\n0,a,c,-0.25\n1,b,a,1\n")
+    for s in tn.snapshots:
+        back = pickle.loads(pickle.dumps(s))
+        assert back.edges == s.edges and back == s
+        for cached, rebuilt in zip(s._edge_arrays, back._edge_arrays):
+            assert not cached.flags.writeable and not rebuilt.flags.writeable
+            assert np.array_equal(cached, rebuilt) and cached.dtype == rebuilt.dtype
+
+
+# The row-at-a-time reader the columnar one replaced, kept as its oracle with
+# the id rule (ASCII digits only) and the header rule (first record that is
+# not blank) applied.
+
+_HEADER = ("time", "src", "dst", "value")
+
+
+def _oracle_id(field):
+    return int(field) if re.fullmatch(r"[+-]?[0-9]+", field) else field
+
+
+def _oracle_key(v):
+    return (0, v, "") if isinstance(v, int) else (1, 0, v)
+
+
+def _oracle_time(field, source, lineno):
+    try:
+        return int(field)
+    except ValueError:
+        pass
+    try:
+        tf = float(field)
+    except ValueError:
+        try:
+            return datetime.date.fromisoformat(field).toordinal()
+        except ValueError:
+            raise DataError(f"{source}:{lineno}: time {field!r} is not an integer or ISO date") from None
+    if not tf.is_integer():
+        raise DataError(f"{source}:{lineno}: time {field!r} is not an integer or ISO date")
+    return int(tf)
+
+
+def _oracle_rows(lines, source):
+    rows = []
+    header_possible = True
+    for lineno, rec in enumerate(csv.reader(lines), start=1):
+        if not rec or (len(rec) == 1 and not rec[0].strip()):
+            continue
+        if header_possible:
+            header_possible = False
+            if tuple(f.strip().lower() for f in rec) == _HEADER:
+                continue
+        if len(rec) != 4:
+            raise DataError(f"{source}:{lineno}: expected 4 fields, got {len(rec)}")
+        t_field, src, dst, val = (f.strip() for f in rec)
+        t = _oracle_time(t_field, source, lineno)
+        try:
+            w = float(val)
+        except ValueError:
+            raise DataError(f"{source}:{lineno}: value {val!r} is not a number") from None
+        if not math.isfinite(w):
+            raise DataError(f"{source}:{lineno}: value {val!r} is not finite")
+        a, b = _oracle_id(src), _oracle_id(dst)
+        if a == b:
+            raise DataError(f"{source}:{lineno}: self loop on node {src!r}")
+        rows.append((t, a, b, w))
+    return rows
+
+
+def _oracle_network(rows, aggregation, directed):
+    if not rows:
+        raise DataError("no edge records found")
+    t_min = min(r[0] for r in rows)
+    periods = {}
+    for t, a, b, w in rows:
+        key = (a, b) if directed else tuple(sorted((a, b), key=_oracle_key))
+        acc = periods.setdefault((t - t_min) // aggregation, {})
+        acc[key] = acc.get(key, 0.0) + w
+    negative = 0
+    snapshots = []
+    universe = set()
+    for period in sorted(periods):
+        edges_net = {}
+        for key, w in periods[period].items():
+            if not math.isfinite(w):
+                raise DataError(
+                    f"pair ({key[0]!r}, {key[1]!r}) in the period starting at time "
+                    f"{t_min + period * aggregation} nets to non-finite weight {w}"
+                )
+            if w == 0.0:
+                continue
+            if w < 0:
+                negative += 1
+                w = -w
+            edges_net[key] = w
+        if not edges_net:
+            continue
+        nodes = sorted({v for key in edges_net for v in key}, key=_oracle_key)
+        index = {v: k for k, v in enumerate(nodes)}
+        edges = [(index[a], index[b], w) for (a, b), w in
+                 sorted(edges_net.items(), key=lambda kv: (_oracle_key(kv[0][0]), _oracle_key(kv[0][1])))]
+        universe.update(nodes)
+        snapshots.append(Snapshot(node_ids=tuple(nodes), edges=tuple(edges), directed=directed,
+                                  timestamp=len(snapshots)))
+    if not snapshots:
+        raise DataError("all records netted to zero; no snapshots left")
+    return TemporalNetwork(snapshots=tuple(snapshots), universe=tuple(sorted(universe, key=_oracle_key)),
+                           negative_weight_count=negative)
+
+
+def _outcome(load, text, aggregation, directed):
+    try:
+        tn = load(text, aggregation, directed)
+    except DataError as exc:
+        return "error", str(exc)
+    return tn.to_json(), tn.negative_weight_count
+
+
+_IDS = ("0", "1", "2", "7", "007", "+5", "-3", "alice", "bob", "1_000", "1000")
+_PAIRS = [(a, b) for a in _IDS for b in _IDS if _oracle_id(a) != _oracle_id(b)]
+_TIMES = ("0", "1", "2", "4", "3.0", "2021-03-01", "2021-03-02", "2021-03-05")
+_VALUES = ("1", "1.5", "-1.5", "0.1", "0.2", "-0.3", "2.25", "-2", "0", "1e-3", "3e2")
+_FAULTS = {
+    "field count": ["0,a,b"],
+    "time": ["soon,a,b,1"],
+    "fractional time": ["1.5,a,b,1"],
+    "not a number": ["0,a,b,abc"],
+    "not finite": ["0,a,b,-inf"],
+    "self loop": ["0,7,007,1"],
+    "a header after the first record": ["time,src,dst,value"],
+    # (c, d) is seen first and (a, b) sorts first
+    "overflowing nets": ["0,c,d,1e308", "0,a,b,-1e308", "0,d,c,1e308", "0,b,a,-1e308"],
+}
+
+
+@st.composite
+def _csv_cases(draw):
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(_TIMES), st.sampled_from(_PAIRS), st.sampled_from(_VALUES)), max_size=40))
+    lines = [f"{t},{a},{b},{v}" for t, (a, b), v in rows]
+    # repeat a few rows, some negated, so pairs net to zero and below it
+    for k in draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=6)) if rows else []:
+        t, (a, b), v = rows[k]
+        lines.append(f"{t},{b},{a},{v[1:] if v.startswith('-') else '-' + v}" if draw(st.booleans())
+                     else lines[k])
+    lines = draw(st.permutations(lines))
+    fault = draw(st.sampled_from([None, *_FAULTS]))
+    if fault is not None:
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = _FAULTS[fault]
+    if draw(st.booleans()):
+        lines.insert(0, "time,src,dst,value")
+    lines[0:0] = [""] * draw(st.integers(0, 2))
+    return "\n".join(lines) + "\n", draw(st.integers(1, 3)), draw(st.booleans()), draw(st.sampled_from((2, 5, 4096)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_csv_cases())
+def test_columnar_ingest_matches_the_row_reader(case):
+    text, aggregation, directed, block = case
+    expected = _outcome(lambda s, g, d: _oracle_network(_oracle_rows(io.StringIO(s), "<text>"), g, d),
+                        text, aggregation, directed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK", block)  # small blocks put faults and the header across block edges
+        assert _outcome(load_snapshots_text, text, aggregation, directed) == expected

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structim import netstats
 from structim import (
     DataError,
     Snapshot,
@@ -89,6 +90,23 @@ def test_detect_communities_single_edge_collapses():
     s = Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0),), directed=False, timestamp=0)
     labels = detect_communities(s)
     assert list(labels) == [0, 0]
+
+
+
+@pytest.mark.parametrize("snapshot, scorings", [
+    (barbell(4, 2, 5), 1),
+    # merging the two ends rounds Q to -1.4e-16, so the partition falls back
+    (Snapshot(node_ids=(0, 1), edges=((0, 1, 0.1),)), 2),
+])
+def test_communities_are_scored_once_per_snapshot(snapshot, scorings, monkeypatch):
+    scored = []
+    monkeypatch.setattr(netstats, "modularity", lambda s, labels: scored.append(labels) or modularity(s, labels))
+    first, second = detect_communities(snapshot), detect_communities(snapshot)
+    labels, q = netstats._communities(snapshot)
+    assert len(scored) == scorings
+    assert first is not second and first.flags.writeable and not labels.flags.writeable
+    assert np.array_equal(first, labels) and np.array_equal(second, labels)
+    assert q == modularity(snapshot, labels)
 
 
 def test_detect_communities_never_beaten_by_trivial():

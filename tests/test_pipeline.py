@@ -20,7 +20,16 @@ from structim import (
     time_ordered_select,
 )
 
+from structim.errors import ArgumentError
+
 from conftest import clique
+
+
+
+def test_unknown_target_is_rejected_without_any_anchor():
+    tn = repeat_snapshot(clique(3), 2)  # two snapshots: no anchor has a next one
+    with pytest.raises(ArgumentError, match=r"^unknown target 'bogus'; expected one of "):
+        build_horizon_tables(tn, "bogus")
 
 
 def _mk_tables(n_tables=6, rows=20, signal=2.0, seed=0, constant=False):
