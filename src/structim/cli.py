@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericalError
@@ -32,7 +33,7 @@ from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
 from .ingest import load_network, write_edge_csv
-from .netstats import _communities, detect_communities, mean_diff_ttest
+from .netstats import TTestResult, _communities, detect_communities, mean_diff_ttest
 from .pipeline import L2_GRID, _check_prediction_args, run_prediction
 from .spectral import eig_sym, select_eigencomponent
 from .svgplot import bar_chart, line_chart, violin_chart
@@ -156,10 +157,9 @@ def _ttests(meta: dict, by_measure: dict, alpha: float = 0.05) -> dict:
         absent, present = by_measure[name][0], by_measure[name][1]
         entry = {"measure": name, "n_present": len(present), "n_absent": len(absent)}
         try:
-            res = mean_diff_ttest(present, absent)
-            entry.update(t_stat=res.t_stat, dof=res.dof, p_value=res.p_value)
+            entry.update(asdict(mean_diff_ttest(present, absent)))
         except DataError as exc:
-            entry.update(t_stat=None, dof=None, p_value=None, note=str(exc))
+            entry.update(dict.fromkeys((f.name for f in fields(TTestResult)), None), note=str(exc))
         tests.append(entry)
     return {"meta": meta, "alpha": alpha, "bonferroni_alpha": alpha / len(MEASURE_COLUMNS), "tests": tests}
 
@@ -175,25 +175,16 @@ def cmd_analyze(args) -> int:
     by_measure = {name: {0: [], 1: []} for name in MEASURE_COLUMNS}
     for t, snap in enumerate(tn.snapshots):
         spec = communities = None
-        if snap.n_edges == 0:
-            spectra.append({"snapshot": t, "n_nodes": snap.n_nodes, "n_edges": 0,
-                            "eigenvalues": [], "positive_count": 0})
-        else:
+        if snap.n_edges:
             spec = eig_sym(snap.adjacency())
-            spectra.append(
-                {
-                    "snapshot": t,
-                    "n_nodes": snap.n_nodes,
-                    "n_edges": snap.n_edges,
-                    "eigenvalues": spec.eigenvalues.tolist(),
-                    "positive_count": spec.positive_count(),
-                }
-            )
             communities = detect_communities(snap)
             q = _communities(snap)[1]  # kept on the snapshot by detect_communities, not scored again
             mod_rows.append([t, repr(q), int(communities.max()) + 1])
             for node, rank in zip(snap.node_ids, select_eigencomponent(spec)):
                 rank_rows.append([t, node, int(rank)])
+        spectra.append({"snapshot": t, "n_nodes": snap.n_nodes, "n_edges": snap.n_edges,
+                        "eigenvalues": [] if spec is None else spec.eigenvalues.tolist(),
+                        "positive_count": 0 if spec is None else spec.positive_count()})
 
         # Measure distributions split by presence in the next snapshot.
         labels = label_presence(tn, t) if t < tn.n_snapshots - 1 else {}

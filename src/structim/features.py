@@ -15,7 +15,7 @@ both snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ MEASURE_COLUMNS = (
 FEATURE_COLUMNS = tuple(c for c in MEASURE_COLUMNS if c != "mc") + ("presence_count",)
 
 TARGETS = ("presence", "change", "sign", "rel_change")
+
+# A column whose standard deviation is at most this is treated as constant.
+CONSTANT_STD = 1e-12
 
 # When correlation pruning has to break a partner-count tie, drop the most
 # generic column first and the headline spectral measure last.
@@ -87,28 +90,15 @@ class FeatureTable:
 
     def select_columns(self, names) -> "FeatureTable":
         idx = [self.columns.index(c) for c in names]
-        return FeatureTable(
-            columns=tuple(names),
-            X=self.X[:, idx].copy(),
-            node_ids=self.node_ids,
-            as_of=self.as_of,
-            target=self.target,
-            y=None if self.y is None else self.y.copy(),
-            meta=dict(self.meta),
-        )
+        # the copy is C-ordered like every other X; the fancy-indexed view is not
+        return replace(self, columns=tuple(names), X=self.X[:, idx].copy(),
+                       y=None if self.y is None else self.y.copy(), meta=dict(self.meta))
 
     def select_rows(self, rows) -> "FeatureTable":
         """Rows picked by a boolean mask or an index array, in that order."""
         idx = np.arange(self.n_rows)[np.asarray(rows)]
-        return FeatureTable(
-            columns=self.columns,
-            X=self.X[idx],
-            node_ids=tuple(self.node_ids[i] for i in idx),
-            as_of=self.as_of[idx],
-            target=self.target,
-            y=None if self.y is None else self.y[idx],
-            meta=dict(self.meta),
-        )
+        return replace(self, X=self.X[idx], node_ids=tuple(self.node_ids[i] for i in idx), as_of=self.as_of[idx],
+                       y=None if self.y is None else self.y[idx], meta=dict(self.meta))
 
 
 def pool(tables) -> FeatureTable:
@@ -330,7 +320,7 @@ def prune_correlated(table: FeatureTable, threshold: float = 0.8):
         raise DataError("correlation pruning needs at least two rows")
 
     active = [c for c in table.columns]
-    variable = [c for c in active if np.std(table.column(c)) > 1e-12]
+    variable = [c for c in active if np.std(table.column(c)) > CONSTANT_STD]
     corr = {}
     for i, ci in enumerate(variable):
         for cj in variable[i + 1 :]:

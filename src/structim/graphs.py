@@ -202,7 +202,7 @@ class Snapshot:
             nodes = tuple(obj["nodes"])
             edges = tuple((int(i), int(j), float(w)) for i, j, w in obj["edges"])
             timestamp = int(obj["timestamp"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed snapshot record: {exc}") from exc
         return cls(node_ids=nodes, edges=edges, directed=directed, timestamp=timestamp)
 
@@ -297,6 +297,6 @@ class TemporalNetwork:
             universe = tuple(obj["universe"])
             snaps = tuple(Snapshot.from_json_dict(s, directed) for s in obj["snapshots"])
             neg = int(obj.get("negative_weight_count", 0))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed network document: {exc}") from exc
         return cls(snapshots=snaps, universe=universe, negative_weight_count=neg)

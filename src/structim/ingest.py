@@ -3,11 +3,11 @@
 The interchange format is a CSV with rows ``time,src,dst,value``. ``time`` is
 an integer label or an ISO-8601 date (dates become day ordinals, so an
 aggregation period is a count of days); ``value`` is a finite signed float
-(flows net out during aggregation). The first record that is not blank is
-skipped when it matches the canonical column names (a header); line numbers
-in messages count every record, blank or header. A node id of ASCII digits
-with an optional leading sign is an int ("007" and "+7" are node 7); any
-other id is a string ("1_000" is not node 1000).
+(flows net out during aggregation); both are ASCII without "_" separators.
+The first record that is not blank is skipped when it matches the canonical
+column names (a header); line numbers in messages count every record, blank
+or header. A node id of ASCII digits with an optional leading sign is an int
+("007" and "+7" are node 7); any other id is a string ("1_000" is not 1000).
 
 Aggregation: records are bucketed into periods of ``aggregation`` consecutive
 time labels starting at the earliest observed label. Within a period, parallel
@@ -48,9 +48,17 @@ def _id_sort_key(v):
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
 
 
+def _ascii_number_text(text: str) -> bool:
+    """False when ``text`` has what int() and float() accept beyond ASCII
+    numbers: digits of other scripts ("١") or "_" separators ("1_0")."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_time(field: str):
     """Integer time labels pass through and ISO dates map to day ordinals;
     anything else gives None."""
+    if not _ascii_number_text(field):
+        return None
     try:
         return int(field)
     except ValueError:
@@ -70,7 +78,7 @@ def _is_number(field: str) -> bool:
         float(field)
     except ValueError:
         return False
-    return True
+    return _ascii_number_text(field)
 
 
 def _parse_columns(reader, source: str, aggregation: int):
@@ -113,6 +121,8 @@ def _parse_columns(reader, source: str, aggregation: int):
         dst = np.fromiter(map(id_code.__getitem__, d_raw), dtype=int, count=n)
         v_str = list(map(str.strip, v_raw))
         try:
+            if not _ascii_number_text("".join(v_str)):  # one check for the block
+                raise ValueError
             w = np.fromiter(map(float, v_str), dtype=float, count=n)
             number = np.ones(n, dtype=bool)
         except ValueError:

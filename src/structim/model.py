@@ -20,16 +20,15 @@ from __future__ import annotations
 import itertools
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import special
 
 from .errors import ArgumentError, DataError, NumericalError
-from .features import FeatureTable, _check_horizon
+from .features import CONSTANT_STD, FeatureTable, _check_horizon
 from .graphs import TemporalNetwork
 
-CONSTANT_STD = 1e-12
 SEPARATION_BOUND = 30.0
 # Fewest null-model trials whose empirical quantiles are reported.
 MIN_NULL_TRIALS = 20
@@ -95,8 +94,26 @@ def oversample(table: FeatureTable, seed=0) -> FeatureTable:
     return table.select_rows(np.concatenate([rows, extra]))
 
 
+def _json_fields(record, skip=()) -> dict:
+    """A dataclass record's fields but ``skip``, in declaration order, for JSON:
+    tuples become lists and a nested record serializes itself."""
+    out = {}
+    for f in fields(record):
+        if f.name in skip:
+            continue
+        val = getattr(record, f.name)
+        if isinstance(val, tuple):
+            val = list(val)
+        elif hasattr(val, "to_json_dict"):
+            val = val.to_json_dict()
+        out[f.name] = val
+    return out
+
+
 @dataclass
-class LogisticModel:
+class _Coefficients:
+    """The estimates and Wald statistics that ``_wald`` fills in."""
+
     feature_names: tuple
     intercept: float
     coef: np.ndarray
@@ -104,6 +121,10 @@ class LogisticModel:
     coef_pvalues: np.ndarray
     intercept_se: float
     intercept_pvalue: float
+
+
+@dataclass
+class LogisticModel(_Coefficients):
     l2: float
     converged: bool
     n_iter: int
@@ -120,7 +141,7 @@ class LogisticModel:
 
 
 def _wald(columns, beta, cov, lower_tail) -> dict:
-    """The coefficient fields shared by LogisticModel and LinearModel.
+    """The ``_Coefficients`` fields of LogisticModel and LinearModel.
 
     ``beta`` is (intercept, coefficients...) with covariance ``cov``; each
     estimate gets its Wald standard error and the two-sided p-value
@@ -319,12 +340,7 @@ class EvaluationReport:
     shap_mean_abs: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if isinstance(val, tuple):
-                val = list(val)
-            out[key] = val
-        return out
+        return _json_fields(self)
 
 
 def evaluate(model: LogisticModel, table: FeatureTable, threshold: float = 0.5) -> EvaluationReport:
@@ -445,15 +461,6 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
     return (float(lo), float(hi))
 
 
-def _precision_recall(yhat, labels):
-    """Per-row precision and recall of 0/1 predictions (NaN when undefined)."""
-    tp = np.sum((yhat == 1) & (labels == 1), axis=-1)
-    fp = np.sum((yhat == 1) & (labels == 0), axis=-1)
-    fn = np.sum((yhat == 0) & (labels == 1), axis=-1)
-    with np.errstate(invalid="ignore"):
-        return np.where(tp + fp > 0, tp / (tp + fp), np.nan), np.where(tp + fn > 0, tp / (tp + fn), np.nan)
-
-
 def _percentile_summary(values) -> dict:
     arr = np.asarray(values, dtype=float)
     arr = arr[~np.isnan(arr)]
@@ -464,6 +471,26 @@ def _percentile_summary(values) -> dict:
         "ci90": [float(v) for v in np.percentile(arr, [5.0, 95.0])],
         "ci95": [float(v) for v in np.percentile(arr, [2.5, 97.5])],
     }
+
+
+def _trial_summaries(chunks) -> dict:
+    """Precision, recall and AUC summaries over streamed null-model trials.
+
+    Each chunk is (0/1 predictions, 0/1 labels, AUC per trial), predictions
+    and labels broadcasting to one row per trial. An undefined precision or
+    recall is NaN, which its summary skips.
+    """
+    columns = ([], [], [])
+    for yhat, labels, aucs in chunks:
+        tp = np.sum((yhat == 1) & (labels == 1), axis=-1)
+        fp = np.sum((yhat == 1) & (labels == 0), axis=-1)
+        fn = np.sum((yhat == 0) & (labels == 1), axis=-1)
+        with np.errstate(invalid="ignore"):
+            precision = np.where(tp + fp > 0, tp / (tp + fp), np.nan)
+            recall = np.where(tp + fn > 0, tp / (tp + fn), np.nan)
+        for column, values in zip(columns, (precision, recall, aucs)):
+            column.extend(values)
+    return dict(zip(("precision", "recall", "auc"), map(_percentile_summary, columns)))
 
 
 def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
@@ -481,21 +508,11 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
     prior = float(train_y.mean())
     rng = np.random.default_rng(seed)
     draws = ((rng.random(test_y.size) < prior).astype(int) for _ in range(trials))
-    precisions, recalls, aucs = [], [], []
-    for yhat in _stacked(draws, test_y.size):
-        p, r = _precision_recall(yhat, test_y)
-        precisions.extend(p)
-        recalls.extend(r)
-        varied = yhat.min(axis=1) != yhat.max(axis=1)
-        aucs.extend(np.where(varied, _auc_rows(np.broadcast_to(test_y, yhat.shape), yhat), np.nan))
-    return {
-        "kind": "prior_predictor",
-        "prior": prior,
-        "trials": trials,
-        "precision": _percentile_summary(precisions),
-        "recall": _percentile_summary(recalls),
-        "auc": _percentile_summary(aucs),
-    }
+    # an all-0 or all-1 draw ranks nothing, so its AUC is undefined
+    chunks = ((yhat, test_y, np.where(yhat.min(axis=1) != yhat.max(axis=1),
+                                      _auc_rows(np.broadcast_to(test_y, yhat.shape), yhat), np.nan))
+              for yhat in _stacked(draws, test_y.size))
+    return {"kind": "prior_predictor", "prior": prior, "trials": trials, **_trial_summaries(chunks)}
 
 
 def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -546,20 +563,9 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
         np.concatenate([edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups])
         for _ in range(trials)
     )
-    precisions, recalls, aucs = [], [], []
-    for labels in _stacked(draws, svec.size):
-        p, r = _precision_recall(yhat, labels)
-        precisions.extend(p)
-        recalls.extend(r)
-        aucs.extend(_auc_rows(labels, np.broadcast_to(svec, labels.shape)))
-    return {
-        "kind": "edge_presence",
-        "trials": trials,
-        "groups": len(groups),
-        "precision": _percentile_summary(precisions),
-        "recall": _percentile_summary(recalls),
-        "auc": _percentile_summary(aucs),
-    }
+    chunks = ((yhat, labels, _auc_rows(labels, np.broadcast_to(svec, labels.shape)))
+              for labels in _stacked(draws, svec.size))
+    return {"kind": "edge_presence", "trials": trials, "groups": len(groups), **_trial_summaries(chunks)}
 
 
 def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: int = 10, seed=0) -> dict:
@@ -606,14 +612,7 @@ def shap_linear(model: LogisticModel, x: np.ndarray, background_mean: np.ndarray
 
 
 @dataclass
-class LinearModel:
-    feature_names: tuple
-    intercept: float
-    coef: np.ndarray
-    coef_se: np.ndarray
-    coef_pvalues: np.ndarray
-    intercept_se: float
-    intercept_pvalue: float
+class LinearModel(_Coefficients):
     r2: float | None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -674,12 +673,8 @@ def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: 
     scores = []
     for _ in range(trials):
         perm = rng.permutation(y_all)
-        t2 = train.select_rows(np.ones(n_train, dtype=bool))
-        t2.y = perm[:n_train]
-        h2 = heldout.select_rows(np.ones(len(heldout.y), dtype=bool))
-        h2.y = perm[n_train:]
         try:
-            m = fit_linear(t2, heldout=h2)
+            m = fit_linear(replace(train, y=perm[:n_train]), heldout=replace(heldout, y=perm[n_train:]))
             scores.append(m.r2)
         except DataError:
             scores.append(np.nan)

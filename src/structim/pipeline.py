@@ -20,8 +20,8 @@ from .errors import ArgumentError, DataError, _check_seed
 from .features import (FeatureTable, _check_change_threshold, _check_corr_threshold, _check_target, build_table,
                        pool, prune_correlated)
 from .graphs import TemporalNetwork
-from .model import (EvaluationReport, _check_bootstrap_iters, _check_null_trials, apply_standardization, auc_score,
-                    binom_ci, bootstrap_auc_ci, evaluate, fit_linear, fit_logistic, null_edge_presence,
+from .model import (EvaluationReport, _check_bootstrap_iters, _check_null_trials, _json_fields, apply_standardization,
+                    auc_score, binom_ci, bootstrap_auc_ci, evaluate, fit_linear, fit_logistic, null_edge_presence,
                     null_prior_predictor, null_shuffle_regression, oversample, permutation_importance, shap_linear,
                     standardize)
 
@@ -54,22 +54,7 @@ class PredictionResult:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "seed": self.seed,
-            "n_rows": self.n_rows,
-            "split": self.split,
-            "columns": list(self.columns),
-            "dropped_correlated": list(self.dropped_correlated),
-            "dropped_constant": list(self.dropped_constant),
-            "chosen_l2": self.chosen_l2,
-            "cv_auc_by_l2": self.cv_auc_by_l2,
-            "report": None if self.report is None else self.report.to_json_dict(),
-            "regression": self.regression,
-            "coefficients": self.coefficients,
-            "shap_base": self.shap_base,
-            "warnings": self.warnings,
-        }
+        return _json_fields(self, skip=("shap_values", "shap_rows"))
 
 
 def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = 0.05):

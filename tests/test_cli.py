@@ -180,11 +180,21 @@ def test_analyze_artifacts(synthetic_csv, tmp_path):
     assert {t["measure"] for t in ttests["tests"]} == {
         "ma", "mb", "mc", "md", "eig_centrality", "pagerank", "degree", "community_size"
     }
+    keys = ["measure", "n_present", "n_absent", "t_stat", "dof", "p_value"]
+    for t in ttests["tests"]:  # an undefined test says why
+        assert list(t) == keys + (["note"] if t["t_stat"] is None else [])
     measured = _read_csv(os.path.join(out, "measures.csv"))
     assert measured[0] == ["snapshot", "node", "measure", "value", "next_present"]
     assert len(measured) > 1
     for name in ("violin_ma.svg", "violin_degree.svg", "modularity.svg"):
         assert name in listed
+
+
+def test_malformed_json_document_is_data_error(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(repeat_snapshot(barbell(3, 1, 3), 1).to_json().replace('"timestamp": 0', '"timestamp": 1e400'))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "data error: malformed snapshot record" in capsys.readouterr().err
 
 
 def test_analyze_decomposes_each_snapshot_once(synthetic_csv, tmp_path, monkeypatch):

@@ -252,3 +252,21 @@ def test_json_round_trip_exact():
 def test_json_rejects_foreign_payload():
     with pytest.raises(DataError):
         TemporalNetwork.from_json(json.dumps({"format": "something-else", "v": 1}))
+
+
+def _network_doc(neg="0", time="0", weight="1.0"):
+    return ('{"format": "structim-network", "version": 1, "directed": false, "negative_weight_count": %s,'
+            ' "universe": [0, 1], "snapshots": [{"timestamp": %s, "nodes": [0, 1], "edges": [[0, 1, %s]]}]}'
+            % (neg, time, weight))
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("weight", "1" + "0" * 400, "malformed snapshot record"),  # an int too large for a float
+    ("time", "1e400", "malformed snapshot record"),  # parses as inf, which no int holds
+    ("neg", '"abc"', "malformed network document"),
+    ("neg", "1e400", "malformed network document"),
+], ids=["huge-int-weight", "inf-timestamp", "text-negative-count", "inf-negative-count"])
+def test_json_with_an_unconvertible_number_is_a_data_error(field, text, message):
+    assert TemporalNetwork.from_json(_network_doc()).n_snapshots == 1
+    with pytest.raises(DataError, match=message):
+        TemporalNetwork.from_json(_network_doc(**{field: text}))

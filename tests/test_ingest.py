@@ -114,6 +114,11 @@ def test_malformed_rows_report_line_numbers():
     ("0,7,007,nan\n", "<text>:1: value 'nan' is not finite"),
     ("0,a,b,1\n0,7,007,1\nsoon,a\n1.5,a,b,x\n", "<text>:2: self loop on node '7'"),
     ("0,a,b,1\n0,a,b,1,1\n0,7,7,1\n", "<text>:2: expected 4 fields, got 5"),
+    # times and values are ASCII without "_", though int() and float() read these as 1, 20, 1.5 and 10.0
+    ("\u0661,a,b,1\n2_0,a,b,1\n", "<text>:1: time '\u0661' is not an integer or ISO date"),
+    ("1,a,b,1\n2_0,a,b,1\n", "<text>:2: time '2_0' is not an integer or ISO date"),
+    ("0,a,b,1\n0,b,c,\u0661.\u0665\n", "<text>:2: value '\u0661.\u0665' is not a number"),
+    ("0,a,b,1_0\n", "<text>:1: value '1_0' is not a number"),
 ])
 def test_first_faulty_line_reports_its_first_failed_check(text, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
@@ -211,7 +216,14 @@ def _oracle_key(v):
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
 
 
+def _oracle_ascii(field):
+    return all(ch.isascii() and ch != "_" for ch in field)
+
+
 def _oracle_time(field, source, lineno):
+    bad = DataError(f"{source}:{lineno}: time {field!r} is not an integer or ISO date")
+    if not _oracle_ascii(field):
+        raise bad
     try:
         return int(field)
     except ValueError:
@@ -222,9 +234,9 @@ def _oracle_time(field, source, lineno):
         try:
             return datetime.date.fromisoformat(field).toordinal()
         except ValueError:
-            raise DataError(f"{source}:{lineno}: time {field!r} is not an integer or ISO date") from None
+            raise bad from None
     if not tf.is_integer():
-        raise DataError(f"{source}:{lineno}: time {field!r} is not an integer or ISO date")
+        raise bad
     return int(tf)
 
 
@@ -243,6 +255,8 @@ def _oracle_rows(lines, source):
         t_field, src, dst, val = (f.strip() for f in rec)
         t = _oracle_time(t_field, source, lineno)
         try:
+            if not _oracle_ascii(val):
+                raise ValueError
             w = float(val)
         except ValueError:
             raise DataError(f"{source}:{lineno}: value {val!r} is not a number") from None
@@ -314,6 +328,10 @@ _FAULTS = {
     "fractional time": ["1.5,a,b,1"],
     "not a number": ["0,a,b,abc"],
     "not finite": ["0,a,b,-inf"],
+    "non-ASCII time": ["\u0661,a,b,1"],
+    "time with a separator": ["2_0,a,b,1"],
+    "non-ASCII value": ["0,a,b,\u0661.\u0665"],
+    "value with a separator": ["0,a,b,1_0"],
     "self loop": ["0,7,007,1"],
     "a header after the first record": ["time,src,dst,value"],
     # (c, d) is seen first and (a, b) sorts first

@@ -261,6 +261,31 @@ def test_run_prediction_json_has_one_coefficient_table(request, result):
     assert doc["report"] is None or "coefficients" not in doc["report"]
 
 
+_TOP_KEYS = ["target", "seed", "n_rows", "split", "columns", "dropped_correlated", "dropped_constant", "chosen_l2",
+             "cv_auc_by_l2", "report", "regression", "coefficients", "shap_base", "warnings"]
+_SUMMARY_KEYS = ["mean", "ci90", "ci95"]
+
+
+def test_prediction_json_keys_keep_their_order(presence_result, regression_result):
+    # the serializer walks the records' fields, so a moved field would reorder prediction.json
+    doc = presence_result.to_json_dict()
+    assert list(doc) == _TOP_KEYS
+    assert list(doc["report"]) == [
+        "n_rows", "n_positive", "tp", "fp", "fn", "tn", "precision", "recall", "auc", "threshold", "notes",
+        "precision_ci", "recall_ci", "auc_ci", "ci_method", "null_prior", "null_edge_presence",
+        "permutation_importance", "shap_mean_abs"]
+    null_prior, null_edges = doc["report"]["null_prior"], doc["report"]["null_edge_presence"]
+    assert list(null_prior) == ["kind", "prior", "trials", "precision", "recall", "auc"]
+    assert list(null_edges) == ["kind", "trials", "groups", "precision", "recall", "auc"]
+    for metric in ("precision", "recall", "auc"):
+        assert list(null_prior[metric]) == list(null_edges[metric]) == _SUMMARY_KEYS
+    doc = regression_result.to_json_dict()
+    assert list(doc) == _TOP_KEYS
+    assert list(doc["regression"]) == ["r2_heldout", "null", "split"]
+    assert list(doc["regression"]["null"]) == ["kind", "trials", "r2"]
+    assert list(doc["regression"]["null"]["r2"]) == _SUMMARY_KEYS
+
+
 def test_run_prediction_other_classifier_targets(coupled_network):
     res = run_prediction(coupled_network, "sign", seed=3,
                          null_trials=50, bootstrap_iters=100)
