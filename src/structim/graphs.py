@@ -20,11 +20,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ArgumentError, DataError
 
 _FORMAT_TAG = "structim-network"
 _FORMAT_VERSION = 1
 STRENGTH_MODES = ("total", "in", "out")
+
+
+def _json_value(value, kind, rule: str):
+    """A JSON value as written, not coerced: a bool is no number, a string no list."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{rule}, got {value!r}")
+    return value
 
 
 def _state_without_caches(self) -> dict:
@@ -173,7 +180,7 @@ class Snapshot:
         raise IndexError.
         """
         if mode not in STRENGTH_MODES:
-            raise ValueError(f"unknown strength mode {mode!r}")
+            raise ArgumentError(f"unknown strength mode {mode!r}")
         s = self._strengths[mode]
         if node is None:
             return s
@@ -199,9 +206,12 @@ class Snapshot:
     @classmethod
     def from_json_dict(cls, obj: dict, directed: bool) -> "Snapshot":
         try:
-            nodes = tuple(obj["nodes"])
-            edges = tuple((int(i), int(j), float(w)) for i, j, w in obj["edges"])
-            timestamp = int(obj["timestamp"])
+            nodes = tuple(_json_value(obj["nodes"], list, "nodes must be a JSON list"))
+            index = "edge index must be an integer"
+            edges = tuple((_json_value(i, int, index), _json_value(j, int, index),
+                           float(_json_value(w, (int, float), "edge weight must be a number")))
+                          for i, j, w in _json_value(obj["edges"], list, "edges must be a JSON list"))
+            timestamp = _json_value(obj["timestamp"], int, "timestamp must be an integer")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed snapshot record: {exc}") from exc
         return cls(node_ids=nodes, edges=edges, directed=directed, timestamp=timestamp)
@@ -292,11 +302,14 @@ class TemporalNetwork:
             raise DataError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
             raise DataError("not a structim network document")
-        directed = bool(obj.get("directed", False))
         try:
-            universe = tuple(obj["universe"])
-            snaps = tuple(Snapshot.from_json_dict(s, directed) for s in obj["snapshots"])
-            neg = int(obj.get("negative_weight_count", 0))
+            directed = _json_value(obj.get("directed", False), bool, "directed must be true or false")
+            universe = tuple(_json_value(obj["universe"], list, "universe must be a JSON list"))
+            snapshots = _json_value(obj["snapshots"], list, "snapshots must be a JSON list")
+            snaps = tuple(Snapshot.from_json_dict(s, directed) for s in snapshots)
+            neg = _json_value(obj.get("negative_weight_count", 0), int, "negative_weight_count must be an integer")
+            if neg < 0:
+                raise ValueError(f"negative_weight_count must be nonnegative, got {neg}")
+            return cls(snapshots=snaps, universe=universe, negative_weight_count=neg)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed network document: {exc}") from exc
-        return cls(snapshots=snaps, universe=universe, negative_weight_count=neg)

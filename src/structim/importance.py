@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ArgumentError, DataError
 from .graphs import Snapshot
 from .spectral import Spectrum, eig_sym, leading_singular, select_eigencomponent
 
@@ -64,7 +64,7 @@ def importance_components(spectrum: Spectrum, strength: np.ndarray) -> np.ndarra
     """
     strength = np.asarray(strength, dtype=float)
     if strength.shape != (spectrum.n,):
-        raise ValueError("strength vector does not match spectrum size")
+        raise ArgumentError("strength vector does not match spectrum size")
     terms = spectrum.eigenvalues[None, :] * spectrum.eigenvectors**2
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 2.0 * terms / strength[:, None]
@@ -80,7 +80,7 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
     adjacency to avoid repeating it across schemes.
     """
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if snapshot.directed:
         raise DataError(f"scheme {scheme!r} requires an undirected snapshot")
     s = snapshot.strength()

@@ -64,7 +64,8 @@ def detect_communities(snapshot: Snapshot) -> np.ndarray:
 
     Gains sit in a max-heap with lazy invalidation, so a merge costs
     O(d log m) for the absorbed community's degree d instead of a rescan of
-    every pair.
+    every pair. The initial pairs are heapified in one O(m) pass, and each
+    pair's live entry is found by the int key ci * n + cj.
 
     Tie rule: the merge chosen is the one a scan of all pairs in (ci, cj)
     order picks when it keeps a pair only if its gain beats the running best
@@ -97,29 +98,25 @@ def _communities(snapshot: Snapshot) -> tuple:
     if m2 <= 0:
         raise DataError("community detection undefined for a graph with no edges")
 
-    members = {i: {i} for i in range(n)}
+    members = [[i] for i in range(n)]  # None once absorbed; a survivor is its smallest member
     a_frac = [float(adj[i].sum() / m2) for i in range(n)]
     nbrs = [{} for _ in range(n)]  # community -> {neighbour community: e_frac}
     rows, cols = np.nonzero(np.triu(adj, 1) > 0)
-    for i, j, e in zip(rows.tolist(), cols.tolist(), (adj[rows, cols] / m2).tolist()):
+    rows, cols = rows.tolist(), cols.tolist()
+    for i, j, e in zip(rows, cols, (adj[rows, cols] / m2).tolist()):
         nbrs[i][j] = nbrs[j][i] = e
 
-    # Heap entries are (-gain, ci, cj, stamp); an entry is live while stamp
-    # matches stamps[(ci, cj)]. A live entry's gain never underestimates the
-    # pair's current gain: a merge only grows a_ci, and the pairs whose e_ij
-    # grows are pushed afresh.
-    stamps = {}
-    heap = []
-    counter = itertools.count()
-
-    def push(ci, cj):
-        stamp = stamps[(ci, cj)] = next(counter)
-        heapq.heappush(heap, (-2.0 * (nbrs[ci][cj] - a_frac[ci] * a_frac[cj]), ci, cj, stamp))
-
-    for i in range(n):
-        for j in nbrs[i]:
-            if i < j:
-                push(i, j)
+    # Heap entries are (-gain, ci, cj, stamp) with ci < cj; an entry is live
+    # while stamp matches stamps[ci * n + cj]. Stamps are unique, so entries
+    # are totally ordered and heapify pops them as pushes one by one would. A
+    # live entry's gain never underestimates the pair's current gain: a merge
+    # only grows a_ci, and the pairs whose e_ij grows are pushed afresh.
+    heap = [(-2.0 * (nbrs[i][j] - a_frac[i] * a_frac[j]), i, j, stamp)
+            for stamp, (i, j) in enumerate(zip(rows, cols))]
+    stamps = {i * n + j: stamp for _, i, j, stamp in heap}
+    heapq.heapify(heap)
+    counter = itertools.count(len(heap))
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     while True:
         candidates = []
@@ -127,12 +124,14 @@ def _communities(snapshot: Snapshot) -> tuple:
             top = -heap[0][0]
             if top <= _GAIN_TOL or (candidates and top < -candidates[-1][0] - 2 * _GAIN_TOL):
                 break
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             _, ci, cj, stamp = entry
-            if stamps.get((ci, cj)) != stamp:
+            if stamps.get(ci * n + cj) != stamp:
                 continue
-            if 2.0 * (nbrs[ci][cj] - a_frac[ci] * a_frac[cj]) != top:
-                push(ci, cj)
+            gain = 2.0 * (nbrs[ci][cj] - a_frac[ci] * a_frac[cj])
+            if gain != top:
+                stamp = stamps[ci * n + cj] = next(counter)
+                heappush(heap, (-gain, ci, cj, stamp))
                 continue
             candidates.append(entry)
         if not candidates:
@@ -143,24 +142,27 @@ def _communities(snapshot: Snapshot) -> tuple:
                 best_gain, best = -neg_gain, (ci, cj)
         for entry in candidates:
             if entry[1:3] != best:
-                heapq.heappush(heap, entry)
+                heappush(heap, entry)
 
         ci, cj = best
-        members[ci] |= members.pop(cj)
-        a_frac[ci] += a_frac[cj]
-        del nbrs[ci][cj], stamps[(ci, cj)]
+        members[ci] += members[cj]
+        members[cj] = None
+        a_ci = a_frac[ci] = a_frac[ci] + a_frac[cj]
+        nbrs_ci = nbrs[ci]
+        del nbrs_ci[cj], stamps[ci * n + cj]
         for k, w in nbrs[cj].items():
             if k == ci:
                 continue
-            del nbrs[k][cj], stamps[(min(cj, k), max(cj, k))]
-            nbrs[ci][k] = nbrs[k][ci] = nbrs[ci].get(k, 0.0) + w
-            push(min(ci, k), max(ci, k))
+            del nbrs[k][cj], stamps[cj * n + k if cj < k else k * n + cj]
+            e = nbrs_ci[k] = nbrs[k][ci] = nbrs_ci.get(k, 0.0) + w
+            lo, hi = (ci, k) if ci < k else (k, ci)
+            stamp = stamps[lo * n + hi] = next(counter)
+            heappush(heap, (-2.0 * (e - a_ci * a_frac[k]), lo, hi, stamp))
         nbrs[cj] = None
 
     labels = np.empty(n, dtype=int)
-    for new_id, cid in enumerate(sorted(members, key=lambda c: min(members[c]))):
-        for node in members[cid]:
-            labels[node] = new_id
+    for new_id, group in enumerate(g for g in members if g is not None):
+        labels[group] = new_id
 
     q = modularity(snapshot, labels)
     if q < 0.0:
@@ -245,7 +247,7 @@ def pearson(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("pearson expects two equal-length 1-D arrays")
+        raise ArgumentError("pearson expects two equal-length 1-D arrays")
     if x.size < 2:
         raise DataError("need at least two observations")
     xd = x - x.mean()

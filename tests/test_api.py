@@ -4,7 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import structim
+from structim.errors import ArgumentError
+
+from conftest import clique
 
 PUBLIC = (
     "BASE_PRESENCE", "DIRECTED_SCHEME", "DataError", "EvaluationReport", "FEATURE_COLUMNS",
@@ -41,3 +47,15 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, structim, structim.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: structim.pearson([1.0, 2.0], [1.0, 2.0, 3.0]),
+    lambda: structim.importance_components(structim.eig_sym(clique(3).adjacency()), np.ones(4)),
+    lambda: structim.node_importance(clique(3), "mz"),
+    lambda: clique(3).strength(mode="sideways"),
+], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode"])
+def test_argument_errors_are_typed(call):
+    # ArgumentError subclasses ValueError, so callers that catch ValueError still do
+    with pytest.raises(ArgumentError):
+        call()

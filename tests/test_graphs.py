@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -254,10 +255,10 @@ def test_json_rejects_foreign_payload():
         TemporalNetwork.from_json(json.dumps({"format": "something-else", "v": 1}))
 
 
-def _network_doc(neg="0", time="0", weight="1.0"):
-    return ('{"format": "structim-network", "version": 1, "directed": false, "negative_weight_count": %s,'
-            ' "universe": [0, 1], "snapshots": [{"timestamp": %s, "nodes": [0, 1], "edges": [[0, 1, %s]]}]}'
-            % (neg, time, weight))
+def _network_doc(neg="0", time="0", weight="1.0", index="0", directed="false", universe="[0, 1]", nodes="[0, 1]"):
+    return ('{"format": "structim-network", "version": 1, "directed": %s, "negative_weight_count": %s,'
+            ' "universe": %s, "snapshots": [{"timestamp": %s, "nodes": %s, "edges": [[%s, 1, %s]]}]}'
+            % (directed, neg, universe, time, nodes, index, weight))
 
 
 @pytest.mark.parametrize("field, text, message", [
@@ -270,3 +271,29 @@ def test_json_with_an_unconvertible_number_is_a_data_error(field, text, message)
     assert TemporalNetwork.from_json(_network_doc()).n_snapshots == 1
     with pytest.raises(DataError, match=message):
         TemporalNetwork.from_json(_network_doc(**{field: text}))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"index": "0.7"}, "edge index must be an integer, got 0.7"),
+    ({"time": "2.9"}, "timestamp must be an integer, got 2.9"),
+    ({"weight": "true"}, "edge weight must be a number, got True"),
+    ({"directed": '"no"'}, "directed must be true or false, got 'no'"),
+    ({"universe": '"01"', "nodes": '["0", "1"]'}, "universe must be a JSON list, got '01'"),
+    ({"nodes": '"01"', "universe": '["0", "1"]'}, "nodes must be a JSON list, got '01'"),
+    ({"neg": "-4"}, "negative_weight_count must be nonnegative, got -4"),
+    ({"neg": "2.5"}, "negative_weight_count must be an integer, got 2.5"),
+    ({"universe": "[[0], 1]"}, "unhashable type: 'list'"),
+], ids=["fractional-index", "fractional-timestamp", "bool-weight", "text-directed", "text-universe",
+        "text-nodes", "negative-count", "fractional-count", "list-in-universe"])
+def test_json_value_of_the_wrong_type_is_a_data_error_not_coerced(fields, message):
+    # each document once loaded misread (0.7 as index 0, "01" as two ids) or raised a bare TypeError
+    with pytest.raises(DataError, match=re.escape(message)):
+        TemporalNetwork.from_json(_network_doc(**fields))
+
+
+def test_json_round_trip_keeps_directed_flag_and_negative_count():
+    s = Snapshot(node_ids=("a", "b"), edges=((1, 0, 0.25),), directed=True, timestamp=-3)
+    tn = TemporalNetwork(snapshots=(s,), universe=("b", "a"), negative_weight_count=2)
+    back = TemporalNetwork.from_json(tn.to_json())
+    assert back == tn
+    assert back.to_json() == tn.to_json()

@@ -15,6 +15,7 @@ from structim import (
     modularity,
     pagerank,
     pearson,
+    synthetic_temporal,
 )
 
 from conftest import clique, cycle, path_graph, random_connected, student_t_cdf
@@ -194,6 +195,15 @@ def test_detect_communities_matches_oracle_on_tie_heavy_graphs():
                     edges.append((i, j, w))
         if edges:
             _assert_matches_oracle(Snapshot(node_ids=tuple(range(n)), edges=tuple(edges)))
+
+
+def test_detect_communities_matches_oracle_at_benchmark_scale():
+    # predict-small's network shape: 120 nodes, a few hundred merges per snapshot
+    tn = synthetic_temporal(120, 4, 4, -2.0, horizon=2, seed=11)
+    for s in tn.snapshots:
+        _assert_matches_oracle(s)
+        labels, q = netstats._communities(s)
+        assert q == modularity(s, labels)
 
 
 @st.composite
