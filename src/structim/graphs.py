@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,14 @@ def _json_value(value, kind, rule: str):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"{rule}, got {value!r}")
     return value
+
+
+_BOOLS = {bool, np.bool_}
+
+
+def _is_integer(value) -> bool:
+    """An integer, Python's or numpy's, that is not a bool (numpy's bool is no Integral)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _state_without_caches(self) -> dict:
@@ -69,9 +78,10 @@ class Snapshot:
         triple = [len(e) == 3 for e in self.edges]
         rows = [e if ok else (0, 0, math.nan) for e, ok in zip(self.edges, triple)]
         # No dtype for the indices: a float or an oversized int must meet the
-        # range and duplicate rules as it was given.
-        i = np.array([e[0] for e in rows])
-        j = np.array([e[1] for e in rows])
+        # range and duplicate rules as it was given. Next to ints a bool would
+        # become an int, so a column holding one is kept as objects.
+        i, j = ([e[k] for e in rows] for k in (0, 1))
+        i, j = (np.array(c, dtype=object if _BOOLS.intersection(map(type, c)) else None) for c in (i, j))
         w = np.array([e[2] if isinstance(e[2], (int, float)) else math.nan for e in rows], dtype=float)
         self._check_edges(i, j, w, not_triple=~np.array(triple, dtype=bool))
 
@@ -96,10 +106,21 @@ class Snapshot:
         n = len(self.node_ids)
         if len(set(self.node_ids)) != n:
             raise DataError("snapshot has duplicate node ids")
+        # an int array holds only integers; any other is checked index by index,
+        # and a pair that is not two integers is then read as (0, 0), as a
+        # record that is no triple is
+        if i.dtype.kind in "iu" and j.dtype.kind in "iu":
+            not_int = np.zeros(len(w), dtype=bool)
+        else:
+            not_int = np.array([not (bad or _is_integer(e[0]) and _is_integer(e[1]))
+                                for e, bad in zip(self.edges, not_triple)], dtype=bool)
+            i, j = (np.array([0 if bad else e[k] for e, bad in zip(self.edges, not_triple | not_int)])
+                    for k in (0, 1))
         seen_before = np.ones(len(w), dtype=bool)
         seen_before[np.unique(i * n + j, return_index=True)[1]] = False
         rules = (
             (not_triple, lambda e: f"edge record {e!r} is not an (i, j, w) triple"),
+            (not_int, lambda e: f"edge ({e[0]!r}, {e[1]!r}) has a node index that is not an integer"),
             ((i < 0) | (i >= n) | (j < 0) | (j >= n),
              lambda e: f"edge ({e[0]}, {e[1]}) references a node outside the snapshot"),
             (i == j, lambda e: f"self loop on node {self.node_ids[e[0]]!r}"),
@@ -232,6 +253,11 @@ class TemporalNetwork:
     negative_weight_count: int = 0
 
     def __post_init__(self):
+        count = self.negative_weight_count
+        if not _is_integer(count):
+            raise DataError(f"negative_weight_count must be an integer, got {count!r}")
+        if count < 0:
+            raise DataError(f"negative_weight_count must be nonnegative, got {count!r}")
         if len(set(self.universe)) != len(self.universe):
             raise DataError("universe has duplicate node ids")
         uni = set(self.universe)
@@ -288,7 +314,7 @@ class TemporalNetwork:
             "format": _FORMAT_TAG,
             "version": _FORMAT_VERSION,
             "directed": self.directed,
-            "negative_weight_count": self.negative_weight_count,
+            "negative_weight_count": int(self.negative_weight_count),
             "universe": list(self.universe),
             "snapshots": [s.to_json_dict() for s in self.snapshots],
         }
@@ -307,9 +333,10 @@ class TemporalNetwork:
             universe = tuple(_json_value(obj["universe"], list, "universe must be a JSON list"))
             snapshots = _json_value(obj["snapshots"], list, "snapshots must be a JSON list")
             snaps = tuple(Snapshot.from_json_dict(s, directed) for s in snapshots)
-            neg = _json_value(obj.get("negative_weight_count", 0), int, "negative_weight_count must be an integer")
-            if neg < 0:
-                raise ValueError(f"negative_weight_count must be nonnegative, got {neg}")
-            return cls(snapshots=snaps, universe=universe, negative_weight_count=neg)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"malformed network document: {exc}") from exc
+        # the constructor's rules, the negative_weight_count rule among them
+        try:
+            return cls(snapshots=snaps, universe=universe, negative_weight_count=obj.get("negative_weight_count", 0))
+        except (TypeError, DataError) as exc:
             raise DataError(f"malformed network document: {exc}") from exc

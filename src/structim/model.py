@@ -9,8 +9,11 @@ midrank statistic with a percentile bootstrap, and two null benchmarks
 (training-prior label draws and random-edge-presence labels).
 
 Every AUC, including the bootstrap resamples, the null trials and the
-permutation repeats, comes from one batched kernel, ``_auc_rows``, which
-scores many label/score rows per call with exact integer arithmetic. Its
+permutation repeats, comes from one batched counting kernel, ``_auc_groups``,
+which scores many label rows per call from each cell's tie group with exact
+integer arithmetic. The bootstrap and the edge-presence null find the tie
+groups of their fixed scores once, the prior null's 0/1 draws are their own
+groups, and ``_auc_rows`` sorts each row for scores that change per row. The
 callers draw their random numbers in the same order as one call per draw
 would, so fixed-seed outputs do not depend on the batching.
 """
@@ -186,7 +189,7 @@ def fit_logistic(
     objective at the optimum.
     """
     if not 0 <= l2 < np.inf:
-        raise ValueError(f"l2 must be finite and nonnegative, got {l2}")
+        raise ArgumentError(f"l2 must be finite and nonnegative, got {l2}")
     if table.y is None:
         raise DataError("fit_logistic needs a labeled table")
     y = table.y.astype(float)
@@ -252,16 +255,9 @@ def fit_logistic(
 _CHUNK_CELLS = 16384
 
 
-def _auc_rows(y, s) -> np.ndarray:
-    """AUC of each row of 0/1 labels ``y`` against the same row of ``s``.
-
-    Each row is sorted once; a tie group spans ``start..end`` of the sorted
-    row, so its members share the midrank (start + end) / 2 + 1. Twice the
-    Mann-Whitney U, 2 * (rank sum of positives) - n1 (n1 + 1), is an exact
-    integer, so the result equals the rank-sum value bit for bit. A
-    single-class row gives NaN. Rows are scored ``_CHUNK_CELLS // n`` at a
-    time.
-    """
+def _auc_inputs(y=(), s=()):
+    """Labels as a mask of positives, and scores as floats. Raises DataError
+    for a label outside {0, 1} and NumericalError for a non-finite score."""
     y = np.asarray(y)
     s = np.asarray(s, dtype=float)
     pos = y == 1
@@ -269,25 +265,43 @@ def _auc_rows(y, s) -> np.ndarray:
         raise DataError("AUC needs 0/1 labels")
     if not np.all(np.isfinite(s)):
         raise NumericalError("AUC needs finite scores")
-    m, n = s.shape
+    return pos, s
+
+
+def _auc_groups(pos, groups, n_groups: int) -> np.ndarray:
+    """AUC of each row of 0/1 labels ``pos`` against scores given as tie groups
+    0 .. n_groups - 1 in ascending order; the two broadcast to one row per AUC.
+
+    One bincount over (row, label, group) counts each row's positives P_g and
+    negatives N_g per group. Twice the Mann-Whitney U, sum_g P_g (2 sum_{h<g}
+    N_h + N_g), is the exact integer of the midrank rank sum, so the result
+    equals the rank-sum value bit for bit. A single-class row gives NaN. Rows
+    are counted ``_CHUNK_CELLS // n`` at a time.
+    """
+    pos, groups = np.broadcast_arrays(pos, groups)
+    m, n = pos.shape
     out = np.empty(m)
     step = max(1, _CHUNK_CELLS // max(n, 1))
-    idx = np.arange(n)
     for lo in range(0, m, step):
-        order = np.argsort(s[lo : lo + step], axis=1, kind="stable")
-        ss = np.take_along_axis(s[lo : lo + step], order, axis=1)
-        ys = np.take_along_axis(pos[lo : lo + step], order, axis=1)
-        new = np.ones(ss.shape, dtype=bool)
-        new[:, 1:] = ss[:, 1:] != ss[:, :-1]
-        start = np.maximum.accumulate(np.where(new, idx, 0), axis=1)
-        last = np.ones(ss.shape, dtype=bool)
-        last[:, :-1] = new[:, 1:]
-        end = np.minimum.accumulate(np.where(last, idx, n - 1)[:, ::-1], axis=1)[:, ::-1]
-        n1 = ys.sum(axis=1)
-        two_u = np.where(ys, start + end + 2, 0).sum(axis=1) - n1 * (n1 + 1)
+        p = pos[lo : lo + step]
+        cells = (np.arange(len(p))[:, None] * 2 + p) * n_groups + groups[lo : lo + step]
+        counts = np.bincount(cells.ravel(), minlength=len(p) * 2 * n_groups).reshape(len(p), 2, n_groups)
+        neg, hits = counts[:, 0], counts[:, 1]
+        two_u = (hits * (2 * np.cumsum(neg, axis=1) - neg)).sum(axis=1)
+        n1 = hits.sum(axis=1)
         with np.errstate(invalid="ignore"):
             out[lo : lo + step] = (two_u * 0.5) / (n1 * (n - n1))
     return out
+
+
+def _auc_rows(y, s) -> np.ndarray:
+    """AUC of each row of 0/1 labels ``y`` against the same row of ``s``: each
+    sorted row's tie group is its count of value changes so far."""
+    pos, s = _auc_inputs(y, s)
+    order = np.argsort(s, axis=1)
+    ss = np.take_along_axis(s, order, axis=1)
+    groups = np.cumsum(np.diff(ss, axis=1, prepend=ss[:, :1]) != 0, axis=1)
+    return _auc_groups(np.take_along_axis(pos, order, axis=1), groups, s.shape[1])
 
 
 def _stacked(rows, width: int):
@@ -401,18 +415,18 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05, method: str = "exact")
     large-n approximation p +- z * sqrt(p(1-p)/n), clipped to [0, 1].
     """
     if not (isinstance(successes, numbers.Integral) and isinstance(n, numbers.Integral)):
-        raise ValueError(f"successes and n must be integers, got {successes!r} and {n!r}")
+        raise ArgumentError(f"successes and n must be integers, got {successes!r} and {n!r}")
     if not 0 <= successes <= n or n < 1:
-        raise ValueError("need 0 <= successes <= n with n >= 1")
+        raise ArgumentError("need 0 <= successes <= n with n >= 1")
     if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ArgumentError("alpha must be in (0, 1)")
     if method == "normal":
         phat = successes / n
         z = float(special.ndtri(1.0 - alpha / 2.0))
         half = z * np.sqrt(phat * (1.0 - phat) / n)
         return (max(0.0, phat - half), min(1.0, phat + half))
     if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
+        raise ArgumentError(f"unknown method {method!r}")
     k = successes
     lower = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2.0))
     upper = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
@@ -434,10 +448,11 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
     _check_bootstrap_iters(iters)
     if table.y is None:
         raise DataError("bootstrap needs a labeled table")
-    y = table.y.astype(int)
-    scores = model.predict_proba(table.X)
+    pos, scores = _auc_inputs(table.y.astype(int), model.predict_proba(table.X))
+    # the scores are fixed, so their tie groups are found once for every resample
+    levels, groups = np.unique(scores, return_inverse=True)
     rng = np.random.default_rng(seed)
-    n = len(y)
+    n = len(pos)
     skipped = 0
 
     def resamples():
@@ -445,14 +460,14 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
         for _ in range(iters):
             for _attempt in range(11):
                 idx = rng.integers(0, n, size=n)
-                yb = y[idx]
+                yb = pos[idx]
                 if yb.min() != yb.max():
                     yield idx
                     break
             else:
                 skipped += 1
 
-    samples = [auc for idx in _stacked(resamples(), n) for auc in _auc_rows(y[idx], scores[idx])]
+    samples = [auc for idx in _stacked(resamples(), n) for auc in _auc_groups(pos[idx], groups[idx], levels.size)]
     if skipped:
         warnings.warn(f"bootstrap skipped {skipped} persistently single-class resamples")
     if not samples:
@@ -505,23 +520,26 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
     test_y = np.asarray(test_y).astype(int)
     if train_y.size == 0 or test_y.size == 0:
         raise DataError("null prior predictor needs nonempty label arrays")
+    pos = _auc_inputs(test_y)[0]
     prior = float(train_y.mean())
     rng = np.random.default_rng(seed)
     draws = ((rng.random(test_y.size) < prior).astype(int) for _ in range(trials))
-    # an all-0 or all-1 draw ranks nothing, so its AUC is undefined
-    chunks = ((yhat, test_y, np.where(yhat.min(axis=1) != yhat.max(axis=1),
-                                      _auc_rows(np.broadcast_to(test_y, yhat.shape), yhat), np.nan))
+    # 0/1 draws are their own tie groups; an all-0 or all-1 draw ranks nothing
+    chunks = ((yhat, test_y, np.where(yhat.min(axis=1) != yhat.max(axis=1), _auc_groups(pos, yhat, 2), np.nan))
               for yhat in _stacked(draws, test_y.size))
     return {"kind": "prior_predictor", "prior": prior, "trials": trials, **_trial_summaries(chunks)}
 
 
-def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator) -> np.ndarray:
-    """Presence labels from one random graph draw: pair on with prob density."""
+def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator, upper=None) -> np.ndarray:
+    """Presence labels from one random graph draw: pair on with prob density.
+    Repeated draws may share ``upper``, the boolean mask of pairs i < j."""
     if n_nodes < 2:
         return np.zeros(n_nodes, dtype=int)
+    if upper is None:
+        upper = np.triu(np.ones((n_nodes, n_nodes), dtype=bool), 1)
     # the dense draw keeps the random stream; only the upper triangle is used
-    upper = np.triu(rng.random((n_nodes, n_nodes)) < density, 1)
-    return (upper.any(axis=0) | upper.any(axis=1)).astype(int)
+    on = (rng.random((n_nodes, n_nodes)) < density) & upper
+    return (on.any(axis=0) | on.any(axis=1)).astype(int)
 
 
 def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = 100, seed=0) -> dict:
@@ -557,13 +575,18 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     if not groups:
         raise DataError("no scored rows available for the edge-presence null")
 
-    svec = scores[np.concatenate([rows for *_, rows in groups])]
+    svec = _auc_inputs(s=scores[np.concatenate([rows for *_, rows in groups])])[1]
+    levels, svec_groups = np.unique(svec, return_inverse=True)
     yhat = (svec >= 0.5).astype(int)
+    # one mask of pairs i < j; its leading n_t x n_t block serves each group
+    n_max = max(n_t for n_t, *_ in groups)
+    upper = np.triu(np.ones((n_max, n_max), dtype=bool), 1)
     draws = (
-        np.concatenate([edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups])
+        np.concatenate([edge_presence_labels(n_t, d, rng, upper[:n_t, :n_t])[node_rows]
+                        for n_t, d, node_rows, _ in groups])
         for _ in range(trials)
     )
-    chunks = ((yhat, labels, _auc_rows(labels, np.broadcast_to(svec, labels.shape)))
+    chunks = ((yhat, labels, _auc_groups(labels, svec_groups, levels.size))
               for labels in _stacked(draws, svec.size))
     return {"kind": "edge_presence", "trials": trials, "groups": len(groups), **_trial_summaries(chunks)}
 
@@ -575,7 +598,7 @@ def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: i
     zero coefficient scores exactly zero because predictions cannot change.
     """
     if repeats < 1:
-        raise ValueError(f"need at least 1 repeat, got {repeats}")
+        raise ArgumentError(f"need at least 1 repeat, got {repeats}")
     if table.y is None:
         raise DataError("permutation importance needs a labeled table")
     base = auc_score(table.y, model.predict_proba(table.X))

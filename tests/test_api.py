@@ -49,12 +49,26 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _labeled_table():
+    x = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+    return structim.FeatureTable(columns=("ma",), X=x, node_ids=(0, 1, 2, 3), as_of=1,
+                                 target="presence", y=np.array([1.0, 0.0, 0.0, 1.0]))
+
+
 @pytest.mark.parametrize("call", [
     lambda: structim.pearson([1.0, 2.0], [1.0, 2.0, 3.0]),
     lambda: structim.importance_components(structim.eig_sym(clique(3).adjacency()), np.ones(4)),
     lambda: structim.node_importance(clique(3), "mz"),
     lambda: clique(3).strength(mode="sideways"),
-], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode"])
+    lambda: structim.fit_logistic(_labeled_table(), l2=-1.0),
+    lambda: structim.binom_ci(2.5, 5),
+    lambda: structim.binom_ci(6, 5),
+    lambda: structim.binom_ci(2, 5, alpha=1.5),
+    lambda: structim.binom_ci(2, 5, method="wilson"),
+    lambda: structim.permutation_importance(structim.fit_logistic(_labeled_table()), _labeled_table(), repeats=0),
+], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
+        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha", "binom-ci-method",
+        "permutation-importance-repeats"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):

@@ -48,6 +48,19 @@ def test_snapshot_rejects_bad_edges():
         Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0), (0, 1, 2.0)), directed=False, timestamp=0)
 
 
+@pytest.mark.parametrize("edge", [(0.7, 2, 1.0), (0, 2.0, 1.0), (True, 2, 1.0), (0, np.True_, 1.0),
+                                  ("a", 2, 1.0), (None, 2, 1.0)],
+                         ids=["fractional", "integral-float", "bool", "numpy-bool", "text", "none"])
+def test_snapshot_rejects_a_node_index_that_is_not_an_integer(edge):
+    # 0.7 once loaded as node 0, next to int indices a bool would become node 0 or 1,
+    # and a text or None index raised a bare TypeError
+    message = f"edge ({edge[0]!r}, {edge[1]!r}) has a node index that is not an integer"
+    for edges in ((edge,), ((0, 1, 1.0), edge)):
+        with pytest.raises(DataError, match=re.escape(message)):
+            Snapshot(node_ids=(0, 1, 2), edges=edges)
+    s = Snapshot(node_ids=(0, 1, 2), edges=((np.int64(0), np.uint8(2), 1.0),))
+    assert s.adjacency()[0, 2] == 1.0
+
 
 def _first_bad_edge(node_ids, edges, directed):
     """The per-edge loop the vectorized edge rules replaced: its message, or None."""
@@ -289,6 +302,21 @@ def test_json_value_of_the_wrong_type_is_a_data_error_not_coerced(fields, messag
     # each document once loaded misread (0.7 as index 0, "01" as two ids) or raised a bare TypeError
     with pytest.raises(DataError, match=re.escape(message)):
         TemporalNetwork.from_json(_network_doc(**fields))
+
+
+@pytest.mark.parametrize("count, message", [(-4, "must be nonnegative, got -4"),
+                                            (2.5, "must be an integer, got 2.5"),
+                                            (True, "must be an integer, got True")])
+def test_negative_weight_count_is_checked_by_the_constructor(count, message):
+    # the loader refused such a count, so the network could not read its own output back
+    with pytest.raises(DataError, match=re.escape(f"negative_weight_count {message}")):
+        TemporalNetwork(snapshots=(), universe=(), negative_weight_count=count)
+
+
+@pytest.mark.parametrize("count", [0, 3, np.int64(5), 2**70])
+def test_every_accepted_negative_weight_count_round_trips(count):
+    tn = TemporalNetwork(snapshots=(), universe=(), negative_weight_count=count)
+    assert TemporalNetwork.from_json(tn.to_json()) == tn
 
 
 def test_json_round_trip_keeps_directed_flag_and_negative_count():

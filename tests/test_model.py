@@ -32,7 +32,7 @@ from structim import (
     standardize,
 )
 from structim.generators import synthetic_temporal
-from structim.model import _CHUNK_CELLS, _auc_rows, edge_presence_labels
+from structim.model import _CHUNK_CELLS, _auc_groups, _auc_rows, edge_presence_labels
 
 from conftest import binom_ci_oracle, clique, network_from
 
@@ -918,6 +918,37 @@ def test_auc_rows_match_oracle_across_chunks():
     got = _auc_rows(y, s)
     assert np.all(np.isnan(got[:3]))
     assert all(got[i] == _oracle_auc(y[i], s[i]) for i in range(3, m))
+
+
+def _oracle_auc_or_nan(y, s):
+    return _oracle_auc(y, s) if 0 < np.sum(y) < len(y) else np.nan
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 4), st.data())
+def test_auc_kernels_match_oracle_on_tied_and_degenerate_rows(m, n, levels, data):
+    # levels=1 ties every score; n=1 and all-0 or all-1 rows are single-class (NaN)
+    cells = st.lists(st.tuples(st.integers(0, 1), st.integers(0, levels - 1)), min_size=m * n, max_size=m * n)
+    y, s = (np.array(v).reshape(m, n) for v in zip(*data.draw(cells)))
+    s = s.astype(float)
+    dense = stats.rankdata(s, method="dense", axis=1).astype(int) - 1
+    expected = [_oracle_auc_or_nan(y[r], s[r]) for r in range(m)]
+    np.testing.assert_array_equal(_auc_rows(y, s), expected)
+    np.testing.assert_array_equal(_auc_groups(y, dense, levels), expected)
+    np.testing.assert_array_equal(_auc_groups(y == 1, dense, levels), expected)
+    # broadcast: one fixed score row against every label row, and the reverse
+    np.testing.assert_array_equal(_auc_groups(y, dense[0], levels), [_oracle_auc_or_nan(y[r], s[0]) for r in range(m)])
+    np.testing.assert_array_equal(_auc_groups(y[0], dense, levels), [_oracle_auc_or_nan(y[0], s[r]) for r in range(m)])
+
+
+def test_fixed_score_callers_keep_their_input_checks():
+    with pytest.raises(DataError, match="0/1 labels"):
+        null_prior_predictor([0, 1, 0, 1], [0, 1, 2, 1], trials=20)
+    model = _manual_logistic(0.0, [1.0], names=("ma",))
+    with pytest.raises(NumericalError, match="finite scores"):
+        bootstrap_auc_ci(model, _table(("ma",), [[1.0], [np.nan], [0.0], [-1.0]], y=[1, 0, 1, 0]), iters=5)
+    with pytest.raises(DataError, match="0/1 labels"):
+        bootstrap_auc_ci(model, _table(("ma",), [[1.0], [2.0], [0.0], [-1.0]], y=[1, 0, 2, 0]), iters=5)
 
 
 def test_bootstrap_matches_oracle():
