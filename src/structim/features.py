@@ -110,10 +110,10 @@ def pool(tables) -> FeatureTable:
     tables = list(tables)
     targets = {t.target for t in tables}
     if len(targets) != 1:
-        raise ValueError(f"tables mix targets: {sorted(targets, key=str)}")
+        raise ArgumentError(f"tables mix targets: {sorted(targets, key=str)}")
     columns = tables[0].columns
     if any(t.columns != columns for t in tables):
-        raise ValueError("tables have different columns")
+        raise ArgumentError("tables have different columns")
     return FeatureTable(
         columns=columns,
         X=np.vstack([t.X for t in tables]),
@@ -173,7 +173,7 @@ def build_features(tn: TemporalNetwork, t: int, measures_cache: dict | None = No
     measures once.
     """
     if not 1 <= t < tn.n_snapshots:
-        raise ValueError(f"anchor t={t} needs at least one prior snapshot and must exist")
+        raise ArgumentError(f"anchor t={t} needs at least one prior snapshot and must exist")
     cache = measures_cache if measures_cache is not None else {}
     for u in range(t):
         if u not in cache:
@@ -279,7 +279,7 @@ def _check_target(target: str) -> None:
 
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:
     if not 0 <= t < tn.n_snapshots - 1:
-        raise ValueError(f"labels at t={t} need snapshot t+1 to exist")
+        raise ArgumentError(f"labels at t={t} need snapshot t+1 to exist")
 
 
 def build_table(

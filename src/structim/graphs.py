@@ -75,7 +75,7 @@ class Snapshot:
         # The shape and type of each record are checked here; a record that is
         # not an (i, j, w) triple with a real weight gets placeholder entries
         # that _check_edges flags at its position.
-        triple = [len(e) == 3 for e in self.edges]
+        triple = [hasattr(e, "__len__") and len(e) == 3 for e in self.edges]
         rows = [e if ok else (0, 0, math.nan) for e, ok in zip(self.edges, triple)]
         # No dtype for the indices: a float or an oversized int must meet the
         # range and duplicate rules as it was given. Next to ints a bool would

@@ -54,6 +54,13 @@ class ImportanceVector:
     excluded: tuple = field(default_factory=tuple)
 
 
+def _terms(eigenvalues, eigenvectors, strength) -> np.ndarray:
+    """2 * (lambda * x^2) / S on broadcast arguments, NaN where S <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 2.0 * (eigenvalues * eigenvectors**2) / strength
+    return np.where(strength > 0, out, np.nan)
+
+
 def importance_components(spectrum: Spectrum, strength: np.ndarray) -> np.ndarray:
     """Per-node, per-eigenvalue importance terms (n x n matrix).
 
@@ -61,15 +68,13 @@ def importance_components(spectrum: Spectrum, strength: np.ndarray) -> np.ndarra
     eigenvalue rank k+1. Summing a row reproduces scheme mc for that node,
     which collapses to (2/S_i)*A_ii by the spectral decomposition; the matrix
     is exposed so callers can see the cancellation instead of just a zero.
+    The terms come from ``_terms``, which ``node_importance`` also calls on
+    only the columns its scheme reads, so every value here equals its pick.
     """
     strength = np.asarray(strength, dtype=float)
     if strength.shape != (spectrum.n,):
         raise ArgumentError("strength vector does not match spectrum size")
-    terms = spectrum.eigenvalues[None, :] * spectrum.eigenvectors**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 2.0 * terms / strength[:, None]
-    out[strength <= 0] = np.nan
-    return out
+    return _terms(spectrum.eigenvalues, spectrum.eigenvectors, strength[:, None])
 
 
 def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None = None) -> ImportanceVector:
@@ -77,7 +82,8 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
 
     The snapshot must be undirected (use node_importance_directed otherwise).
     ``spectrum`` may carry a precomputed decomposition of the snapshot's
-    adjacency to avoid repeating it across schemes.
+    adjacency to avoid repeating it across schemes. Only the eigen-terms the
+    scheme reads are computed.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -90,20 +96,18 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
         return ImportanceVector(scheme=scheme, values={}, excluded=excluded)
 
     spec = spectrum if spectrum is not None else eig_sym(snapshot.adjacency())
-    terms = importance_components(spec, s)
+    lam, vecs = spec.eigenvalues, spec.eigenvectors
 
     eig_rank = None
     if scheme == "ma":
-        vals = terms[:, 0]
+        vals = _terms(lam[0], vecs[:, 0], s)
     elif scheme == "mb":
         ranks = select_eigencomponent(spec)
-        vals = terms[np.arange(spec.n), ranks - 1]
+        vals = _terms(lam[ranks - 1], vecs[np.arange(spec.n), ranks - 1], s)
         eig_rank = {v: int(r) for v, r, keep in zip(snapshot.node_ids, ranks, mask) if keep}
-    elif scheme == "mc":
-        vals = terms.sum(axis=1)
-    else:  # md
-        pos = spec.positive_count()
-        vals = terms[:, :pos].sum(axis=1)
+    else:  # mc reads every column, md the positive ones
+        cols = spec.n if scheme == "mc" else spec.positive_count()
+        vals = _terms(lam[:cols], vecs[:, :cols], s[:, None]).sum(axis=1)
 
     values = {v: float(x) for v, x, keep in zip(snapshot.node_ids, vals, mask) if keep}
     return ImportanceVector(scheme=scheme, values=values, eig_rank=eig_rank, excluded=excluded)

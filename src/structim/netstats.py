@@ -13,7 +13,6 @@ gain. PageRank and eigenvector centrality are the usual weighted variants.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +61,24 @@ def detect_communities(snapshot: Snapshot) -> np.ndarray:
     Q it falls back to that. Returns dense integer labels from 0 ordered by
     smallest member.
 
-    Gains sit in a max-heap with lazy invalidation, so a merge costs
+    Gains sit in a max-heap of live, positive upper bounds, so a merge costs
     O(d log m) for the absorbed community's degree d instead of a rescan of
-    every pair. The initial pairs are heapified in one O(m) pass, and each
-    pair's live entry is found by the int key ci * n + cj.
+    every pair. Every pair whose gain is above 1e-15 has one live entry,
+    found by the int key ci * n + cj, and an entry is pushed only with a gain
+    above 1e-15 that is never below the pair's current gain. An entry that
+    reaches the top with a stale bound is refreshed to the current gain, or
+    dropped once that is at most 1e-15.
+    When the heap holds more than twice as many entries as there are live
+    ones, it is rebuilt from the live entries in one heapify, which drops the
+    dead ones in bulk instead of popping them one by one.
+
+    Why the merges are those of a full rescan: with every bound valid, the
+    heap hands out pairs in the order of their current gains (a pair whose
+    bound is too high is refreshed before its turn), so the candidates below
+    and the merge picked depend on the current gains only. Merging cj into ci
+    grows a_ci, which lowers or keeps every gain except those of the pairs
+    (ci, k) with k a neighbour of cj, whose e_ik grows. Those are recomputed
+    at the merge and get a new entry where the kept one would underestimate.
 
     Tie rule: the merge chosen is the one a scan of all pairs in (ci, cj)
     order picks when it keeps a pair only if its gain beats the running best
@@ -99,49 +112,53 @@ def _communities(snapshot: Snapshot) -> tuple:
         raise DataError("community detection undefined for a graph with no edges")
 
     members = [[i] for i in range(n)]  # None once absorbed; a survivor is its smallest member
-    a_frac = [float(adj[i].sum() / m2) for i in range(n)]
+    a = adj.sum(axis=1) / m2
+    a_frac = a.tolist()
     nbrs = [{} for _ in range(n)]  # community -> {neighbour community: e_frac}
     rows, cols = np.nonzero(np.triu(adj, 1) > 0)
+    e = adj[rows, cols] / m2
+    gains = 2.0 * (e - a[rows] * a[cols])
     rows, cols = rows.tolist(), cols.tolist()
-    for i, j, e in zip(rows, cols, (adj[rows, cols] / m2).tolist()):
-        nbrs[i][j] = nbrs[j][i] = e
+    for i, j, e_ij in zip(rows, cols, e.tolist()):
+        nbrs[i][j] = nbrs[j][i] = e_ij
 
-    # Heap entries are (-gain, ci, cj, stamp) with ci < cj; an entry is live
-    # while stamp matches stamps[ci * n + cj]. Stamps are unique, so entries
-    # are totally ordered and heapify pops them as pushes one by one would. A
-    # live entry's gain never underestimates the pair's current gain: a merge
-    # only grows a_ci, and the pairs whose e_ij grows are pushed afresh.
-    heap = [(-2.0 * (nbrs[i][j] - a_frac[i] * a_frac[j]), i, j, stamp)
-            for stamp, (i, j) in enumerate(zip(rows, cols))]
-    stamps = {i * n + j: stamp for _, i, j, stamp in heap}
+    # Heap entries are (-gain, ci, cj) with ci < cj; live[ci * n + cj] is the
+    # pair's one live entry, checked by identity. Only pairs whose gain is
+    # above _GAIN_TOL get one, and a live entry's gain never underestimates
+    # the pair's current gain (see detect_communities).
+    heap = [(-g, i, j) for g, i, j in zip(gains.tolist(), rows, cols) if g > _GAIN_TOL]
+    live = {entry[1] * n + entry[2]: entry for entry in heap}
     heapq.heapify(heap)
-    counter = itertools.count(len(heap))
     heappush, heappop = heapq.heappush, heapq.heappop
 
     while True:
         candidates = []
         while heap:
             top = -heap[0][0]
-            if top <= _GAIN_TOL or (candidates and top < -candidates[-1][0] - 2 * _GAIN_TOL):
+            if candidates and top < -candidates[-1][0] - 2 * _GAIN_TOL:
                 break
             entry = heappop(heap)
-            _, ci, cj, stamp = entry
-            if stamps.get(ci * n + cj) != stamp:
+            _, ci, cj = entry
+            key = ci * n + cj
+            if live.get(key) is not entry:
                 continue
             gain = 2.0 * (nbrs[ci][cj] - a_frac[ci] * a_frac[cj])
             if gain != top:
-                stamp = stamps[ci * n + cj] = next(counter)
-                heappush(heap, (-gain, ci, cj, stamp))
+                if gain > _GAIN_TOL:
+                    live[key] = fresh = (-gain, ci, cj)
+                    heappush(heap, fresh)
+                else:
+                    del live[key]
                 continue
             candidates.append(entry)
         if not candidates:
             break
         best_gain = 0.0
-        for neg_gain, ci, cj, _ in sorted(candidates, key=lambda c: c[1:3]):
+        for neg_gain, ci, cj in sorted(candidates, key=lambda c: c[1:]):
             if -neg_gain > best_gain + _GAIN_TOL:
                 best_gain, best = -neg_gain, (ci, cj)
         for entry in candidates:
-            if entry[1:3] != best:
+            if entry[1:] != best:
                 heappush(heap, entry)
 
         ci, cj = best
@@ -149,16 +166,24 @@ def _communities(snapshot: Snapshot) -> tuple:
         members[cj] = None
         a_ci = a_frac[ci] = a_frac[ci] + a_frac[cj]
         nbrs_ci = nbrs[ci]
-        del nbrs_ci[cj], stamps[ci * n + cj]
+        del nbrs_ci[cj], live[ci * n + cj]
         for k, w in nbrs[cj].items():
             if k == ci:
                 continue
-            del nbrs[k][cj], stamps[cj * n + k if cj < k else k * n + cj]
-            e = nbrs_ci[k] = nbrs[k][ci] = nbrs_ci.get(k, 0.0) + w
+            del nbrs[k][cj]
+            live.pop(cj * n + k if cj < k else k * n + cj, None)
+            e_ik = nbrs_ci[k] = nbrs[k][ci] = nbrs_ci.get(k, 0.0) + w
+            gain = 2.0 * (e_ik - a_ci * a_frac[k])
             lo, hi = (ci, k) if ci < k else (k, ci)
-            stamp = stamps[lo * n + hi] = next(counter)
-            heappush(heap, (-2.0 * (e - a_ci * a_frac[k]), lo, hi, stamp))
+            key = lo * n + hi
+            kept = live.get(key)  # every live entry's gain is above _GAIN_TOL
+            if gain > _GAIN_TOL and (kept is None or -kept[0] < gain):
+                live[key] = fresh = (-gain, lo, hi)
+                heappush(heap, fresh)
         nbrs[cj] = None
+        if len(heap) > 2 * len(live):
+            heap = list(live.values())
+            heapq.heapify(heap)
 
     labels = np.empty(n, dtype=int)
     for new_id, group in enumerate(g for g in members if g is not None):

@@ -55,14 +55,14 @@ class SingularTriplet:
 def eig_sym(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix with deterministic orientation.
 
-    Raises ValueError when the input is not square 2-D or not symmetric to
+    Raises ArgumentError when the input is not square 2-D or not symmetric to
     within an absolute tolerance of 1e-10.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ArgumentError(f"expected a square matrix, got shape {a.shape}")
     if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric")
+        raise ArgumentError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -84,7 +84,7 @@ def leading_singular(a: np.ndarray) -> SingularTriplet:
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+        raise ArgumentError(f"expected a 2-D matrix, got shape {a.shape}")
     if not np.any(a):
         e0 = np.zeros(a.shape[0])
         if e0.shape[0]:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import structim
 from structim.errors import ArgumentError
 
-from conftest import clique
+from conftest import clique, network_from
 
 PUBLIC = (
     "BASE_PRESENCE", "DIRECTED_SCHEME", "DataError", "EvaluationReport", "FEATURE_COLUMNS",
@@ -66,9 +67,17 @@ def _labeled_table():
     lambda: structim.binom_ci(2, 5, alpha=1.5),
     lambda: structim.binom_ci(2, 5, method="wilson"),
     lambda: structim.permutation_importance(structim.fit_logistic(_labeled_table()), _labeled_table(), repeats=0),
+    lambda: structim.pool([_labeled_table(), replace(_labeled_table(), target="change")]),
+    lambda: structim.pool([_labeled_table(), replace(_labeled_table(), columns=("mb",))]),
+    lambda: structim.build_features(network_from([clique(3), clique(3, timestamp=1)]), 0),
+    lambda: structim.label_presence(network_from([clique(3), clique(3, timestamp=1)]), 1),
+    lambda: structim.eig_sym(np.ones((2, 3))),
+    lambda: structim.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]])),
+    lambda: structim.leading_singular(np.ones(3)),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha", "binom-ci-method",
-        "permutation-importance-repeats"])
+        "permutation-importance-repeats", "pool-targets", "pool-columns", "build-features-anchor",
+        "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "leading-singular-shape"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):

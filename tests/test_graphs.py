@@ -62,6 +62,15 @@ def test_snapshot_rejects_a_node_index_that_is_not_an_integer(edge):
     assert s.adjacency()[0, 2] == 1.0
 
 
+@pytest.mark.parametrize("record", [5, None], ids=["int", "none"])
+def test_snapshot_rejects_an_edge_record_without_a_length(record):
+    # len() of such a record once raised a bare TypeError before any edge rule ran
+    message = f"edge record {record!r} is not an (i, j, w) triple"
+    for edges in ((record,), ((0, 1, 1.0), record), ((0, 1, 1.0), record, (0, 1))):
+        with pytest.raises(DataError, match=re.escape(message)):
+            Snapshot(node_ids=(0, 1), edges=edges)
+
+
 def _first_bad_edge(node_ids, edges, directed):
     """The per-edge loop the vectorized edge rules replaced: its message, or None."""
     n = len(node_ids)

@@ -10,6 +10,7 @@ from structim import (
     importance_components,
     node_importance,
     node_importance_directed,
+    select_eigencomponent,
 )
 
 from conftest import clique, cycle, random_connected
@@ -187,3 +188,44 @@ def test_edge_importance_matches_weight_derivative():
             dn[j, i] -= h
             fd = (np.linalg.eigvalsh(up)[-1] - np.linalg.eigvalsh(dn)[-1]) / (2 * h)
             assert edge_importance(spec, i, j) == pytest.approx(fd, abs=1e-6)
+
+
+def _with_isolated(s, extra):
+    """``s`` plus ``extra`` zero-strength nodes at the end of its node order."""
+    return Snapshot(node_ids=s.node_ids + tuple(range(s.n_nodes, s.n_nodes + extra)), edges=s.edges)
+
+
+def _full_matrix_pick(s, scheme, spec):
+    """Frozen whole-matrix computation of each scheme; parity oracle only."""
+    strength = s.strength()
+    terms = spec.eigenvalues[None, :] * spec.eigenvectors**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = 2.0 * terms / strength[:, None]
+    full[strength <= 0] = np.nan
+    if scheme == "ma":
+        vals = full[:, 0]
+    elif scheme == "mb":
+        vals = full[np.arange(spec.n), select_eigencomponent(spec) - 1]
+    elif scheme == "mc":
+        vals = full.sum(axis=1)
+    else:
+        vals = full[:, :spec.positive_count()].sum(axis=1)
+    return full, {v: float(x) for v, x, keep in zip(s.node_ids, vals, strength > 0) if keep}
+
+
+def test_each_scheme_equals_the_full_matrix_pick_bit_for_bit():
+    # tied eigenvalues (cliques, cycles, two equal triangles), zero-strength rows,
+    # and a graph with more than 128 positive eigenvalues for numpy's pairwise sums
+    rng = np.random.default_rng(17)
+    triangles = Snapshot(node_ids=tuple(range(6)), edges=((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
+                                                          (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)))
+    graphs = [_with_isolated(clique(5), 1), _with_isolated(cycle(8), 2), _with_isolated(triangles, 1),
+              barbell(4, 2, 5), _with_isolated(random_connected(rng, 40), 3),
+              _with_isolated(random_connected(rng, 400), 5)]
+    for s in graphs:
+        spec = eig_sym(s.adjacency())
+        for scheme in ("ma", "mb", "mc", "md"):
+            full, expected = _full_matrix_pick(s, scheme, spec)
+            assert node_importance(s, scheme, spectrum=spec).values == expected, scheme
+        assert np.array_equal(importance_components(spec, s.strength()), full, equal_nan=True)
+    assert eig_sym(graphs[-1].adjacency()).positive_count() > 128

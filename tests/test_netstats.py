@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,32 @@ def test_detect_communities_matches_oracle_on_small_integer_weights(s):
 @given(_weighted_graphs(st.floats(0.01, 100.0)))
 def test_detect_communities_matches_oracle_on_continuous_weights(s):
     _assert_matches_oracle(s)
+
+
+@st.composite
+def _mid_sized_graphs(draw):
+    """40-80 nodes with unit or small-integer weights: enough merges for the heap to be compacted."""
+    n = draw(st.integers(40, 80))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=n, max_size=4 * n))
+    weight = draw(st.sampled_from([st.just(1.0), st.integers(1, 3).map(float)]))
+    chosen = sorted({(min(i, (i + d) % n), max(i, (i + d) % n)) for i, d in pairs})
+    return Snapshot(node_ids=tuple(range(n)), edges=tuple((i, j, draw(weight)) for i, j in chosen))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_mid_sized_graphs())
+def test_detect_communities_matches_oracle_on_compacted_heaps(s):
+    _assert_matches_oracle(s)
+
+
+def test_heap_compaction_runs_at_benchmark_scale(monkeypatch):
+    # the initial heapify plus at least one bulk compaction, with the oracle's labels
+    heapified = []
+    heapify = heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda heap: heapified.append(len(heap)) or heapify(heap))
+    s = synthetic_temporal(120, 4, 4, -2.0, horizon=2, seed=11).snapshots[0]
+    _assert_matches_oracle(s)
+    assert len(heapified) > 1
 
 
 def _to_networkx(nx, s):
