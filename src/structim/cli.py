@@ -108,11 +108,9 @@ def cmd_gen(args) -> int:
 
 def cmd_importance(args) -> int:
     if args.scheme == DIRECTED_SCHEME and not args.directed:
-        print("error: scheme 'directed' requires --directed input", file=sys.stderr)
-        return 2
+        raise ArgumentError("scheme 'directed' requires --directed input")
     if args.scheme != DIRECTED_SCHEME and args.directed:
-        print(f"error: scheme {args.scheme!r} is undirected; drop --directed", file=sys.stderr)
-        return 2
+        raise ArgumentError(f"scheme {args.scheme!r} is undirected; drop --directed")
     tn = load_network(args.input, aggregation=args.aggregation, directed=args.directed)
     if not 0 <= args.snapshot < tn.n_snapshots:
         raise DataError(f"snapshot {args.snapshot} out of range 0..{tn.n_snapshots - 1}")
@@ -231,8 +229,7 @@ def cmd_predict(args) -> int:
     try:
         grid = tuple(float(v) for v in args.l2_grid.split(","))
     except ValueError:
-        print(f"error: cannot parse --l2-grid {args.l2_grid!r}", file=sys.stderr)
-        return 2
+        raise ArgumentError(f"cannot parse --l2-grid {args.l2_grid!r}") from None
     options = dict(seed=args.seed, l2_grid=grid, change_threshold=args.change_threshold,
                    corr_threshold=args.corr_threshold, null_trials=args.trials, bootstrap_iters=args.bootstrap_iters)
     _check_prediction_args(**options)  # before the input is read

@@ -7,15 +7,18 @@ code never mutates the containers. Adjacency matrices are built on demand and
 never kept; the O(E + n) views (edge arrays, strength vectors, the presence
 matrix) are built once per container and are read-only.
 
-Node ids are opaque (ints or strings). Edges are stored with local indices
-into ``node_ids``; undirected edges are stored once with ``i < j``.
+Node ids are opaque (ints or strings). An edge record is a tuple or list
+``(i, j, w)`` of integer (not bool) local indices into ``node_ids`` and a
+positive, finite real weight (not a bool), stored as a plain ``(int, int,
+float)`` tuple; undirected edges are stored once with ``i < j``. Ingest builds
+its snapshots from edge arrays that meet these rules by construction.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,12 +38,20 @@ def _json_value(value, kind, rule: str):
     return value
 
 
-_BOOLS = {bool, np.bool_}
+_MAX_WEIGHT = sys.float_info.max
 
 
 def _is_integer(value) -> bool:
     """An integer, Python's or numpy's, that is not a bool (numpy's bool is no Integral)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_weight(value) -> bool:
+    """A real number, not a bool (numpy's bool is no Real), positive and finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < float(value) <= _MAX_WEIGHT
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _state_without_caches(self) -> dict:
@@ -57,8 +68,9 @@ class Snapshot:
     node_ids:
         Distinct, hashable ids of the nodes present in this window.
     edges:
-        Triples ``(i, j, w)`` of local node indices and a strictly positive
-        finite weight. For undirected snapshots each pair appears once with
+        Tuples or lists ``(i, j, w)`` of local integer node indices and a
+        strictly positive finite real weight, stored as plain ``(int, int,
+        float)`` tuples. For undirected snapshots each pair appears once with
         ``i < j``; for directed snapshots ``(i, j)`` means an arc i -> j.
     directed:
         Edge orientation flag.
@@ -72,71 +84,62 @@ class Snapshot:
     timestamp: int = 0
 
     def __post_init__(self):
-        # The shape and type of each record are checked here; a record that is
-        # not an (i, j, w) triple with a real weight gets placeholder entries
-        # that _check_edges flags at its position.
-        triple = [hasattr(e, "__len__") and len(e) == 3 for e in self.edges]
-        rows = [e if ok else (0, 0, math.nan) for e, ok in zip(self.edges, triple)]
-        # No dtype for the indices: a float or an oversized int must meet the
-        # range and duplicate rules as it was given. Next to ints a bool would
-        # become an int, so a column holding one is kept as objects.
-        i, j = ([e[k] for e in rows] for k in (0, 1))
-        i, j = (np.array(c, dtype=object if _BOOLS.intersection(map(type, c)) else None) for c in (i, j))
-        w = np.array([e[2] if isinstance(e[2], (int, float)) else math.nan for e in rows], dtype=float)
-        self._check_edges(i, j, w, not_triple=~np.array(triple, dtype=bool))
+        # A record's first broken rule is raised, in this order: triple, integer
+        # indices, range, self loop, i < j when undirected, weight, duplicate.
+        # The exact-type tests skip the slower ABC checks for ints and floats.
+        n = len(self.node_ids)
+        if len(set(self.node_ids)) != n:
+            raise DataError("snapshot has duplicate node ids")
+        ii, jj, ww = [], [], []
+        seen = set()
+        for e in self.edges:
+            if not (isinstance(e, (tuple, list)) and len(e) == 3):
+                raise DataError(f"edge record {e!r} is not an (i, j, w) triple")
+            i, j, w = e
+            if not ((type(i) is int or _is_integer(i)) and (type(j) is int or _is_integer(j))):
+                raise DataError(f"edge ({i!r}, {j!r}) has a node index that is not an integer")
+            if not (0 <= i < n and 0 <= j < n):
+                raise DataError(f"edge ({i}, {j}) references a node outside the snapshot")
+            if i == j:
+                raise DataError(f"self loop on node {self.node_ids[i]!r}")
+            if i > j and not self.directed:
+                raise DataError("undirected edges must be stored with i < j")
+            if not (0 < w <= _MAX_WEIGHT if type(w) is float else _is_weight(w)):
+                raise DataError(f"edge ({i}, {j}) has non-positive or non-finite weight {w!r}")
+            if (i, j) in seen:
+                raise DataError(f"duplicate edge ({i}, {j})")
+            seen.add((i, j))
+            ii.append(i)
+            jj.append(j)
+            ww.append(w)
+        self._keep_edges(np.array(ii, dtype=int), np.array(jj, dtype=int), np.array(ww, dtype=float))
 
     @classmethod
     def _from_arrays(cls, node_ids: tuple, i: np.ndarray, j: np.ndarray, w: np.ndarray,
                      directed: bool, timestamp: int) -> "Snapshot":
-        """A snapshot from local edge arrays (int, int, float), under the
-        public constructor's edge rules; the arrays become its edge-array
-        cache, so they must not be written to afterwards."""
+        """A snapshot from local edge arrays (int, int, float) that meet every
+        edge rule already; no rule is run again.
+
+        The one caller, ``ingest._build_network``, meets each by construction:
+        records are grouped by pair, so no pair repeats; an undirected pair is
+        the (min, max) of two ids checked to differ, so i < j; ``searchsorted``
+        on the period's ``np.unique`` nodes keeps indices in range; weights
+        are ``abs`` of finite nonzero nets. The arrays become the edge-array
+        cache, so they must not be written to afterwards.
+        """
         snap = object.__new__(cls)
-        fields = {"node_ids": node_ids, "edges": tuple(zip(i.tolist(), j.tolist(), w.tolist())),
-                  "directed": directed, "timestamp": timestamp}
-        for name, value in fields.items():
+        for name, value in {"node_ids": node_ids, "directed": directed, "timestamp": timestamp}.items():
             object.__setattr__(snap, name, value)
-        snap._check_edges(i, j, w, not_triple=np.zeros(len(w), dtype=bool))
+        snap._keep_edges(i, j, w)
         return snap
 
-    def _check_edges(self, i: np.ndarray, j: np.ndarray, w: np.ndarray, not_triple: np.ndarray) -> None:
-        """The edge rules, run on all edges at once. Raises DataError for the
-        first offending edge, with the message of the first rule it breaks;
-        otherwise keeps the arrays, read-only, as the edge-array cache."""
-        n = len(self.node_ids)
-        if len(set(self.node_ids)) != n:
-            raise DataError("snapshot has duplicate node ids")
-        # an int array holds only integers; any other is checked index by index,
-        # and a pair that is not two integers is then read as (0, 0), as a
-        # record that is no triple is
-        if i.dtype.kind in "iu" and j.dtype.kind in "iu":
-            not_int = np.zeros(len(w), dtype=bool)
-        else:
-            not_int = np.array([not (bad or _is_integer(e[0]) and _is_integer(e[1]))
-                                for e, bad in zip(self.edges, not_triple)], dtype=bool)
-            i, j = (np.array([0 if bad else e[k] for e, bad in zip(self.edges, not_triple | not_int)])
-                    for k in (0, 1))
-        seen_before = np.ones(len(w), dtype=bool)
-        seen_before[np.unique(i * n + j, return_index=True)[1]] = False
-        rules = (
-            (not_triple, lambda e: f"edge record {e!r} is not an (i, j, w) triple"),
-            (not_int, lambda e: f"edge ({e[0]!r}, {e[1]!r}) has a node index that is not an integer"),
-            ((i < 0) | (i >= n) | (j < 0) | (j >= n),
-             lambda e: f"edge ({e[0]}, {e[1]}) references a node outside the snapshot"),
-            (i == j, lambda e: f"self loop on node {self.node_ids[e[0]]!r}"),
-            ((i > j) & (not self.directed), lambda e: "undirected edges must be stored with i < j"),
-            (~(np.isfinite(w) & (w > 0)),
-             lambda e: f"edge ({e[0]}, {e[1]}) has non-positive or non-finite weight {e[2]!r}"),
-            (seen_before, lambda e: f"duplicate edge ({e[0]}, {e[1]})"),
-        )
-        broken = np.logical_or.reduce([mask for mask, _ in rules])
-        if broken.any():
-            k = int(np.argmax(broken))
-            raise DataError(next(message for mask, message in rules if mask[k])(self.edges[k]))
-        arrays = (i.astype(int, copy=False), j.astype(int, copy=False), w)
-        for arr in arrays:
+    def _keep_edges(self, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
+        """Keep the arrays, read-only, as the edge-array cache, and ``edges``
+        as the plain (int, int, float) tuples they hold."""
+        object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist(), w.tolist())))
+        for arr in (i, j, w):
             arr.setflags(write=False)
-        object.__setattr__(self, "_edge_arrays", arrays)
+        object.__setattr__(self, "_edge_arrays", (i, j, w))
 
     __getstate__ = _state_without_caches
 
@@ -157,8 +160,8 @@ class Snapshot:
     def _edge_arrays(self) -> tuple:
         """Edges as read-only (i, j, w) arrays: int, int, float.
 
-        The constructors leave them here when they check the edges;
-        unpickling drops them, and checking ``edges`` again rebuilds them.
+        The constructors leave them here; unpickling drops them, and the
+        edge pass over ``edges`` rebuilds them.
         """
         self.__post_init__()
         return vars(self)["_edge_arrays"]

@@ -163,23 +163,9 @@ def _check_aggregation(aggregation: int) -> None:
         raise ArgumentError(f"aggregation must be a positive integer, got {aggregation!r}")
 
 
-def load_snapshots(path: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
-    """Read an edge-list CSV into a TemporalNetwork.
-
-    Raises DataError for unreadable files, malformed records (with the line
-    number), or an empty record set. ``aggregation`` must be a positive int.
-    """
-    _check_aggregation(aggregation)
-    try:
-        with open(path, "r", newline="") as fh:
-            columns = _parse_columns(csv.reader(fh), os.path.basename(path), aggregation)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return _build_network(*columns, directed)
-
-
 def load_snapshots_text(text: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
-    """Same as load_snapshots but from an in-memory CSV string."""
+    """Read an edge-list CSV string into a TemporalNetwork, as load_network
+    reads a CSV path."""
     _check_aggregation(aggregation)
     return _build_network(*_parse_columns(csv.reader(io.StringIO(text)), "<text>", aggregation), directed)
 
@@ -245,13 +231,19 @@ def write_edge_csv(tn: TemporalNetwork, path: str) -> None:
 
 
 def load_network(path: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
-    """Load either a network JSON document (which ignores ``aggregation``) or an edge-list CSV, by extension."""
+    """Read a network JSON document (which ignores ``aggregation`` and
+    ``directed``) or an edge-list CSV into a TemporalNetwork, by extension.
+
+    Raises DataError for unreadable files, malformed records (a CSV record
+    with its line number), or an empty record set. ``aggregation`` must be a
+    positive int.
+    """
     _check_aggregation(aggregation)
-    if path.endswith(".json"):
-        try:
-            with open(path, "r") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        return TemporalNetwork.from_json(text)
-    return load_snapshots(path, aggregation=aggregation, directed=directed)
+    try:
+        with open(path, "r", newline="") as fh:
+            if path.endswith(".json"):
+                return TemporalNetwork.from_json(fh.read())
+            columns = _parse_columns(csv.reader(fh), os.path.basename(path), aggregation)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return _build_network(*columns, directed)

@@ -71,6 +71,40 @@ def test_snapshot_rejects_an_edge_record_without_a_length(record):
             Snapshot(node_ids=(0, 1), edges=edges)
 
 
+@pytest.mark.parametrize("record", [{0, 1, 2}, {"a": 1, "b": 2, "c": 3}, "abc", np.array([0, 1, 2.0])],
+                         ids=["set", "dict", "str", "numpy-row"])
+def test_snapshot_takes_only_a_tuple_or_list_as_an_edge_record(record):
+    # a set or dict of three once raised a bare TypeError or KeyError
+    message = f"edge record {record!r} is not an (i, j, w) triple"
+    for edges in ((record,), ((0, 1, 1.0), record)):
+        with pytest.raises(DataError, match=re.escape(message)):
+            Snapshot(node_ids=(0, 1, 2), edges=edges)
+
+
+@pytest.mark.parametrize("weight", [10**400, True, np.True_], ids=["int-beyond-float", "bool", "numpy-bool"])
+def test_snapshot_rejects_a_weight_that_is_not_a_positive_finite_real(weight):
+    # 10**400 once raised a bare OverflowError, and True was kept and written as a JSON
+    # true that from_json refuses
+    message = f"edge (0, 1) has non-positive or non-finite weight {weight!r}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        Snapshot(node_ids=(0, 1), edges=((0, 1, weight),))
+
+
+def test_snapshot_accepts_a_numpy_int_weight():
+    # once rejected as a non-positive or non-finite weight
+    s = Snapshot(node_ids=(0, 1), edges=((0, 1, np.int64(2)),))
+    assert s.edges == ((0, 1, 2.0),) and type(s.edges[0][2]) is float
+
+
+def test_numpy_int_indices_list_records_and_int_weights_round_trip():
+    # to_json once failed on the numpy ints it kept: "Object of type int64 is not JSON serializable"
+    s = Snapshot(node_ids=("a", "b", "c"), edges=([np.int64(0), np.uint8(2), 3], (np.int32(1), 2, 1)))
+    assert s.edges == ((0, 2, 3.0), (1, 2, 1.0))
+    assert [tuple(map(type, e)) for e in s.edges] == [(int, int, float)] * 2
+    tn = TemporalNetwork(snapshots=(s,), universe=("a", "b", "c"))
+    assert TemporalNetwork.from_json(tn.to_json()) == tn
+
+
 def _first_bad_edge(node_ids, edges, directed):
     """The per-edge loop the vectorized edge rules replaced: its message, or None."""
     n = len(node_ids)

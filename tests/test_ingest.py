@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structim import (DataError, Snapshot, TemporalNetwork, load_network, load_snapshots, load_snapshots_text,
+from structim import (DataError, Snapshot, TemporalNetwork, load_network, load_snapshots_text,
                       write_edge_csv)
 from structim import ingest
 from structim.generators import barbell
@@ -143,7 +143,7 @@ def test_aggregation_must_be_positive_int():
 
 def test_missing_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError):
-        load_snapshots(str(tmp_path / "absent.csv"))
+        load_network(str(tmp_path / "absent.csv"))
 
 
 def test_write_then_load_round_trip(tmp_path):
@@ -152,7 +152,7 @@ def test_write_then_load_round_trip(tmp_path):
     tn = repeat_snapshot(barbell(4, 2, 5), 3)
     path = tmp_path / "net.csv"
     write_edge_csv(tn, str(path))
-    back = load_snapshots(str(path))
+    back = load_network(str(path))
     assert back.n_snapshots == 3
     for s, t in zip(back.snapshots, tn.snapshots):
         assert np.array_equal(s.adjacency(), t.adjacency())
@@ -340,7 +340,7 @@ _FAULTS = {
 
 
 @st.composite
-def _csv_cases(draw):
+def _csv_cases(draw, faults=tuple(_FAULTS)):
     rows = draw(st.lists(
         st.tuples(st.sampled_from(_TIMES), st.sampled_from(_PAIRS), st.sampled_from(_VALUES)), max_size=40))
     lines = [f"{t},{a},{b},{v}" for t, (a, b), v in rows]
@@ -350,7 +350,7 @@ def _csv_cases(draw):
         lines.append(f"{t},{b},{a},{v[1:] if v.startswith('-') else '-' + v}" if draw(st.booleans())
                      else lines[k])
     lines = draw(st.permutations(lines))
-    fault = draw(st.sampled_from([None, *_FAULTS]))
+    fault = draw(st.sampled_from([None, *faults]))
     if fault is not None:
         at = draw(st.integers(0, len(lines)))
         lines[at:at] = _FAULTS[fault]
@@ -369,3 +369,20 @@ def test_columnar_ingest_matches_the_row_reader(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_BLOCK", block)  # small blocks put faults and the header across block edges
         assert _outcome(load_snapshots_text, text, aggregation, directed) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_csv_cases(faults=()))
+def test_ingest_snapshots_meet_the_public_constructor_rules(case):
+    # Snapshot._from_arrays does not check the arrays ingest builds; the public
+    # constructor must accept each snapshot and build the same edge arrays
+    text, aggregation, directed, _ = case
+    try:
+        tn = load_snapshots_text(text, aggregation, directed)
+    except DataError:
+        return  # no records, or every pair netted to zero
+    for s in tn.snapshots:
+        rebuilt = Snapshot(node_ids=s.node_ids, edges=s.edges, directed=s.directed, timestamp=s.timestamp)
+        assert rebuilt == s
+        for a, b in zip(rebuilt._edge_arrays, s._edge_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
