@@ -85,13 +85,6 @@ def _base_graph(n: int, communities: int, hub_count: int, rng: np.random.Generat
     return edges
 
 
-def _snapshot_from_edges(edge_weights: dict, timestamp: int) -> Snapshot:
-    nodes = sorted({v for pair in edge_weights for v in pair})
-    index = {v: k for k, v in enumerate(nodes)}
-    edges = tuple((index[a], index[b], w) for (a, b), w in sorted(edge_weights.items()))
-    return Snapshot(node_ids=tuple(nodes), edges=edges, directed=False, timestamp=timestamp)
-
-
 def synthetic_temporal(
     n: int,
     communities: int,
@@ -122,8 +115,10 @@ def synthetic_temporal(
     _check_seed(seed)
 
     base = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
-    snapshots = [_snapshot_from_edges(base, 0)]
-    base_edges = sorted(base.items())
+    # _base_graph's pairs (i, j) come once each, with i < j, in sorted order
+    lo, hi = np.array(list(base), dtype=int).reshape(-1, 2).T
+    w = np.fromiter(base.values(), dtype=float, count=len(base))
+    snapshots = [Snapshot._from_pairs(range(n), lo, hi, w, directed=False, timestamp=0)]
 
     for t in range(1, horizon):
         rng = np.random.default_rng([seed, 1, t])
@@ -139,10 +134,9 @@ def synthetic_temporal(
                     z[node] = (val - mean) / std
         keep_logit = _ALPHA + dropout_coupling * z
         keep = rng.random(n) < 1.0 / (1.0 + np.exp(-keep_logit))
-        survivors = {}
-        for (a, b), w in base_edges:
-            if keep[a] and keep[b]:
-                survivors[(a, b)] = float(w * rng.lognormal(0.0, _NOISE_SIGMA))
-        snapshots.append(_snapshot_from_edges(survivors, t))
+        # one noise draw per surviving base edge in pair order: the stream of k scalar draws
+        live = keep[lo] & keep[hi]
+        noisy = w[live] * rng.lognormal(0.0, _NOISE_SIGMA, size=np.count_nonzero(live))
+        snapshots.append(Snapshot._from_pairs(range(n), lo[live], hi[live], noisy, directed=False, timestamp=t))
 
     return TemporalNetwork(snapshots=tuple(snapshots), universe=tuple(range(n)))

@@ -10,8 +10,10 @@ matrix) are built once per container and are read-only.
 Node ids are opaque (ints or strings). An edge record is a tuple or list
 ``(i, j, w)`` of integer (not bool) local indices into ``node_ids`` and a
 positive, finite real weight (not a bool), stored as a plain ``(int, int,
-float)`` tuple; undirected edges are stored once with ``i < j``. Ingest builds
-its snapshots from edge arrays that meet these rules by construction.
+float)`` tuple; undirected edges are stored once with ``i < j``. The public
+constructor checks every rule; outside input, the JSON loader, unpickling and
+``copy`` go through it. Ingest and ``synthetic_temporal`` build snapshots with
+the trusted ``Snapshot._from_pairs``, which runs no rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -54,9 +56,20 @@ def _is_weight(value) -> bool:
         return False
 
 
-def _state_without_caches(self) -> dict:
-    """Pickle state without the cached views, which unpickling would make writable."""
-    return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+def _hashable_ids(ids, what: str) -> set:
+    """The set of ``ids``, which must be a collection of distinct hashable ids."""
+    try:
+        distinct = set(ids)
+    except TypeError as exc:  # not iterable, or an id is unhashable
+        raise DataError(f"{what} has malformed node ids: {exc}") from exc
+    if len(distinct) != len(ids):
+        raise DataError(f"{what} has duplicate node ids")
+    return distinct
+
+
+def _by_constructor(self):
+    """Pickle and copy through the constructor, which rebuilds the read-only views."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -75,7 +88,7 @@ class Snapshot:
     directed:
         Edge orientation flag.
     timestamp:
-        Integer time label, unique within a TemporalNetwork.
+        Integer (not bool) time label, stored as a plain int; unique within a TemporalNetwork.
     """
 
     node_ids: tuple
@@ -84,12 +97,14 @@ class Snapshot:
     timestamp: int = 0
 
     def __post_init__(self):
+        _hashable_ids(self.node_ids, "snapshot")
+        n = len(self.node_ids)
+        if not _is_integer(self.timestamp):
+            raise DataError(f"timestamp must be an integer, got {self.timestamp!r}")
+        object.__setattr__(self, "timestamp", int(self.timestamp))
         # A record's first broken rule is raised, in this order: triple, integer
         # indices, range, self loop, i < j when undirected, weight, duplicate.
         # The exact-type tests skip the slower ABC checks for ints and floats.
-        n = len(self.node_ids)
-        if len(set(self.node_ids)) != n:
-            raise DataError("snapshot has duplicate node ids")
         ii, jj, ww = [], [], []
         seen = set()
         for e in self.edges:
@@ -115,33 +130,32 @@ class Snapshot:
         self._keep_edges(np.array(ii, dtype=int), np.array(jj, dtype=int), np.array(ww, dtype=float))
 
     @classmethod
-    def _from_arrays(cls, node_ids: tuple, i: np.ndarray, j: np.ndarray, w: np.ndarray,
-                     directed: bool, timestamp: int) -> "Snapshot":
-        """A snapshot from local edge arrays (int, int, float) that meet every
-        edge rule already; no rule is run again.
+    def _from_pairs(cls, ids, lo: np.ndarray, hi: np.ndarray, w: np.ndarray,
+                    directed: bool, timestamp: int) -> "Snapshot":
+        """A snapshot on the ids its pairs touch, in index order, with no rule run.
 
-        The one caller, ``ingest._build_network``, meets each by construction:
-        records are grouped by pair, so no pair repeats; an undirected pair is
-        the (min, max) of two ids checked to differ, so i < j; ``searchsorted``
-        on the period's ``np.unique`` nodes keeps indices in range; weights
-        are ``abs`` of finite nonzero nets. The arrays become the edge-array
-        cache, so they must not be written to afterwards.
+        ``lo`` and ``hi`` index ``ids``; ``w`` becomes the read-only edge-array
+        cache. The two callers guarantee that no pair repeats, lo != hi (lo <
+        hi when undirected) and weights are positive and finite: ingest groups
+        records by pair, takes the (min, max) of two ids checked to differ and
+        keeps ``abs`` of finite nonzero nets; ``synthetic_temporal`` takes
+        ``_base_graph``'s pairs (i < j, each once) and lognormal weights.
         """
+        nodes = np.unique(np.concatenate((lo, hi)))
         snap = object.__new__(cls)
-        for name, value in {"node_ids": node_ids, "directed": directed, "timestamp": timestamp}.items():
-            object.__setattr__(snap, name, value)
-        snap._keep_edges(i, j, w)
+        vars(snap).update(node_ids=tuple(ids[c] for c in nodes.tolist()), directed=directed, timestamp=timestamp)
+        snap._keep_edges(np.searchsorted(nodes, lo), np.searchsorted(nodes, hi), w)
         return snap
 
     def _keep_edges(self, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
-        """Keep the arrays, read-only, as the edge-array cache, and ``edges``
-        as the plain (int, int, float) tuples they hold."""
+        """Keep the arrays, read-only, as ``_edge_arrays`` (int, int, float),
+        and ``edges`` as the plain (int, int, float) tuples they hold."""
         object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist(), w.tolist())))
         for arr in (i, j, w):
             arr.setflags(write=False)
         object.__setattr__(self, "_edge_arrays", (i, j, w))
 
-    __getstate__ = _state_without_caches
+    __reduce__ = _by_constructor
 
     @property
     def n_nodes(self) -> int:
@@ -155,16 +169,6 @@ class Snapshot:
     def node_index(self) -> dict:
         """Map node id -> local index."""
         return {v: k for k, v in enumerate(self.node_ids)}
-
-    @cached_property
-    def _edge_arrays(self) -> tuple:
-        """Edges as read-only (i, j, w) arrays: int, int, float.
-
-        The constructors leave them here; unpickling drops them, and the
-        edge pass over ``edges`` rebuilds them.
-        """
-        self.__post_init__()
-        return vars(self)["_edge_arrays"]
 
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency matrix (n x n, float64, zero diagonal).
@@ -261,9 +265,7 @@ class TemporalNetwork:
             raise DataError(f"negative_weight_count must be an integer, got {count!r}")
         if count < 0:
             raise DataError(f"negative_weight_count must be nonnegative, got {count!r}")
-        if len(set(self.universe)) != len(self.universe):
-            raise DataError("universe has duplicate node ids")
-        uni = set(self.universe)
+        uni = _hashable_ids(self.universe, "universe")
         last_t = None
         directed = None
         for s in self.snapshots:
@@ -278,7 +280,7 @@ class TemporalNetwork:
             if missing:
                 raise DataError(f"snapshot nodes outside universe: {sorted(map(repr, missing))[:5]}")
 
-    __getstate__ = _state_without_caches
+    __reduce__ = _by_constructor
 
     @property
     def n_snapshots(self) -> int:

@@ -10,8 +10,8 @@ only in which eigenvalue terms they keep per node:
 
     ma  rank-1 term (largest eigenvalue) for every node
     mb  the term at the node's selected eigencomponent rank
-    mc  the sum over every eigenvalue (identically (2/S_i) * A_ii, hence zero
-        for zero-diagonal matrices; kept literal, see importance_components)
+    mc  the sum over every eigenvalue, identically (2/S_i) * A_ii = 0 as a
+        Snapshot has no self loops (importance_components keeps the terms)
     md  the sum over positive eigenvalues only
 
 Edge importance is the sensitivity of the leading eigenvalue to one edge's
@@ -65,11 +65,11 @@ def importance_components(spectrum: Spectrum, strength: np.ndarray) -> np.ndarra
     """Per-node, per-eigenvalue importance terms (n x n matrix).
 
     Rows for zero-strength nodes are NaN. Column k is the term contributed by
-    eigenvalue rank k+1. Summing a row reproduces scheme mc for that node,
-    which collapses to (2/S_i)*A_ii by the spectral decomposition; the matrix
-    is exposed so callers can see the cancellation instead of just a zero.
+    eigenvalue rank k+1. A row sums to scheme mc for that node, (2/S_i)*A_ii
+    = 0, up to rounding of order n * eps * max|lambda| / S_i; the matrix is
+    exposed so callers can see the cancellation instead of just a zero.
     The terms come from ``_terms``, which ``node_importance`` also calls on
-    only the columns its scheme reads, so every value here equals its pick.
+    the columns ma, mb and md read, so each of their values is one here.
     """
     strength = np.asarray(strength, dtype=float)
     if strength.shape != (spectrum.n,):
@@ -83,7 +83,7 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
     The snapshot must be undirected (use node_importance_directed otherwise).
     ``spectrum`` may carry a precomputed decomposition of the snapshot's
     adjacency to avoid repeating it across schemes. Only the eigen-terms the
-    scheme reads are computed.
+    scheme reads are computed; mc reads none, as it is 0.0 for every node.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -92,8 +92,9 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
     s = snapshot.strength()
     mask = s > 0
     excluded = tuple(v for v, keep in zip(snapshot.node_ids, mask) if not keep)
-    if not mask.any():
-        return ImportanceVector(scheme=scheme, values={}, excluded=excluded)
+    if scheme == "mc" or not mask.any():  # mc is (2/S_i) * A_ii, and A_ii = 0
+        values = {v: 0.0 for v, keep in zip(snapshot.node_ids, mask) if keep}
+        return ImportanceVector(scheme=scheme, values=values, excluded=excluded)
 
     spec = spectrum if spectrum is not None else eig_sym(snapshot.adjacency())
     lam, vecs = spec.eigenvalues, spec.eigenvectors
@@ -105,8 +106,8 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
         ranks = select_eigencomponent(spec)
         vals = _terms(lam[ranks - 1], vecs[np.arange(spec.n), ranks - 1], s)
         eig_rank = {v: int(r) for v, r, keep in zip(snapshot.node_ids, ranks, mask) if keep}
-    else:  # mc reads every column, md the positive ones
-        cols = spec.n if scheme == "mc" else spec.positive_count()
+    else:  # md: the positive columns
+        cols = spec.positive_count()
         vals = _terms(lam[:cols], vecs[:, :cols], s[:, None]).sum(axis=1)
 
     values = {v: float(x) for v, x, keep in zip(snapshot.node_ids, vals, mask) if keep}

@@ -203,18 +203,12 @@ def _build_network(period, starts, src, dst, w, ids, directed: bool) -> Temporal
         raise DataError("all records netted to zero; no snapshots left")
 
     cuts = np.flatnonzero(np.diff(g_period)) + 1
-    snapshots = []
-    for stamp, (lo_t, hi_t, w_t) in enumerate(zip(np.split(g_lo, cuts), np.split(g_hi, cuts), np.split(weight, cuts))):
-        nodes = np.unique(np.concatenate((lo_t, hi_t)))
-        # an undirected pair has lo < hi, so its local indices have i < j
-        snapshots.append(Snapshot._from_arrays(
-            tuple(ids[c] for c in nodes.tolist()),
-            np.searchsorted(nodes, lo_t), np.searchsorted(nodes, hi_t), w_t,
-            directed=directed, timestamp=stamp,
-        ))
+    periods = zip(np.split(g_lo, cuts), np.split(g_hi, cuts), np.split(weight, cuts))
+    snapshots = tuple(Snapshot._from_pairs(ids, lo_t, hi_t, w_t, directed=directed, timestamp=stamp)
+                      for stamp, (lo_t, hi_t, w_t) in enumerate(periods))
     universe = np.unique(np.concatenate((g_lo, g_hi)))
     return TemporalNetwork(
-        snapshots=tuple(snapshots),
+        snapshots=snapshots,
         universe=tuple(ids[c] for c in universe.tolist()),
         negative_weight_count=negative,
     )
@@ -222,7 +216,7 @@ def _build_network(period, starts, src, dst, w, ids, directed: bool) -> Temporal
 
 def write_edge_csv(tn: TemporalNetwork, path: str) -> None:
     """Write a TemporalNetwork back out as a time,src,dst,value CSV."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for s in tn.snapshots:
@@ -234,16 +228,16 @@ def load_network(path: str, aggregation: int = 1, directed: bool = False) -> Tem
     """Read a network JSON document (which ignores ``aggregation`` and
     ``directed``) or an edge-list CSV into a TemporalNetwork, by extension.
 
-    Raises DataError for unreadable files, malformed records (a CSV record
-    with its line number), or an empty record set. ``aggregation`` must be a
-    positive int.
+    Raises DataError for unreadable files, text that is not UTF-8, malformed
+    records (a CSV record with its line number), or an empty record set.
+    ``aggregation`` must be a positive int.
     """
     _check_aggregation(aggregation)
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             if path.endswith(".json"):
                 return TemporalNetwork.from_json(fh.read())
             columns = _parse_columns(csv.reader(fh), os.path.basename(path), aggregation)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return _build_network(*columns, directed)

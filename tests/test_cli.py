@@ -151,6 +151,13 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"t,a,b,1\n0,\xe9,b,1\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"data error: cannot read {path}: 'utf-8' codec" in capsys.readouterr().err
+
+
 def test_analyze_artifacts(synthetic_csv, tmp_path):
     out = str(tmp_path / "analysis")
     code = main(["analyze", synthetic_csv, "--out", out])

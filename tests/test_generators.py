@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from structim import BASE_PRESENCE, barbell, repeat_snapshot, synthetic_temporal
-from structim.generators import _P_HUB_OUT, _P_IN, _P_OUT, _base_graph
+from structim import (BASE_PRESENCE, Snapshot, TemporalNetwork, barbell, node_importance, repeat_snapshot,
+                      synthetic_temporal)
+from structim.generators import _ALPHA, _NOISE_SIGMA, _P_HUB_OUT, _P_IN, _P_OUT, _base_graph
 
 
 def _base_graph_oracle(n, communities, hub_count, rng):
@@ -153,3 +156,65 @@ def test_base_graph_matches_pairwise_loop(args):
     want = _base_graph_oracle(n, communities, hub_count, np.random.default_rng([seed, 0]))
     assert list(got.items()) == list(want.items())
     assert all(type(i) is int and type(j) is int and type(w) is float for (i, j), w in got.items())
+
+
+def _synthetic_temporal_oracle(n, communities, hub_count, dropout_coupling, horizon, seed):
+    """The dict-based generator that ``synthetic_temporal`` replaced: every
+    snapshot goes through the public constructor, and each surviving edge
+    draws its noise with one scalar call."""
+    def snapshot_from_edges(edge_weights, timestamp):
+        nodes = sorted({v for pair in edge_weights for v in pair})
+        index = {v: k for k, v in enumerate(nodes)}
+        edges = tuple((index[a], index[b], w) for (a, b), w in sorted(edge_weights.items()))
+        return Snapshot(node_ids=tuple(nodes), edges=edges, directed=False, timestamp=timestamp)
+
+    base = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
+    snapshots = [snapshot_from_edges(base, 0)]
+    for t in range(1, horizon):
+        rng = np.random.default_rng([seed, 1, t])
+        mb = node_importance(snapshots[-1], "mb").values
+        z = np.zeros(n)
+        if mb:
+            raw = np.array(list(mb.values()))
+            if raw.std() > 0:
+                for node, val in mb.items():
+                    z[node] = (val - raw.mean()) / raw.std()
+        keep = rng.random(n) < 1.0 / (1.0 + np.exp(-(_ALPHA + dropout_coupling * z)))
+        survivors = {}
+        for (a, b), w in sorted(base.items()):
+            if keep[a] and keep[b]:
+                survivors[(a, b)] = float(w * rng.lognormal(0.0, _NOISE_SIGMA))
+        snapshots.append(snapshot_from_edges(survivors, t))
+    return TemporalNetwork(snapshots=tuple(snapshots), universe=tuple(range(n)))
+
+
+@st.composite
+def _synthetic_args(draw):
+    n = draw(st.integers(1, 30))
+    return (n, draw(st.integers(1, n)), draw(st.integers(0, n)), draw(st.sampled_from((-3.0, -1.0, 0.0, 1.5))),
+            draw(st.integers(2, 6)), draw(st.integers(0, 2**32 - 1)))
+
+
+# n = 1 and n = 2 across two communities have no base edge; (4, 1, 0, -2.0, 4, 2)
+# leaves snapshots 1 and 3 with no surviving edge
+@given(_synthetic_args())
+@example((1, 1, 0, 0.0, 3, 0))
+@example((2, 2, 0, -1.0, 4, 1))
+@example((4, 1, 0, -2.0, 4, 2))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_synthetic_matches_the_dict_based_generator(args):
+    got = synthetic_temporal(*args)
+    assert got.to_json() == _synthetic_temporal_oracle(*args).to_json()
+
+
+@given(_synthetic_args())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_synthetic_snapshots_meet_the_public_constructor_rules(args):
+    # Snapshot._from_pairs does not check the pairs the generator builds; the
+    # public constructor must accept each snapshot and build the same edge arrays
+    for s in synthetic_temporal(*args).snapshots:
+        rebuilt = Snapshot(node_ids=s.node_ids, edges=s.edges, directed=s.directed, timestamp=s.timestamp)
+        assert rebuilt == s
+        for a, b in zip(rebuilt._edge_arrays, s._edge_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(type(i) is int and type(j) is int and type(w) is float and math.isfinite(w) for i, j, w in s.edges)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import pickle
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structim import DataError, Snapshot, TemporalNetwork
+from structim import DataError, Snapshot, TemporalNetwork, load_snapshots_text
 
 from conftest import clique, network_from
 
@@ -260,6 +261,59 @@ def test_strength_and_presence_are_cached_read_only():
     assert s_copy == s and tn_copy == tn
     assert not s_copy.strength().flags.writeable
     assert not tn_copy.presence_matrix().flags.writeable
+
+
+def _constructed_network():
+    s0 = Snapshot(node_ids=("a", "b", "c"), edges=((0, 1, 1.5), (2, 1, 2.0)), directed=True, timestamp=-1)
+    s1 = Snapshot(node_ids=("b", "a"), edges=([0, 1, np.float64(0.25)],), directed=True, timestamp=4)
+    return TemporalNetwork(snapshots=(s0, s1), universe=("c", "b", "a"), negative_weight_count=1)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("build", [
+    _constructed_network,
+    lambda: load_snapshots_text("0,a,b,1.5\n0,c,b,2\n0,a,c,-0.25\n1,b,a,1\n", directed=True),
+], ids=["constructor", "ingest"])
+def test_copies_rebuild_equal_objects_with_read_only_views(duplicate, build):
+    # copies and unpickled objects are rebuilt by the constructor, not from a state dict
+    tn = build()
+    tn.presence_matrix()
+    for s in tn.snapshots:
+        s.strength()
+    back = duplicate(tn)
+    assert back == tn and back.to_json() == tn.to_json()
+    assert not back.presence_matrix().flags.writeable
+    for s, rebuilt in [*zip(tn.snapshots, back.snapshots), *((s, duplicate(s)) for s in tn.snapshots)]:
+        assert rebuilt == s and rebuilt.edges == s.edges
+        for a, b in zip(rebuilt._edge_arrays, s._edge_arrays):
+            assert not a.flags.writeable and a.dtype == b.dtype and np.array_equal(a, b)
+        assert not rebuilt.strength().flags.writeable
+
+
+@pytest.mark.parametrize("timestamp", [2.5, 3.0, True, np.bool_(False), "3"])
+def test_timestamp_that_is_not_an_integer_is_the_loader_data_error(timestamp):
+    # such a snapshot was built and written, and its document then refused by the loader
+    with pytest.raises(DataError, match=re.escape(f"timestamp must be an integer, got {timestamp!r}")):
+        Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0),), timestamp=timestamp)
+
+
+@pytest.mark.parametrize("timestamp", [3, -2, np.int64(3), 2**70])
+def test_every_accepted_timestamp_is_a_plain_int_that_round_trips(timestamp):
+    s = Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0),), timestamp=timestamp)
+    assert type(s.timestamp) is int and s.timestamp == timestamp
+    tn = TemporalNetwork(snapshots=(s,), universe=(0, 1))
+    assert TemporalNetwork.from_json(tn.to_json()) == tn
+
+
+def test_unhashable_node_id_is_a_data_error():
+    with pytest.raises(DataError, match=re.escape("snapshot has malformed node ids: unhashable type: 'list'")):
+        Snapshot(node_ids=([0],), edges=())
+
+
+def test_unhashable_universe_id_is_a_data_error():
+    with pytest.raises(DataError, match=re.escape("universe has malformed node ids: unhashable type: 'list'")):
+        TemporalNetwork(snapshots=(), universe=(0, [1]))
 
 
 def test_total_weight():

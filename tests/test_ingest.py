@@ -146,6 +146,15 @@ def test_missing_file_is_a_data_error(tmp_path):
         load_network(str(tmp_path / "absent.csv"))
 
 
+@pytest.mark.parametrize("name, data", [("net.csv", b"t,a,b,1\n0,\xe9,b,1\n"),
+                                        ("net.json", b'{"format": "structim-network", "universe": ["\xe9"]}')])
+def test_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=re.escape(f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9")):
+        load_network(str(path))
+
+
 def test_write_then_load_round_trip(tmp_path):
     from structim.generators import repeat_snapshot
 
@@ -374,7 +383,7 @@ def test_columnar_ingest_matches_the_row_reader(case):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_csv_cases(faults=()))
 def test_ingest_snapshots_meet_the_public_constructor_rules(case):
-    # Snapshot._from_arrays does not check the arrays ingest builds; the public
+    # Snapshot._from_pairs does not check the arrays ingest builds; the public
     # constructor must accept each snapshot and build the same edge arrays
     text, aggregation, directed, _ = case
     try:
