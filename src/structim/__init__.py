@@ -44,10 +44,7 @@ from .features import (
     FeatureTable,
     build_features,
     build_table,
-    label_change,
-    label_presence,
-    label_rel_change,
-    label_sign,
+    label_nodes,
     pool,
     prune_correlated,
     snapshot_measures,
@@ -126,10 +123,7 @@ __all__ = [
     "forward_chain_folds",
     "importance_components",
     "kmeans_eigvecs",
-    "label_change",
-    "label_presence",
-    "label_rel_change",
-    "label_sign",
+    "label_nodes",
     "leading_singular",
     "load_network",
     "load_snapshots_text",

@@ -28,7 +28,7 @@ from dataclasses import asdict, fields
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericalError
-from .features import MEASURE_COLUMNS, TARGETS, label_presence, snapshot_measures
+from .features import MEASURE_COLUMNS, TARGETS, label_nodes, snapshot_measures
 from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
@@ -185,7 +185,7 @@ def cmd_analyze(args) -> int:
                         "positive_count": 0 if spec is None else spec.positive_count()})
 
         # Measure distributions split by presence in the next snapshot.
-        labels = label_presence(tn, t) if t < tn.n_snapshots - 1 else {}
+        labels = label_nodes(tn, t, "presence") if t < tn.n_snapshots - 1 else {}
         if not labels:
             continue
         measures = snapshot_measures(tn, t, spectrum=spec, communities=communities)

@@ -8,9 +8,18 @@ The presence_count column counts those prior appearances.
 
 Feature rows cover the nodes present in snapshot t that have at least one
 prior appearance; a node seen for the first time at t has no history to
-average and is excluded (the count is kept in table metadata). Targets that
-compare t with t+1 restrict rows further to nodes with positive strength in
-both snapshots.
+average and is excluded (the count is kept in table metadata).
+
+Labels (``label_nodes``) compare a node's strength S0 in snapshot t with its
+strength S1 in snapshot t+1, 0 when it is absent there. Only nodes with
+S0 > 0 are labeled; the targets that compare strengths also need S1 > 0:
+
+    presence    1 iff S1 > 0
+    change      1 iff |S1 - S0| / S0 > change_threshold   (S1 > 0)
+    sign        1 iff S1 > S0, ties dropped                (S1 > 0)
+    rel_change  (S1 - S0) / S0                             (S1 > 0)
+
+``build_table`` keeps the feature rows that are labeled.
 """
 
 from __future__ import annotations
@@ -139,127 +148,112 @@ def snapshot_measures(
     ``detect_communities`` labels when the caller has already computed them.
     """
     s = tn.snapshots[t]
-    n_uni = tn.n_nodes
-    out = {name: np.full(n_uni, np.nan) for name in MEASURE_COLUMNS}
+    out = {name: np.full(tn.n_nodes, np.nan) for name in MEASURE_COLUMNS}
     if s.n_edges == 0:
         return out
 
-    gidx = np.array([tn.universe_index[v] for v in s.node_ids])
+    # an ImportanceVector holds the positive-strength nodes in snapshot order
+    present = s.strength() > 0
+    at = tn._positions[t][present]
     spec = spectrum if spectrum is not None else eig_sym(s.adjacency())
     for scheme in SCHEMES:
-        vec = node_importance(s, scheme, spectrum=spec)
-        for node, val in vec.values.items():
-            out[scheme][tn.universe_index[node]] = val
+        out[scheme][at] = list(node_importance(s, scheme, spectrum=spec).values.values())
 
-    cent = eigenvector_centrality(s, spectrum=spec)
-    pr = pagerank(s)
-    deg = s.degrees().astype(float)
     labels = communities if communities is not None else detect_communities(s)
-    sizes = np.bincount(labels)
-    strength = s.strength()
-    present = strength > 0
-    out["eig_centrality"][gidx[present]] = cent[present]
-    out["pagerank"][gidx[present]] = pr[present]
-    out["degree"][gidx[present]] = deg[present]
-    out["community_size"][gidx[present]] = sizes[labels[present]].astype(float)
+    out["eig_centrality"][at] = eigenvector_centrality(s, spectrum=spec)[present]
+    out["pagerank"][at] = pagerank(s)[present]
+    out["degree"][at] = s.degrees()[present]
+    out["community_size"][at] = np.bincount(labels)[labels[present]]
     return out
 
 
-def build_features(tn: TemporalNetwork, t: int, measures_cache: dict | None = None) -> FeatureTable:
-    """Historical-mean feature table anchored at snapshot t.
+def build_features(tn: TemporalNetwork, t: int) -> FeatureTable:
+    """Historical-mean feature table anchored at snapshot t, rows in snapshot order."""
+    return _feature_table(tn, t)
 
-    ``measures_cache`` maps snapshot index -> snapshot_measures output and is
-    filled on demand, so sweeping t over a horizon computes each snapshot's
-    measures once.
-    """
+
+def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05) -> FeatureTable:
+    """Feature table at t with the requested target attached: the rows of
+    ``build_features`` that ``label_nodes`` labels."""
+    keep, y = _labels(tn, t, target, change_threshold)
+    return _feature_table(tn, t, keep, target, y)
+
+
+def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) -> FeatureTable:
+    """The featurizable nodes of snapshot t among ``keep``, with their labels
+    ``y`` when given; ``keep`` and ``y`` run over snapshot t's nodes."""
     if not 1 <= t < tn.n_snapshots:
         raise ArgumentError(f"anchor t={t} needs at least one prior snapshot and must exist")
-    cache = measures_cache if measures_cache is not None else {}
+    # A snapshot is measured once per network, and the measures are kept in
+    # its private state (pickling drops them), so a horizon sweep shares them.
+    measures = vars(tn).setdefault("_measures", {})
     for u in range(t):
-        if u not in cache:
-            cache[u] = snapshot_measures(tn, u)
-
-    presence = tn.presence_matrix()
-    prior_count = presence[:t].sum(axis=0).astype(float)
-    now = tn.snapshots[t]
-    rows = []
-    skipped_new = 0
-    for v in now.node_ids:
-        g = tn.universe_index[v]
-        if prior_count[g] >= 1:
-            rows.append((v, g))
-        else:
-            skipped_new += 1
-
-    g_rows = np.array([g for _, g in rows], dtype=int)
-    x = np.empty((len(rows), len(FEATURE_COLUMNS)))
+        if u not in measures:
+            measures[u] = snapshot_measures(tn, u)
+    at = tn._positions[t]
+    prior_count = tn.presence_matrix()[:t].sum(axis=0).astype(float)[at]
+    x = np.empty((at.size, len(FEATURE_COLUMNS)))
     for c, name in enumerate(FEATURE_COLUMNS[:-1]):
-        hist = np.stack([cache[u][name] for u in range(t)])
+        hist = np.stack([measures[u][name] for u in range(t)])
         defined_mask = ~np.isnan(hist)
         counts = defined_mask.sum(axis=0)
         sums = np.where(defined_mask, hist, 0.0).sum(axis=0)
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        x[:, c] = means[g_rows]
-    x[:, -1] = prior_count[g_rows]
+        x[:, c] = means[at]
+    x[:, -1] = prior_count
 
-    # A node can be present without defined importance (zero strength in every
-    # prior appearance); such rows cannot be featurized either.
-    defined = ~np.isnan(x).any(axis=1)
-    skipped_undefined = int((~defined).sum())
-    x = x[defined]
-    node_ids = tuple(v for (v, _), keep in zip(rows, defined) if keep)
-
+    # A node seen for the first time at t has no history; a node can also be
+    # present without defined importance (zero strength in every prior
+    # appearance). Neither can be featurized.
+    seen = prior_count >= 1
+    defined = seen & ~np.isnan(x).any(axis=1)
+    rows = defined & keep
+    ids = tn.snapshots[t].node_ids
     return FeatureTable(
         columns=FEATURE_COLUMNS,
-        X=x,
-        node_ids=node_ids,
+        X=x[rows],
+        node_ids=tuple(ids[k] for k in np.flatnonzero(rows).tolist()),
         as_of=t,
-        meta={"skipped_new_nodes": skipped_new, "skipped_undefined": skipped_undefined},
+        target=target,
+        y=None if y is None else y[rows],
+        meta={"skipped_new_nodes": int(at.size - seen.sum()), "skipped_undefined": int((seen & ~defined).sum())},
     )
 
 
-def _strengths_by_node(s: Snapshot) -> dict:
-    vals = s.strength()
-    return {v: float(x) for v, x in zip(s.node_ids, vals) if x > 0}
+def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):
+    """(keep, y) over snapshot t's nodes in its order: which nodes ``target``
+    labels, by the S0/S1 rules of the module docstring, and their labels as floats."""
+    _check_target(target)
+    _check_change_threshold(change_threshold)
+    _check_horizon(tn, t)
+    s0 = tn.snapshots[t].strength()
+    s1 = np.zeros(tn.n_nodes)
+    s1[tn._positions[t + 1]] = tn.snapshots[t + 1].strength()
+    s1 = s1[tn._positions[t]]
+    keep = s0 > 0
+    if target == "presence":
+        return keep, (s1 > 0).astype(float)
+    keep &= s1 > 0
+    rel = np.divide(s1 - s0, s0, out=np.zeros_like(s0), where=keep)
+    if target == "rel_change":
+        return keep, rel
+    if target == "change":
+        return keep, (np.abs(rel) > change_threshold).astype(float)
+    keep &= s1 != s0
+    return keep, (s1 > s0).astype(float)
 
 
-def label_presence(tn: TemporalNetwork, t: int) -> dict:
-    """1 iff the node carries at least one edge in snapshot t+1.
+def label_nodes(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05) -> dict:
+    """{node id: label} for the nodes of snapshot t that ``target`` labels.
 
-    Defined for every node present at t.
+    Values are ints (0 or 1), or floats for ``rel_change``; the rules are in
+    the module docstring. ``change_threshold`` must be finite and
+    nonnegative for every target.
     """
-    _check_horizon(tn, t)
-    nxt = _strengths_by_node(tn.snapshots[t + 1])
-    return {v: int(v in nxt) for v in _strengths_by_node(tn.snapshots[t])}
-
-
-def label_change(tn: TemporalNetwork, t: int, threshold: float = 0.05) -> dict:
-    """1 iff the relative strength change from t to t+1 exceeds ``threshold``.
-
-    Defined only for nodes with positive strength in both snapshots.
-    ``threshold`` must be finite and nonnegative.
-    """
-    _check_change_threshold(threshold)
-    _check_horizon(tn, t)
-    cur = _strengths_by_node(tn.snapshots[t])
-    nxt = _strengths_by_node(tn.snapshots[t + 1])
-    return {v: int(abs(nxt[v] - s0) / s0 > threshold) for v, s0 in cur.items() if v in nxt}
-
-
-def label_sign(tn: TemporalNetwork, t: int) -> dict:
-    """1 iff strength strictly grows from t to t+1; ties are dropped."""
-    _check_horizon(tn, t)
-    cur = _strengths_by_node(tn.snapshots[t])
-    nxt = _strengths_by_node(tn.snapshots[t + 1])
-    return {v: int(nxt[v] > s0) for v, s0 in cur.items() if v in nxt and nxt[v] != s0}
-
-
-def label_rel_change(tn: TemporalNetwork, t: int) -> dict:
-    """Relative strength change (S_{t+1} - S_t) / S_t for nodes in both."""
-    _check_horizon(tn, t)
-    cur = _strengths_by_node(tn.snapshots[t])
-    nxt = _strengths_by_node(tn.snapshots[t + 1])
-    return {v: (nxt[v] - s0) / s0 for v, s0 in cur.items() if v in nxt}
+    keep, y = _labels(tn, t, target, change_threshold)
+    ids = tn.snapshots[t].node_ids
+    kind = float if target == "rel_change" else int
+    return {ids[k]: kind(v) for k, v in zip(np.flatnonzero(keep).tolist(), y[keep].tolist())}
 
 
 def _check_change_threshold(threshold: float) -> None:
@@ -280,31 +274,6 @@ def _check_target(target: str) -> None:
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:
     if not 0 <= t < tn.n_snapshots - 1:
         raise ArgumentError(f"labels at t={t} need snapshot t+1 to exist")
-
-
-def build_table(
-    tn: TemporalNetwork,
-    t: int,
-    target: str,
-    change_threshold: float = 0.05,
-    measures_cache: dict | None = None,
-) -> FeatureTable:
-    """Feature table at t with the requested target attached."""
-    _check_target(target)
-    table = build_features(tn, t, measures_cache=measures_cache)
-    if target == "presence":
-        labels = label_presence(tn, t)
-    elif target == "change":
-        labels = label_change(tn, t, threshold=change_threshold)
-    elif target == "sign":
-        labels = label_sign(tn, t)
-    else:
-        labels = label_rel_change(tn, t)
-    mask = np.array([v in labels for v in table.node_ids], dtype=bool)
-    table = table.select_rows(mask)
-    table.target = target
-    table.y = np.array([labels[v] for v in table.node_ids], dtype=float)
-    return table
 
 
 def prune_correlated(table: FeatureTable, threshold: float = 0.8):

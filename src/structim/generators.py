@@ -130,8 +130,7 @@ def synthetic_temporal(
             std = raw.std()
             mean = raw.mean()
             if std > 0:
-                for node, val in mb.items():
-                    z[node] = (val - mean) / std
+                z[list(mb)] = (raw - mean) / std
         keep_logit = _ALPHA + dropout_coupling * z
         keep = rng.random(n) < 1.0 / (1.0 + np.exp(-keep_logit))
         # one noise draw per surviving base edge in pair order: the stream of k scalar draws

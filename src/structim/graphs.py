@@ -86,7 +86,7 @@ class Snapshot:
         float)`` tuples. For undirected snapshots each pair appears once with
         ``i < j``; for directed snapshots ``(i, j)`` means an arc i -> j.
     directed:
-        Edge orientation flag.
+        Edge orientation flag, a bool (numpy's too), stored as a plain bool.
     timestamp:
         Integer (not bool) time label, stored as a plain int; unique within a TemporalNetwork.
     """
@@ -102,12 +102,19 @@ class Snapshot:
         if not _is_integer(self.timestamp):
             raise DataError(f"timestamp must be an integer, got {self.timestamp!r}")
         object.__setattr__(self, "timestamp", int(self.timestamp))
+        if not isinstance(self.directed, (bool, np.bool_)):
+            raise DataError(f"directed must be true or false, got {self.directed!r}")
+        object.__setattr__(self, "directed", bool(self.directed))
         # A record's first broken rule is raised, in this order: triple, integer
         # indices, range, self loop, i < j when undirected, weight, duplicate.
         # The exact-type tests skip the slower ABC checks for ints and floats.
         ii, jj, ww = [], [], []
         seen = set()
-        for e in self.edges:
+        try:
+            records = iter(self.edges)
+        except TypeError as exc:
+            raise DataError(f"edges must be a collection of (i, j, w) records: {exc}") from exc
+        for e in records:
             if not (isinstance(e, (tuple, list)) and len(e) == 3):
                 raise DataError(f"edge record {e!r} is not an (i, j, w) triple")
             i, j, w = e
@@ -266,9 +273,15 @@ class TemporalNetwork:
         if count < 0:
             raise DataError(f"negative_weight_count must be nonnegative, got {count!r}")
         uni = _hashable_ids(self.universe, "universe")
+        try:
+            snapshots = iter(self.snapshots)
+        except TypeError as exc:
+            raise DataError(f"snapshots must be a collection of Snapshot objects: {exc}") from exc
         last_t = None
         directed = None
-        for s in self.snapshots:
+        for s in snapshots:
+            if not isinstance(s, Snapshot):
+                raise DataError(f"snapshots must be Snapshot objects, got {s!r}")
             if directed is None:
                 directed = s.directed
             elif s.directed != directed:
@@ -292,17 +305,26 @@ class TemporalNetwork:
 
     @property
     def directed(self) -> bool:
-        return bool(self.snapshots[0].directed) if self.snapshots else False
+        return self.snapshots[0].directed if self.snapshots else False
 
     @cached_property
     def universe_index(self) -> dict:
         return {v: k for k, v in enumerate(self.universe)}
 
     @cached_property
+    def _positions(self) -> tuple:
+        """Per snapshot, the universe position of each of its nodes, in its node order (read-only)."""
+        index = self.universe_index
+        out = tuple(np.array([index[v] for v in s.node_ids], dtype=int) for s in self.snapshots)
+        for pos in out:
+            pos.setflags(write=False)
+        return out
+
+    @cached_property
     def _presence(self) -> np.ndarray:
         out = np.zeros((self.n_snapshots, self.n_nodes), dtype=bool)
-        for t, s in enumerate(self.snapshots):
-            out[t, [self.universe_index[v] for v in s.node_ids]] = True
+        for t, pos in enumerate(self._positions):
+            out[t, pos] = True
         out.setflags(write=False)
         return out
 

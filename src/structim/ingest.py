@@ -158,15 +158,17 @@ def _parse_columns(reader, source: str, aggregation: int):
     return period, [t_min + p * aggregation for p in starts], recode[src], recode[dst], w, ids
 
 
-def _check_aggregation(aggregation: int) -> None:
+def _check_options(aggregation: int, directed: bool) -> None:
     if not isinstance(aggregation, int) or aggregation < 1:
         raise ArgumentError(f"aggregation must be a positive integer, got {aggregation!r}")
+    if not isinstance(directed, (bool, np.bool_)):  # the trusted Snapshot builder takes it as is
+        raise ArgumentError(f"directed must be true or false, got {directed!r}")
 
 
 def load_snapshots_text(text: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:
     """Read an edge-list CSV string into a TemporalNetwork, as load_network
     reads a CSV path."""
-    _check_aggregation(aggregation)
+    _check_options(aggregation, directed)
     return _build_network(*_parse_columns(csv.reader(io.StringIO(text)), "<text>", aggregation), directed)
 
 
@@ -204,7 +206,7 @@ def _build_network(period, starts, src, dst, w, ids, directed: bool) -> Temporal
 
     cuts = np.flatnonzero(np.diff(g_period)) + 1
     periods = zip(np.split(g_lo, cuts), np.split(g_hi, cuts), np.split(weight, cuts))
-    snapshots = tuple(Snapshot._from_pairs(ids, lo_t, hi_t, w_t, directed=directed, timestamp=stamp)
+    snapshots = tuple(Snapshot._from_pairs(ids, lo_t, hi_t, w_t, directed=bool(directed), timestamp=stamp)
                       for stamp, (lo_t, hi_t, w_t) in enumerate(periods))
     universe = np.unique(np.concatenate((g_lo, g_hi)))
     return TemporalNetwork(
@@ -230,9 +232,9 @@ def load_network(path: str, aggregation: int = 1, directed: bool = False) -> Tem
 
     Raises DataError for unreadable files, text that is not UTF-8, malformed
     records (a CSV record with its line number), or an empty record set.
-    ``aggregation`` must be a positive int.
+    ``aggregation`` must be a positive int and ``directed`` a bool.
     """
-    _check_aggregation(aggregation)
+    _check_options(aggregation, directed)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             if path.endswith(".json"):

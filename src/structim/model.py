@@ -566,9 +566,8 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
         if n_t < 2:
             continue
         density = min(1.0, tn.snapshots[t + 1].n_edges / (n_t * (n_t - 1) / 2.0))
-        pos = {v: i for i, v in enumerate(cur.node_ids)}
         try:
-            node_rows = np.array([pos[table.node_ids[i]] for i in rows_here])
+            node_rows = np.array([cur.node_index[table.node_ids[i]] for i in rows_here])
         except KeyError as exc:
             raise DataError(f"node {exc.args[0]!r} is not present at its anchor snapshot {t}") from None
         groups.append((n_t, density, node_rows, rows_here))

@@ -58,15 +58,14 @@ class PredictionResult:
 
 
 def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = 0.05):
-    """Feature tables for every anchor 1..T-2, sharing one measures cache.
+    """Feature tables for every anchor 1..T-2; each snapshot is measured once.
 
     An anchor whose table has no rows is left out.
     """
     _check_target(target)
-    cache: dict = {}
     tables = []
     for t in range(1, tn.n_snapshots - 1):
-        table = build_table(tn, t, target, change_threshold=change_threshold, measures_cache=cache)
+        table = build_table(tn, t, target, change_threshold=change_threshold)
         if table.n_rows:
             tables.append(table)
     if not tables:

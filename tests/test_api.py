@@ -22,8 +22,7 @@ PUBLIC = (
     "barbell", "binom_ci", "bootstrap_auc_ci", "build_features", "build_horizon_tables",
     "build_table", "detect_communities", "edge_importance", "eig_sym", "eigenvector_centrality",
     "evaluate", "fit_linear", "fit_logistic", "forward_chain_folds", "importance_components",
-    "kmeans_eigvecs", "label_change", "label_presence", "label_rel_change", "label_sign",
-    "leading_singular", "load_network", "load_snapshots_text",
+    "kmeans_eigvecs", "label_nodes", "leading_singular", "load_network", "load_snapshots_text",
     "mean_diff_ttest", "modularity", "node_importance", "node_importance_directed",
     "null_edge_presence", "null_prior_predictor", "null_shuffle_regression", "oversample",
     "pagerank", "pearson", "permutation_importance", "pool", "prune_correlated", "r2_score",
@@ -35,7 +34,7 @@ PUBLIC = (
 
 def test_public_surface_is_pinned():
     # a new export (or a private helper leaking out) must be added here on purpose
-    assert len(PUBLIC) == 71
+    assert len(PUBLIC) == 68
     assert sorted(structim.__all__) == sorted(PUBLIC)
     assert len(set(structim.__all__)) == len(structim.__all__)
     assert all(hasattr(structim, name) for name in PUBLIC)
@@ -70,7 +69,7 @@ def _labeled_table():
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), target="change")]),
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), columns=("mb",))]),
     lambda: structim.build_features(network_from([clique(3), clique(3, timestamp=1)]), 0),
-    lambda: structim.label_presence(network_from([clique(3), clique(3, timestamp=1)]), 1),
+    lambda: structim.label_nodes(network_from([clique(3), clique(3, timestamp=1)]), 1, "presence"),
     lambda: structim.eig_sym(np.ones((2, 3))),
     lambda: structim.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]])),
     lambda: structim.leading_singular(np.ones(3)),

@@ -1,22 +1,26 @@
 """Feature extraction, labeling, and correlation pruning."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structim import (
     FEATURE_COLUMNS,
     MEASURE_COLUMNS,
+    TARGETS,
     DataError,
     FeatureTable,
     Snapshot,
+    TemporalNetwork,
     build_features,
+    build_horizon_tables,
     build_table,
     detect_communities,
     eig_sym,
-    label_change,
-    label_presence,
-    label_rel_change,
-    label_sign,
+    label_nodes,
     prune_correlated,
     snapshot_measures,
     synthetic_temporal,
@@ -140,13 +144,24 @@ def test_build_features_anchor_validation():
         build_features(tn, 2)
 
 
-def test_measures_cache_reused():
-    tn = network_from([clique(3, timestamp=t) for t in range(3)])
-    cache = {}
-    build_features(tn, 1, measures_cache=cache)
-    assert set(cache) == {0}
-    build_features(tn, 2, measures_cache=cache)
-    assert set(cache) == {0, 1}
+def test_snapshot_measures_once_per_snapshot(monkeypatch):
+    import structim.features as features
+
+    calls = []
+    measure = features.snapshot_measures
+    monkeypatch.setattr(features, "snapshot_measures", lambda tn, t: calls.append(t) or measure(tn, t))
+    tn = network_from([clique(3 + t % 2, timestamp=t) for t in range(6)])
+    tables = build_horizon_tables(tn, "presence")
+    assert [t.as_of[0] for t in tables] == [1, 2, 3, 4]
+    assert calls == [0, 1, 2, 3]
+    # more anchors and targets on the same network measure nothing again
+    for t in range(1, 5):
+        build_features(tn, t)
+        build_table(tn, t, "rel_change")
+    assert calls == [0, 1, 2, 3]
+    # a copy is a new network with no measures kept
+    build_features(pickle.loads(pickle.dumps(tn)), 2)
+    assert calls == [0, 1, 2, 3, 0, 1]
 
 
 def test_label_presence():
@@ -154,7 +169,7 @@ def test_label_presence():
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),
         _snap((0, 1, 2, 3, 4), [(0, 1, 1.0), (2, 4, 1.0)], timestamp=1),
     ])
-    labels = label_presence(tn, 0)
+    labels = label_nodes(tn, 0, "presence")
     # node 3 is listed at t+1 but carries no edge there
     assert labels == {0: 1, 1: 1, 2: 1, 3: 0}
 
@@ -165,14 +180,14 @@ def test_label_change_threshold_is_strict():
         _snap((0, 1), [(0, 1, 1.25)], timestamp=1),
     ])
     # relative change is exactly 0.25 for both endpoints
-    assert label_change(tn, 0, threshold=0.25) == {0: 0, 1: 0}
-    assert label_change(tn, 0, threshold=0.2) == {0: 1, 1: 1}
+    assert label_nodes(tn, 0, "change", change_threshold=0.25) == {0: 0, 1: 0}
+    assert label_nodes(tn, 0, "change", change_threshold=0.2) == {0: 1, 1: 1}
     # decreases count through the absolute value
     tn_down = network_from([
         _snap((0, 1), [(0, 1, 1.0)], timestamp=0),
         _snap((0, 1), [(0, 1, 0.5)], timestamp=1),
     ])
-    assert label_change(tn_down, 0, threshold=0.25) == {0: 1, 1: 1}
+    assert label_nodes(tn_down, 0, "change", change_threshold=0.25) == {0: 1, 1: 1}
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf"), float("-inf")])
@@ -182,7 +197,7 @@ def test_label_change_rejects_non_finite_or_negative_threshold(threshold):
         _snap((0, 1), [(0, 1, 1.25)], timestamp=1),
     ])
     with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
-        label_change(tn, 0, threshold=threshold)
+        label_nodes(tn, 0, "change", change_threshold=threshold)
 
 
 def test_label_sign_drops_ties():
@@ -190,13 +205,13 @@ def test_label_sign_drops_ties():
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 1.0)], timestamp=1),
     ])
-    labels = label_sign(tn, 0)
+    labels = label_nodes(tn, 0, "sign")
     assert labels == {2: 0, 3: 0}  # 0 and 1 tied, dropped
     tn_up = network_from([
         _snap((0, 1), [(0, 1, 1.0)], timestamp=0),
         _snap((0, 1), [(0, 1, 2.0)], timestamp=1),
     ])
-    assert label_sign(tn_up, 0) == {0: 1, 1: 1}
+    assert label_nodes(tn_up, 0, "sign") == {0: 1, 1: 1}
 
 
 def test_label_rel_change_values():
@@ -204,7 +219,7 @@ def test_label_rel_change_values():
         _snap((0, 1, 2), [(0, 1, 1.0), (1, 2, 1.0)], timestamp=0),
         _snap((0, 1, 2), [(0, 1, 1.25), (1, 2, 0.75)], timestamp=1),
     ])
-    labels = label_rel_change(tn, 0)
+    labels = label_nodes(tn, 0, "rel_change")
     assert labels[0] == pytest.approx(0.25)
     assert labels[1] == pytest.approx(0.0)
     assert labels[2] == pytest.approx(-0.25)
@@ -212,11 +227,11 @@ def test_label_rel_change_values():
 
 def test_label_requires_next_snapshot():
     tn = network_from([clique(3, timestamp=0), clique(3, timestamp=1)])
-    for fn in (label_presence, label_sign, label_rel_change):
+    for target in TARGETS:
         with pytest.raises(ValueError):
-            fn(tn, 1)
+            label_nodes(tn, 1, target)
         with pytest.raises(ValueError):
-            fn(tn, -1)
+            label_nodes(tn, -1, target)
 
 
 def test_build_table_attaches_target():
@@ -244,10 +259,110 @@ def test_build_table_restricts_rows_to_labeled_nodes():
     assert set(table.node_ids) <= {0, 1}
 
 
+@pytest.mark.parametrize("target", TARGETS)
+def test_change_threshold_is_checked_for_every_target(target):
+    # only "change" once checked it, while run_prediction checked it for all
+    tn = network_from([clique(3, timestamp=t) for t in range(3)])
+    with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
+        build_table(tn, 1, target, change_threshold=-1.0)
+    with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
+        label_nodes(tn, 1, target, change_threshold=float("nan"))
+
+
 def test_build_table_rejects_unknown_target():
     tn = network_from([clique(3, timestamp=t) for t in range(3)])
     with pytest.raises(ValueError, match="unknown target"):
         build_table(tn, 1, "strength")
+
+
+# Per-node reference of the labels and feature rows, written from the rules
+# in README, on networks whose snapshots list their nodes in another order
+# than the universe, with listed zero-strength nodes, nodes absent at t+1 and
+# (weights being small dyadic numbers, so every strength is exact) ties.
+
+_IDS = tuple(f"n{k}" for k in range(7))
+_WEIGHTS = (1.0, 2.0)
+
+
+@st.composite
+def _networks(draw):
+    universe = tuple(draw(st.permutations(_IDS)))[: draw(st.integers(2, len(_IDS)))]
+    snapshots = []
+    for t in range(draw(st.integers(3, 5))):
+        nodes = tuple(draw(st.permutations(universe)))[: draw(st.integers(0, len(universe)))]
+        pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5)) if pairs else []
+        edges = tuple((i, j, draw(st.sampled_from(_WEIGHTS))) for i, j in sorted(chosen))
+        snapshots.append(Snapshot(node_ids=nodes, edges=edges, timestamp=t))
+    return TemporalNetwork(snapshots=tuple(snapshots), universe=universe)
+
+
+def _strengths(s):
+    out = dict.fromkeys(s.node_ids, 0.0)
+    for i, j, w in s.edges:
+        out[s.node_ids[i]] += w
+        out[s.node_ids[j]] += w
+    return out
+
+
+def _reference_labels(tn, t, target, threshold):
+    s1_of = _strengths(tn.snapshots[t + 1])
+    out = {}
+    for v, s0 in _strengths(tn.snapshots[t]).items():
+        s1 = s1_of.get(v, 0.0)
+        if s0 <= 0:
+            continue
+        if target == "presence":
+            out[v] = int(s1 > 0)
+        elif s1 > 0 and target == "change":
+            out[v] = int(abs(s1 - s0) / s0 > threshold)
+        elif s1 > 0 and target == "sign" and s1 != s0:
+            out[v] = int(s1 > s0)
+        elif s1 > 0 and target == "rel_change":
+            out[v] = (s1 - s0) / s0
+    return out
+
+
+def _reference_rows(tn, t):
+    """{node: (mean prior degree, prior appearances)} for the featurizable
+    nodes of snapshot t, in its order, and the two skip counts."""
+    rows, new, undefined = {}, 0, 0
+    for v in tn.snapshots[t].node_ids:
+        prior = [s for s in tn.snapshots[:t] if v in s.node_ids]
+        degrees = [sum(s.node_ids[k] == v for e in s.edges for k in e[:2]) for s in prior]
+        degrees = [d for d in degrees if d > 0]
+        if not prior:
+            new += 1
+        elif not degrees:
+            undefined += 1
+        else:
+            rows[v] = (sum(degrees) / len(degrees), float(len(prior)))
+    return rows, {"skipped_new_nodes": new, "skipped_undefined": undefined}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(tn=_networks(), threshold=st.sampled_from((0.0, 0.05, 0.25, 0.5, 1.0)))
+def test_labels_and_tables_follow_the_per_node_rules(tn, threshold):
+    for t in range(tn.n_snapshots - 1):
+        if t:
+            rows, meta = _reference_rows(tn, t)
+            features = build_features(tn, t)
+            assert features.node_ids == tuple(rows) and features.meta == meta
+        for target in TARGETS:
+            expected = _reference_labels(tn, t, target, threshold)
+            labels = label_nodes(tn, t, target, change_threshold=threshold)
+            assert list(labels.items()) == list(expected.items())
+            kind = float if target == "rel_change" else int
+            assert all(type(v) is kind for v in labels.values())
+            if not t:
+                continue
+            table = build_table(tn, t, target, change_threshold=threshold)
+            ids = tuple(v for v in rows if v in expected)
+            assert table.node_ids == ids and table.target == target and table.meta == meta
+            assert table.y.dtype == np.float64 and table.y.tolist() == [expected[v] for v in ids]
+            assert table.column("degree").tolist() == [rows[v][0] for v in ids]
+            assert table.column("presence_count").tolist() == [rows[v][1] for v in ids]
+            assert np.array_equal(table.X, features.X[[features.node_ids.index(v) for v in ids]])
 
 
 def _manual_table(columns, x, y=None):

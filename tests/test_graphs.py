@@ -316,6 +316,35 @@ def test_unhashable_universe_id_is_a_data_error():
         TemporalNetwork(snapshots=(), universe=(0, [1]))
 
 
+@pytest.mark.parametrize("directed", ["no", 1, 0.0, None, np.int64(1)])
+def test_directed_that_is_not_a_bool_is_the_loader_data_error(directed):
+    # "no" was built and written as "directed": true, and read back as a different network
+    with pytest.raises(DataError, match=re.escape(f"directed must be true or false, got {directed!r}")):
+        Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0),), directed=directed)
+
+
+@pytest.mark.parametrize("directed", [False, True, np.False_, np.True_])
+def test_every_accepted_directed_flag_is_a_plain_bool_that_round_trips(directed):
+    s = Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0),), directed=directed)
+    assert type(s.directed) is bool and s.directed == directed
+    tn = TemporalNetwork(snapshots=(s,), universe=(0, 1))
+    assert type(tn.directed) is bool
+    back = TemporalNetwork.from_json(tn.to_json())
+    assert back == tn and back.to_json() == tn.to_json()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Snapshot(node_ids=(0, 1), edges=None), "edges must be a collection of (i, j, w) records"),
+    (lambda: Snapshot(node_ids=(0, 1), edges=5), "edges must be a collection of (i, j, w) records"),
+    (lambda: TemporalNetwork(snapshots=(1,), universe=()), "snapshots must be Snapshot objects, got 1"),
+    (lambda: TemporalNetwork(snapshots=None, universe=()), "snapshots must be a collection of Snapshot objects"),
+], ids=["edges-none", "edges-int", "snapshot-int", "snapshots-none"])
+def test_constructor_field_of_the_wrong_kind_is_a_data_error(call, message):
+    # each raised a bare TypeError or AttributeError
+    with pytest.raises(DataError, match=re.escape(message)):
+        call()
+
+
 def test_total_weight():
     s = clique(3, w=2.0)
     assert s.total_weight() == pytest.approx(6.0)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from structim import (DataError, Snapshot, TemporalNetwork, load_network, load_snapshots_text,
                       write_edge_csv)
 from structim import ingest
+from structim.errors import ArgumentError
 from structim.generators import barbell
 
 
@@ -139,6 +140,22 @@ def test_aggregation_must_be_positive_int():
         load_snapshots_text("0,0,1,1.0\n", aggregation=0)
     with pytest.raises(ValueError):
         load_snapshots_text("0,0,1,1.0\n", aggregation=1.5)
+
+
+@pytest.mark.parametrize("directed", ["no", 1, None])
+def test_directed_that_is_not_a_bool_is_an_argument_error(directed, tmp_path):
+    # "no" once built snapshots flagged "no" and was written as such
+    message = re.escape(f"directed must be true or false, got {directed!r}")
+    with pytest.raises(ArgumentError, match=message):
+        load_snapshots_text("0,a,b,1.0\n", directed=directed)
+    with pytest.raises(ArgumentError, match=message):  # before the file is read
+        load_network(str(tmp_path / "missing.csv"), directed=directed)
+
+
+def test_numpy_bool_directed_is_stored_as_a_plain_bool():
+    tn = load_snapshots_text("0,a,b,1.0\n", directed=np.True_)
+    assert type(tn.directed) is bool and tn.directed
+    assert TemporalNetwork.from_json(tn.to_json()) == tn
 
 
 def test_missing_file_is_a_data_error(tmp_path):
