@@ -47,6 +47,8 @@ MEASURE_COLUMNS = (
 # mc is identically zero for a zero-diagonal adjacency: it is reported by
 # analyze as a sanity check but is not a feature.
 FEATURE_COLUMNS = tuple(c for c in MEASURE_COLUMNS if c != "mc") + ("presence_count",)
+# the feature columns that average a measure over a node's history
+_HISTORY_COLUMNS = FEATURE_COLUMNS[:-1]
 
 TARGETS = ("presence", "change", "sign", "rel_change")
 
@@ -184,22 +186,12 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
     ``y`` when given; ``keep`` and ``y`` run over snapshot t's nodes."""
     if not 1 <= t < tn.n_snapshots:
         raise ArgumentError(f"anchor t={t} needs at least one prior snapshot and must exist")
-    # A snapshot is measured once per network, and the measures are kept in
-    # its private state (pickling drops them), so a horizon sweep shares them.
-    measures = vars(tn).setdefault("_measures", {})
-    for u in range(t):
-        if u not in measures:
-            measures[u] = snapshot_measures(tn, u)
+    sums, counts = _history(tn, t)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     at = tn._positions[t]
     prior_count = tn.presence_matrix()[:t].sum(axis=0).astype(float)[at]
     x = np.empty((at.size, len(FEATURE_COLUMNS)))
-    for c, name in enumerate(FEATURE_COLUMNS[:-1]):
-        hist = np.stack([measures[u][name] for u in range(t)])
-        defined_mask = ~np.isnan(hist)
-        counts = defined_mask.sum(axis=0)
-        sums = np.where(defined_mask, hist, 0.0).sum(axis=0)
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        x[:, c] = means[at]
+    x[:, :-1] = means[:, at].T
     x[:, -1] = prior_count
 
     # A node seen for the first time at t has no history; a node can also be
@@ -218,6 +210,35 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
         y=None if y is None else y[rows],
         meta={"skipped_new_nodes": int(at.size - seen.sum()), "skipped_undefined": int((seen & ~defined).sum())},
     )
+
+
+def _history(tn: TemporalNetwork, t: int):
+    """(sums, counts): per history column and universe node, the sum and the
+    number of its defined values over snapshots 0..t-1, as (columns, nodes) arrays.
+
+    A snapshot is measured once per network. Its measures, and the running
+    sums and counts of the last anchor asked for, are kept in the network's
+    private state (pickling drops them), so a horizon sweep adds each
+    snapshot once; an earlier anchor starts again from snapshot 0. Sums that
+    start at 0.0 and add one snapshot at a time are, bit for bit, numpy's sum
+    of the stacked (t, nodes) history over axis 0. (numpy sums a one-node
+    universe pairwise, but such a network has no edge, so it adds only 0.0.)
+    """
+    measures = vars(tn).setdefault("_measures", {})
+    state = vars(tn).get("_history")
+    if state is None or state[0] > t:
+        shape = (len(_HISTORY_COLUMNS), tn.n_nodes)
+        state = (0, np.zeros(shape), np.zeros(shape, dtype=int))
+    done, sums, counts = state
+    for u in range(done, t):
+        if u not in measures:
+            measures[u] = snapshot_measures(tn, u)
+        hist = np.array([measures[u][name] for name in _HISTORY_COLUMNS])
+        defined = ~np.isnan(hist)
+        sums = sums + np.where(defined, hist, 0.0)
+        counts = counts + defined
+    vars(tn)["_history"] = (t, sums, counts)
+    return sums, counts
 
 
 def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):

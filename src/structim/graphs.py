@@ -56,15 +56,16 @@ def _is_weight(value) -> bool:
         return False
 
 
-def _hashable_ids(ids, what: str) -> set:
-    """The set of ``ids``, which must be a collection of distinct hashable ids."""
+def _hashable_ids(ids, what: str) -> tuple:
+    """``ids`` as a tuple; they must be an iterable of distinct hashable ids."""
     try:
+        ids = tuple(ids)
         distinct = set(ids)
     except TypeError as exc:  # not iterable, or an id is unhashable
         raise DataError(f"{what} has malformed node ids: {exc}") from exc
     if len(distinct) != len(ids):
         raise DataError(f"{what} has duplicate node ids")
-    return distinct
+    return ids
 
 
 def _by_constructor(self):
@@ -79,7 +80,8 @@ class Snapshot:
     Parameters
     ----------
     node_ids:
-        Distinct, hashable ids of the nodes present in this window.
+        Distinct, hashable ids of the nodes present in this window, stored
+        as a tuple.
     edges:
         Tuples or lists ``(i, j, w)`` of local integer node indices and a
         strictly positive finite real weight, stored as plain ``(int, int,
@@ -97,7 +99,7 @@ class Snapshot:
     timestamp: int = 0
 
     def __post_init__(self):
-        _hashable_ids(self.node_ids, "snapshot")
+        object.__setattr__(self, "node_ids", _hashable_ids(self.node_ids, "snapshot"))
         n = len(self.node_ids)
         if not _is_integer(self.timestamp):
             raise DataError(f"timestamp must be an integer, got {self.timestamp!r}")
@@ -257,7 +259,9 @@ class TemporalNetwork:
     """Ordered snapshot sequence over a shared node universe.
 
     ``universe`` fixes the global node indexing used by feature tables and
-    presence masks; every snapshot's node ids must be a subset.
+    presence masks; every snapshot's node ids must be a subset. Both
+    ``snapshots`` and ``universe`` are stored as tuples, so a network is
+    hashable and equals its ``from_json(to_json())`` round trip.
     ``negative_weight_count`` counts aggregated edge weights whose sign was
     flipped during ingestion (kept for provenance, zero for generated data).
     """
@@ -272,14 +276,15 @@ class TemporalNetwork:
             raise DataError(f"negative_weight_count must be an integer, got {count!r}")
         if count < 0:
             raise DataError(f"negative_weight_count must be nonnegative, got {count!r}")
-        uni = _hashable_ids(self.universe, "universe")
+        object.__setattr__(self, "universe", _hashable_ids(self.universe, "universe"))
+        uni = set(self.universe)
         try:
-            snapshots = iter(self.snapshots)
+            object.__setattr__(self, "snapshots", tuple(self.snapshots))
         except TypeError as exc:
             raise DataError(f"snapshots must be a collection of Snapshot objects: {exc}") from exc
         last_t = None
         directed = None
-        for s in snapshots:
+        for s in self.snapshots:
             if not isinstance(s, Snapshot):
                 raise DataError(f"snapshots must be Snapshot objects, got {s!r}")
             if directed is None:

@@ -202,6 +202,7 @@ def fit_logistic(
     design = np.hstack([np.ones((n, 1)), table.X])
     ridge = np.diag([0.0] + [l2] * p)
     beta = np.zeros(p + 1)
+    current = _penalized_ll(design, y, beta, l2)
     separation = False
     converged = False
     grad_norm = np.inf
@@ -218,15 +219,20 @@ def fit_logistic(
         w = prob * (1.0 - prob)
         hess = design.T @ (design * w[:, None]) + ridge
         step = np.linalg.solve(hess + 1e-12 * np.eye(p + 1), grad)
-        # step halving keeps Newton from overshooting on near-separable data
-        current = _penalized_ll(design, y, beta, l2)
+        # step halving keeps Newton from overshooting on near-separable data;
+        # the accepted candidate's penalized log-likelihood is the next
+        # iteration's ``current``
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            if _penalized_ll(design, y, candidate, l2) >= current - 1e-12:
+            ll = _penalized_ll(design, y, candidate, l2)
+            if ll >= current - 1e-12:
+                beta, current = candidate, ll
                 break
             scale *= 0.5
-        beta = beta + scale * step
+        else:
+            beta = beta + scale * step
+            current = _penalized_ll(design, y, beta, l2)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             beta = np.clip(beta, -SEPARATION_BOUND, SEPARATION_BOUND)
             separation = True
@@ -255,6 +261,11 @@ def fit_logistic(
 _CHUNK_CELLS = 16384
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of length ``width`` in one kernel chunk, at least one."""
+    return max(1, _CHUNK_CELLS // max(width, 1))
+
+
 def _auc_inputs(y=(), s=()):
     """Labels as a mask of positives, and scores as floats. Raises DataError
     for a label outside {0, 1} and NumericalError for a non-finite score."""
@@ -281,7 +292,7 @@ def _auc_groups(pos, groups, n_groups: int) -> np.ndarray:
     pos, groups = np.broadcast_arrays(pos, groups)
     m, n = pos.shape
     out = np.empty(m)
-    step = max(1, _CHUNK_CELLS // max(n, 1))
+    step = _chunk_rows(n)
     for lo in range(0, m, step):
         p = pos[lo : lo + step]
         cells = (np.arange(len(p))[:, None] * 2 + p) * n_groups + groups[lo : lo + step]
@@ -307,7 +318,7 @@ def _auc_rows(y, s) -> np.ndarray:
 def _stacked(rows, width: int):
     """Stack an iterable of length-``width`` rows one kernel chunk at a time."""
     rows = iter(rows)
-    step = max(1, _CHUNK_CELLS // max(width, 1))
+    step = _chunk_rows(width)
     while chunk := list(itertools.islice(rows, step)):
         yield np.array(chunk)
 
@@ -444,30 +455,44 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
     Resamples rows with replacement. A resample that loses one class leaves
     the AUC undefined, so it is redrawn up to 10 times; a slot still
     single-class after that is skipped and counted.
+
+    Resamples are drawn one kernel chunk of rows at a time, as one
+    ``rng.integers(0, n, size=(rows, n))`` block, which holds the same rows as
+    that many successive one-row draws; the slots take the block's rows in
+    order under the redraw rule. Rows left over when the last slot is filled
+    are discarded, which no result sees, since the generator is the call's own.
     """
     _check_bootstrap_iters(iters)
     if table.y is None:
         raise DataError("bootstrap needs a labeled table")
     pos, scores = _auc_inputs(table.y.astype(int), model.predict_proba(table.X))
+    n = len(pos)
+    if n == 0:
+        raise DataError("bootstrap needs at least one row")
     # the scores are fixed, so their tie groups are found once for every resample
     levels, groups = np.unique(scores, return_inverse=True)
     rng = np.random.default_rng(seed)
-    n = len(pos)
-    skipped = 0
-
-    def resamples():
-        nonlocal skipped
-        for _ in range(iters):
-            for _attempt in range(11):
-                idx = rng.integers(0, n, size=n)
-                yb = pos[idx]
-                if yb.min() != yb.max():
-                    yield idx
-                    break
+    rows = _chunk_rows(n)
+    samples = []
+    slot = attempt = skipped = 0
+    while slot < iters:
+        idx = rng.integers(0, n, size=(rows, n))
+        yb = pos[idx]
+        two_class = (yb.any(axis=1) & ~yb.all(axis=1)).tolist()
+        taken = []
+        for r, ok in enumerate(two_class):
+            if slot == iters:
+                break
+            if ok:
+                taken.append(r)
+            elif attempt < 10:
+                attempt += 1
+                continue
             else:
                 skipped += 1
-
-    samples = [auc for idx in _stacked(resamples(), n) for auc in _auc_groups(pos[idx], groups[idx], levels.size)]
+            slot += 1
+            attempt = 0
+        samples.extend(_auc_groups(yb[taken], groups[idx[taken]], levels.size))
     if skipped:
         warnings.warn(f"bootstrap skipped {skipped} persistently single-class resamples")
     if not samples:
@@ -523,10 +548,12 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
     pos = _auc_inputs(test_y)[0]
     prior = float(train_y.mean())
     rng = np.random.default_rng(seed)
-    draws = ((rng.random(test_y.size) < prior).astype(int) for _ in range(trials))
+    # one block per kernel chunk: the same stream as one rng.random call per trial
+    step = _chunk_rows(test_y.size)
+    draws = ((rng.random((min(step, trials - lo), test_y.size)) < prior).astype(int) for lo in range(0, trials, step))
     # 0/1 draws are their own tie groups; an all-0 or all-1 draw ranks nothing
     chunks = ((yhat, test_y, np.where(yhat.min(axis=1) != yhat.max(axis=1), _auc_groups(pos, yhat, 2), np.nan))
-              for yhat in _stacked(draws, test_y.size))
+              for yhat in draws)
     return {"kind": "prior_predictor", "prior": prior, "trials": trials, **_trial_summaries(chunks)}
 
 

@@ -217,6 +217,7 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_
 
     Transition weights are out-strength normalized; dangling nodes spread
     their mass uniformly. Iterates until the L1 change drops to ``tol``.
+    Without dangling nodes the term is skipped: adding its 0.0 changes no bit.
     """
     if not 0 <= damping <= 1:
         raise ArgumentError(f"damping must be in [0, 1], got {damping}")
@@ -225,14 +226,17 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_
         raise DataError("pagerank undefined for an empty snapshot")
     a = snapshot.adjacency()
     out_s = a.sum(axis=1)
-    dangling = out_s <= 0
+    nz = out_s > 0
     trans = np.zeros_like(a)
-    nz = ~dangling
     trans[nz] = a[nz] / out_s[nz, None]
 
+    dangling = np.flatnonzero(~nz)
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = damping * (trans.T @ p + p[dangling].sum() / n) + (1.0 - damping) / n
+        flow = trans.T @ p
+        if dangling.size:
+            flow += p[dangling].sum() / n
+        nxt = damping * flow + (1.0 - damping) / n
         if np.abs(nxt - p).sum() <= tol:
             return nxt
         p = nxt

@@ -1,0 +1,426 @@
+"""Frozen oracles: earlier, plainer versions of four hot loops, kept as the
+reference their faster forms must match bit for bit.
+
+Each oracle below is the straightforward loop that the library's version
+replaced: one ``rng.integers`` call per bootstrap resample and one
+``rng.random`` call per null trial, PageRank adding the dangling mass on
+every iteration, the feature history re-stacked and re-summed at every
+anchor, and IRLS evaluating the penalized log-likelihood of the current
+coefficients at the top of every iteration. The tests assert equality
+(``==`` or ``np.array_equal``), never closeness, because the artifacts of a
+fixed seed are meant to stay byte-identical.
+"""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+from scipy import special
+
+import structim.model as model_module
+from structim import (
+    DataError,
+    FeatureTable,
+    LogisticModel,
+    NumericalError,
+    Snapshot,
+    TemporalNetwork,
+    bootstrap_auc_ci,
+    build_features,
+    build_table,
+    fit_logistic,
+    null_prior_predictor,
+    pagerank,
+    snapshot_measures,
+    synthetic_temporal,
+)
+from structim.features import FEATURE_COLUMNS, TARGETS, _labels
+from structim.model import _CHUNK_CELLS, SEPARATION_BOUND, _auc_groups, _auc_inputs, _trial_summaries
+
+from conftest import clique, cycle, path_graph, random_connected
+
+
+def _stacked(rows, width):
+    rows = iter(rows)
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    while chunk := list(itertools.islice(rows, step)):
+        yield np.array(chunk)
+
+
+# ------------------------------------------------------------ bootstrap oracle
+
+
+def _bootstrap_oracle(model, table, iters, seed, alpha=0.05):
+    """The CI, the skipped slots and the redrawn resamples, one draw per resample."""
+    pos, scores = _auc_inputs(table.y.astype(int), model.predict_proba(table.X))
+    levels, groups = np.unique(scores, return_inverse=True)
+    rng = np.random.default_rng(seed)
+    n = len(pos)
+    skipped = redrawn = 0
+
+    def resamples():
+        nonlocal skipped, redrawn
+        for _ in range(iters):
+            for _attempt in range(11):
+                idx = rng.integers(0, n, size=n)
+                yb = pos[idx]
+                if yb.min() != yb.max():
+                    yield idx
+                    break
+                redrawn += 1
+            else:
+                skipped += 1
+
+    samples = [auc for idx in _stacked(resamples(), n) for auc in _auc_groups(pos[idx], groups[idx], levels.size)]
+    if not samples:
+        return None, skipped, redrawn
+    lo, hi = np.percentile(samples, [100 * alpha / 2.0, 100 * (1.0 - alpha / 2.0)])
+    return (float(lo), float(hi)), skipped, redrawn
+
+
+def _logistic(coef, intercept=0.0):
+    coef = np.asarray(coef, dtype=float)
+    return LogisticModel(
+        feature_names=tuple(f"f{i}" for i in range(coef.size)), intercept=intercept, coef=coef,
+        coef_se=np.zeros_like(coef), coef_pvalues=np.ones_like(coef), intercept_se=0.0, intercept_pvalue=1.0,
+        l2=0.0, converged=True, n_iter=0, grad_norm=0.0, separation_warning=False,
+    )
+
+
+def _table(x, y):
+    x = np.asarray(x, dtype=float)
+    return FeatureTable(columns=tuple(f"f{i}" for i in range(x.shape[1])), X=x, node_ids=tuple(range(len(y))),
+                        as_of=1, target="presence", y=np.asarray(y, dtype=float))
+
+
+def _noisy_table(seed, n, p=1, noise=1.0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    y = (x[:, 0] + rng.normal(scale=noise, size=n) > 0).astype(float)
+    return _table(x, y)
+
+
+# (table, iterations): 2-4-row tables redraw often (a 2-row table skips a
+# slot with probability 2^-11), and the iteration counts are not multiples of
+# the block of _CHUNK_CELLS // n rows, so slots and redraw runs cross blocks.
+_BOOTSTRAP_CASES = [
+    (_table([[-1.0], [1.0]], [0, 1]), 1),
+    (_table([[-1.0], [1.0]], [0, 1]), 4097),
+    (_table([[-1.0], [1.0]], [1, 0]), 9000),
+    (_table([[0.3], [-0.2], [0.9]], [1, 0, 1]), 5461),
+    (_table([[0.1], [0.1], [0.4], [-0.5]], [0, 1, 1, 0]), 4099),
+    (_noisy_table(3, 40), 1000),
+    (_noisy_table(4, 509), 1000),
+    (_noisy_table(5, 509), 333),
+    (_noisy_table(6, 20000), 7),
+]
+
+
+def _check_bootstrap(table, iters, seed):
+    """The CI and the skip warning both match the oracle's."""
+    model = _logistic([1.5])
+    expected, skipped, _ = _bootstrap_oracle(model, table, iters, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert bootstrap_auc_ci(model, table, iters=iters, seed=seed) == expected
+    assert [str(w.message) for w in caught] == (
+        [f"bootstrap skipped {skipped} persistently single-class resamples"] if skipped else [])
+
+
+@pytest.mark.parametrize("case", range(len(_BOOTSTRAP_CASES)))
+@pytest.mark.parametrize("seed", [0, [11, 4]])
+def test_bootstrap_matches_one_draw_per_resample(case, seed):
+    _check_bootstrap(*_BOOTSTRAP_CASES[case], seed)
+
+
+@pytest.mark.parametrize("cells", [3, 8, 24])
+def test_bootstrap_does_not_depend_on_the_block_size(monkeypatch, cells):
+    """Blocks of 1-12 rows put redraw runs, skipped slots among them, across
+    block boundaries, where a slot's attempts must carry over."""
+    monkeypatch.setattr(model_module, "_CHUNK_CELLS", cells)
+    for case in (1, 2, 3, 4):
+        _check_bootstrap(*_BOOTSTRAP_CASES[case], case)
+
+
+def test_bootstrap_oracle_cases_cover_redraws_and_skips():
+    counts = [_bootstrap_oracle(_logistic([1.5]), table, iters, seed)[1:]
+              for table, iters in _BOOTSTRAP_CASES for seed in (0, [11, 4])]
+    assert sum(skipped for skipped, _ in counts) >= 3
+    assert sum(redrawn > 0 for _, redrawn in counts) >= 8
+
+
+def test_bootstrap_single_class_table_still_fails_after_the_same_warning():
+    table = _table([[0.1], [0.2], [0.3]], [1, 1, 1])
+    assert _bootstrap_oracle(_logistic([1.0]), table, 6, 0)[:2] == (None, 6)
+    with pytest.warns(UserWarning, match="bootstrap skipped 6 persistently"):
+        with pytest.raises(NumericalError):
+            bootstrap_auc_ci(_logistic([1.0]), table, iters=6, seed=0)
+
+
+def test_bootstrap_rejects_an_empty_table():
+    with pytest.raises(DataError, match="at least one row"):
+        bootstrap_auc_ci(_logistic([1.0]), _table(np.empty((0, 1)), []), iters=3)
+
+
+# ----------------------------------------------------------- null prior oracle
+
+
+def _null_prior_oracle(train_y, test_y, trials, seed):
+    train_y = np.asarray(train_y).astype(int)
+    test_y = np.asarray(test_y).astype(int)
+    pos = _auc_inputs(test_y)[0]
+    prior = float(train_y.mean())
+    rng = np.random.default_rng(seed)
+    draws = ((rng.random(test_y.size) < prior).astype(int) for _ in range(trials))
+    chunks = ((yhat, test_y, np.where(yhat.min(axis=1) != yhat.max(axis=1), _auc_groups(pos, yhat, 2), np.nan))
+              for yhat in _stacked(draws, test_y.size))
+    return {"kind": "prior_predictor", "prior": prior, "trials": trials, **_trial_summaries(chunks)}
+
+
+@pytest.mark.parametrize("size,trials", [(1, 20), (7, 3000), (509, 100), (509, 101), (20000, 21)])
+def test_null_prior_matches_one_draw_per_trial(size, trials):
+    rng = np.random.default_rng(size)
+    train_y = (rng.random(300) < 0.3).astype(int)
+    test_y = (rng.random(size) < 0.4).astype(int)
+    assert null_prior_predictor(train_y, test_y, trials=trials, seed=[size, 5]) == \
+        _null_prior_oracle(train_y, test_y, trials, [size, 5])
+
+
+# ------------------------------------------------------------- pagerank oracle
+
+
+def _pagerank_oracle(snapshot, damping=0.85, tol=1e-10, max_iter=100000):
+    n = snapshot.n_nodes
+    a = snapshot.adjacency()
+    out_s = a.sum(axis=1)
+    dangling = out_s <= 0
+    trans = np.zeros_like(a)
+    nz = ~dangling
+    trans[nz] = a[nz] / out_s[nz, None]
+    p = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = damping * (trans.T @ p + p[dangling].sum() / n) + (1.0 - damping) / n
+        if np.abs(nxt - p).sum() <= tol:
+            return nxt
+        p = nxt
+    raise AssertionError("oracle did not converge")
+
+
+def _directed(n, arcs):
+    return Snapshot(node_ids=tuple(range(n)), edges=tuple(arcs), directed=True)
+
+
+def _random_directed(seed, n, dangling):
+    """Arcs out of every node but the first ``dangling`` ones."""
+    rng = np.random.default_rng(seed)
+    arcs = {}
+    for i in range(dangling, n):
+        for j in rng.choice([k for k in range(n) if k != i], size=int(rng.integers(1, 4)), replace=False):
+            arcs[(i, int(j))] = float(rng.uniform(0.5, 3.0))
+    return _directed(n, [(i, j, w) for (i, j), w in sorted(arcs.items())])
+
+
+_UNDIRECTED = [
+    clique(5),
+    cycle(9, w=2.5),
+    path_graph(12),
+    *(random_connected(np.random.default_rng(s), n) for s, n in ((1, 30), (2, 120), (3, 250))),
+    # listed nodes without edges dangle in an undirected snapshot too
+    Snapshot(node_ids=tuple(range(6)), edges=((0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5))),
+]
+_DIRECTED = [
+    _directed(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]),
+    _directed(4, [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.0)]),
+    *(_random_directed(s, n, d) for s, n, d in ((4, 20, 0), (5, 20, 3), (6, 150, 10), (7, 150, 1))),
+]
+
+
+@pytest.mark.parametrize("damping", [0.85, 0.5])
+@pytest.mark.parametrize("snap", range(len(_UNDIRECTED) + len(_DIRECTED)))
+def test_pagerank_matches_the_dangling_term_on_every_iteration(snap, damping):
+    s = (_UNDIRECTED + _DIRECTED)[snap]
+    assert np.array_equal(pagerank(s, damping=damping), _pagerank_oracle(s, damping=damping))
+
+
+def test_pagerank_oracle_cases_cover_dangling_and_none():
+    dangling = [bool((s.adjacency().sum(axis=1) <= 0).any()) for s in _UNDIRECTED + _DIRECTED]
+    assert dangling.count(True) >= 4 and dangling.count(False) >= 4
+
+
+# ------------------------------------------------------ feature history oracle
+
+
+def _feature_oracle(tn, t, keep=True, target=None, y=None):
+    """The feature table with the history stacked and summed per column."""
+    measures = [snapshot_measures(tn, u) for u in range(t)]
+    at = tn._positions[t]
+    prior_count = tn.presence_matrix()[:t].sum(axis=0).astype(float)[at]
+    x = np.empty((at.size, len(FEATURE_COLUMNS)))
+    for c, name in enumerate(FEATURE_COLUMNS[:-1]):
+        hist = np.stack([measures[u][name] for u in range(t)])
+        defined_mask = ~np.isnan(hist)
+        counts = defined_mask.sum(axis=0)
+        sums = np.where(defined_mask, hist, 0.0).sum(axis=0)
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        x[:, c] = means[at]
+    x[:, -1] = prior_count
+    seen = prior_count >= 1
+    defined = seen & ~np.isnan(x).any(axis=1)
+    rows = defined & keep
+    ids = tn.snapshots[t].node_ids
+    return FeatureTable(
+        columns=FEATURE_COLUMNS, X=x[rows], node_ids=tuple(ids[k] for k in np.flatnonzero(rows).tolist()),
+        as_of=t, target=target, y=None if y is None else y[rows],
+        meta={"skipped_new_nodes": int(at.size - seen.sum()), "skipped_undefined": int((seen & ~defined).sum())},
+    )
+
+
+def _same_table(a, b):
+    assert a.columns == b.columns and a.node_ids == b.node_ids and a.target == b.target and a.meta == b.meta
+    assert np.array_equal(a.as_of, b.as_of)
+    assert np.array_equal(a.X, b.X)
+    assert (a.y is None and b.y is None) or np.array_equal(a.y, b.y)
+
+
+def _intermittent_network(seed, n_universe=40, horizon=12):
+    """Random snapshots over shuffled subsets of a shuffled universe: nodes
+    leave and return, some after several snapshots, the middle snapshot has
+    no edges, and snapshot 2 lists a node without edges."""
+    rng = np.random.default_rng(seed)
+    universe = tuple(f"v{k}" for k in rng.permutation(n_universe))
+    snaps = []
+    for t in range(horizon):
+        size = int(rng.integers(6, n_universe // 2))
+        ids = tuple(universe[k] for k in rng.choice(n_universe - 1, size=size, replace=False))
+        if t == horizon // 2:
+            snaps.append(Snapshot(node_ids=ids[:3], edges=(), timestamp=t))
+            continue
+        if t == 2:
+            ids += (universe[-1],)
+        snaps.append(Snapshot(node_ids=ids, edges=random_connected(rng, size).edges, timestamp=t))
+    return TemporalNetwork(snapshots=tuple(snaps), universe=universe)
+
+
+_NETWORKS = [
+    lambda: synthetic_temporal(40, 2, 2, -2.0, 9, seed=3),
+    lambda: synthetic_temporal(60, 3, 3, -1.0, 8, seed=8),
+    lambda: _intermittent_network(1),
+    lambda: _intermittent_network(2, n_universe=25, horizon=15),
+]
+
+
+@pytest.mark.parametrize("net", range(len(_NETWORKS)))
+def test_build_table_matches_the_stacked_history_at_every_anchor(net):
+    tn = _NETWORKS[net]()
+    anchors = list(range(1, tn.n_snapshots - 1))
+    order = anchors + anchors[::-1] + list(np.random.default_rng(net).permutation(anchors))
+    for t in order:
+        for target in TARGETS:
+            keep, y = _labels(tn, t, target, 0.05)
+            _same_table(build_table(tn, t, target), _feature_oracle(tn, t, keep, target, y))
+    for t in range(1, tn.n_snapshots):
+        _same_table(build_features(tn, t), _feature_oracle(tn, t))
+
+
+def test_feature_history_networks_have_gaps_and_an_empty_snapshot():
+    tn = _intermittent_network(1)
+    presence = tn.presence_matrix()
+    assert any(s.n_edges == 0 for s in tn.snapshots)
+    # some node is absent for two or more snapshots between appearances
+    gaps = [np.diff(np.flatnonzero(col)) for col in presence.T if col.sum() >= 2]
+    assert max(int(g.max()) for g in gaps) >= 3
+
+
+# -------------------------------------------------------- fit_logistic oracle
+
+
+def _fit_oracle(table, l2=1.0, max_iter=500, tol=1e-8):
+    """(beta, converged, n_iter, grad_norm, separation, halvings), the log-
+    likelihood of the current beta evaluated at the top of every iteration.
+    It reads ``_penalized_ll`` from the model module, as fit_logistic does."""
+    y = table.y.astype(float)
+    n, p = table.X.shape
+    design = np.hstack([np.ones((n, 1)), table.X])
+    ridge = np.diag([0.0] + [l2] * p)
+    beta = np.zeros(p + 1)
+    separation = converged = False
+    grad_norm = np.inf
+    it = halvings = 0
+    for it in range(1, max_iter + 1):
+        eta = design @ beta
+        prob = special.expit(eta)
+        grad = design.T @ (y - prob) - ridge @ beta
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tol:
+            converged = True
+            break
+        w = prob * (1.0 - prob)
+        hess = design.T @ (design * w[:, None]) + ridge
+        step = np.linalg.solve(hess + 1e-12 * np.eye(p + 1), grad)
+        current = model_module._penalized_ll(design, y, beta, l2)
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta + scale * step
+            if model_module._penalized_ll(design, y, candidate, l2) >= current - 1e-12:
+                break
+            scale *= 0.5
+            halvings += 1
+        beta = beta + scale * step
+        if np.max(np.abs(beta)) > SEPARATION_BOUND:
+            beta = np.clip(beta, -SEPARATION_BOUND, SEPARATION_BOUND)
+            separation = True
+            break
+    return beta, converged, it, grad_norm, separation, halvings
+
+
+def _check_fit(table, l2, **kwargs):
+    beta, converged, n_iter, grad_norm, separation, halvings = _fit_oracle(table, l2, **kwargs)
+    fit = fit_logistic(table, l2=l2, **kwargs)
+    assert fit.intercept == beta[0]
+    assert np.array_equal(fit.coef, beta[1:])
+    assert (fit.converged, fit.n_iter, fit.grad_norm, fit.separation_warning) == \
+        (converged, n_iter, grad_norm, separation)
+    return halvings
+
+
+def _halving_table():
+    """A small noisy table on which a full Newton step lowers the likelihood."""
+    rng = np.random.default_rng(117)
+    n, p = int(rng.integers(8, 40)), int(rng.integers(1, 4))
+    x = rng.normal(size=(n, p)) * rng.choice([1.0, 5.0, 20.0])
+    y = (x[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(float)
+    return _table(x, y)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01, 1.0, 10.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_logistic_matches_the_recomputed_likelihood(seed, l2):
+    _check_fit(_noisy_table(seed, 200, p=4, noise=2.0), l2)
+
+
+def test_fit_logistic_matches_through_a_line_search_halving():
+    assert _check_fit(_halving_table(), 0.01) >= 1
+
+
+def test_fit_logistic_matches_on_separation():
+    table = _table([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]], [0, 0, 0, 1, 1, 1])
+    _check_fit(table, 0.0)
+    assert fit_logistic(table, l2=0.0).separation_warning
+
+
+def test_fit_logistic_matches_after_thirty_halvings(monkeypatch):
+    """With every nonzero beta scored -inf, the first line search halves 30
+    times without accepting, so its likelihood is recomputed; then every
+    candidate ties with -inf and is accepted."""
+    real = model_module._penalized_ll
+    monkeypatch.setattr(model_module, "_penalized_ll",
+                        lambda design, y, beta, l2: real(design, y, beta, l2) if not beta.any() else -np.inf)
+    assert _check_fit(_noisy_table(7, 100, p=2), 1.0) == 30
+
+
+def test_fit_logistic_nonconvergence_matches():
+    table = _noisy_table(8, 100, p=2)
+    assert not _fit_oracle(table, 1.0, max_iter=2)[1]
+    with pytest.raises(NumericalError, match="did not converge: 2 iterations"):
+        fit_logistic(table, l2=1.0, max_iter=2)

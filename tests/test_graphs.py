@@ -306,6 +306,18 @@ def test_every_accepted_timestamp_is_a_plain_int_that_round_trips(timestamp):
     assert TemporalNetwork.from_json(tn.to_json()) == tn
 
 
+def test_lists_given_to_the_constructors_are_stored_as_tuples():
+    # a list was kept as given, so the network was unhashable and unequal to its JSON round trip
+    s = Snapshot(node_ids=[0, 1], edges=((0, 1, 1.0),))
+    tn = TemporalNetwork(snapshots=[s], universe=[0, 1, 2])
+    assert type(s.node_ids) is tuple and type(tn.snapshots) is tuple and type(tn.universe) is tuple
+    assert TemporalNetwork.from_json(tn.to_json()) == tn
+    assert hash(tn) == hash(TemporalNetwork(snapshots=(s,), universe=(0, 1, 2)))
+    assert hash(s) == hash(Snapshot(node_ids=(0, 1), edges=((0, 1, 1.0),)))
+    assert TemporalNetwork(snapshots=iter([s]), universe=iter([0, 1])) == TemporalNetwork(snapshots=(s,), universe=(0, 1))
+    assert Snapshot(node_ids=iter([0, 1]), edges=((0, 1, 1.0),)) == s
+
+
 def test_unhashable_node_id_is_a_data_error():
     with pytest.raises(DataError, match=re.escape("snapshot has malformed node ids: unhashable type: 'list'")):
         Snapshot(node_ids=([0],), edges=())
