@@ -254,8 +254,9 @@ def cmd_predict(args) -> int:
             list(perm), list(perm.values()), title="Permutation importance", ylabel="mean increase in 1-AUC")))
     if result.shap_values is not None:
         artifacts.append(("shap.csv", lambda: _csv_text(["node", "feature", "phi"], [
-            [node, feat, repr(float(result.shap_values[r, j]))]
-            for r, node in enumerate(result.shap_rows) for j, feat in enumerate(result.columns)
+            [node, feat, repr(phi)]
+            for node, phis in zip(result.shap_rows, result.shap_values.tolist())
+            for feat, phi in zip(result.columns, phis)
         ])))
     written = _write_artifacts(args, artifacts)
 

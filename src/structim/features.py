@@ -108,8 +108,8 @@ class FeatureTable:
     def select_rows(self, rows) -> "FeatureTable":
         """Rows picked by a boolean mask or an index array, in that order."""
         idx = np.arange(self.n_rows)[np.asarray(rows)]
-        return replace(self, X=self.X[idx], node_ids=tuple(self.node_ids[i] for i in idx), as_of=self.as_of[idx],
-                       y=None if self.y is None else self.y[idx], meta=dict(self.meta))
+        return replace(self, X=self.X[idx], node_ids=tuple(map(self.node_ids.__getitem__, idx.tolist())),
+                       as_of=self.as_of[idx], y=None if self.y is None else self.y[idx], meta=dict(self.meta))
 
 
 def pool(tables) -> FeatureTable:

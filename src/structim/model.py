@@ -14,13 +14,14 @@ which scores many label rows per call from each cell's tie group with exact
 integer arithmetic. The bootstrap and the edge-presence null find the tie
 groups of their fixed scores once, the prior null's 0/1 draws are their own
 groups, and ``_auc_rows`` sorts each row for scores that change per row. The
-callers draw their random numbers in the same order as one call per draw
-would, so fixed-seed outputs do not depend on the batching.
+bootstrap and the prior null draw their random numbers in the same order as
+one call per draw would, so their fixed-seed outputs do not depend on the
+batching. The edge-presence null draws whole blocks of trials by geometric
+skips, so its stream follows its block rule (``edge_presence_labels``).
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -315,14 +316,6 @@ def _auc_rows(y, s) -> np.ndarray:
     return _auc_groups(np.take_along_axis(pos, order, axis=1), groups, s.shape[1])
 
 
-def _stacked(rows, width: int):
-    """Stack an iterable of length-``width`` rows one kernel chunk at a time."""
-    rows = iter(rows)
-    step = _chunk_rows(width)
-    while chunk := list(itertools.islice(rows, step)):
-        yield np.array(chunk)
-
-
 def auc_score(y_true, scores) -> float:
     """Area under the ROC curve via the rank-sum statistic, ties by midrank.
 
@@ -505,11 +498,12 @@ def _percentile_summary(values) -> dict:
     arr = np.asarray(values, dtype=float)
     arr = arr[~np.isnan(arr)]
     if arr.size == 0:
-        return {"mean": None, "ci90": None, "ci95": None}
+        return {"mean": None, "ci90": None, "ci95": None, "defined": 0}
     return {
         "mean": float(arr.mean()),
         "ci90": [float(v) for v in np.percentile(arr, [5.0, 95.0])],
         "ci95": [float(v) for v in np.percentile(arr, [2.5, 97.5])],
+        "defined": int(arr.size),
     }
 
 
@@ -557,16 +551,40 @@ def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
     return {"kind": "prior_predictor", "prior": prior, "trials": trials, **_trial_summaries(chunks)}
 
 
-def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator, upper=None) -> np.ndarray:
-    """Presence labels from one random graph draw: pair on with prob density.
-    Repeated draws may share ``upper``, the boolean mask of pairs i < j."""
-    if n_nodes < 2:
-        return np.zeros(n_nodes, dtype=int)
-    if upper is None:
-        upper = np.triu(np.ones((n_nodes, n_nodes), dtype=bool), 1)
-    # the dense draw keeps the random stream; only the upper triangle is used
-    on = (rng.random((n_nodes, n_nodes)) < density) & upper
-    return (on.any(axis=0) | on.any(axis=1)).astype(int)
+def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator, trials: int = 1) -> np.ndarray:
+    """Presence labels of ``trials`` independent random graphs on ``n_nodes``
+    nodes, each pair i < j an edge with probability ``density``: row t of the
+    (trials, n_nodes) 0/1 matrix marks the nodes with an edge in graph t.
+
+    The (trial, pair) cells are laid out in one sequence, trial by trial and
+    pairs in ``np.triu_indices`` order, and the edges are found by skipping
+    from one to the next by geometric gaps (Batagelj & Brandes 2005): the
+    cost is one random number per edge, not one per cell. Trials are drawn
+    in blocks of about ``_CHUNK_CELLS`` expected edges, at least one trial
+    each. A density of 0, or fewer than two nodes, draws no random number.
+    """
+    out = np.zeros((trials, n_nodes), dtype=int)
+    if n_nodes < 2 or density <= 0.0:
+        return out
+    first, second = np.triu_indices(n_nodes, 1)
+    pairs = first.size
+    step = max(1, int(_CHUNK_CELLS / (pairs * density)))
+    for lo in range(0, trials, step):
+        rows = min(step, trials - lo)
+        expect = rows * pairs * density
+        size = int(expect + 4.0 * expect**0.5) + 8  # 4 sigma above the mean: the loop seldom runs
+        on = np.cumsum(rng.geometric(density, size)) - 1
+        while on[-1] < rows * pairs:
+            on = np.concatenate([on, on[-1] + np.cumsum(rng.geometric(density, size))])
+        # the cells are sorted, so each trial's edges are one run of them
+        ends = np.searchsorted(on, pairs * np.arange(1, rows + 1))
+        trial = np.repeat(np.arange(rows), np.diff(ends, prepend=0))
+        pair = on[: ends[-1]] - pairs * trial
+        block = out[lo : lo + rows].reshape(-1)  # a view: one flat index per endpoint
+        row = n_nodes * trial
+        block[row + first[pair]] = 1
+        block[row + second[pair]] = 1
+    return out
 
 
 def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = 100, seed=0) -> dict:
@@ -579,7 +597,8 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     probability equal to the observed edge density of the real snapshot t+1
     over those nodes, and scores all groups' predictions together against
     the synthetic presence labels. Anchors with fewer than two present nodes
-    are skipped.
+    are skipped. The random stream runs block of trials by block of trials,
+    and within a block anchor group by anchor group (``edge_presence_labels``).
     """
     _check_null_trials(trials)
     scores = np.asarray(scores, dtype=float)
@@ -604,16 +623,14 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     svec = _auc_inputs(s=scores[np.concatenate([rows for *_, rows in groups])])[1]
     levels, svec_groups = np.unique(svec, return_inverse=True)
     yhat = (svec >= 0.5).astype(int)
-    # one mask of pairs i < j; its leading n_t x n_t block serves each group
-    n_max = max(n_t for n_t, *_ in groups)
-    upper = np.triu(np.ones((n_max, n_max), dtype=bool), 1)
+    # a block of trials holds at most one kernel chunk of scored rows or of any group's nodes
+    step = _chunk_rows(max(svec.size, *(n_t for n_t, *_ in groups)))
     draws = (
-        np.concatenate([edge_presence_labels(n_t, d, rng, upper[:n_t, :n_t])[node_rows]
-                        for n_t, d, node_rows, _ in groups])
-        for _ in range(trials)
+        np.concatenate([edge_presence_labels(n_t, d, rng, min(step, trials - lo))[:, node_rows]
+                        for n_t, d, node_rows, _ in groups], axis=1)
+        for lo in range(0, trials, step)
     )
-    chunks = ((yhat, labels, _auc_groups(labels, svec_groups, levels.size))
-              for labels in _stacked(draws, svec.size))
+    chunks = ((yhat, labels, _auc_groups(labels, svec_groups, levels.size)) for labels in draws)
     return {"kind": "edge_presence", "trials": trials, "groups": len(groups), **_trial_summaries(chunks)}
 
 

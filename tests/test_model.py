@@ -31,6 +31,7 @@ from structim import (
     shap_linear,
     standardize,
 )
+import structim.model as model_module
 from structim.generators import synthetic_temporal
 from structim.model import _CHUNK_CELLS, _auc_groups, _auc_rows, edge_presence_labels
 
@@ -543,6 +544,9 @@ def test_null_edge_presence_saturated_next_snapshot():
     assert res["groups"] == 1
     assert res["recall"]["mean"] == 1.0
     assert res["precision"]["mean"] == 1.0
+    # density 1 labels every node present: no trial ranks anything
+    assert res["auc"]["defined"] == 0 and res["auc"]["mean"] is None
+    assert res["precision"]["defined"] == res["recall"]["defined"] == 30
 
 
 def test_null_edge_presence_validation():
@@ -771,11 +775,12 @@ def _oracle_summary(values):
     arr = np.asarray(values, dtype=float)
     arr = arr[~np.isnan(arr)]
     if arr.size == 0:
-        return {"mean": None, "ci90": None, "ci95": None}
+        return {"mean": None, "ci90": None, "ci95": None, "defined": 0}
     return {
         "mean": float(arr.mean()),
         "ci90": [float(v) for v in np.percentile(arr, [5.0, 95.0])],
         "ci95": [float(v) for v in np.percentile(arr, [2.5, 97.5])],
+        "defined": int(arr.size),
     }
 
 
@@ -830,17 +835,6 @@ def _oracle_null_prior(train_y, test_y, trials, seed):
     }
 
 
-def _oracle_edge_presence_labels(n_nodes, density, rng):
-    if n_nodes < 2:
-        return np.zeros(n_nodes, dtype=int)
-    draws = rng.random((n_nodes, n_nodes)) < density
-    iu = np.triu_indices(n_nodes, k=1)
-    adj = np.zeros((n_nodes, n_nodes), dtype=bool)
-    adj[iu] = draws[iu]
-    adj |= adj.T
-    return adj.any(axis=1).astype(int)
-
-
 def _oracle_null_edge_presence(tn, table, scores, trials, seed):
     scores = np.asarray(scores, dtype=float)
     rng = np.random.default_rng(seed)
@@ -856,11 +850,15 @@ def _oracle_null_edge_presence(tn, table, scores, trials, seed):
         groups.append((n_t, density, np.array([pos[table.node_ids[i]] for i in rows_here]), rows_here))
     svec = scores[np.concatenate([rows for *_, rows in groups])]
     yhat = (svec >= 0.5).astype(int)
+    # the labels of the same draws: blocks of trials, each drawn anchor group by anchor group
+    step = max(1, _CHUNK_CELLS // max(svec.size, *(n_t for n_t, *_ in groups)))
+    trial_labels = []
+    for lo in range(0, trials, step):
+        blocks = [edge_presence_labels(n_t, d, rng, min(step, trials - lo)) for n_t, d, *_ in groups]
+        for t in range(len(blocks[0])):
+            trial_labels.append(np.concatenate([b[t][node_rows] for b, (_, _, node_rows, _) in zip(blocks, groups)]))
     precisions, recalls, aucs = [], [], []
-    for _ in range(trials):
-        labels = np.concatenate(
-            [_oracle_edge_presence_labels(n_t, d, rng)[node_rows] for n_t, d, node_rows, _ in groups]
-        )
+    for labels in trial_labels:
         tp = int(np.sum((yhat == 1) & (labels == 1)))
         fp = int(np.sum((yhat == 1) & (labels == 0)))
         fn = int(np.sum((yhat == 0) & (labels == 1)))
@@ -990,12 +988,110 @@ def test_null_prior_matches_oracle():
         assert got == _oracle_null_prior(train_y, test_y, trials, [seed, 5])
 
 
-def test_edge_presence_labels_match_oracle_and_stream():
-    for n, d in ((0, 0.5), (1, 0.5), (2, 0.5), (7, 0.0), (7, 1.0), (30, 0.1), (64, 0.03)):
-        a, b = np.random.default_rng([n, 9]), np.random.default_rng([n, 9])
-        for _ in range(5):
-            assert np.array_equal(edge_presence_labels(n, d, a), _oracle_edge_presence_labels(n, d, b))
-        assert a.random() == b.random()  # same number of draws consumed
+class _GapRecorder:
+    """A Generator stand-in that keeps every array of geometric gaps it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.gaps = np.random.default_rng(seed), []
+
+    def geometric(self, p, size):
+        self.gaps.append(self.rng.geometric(p, size))
+        return self.gaps[-1]
+
+
+def _edges_from_gaps(n, d, trials, gaps):
+    """Each trial's dense adjacency rebuilt from the recorded gaps, with divmod
+    for each cell's trial and pair, in blocks of the draw's documented size."""
+    first, second = np.triu_indices(n, 1)
+    pairs = first.size
+    step = max(1, int(_CHUNK_CELLS / (pairs * d)))
+    calls, adj = iter(gaps), np.zeros((trials, n, n), dtype=bool)
+    for lo in range(0, trials, step):
+        rows = min(step, trials - lo)
+        on = np.cumsum(next(calls)) - 1
+        while on[-1] < rows * pairs:
+            on = np.concatenate([on, on[-1] + np.cumsum(next(calls))])
+        trial, pair = np.divmod(on[on < rows * pairs], pairs)
+        adj[lo + trial, first[pair], second[pair]] = True
+    assert next(calls, None) is None  # every draw is accounted for
+    return adj | adj.transpose(0, 2, 1)
+
+
+def test_edge_presence_labels_rates_and_edges():
+    # each pair is an edge with probability d, each node present with 1 - (1 - d)^(n - 1)
+    for n, d, trials in ((2, 0.3, 3000), (10, 0.3, 3000), (40, 0.05, 2000), (120, 0.04, 300), (30, 1.0, 50)):
+        rec = _GapRecorder([n, 9])
+        labels = edge_presence_labels(n, d, rec, trials)
+        adj = _edges_from_gaps(n, d, trials, rec.gaps)
+        assert labels.shape == (trials, n)
+        assert np.array_equal(labels, adj.any(axis=2).astype(int))
+        first, second = np.triu_indices(n, 1)
+        pair_rate = adj[:, first, second].mean(axis=0)
+        assert np.all(np.abs(pair_rate - d) <= 4 * np.sqrt(d * (1 - d) / trials))
+        q = 1.0 - (1.0 - d) ** (n - 1)
+        assert np.all(np.abs(labels.mean(axis=0) - q) <= 4 * np.sqrt(q * (1 - q) / trials))
+
+
+def test_edge_presence_labels_degenerate_draws():
+    for n, d in ((0, 0.5), (1, 0.5), (1, 1.0), (7, 0.0)):
+        rng = np.random.default_rng(5)
+        labels = edge_presence_labels(n, d, rng, 9)
+        assert labels.shape == (9, n) and not labels.any()
+        assert rng.random() == np.random.default_rng(5).random()  # no random number drawn
+    assert edge_presence_labels(7, 1.0, np.random.default_rng(5), 9).all()
+
+
+def test_edge_presence_labels_draw_gaps_until_the_block_is_covered():
+    # gaps of 1 put an edge in every cell, far beyond what the first draw of gaps allows for
+    class EveryCell:
+        calls = 0
+
+        def geometric(self, p, size):
+            self.calls += 1
+            return np.ones(size, dtype=np.int64)
+
+    rng = EveryCell()
+    assert edge_presence_labels(30, 0.1, rng, 40).all()
+    assert rng.calls > 1
+
+
+def test_edge_presence_draws_stay_near_one_chunk():
+    # the gaps of one draw cover about _CHUNK_CELLS expected edges, or one trial's
+    for n, d, trials in ((600, 1.0, 2), (60, 0.5, 1000), (12, 0.01, 100000)):
+        rec = _GapRecorder(n)
+        labels = edge_presence_labels(n, d, rec, trials)
+        cap = max(_CHUNK_CELLS, n * (n - 1) / 2 * d)
+        assert max(g.size for g in rec.gaps) <= cap + 4 * np.sqrt(cap) + 8
+        assert labels.shape == (trials, n) and (d < 1 or labels.all())
+
+
+def test_null_edge_presence_blocks_stay_near_one_chunk(monkeypatch):
+    # one scored row of a 60-node clique: a block of trials holds one chunk of that anchor's nodes
+    calls = []
+
+    def spy(n_nodes, density, rng, trials):
+        calls.append((n_nodes, trials))
+        return edge_presence_labels(n_nodes, density, rng, trials)
+
+    monkeypatch.setattr(model_module, "edge_presence_labels", spy)
+    tn = network_from([clique(60, timestamp=0), clique(60, timestamp=1)])
+    res = null_edge_presence(tn, *_scored_rows({0: 0.9}), trials=600, seed=0)
+    assert sum(t for _, t in calls) == 600
+    assert max(n * t for n, t in calls) <= _CHUNK_CELLS
+    assert res["precision"]["mean"] == 1.0 and res["precision"]["defined"] == 600
+
+
+def test_null_edge_presence_ignores_row_order():
+    # each group draws over its snapshot's nodes, so shuffling the scored rows with
+    # their scores leaves every trial's counts and AUC as they were
+    tn = synthetic_temporal(40, 2, 2, -2.0, 8, seed=3)
+    rng = np.random.default_rng(3)
+    table = pool([_scored_rows(dict.fromkeys(tn.snapshots[t].node_ids, 0.0), as_of=t)[0]
+                  for t in range(tn.n_snapshots - 1)])
+    scores = rng.integers(0, 5, size=table.n_rows) / 4.0
+    perm = rng.permutation(table.n_rows)
+    assert null_edge_presence(tn, table.select_rows(perm), scores[perm], trials=250, seed=1) == \
+        null_edge_presence(tn, table, scores, trials=250, seed=1)
 
 
 def test_null_edge_presence_matches_oracle():

@@ -263,7 +263,7 @@ def test_run_prediction_json_has_one_coefficient_table(request, result):
 
 _TOP_KEYS = ["target", "seed", "n_rows", "split", "columns", "dropped_correlated", "dropped_constant", "chosen_l2",
              "cv_auc_by_l2", "report", "regression", "coefficients", "shap_base", "warnings"]
-_SUMMARY_KEYS = ["mean", "ci90", "ci95"]
+_SUMMARY_KEYS = ["mean", "ci90", "ci95", "defined"]
 
 
 def test_prediction_json_keys_keep_their_order(presence_result, regression_result):
