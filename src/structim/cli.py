@@ -28,7 +28,7 @@ from dataclasses import asdict, fields
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericalError
-from .features import MEASURE_COLUMNS, TARGETS, label_nodes, snapshot_measures
+from .features import MEASURE_COLUMNS, TARGETS, _check_undirected, label_nodes, snapshot_measures
 from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
@@ -164,6 +164,7 @@ def _ttests(meta: dict, by_measure: dict, alpha: float = 0.05) -> dict:
 
 def cmd_analyze(args) -> int:
     tn = load_network(args.input, aggregation=args.aggregation)
+    _check_undirected(tn)
     # One pass: each snapshot's spectrum and communities feed its spectra,
     # modularity and eigen-rank rows and its measure rows, then are dropped.
     spectra = []

@@ -148,7 +148,9 @@ def snapshot_measures(
     A snapshot with no edges yields all-NaN columns. ``spectrum`` and
     ``communities`` may carry the snapshot's ``eig_sym`` decomposition and
     ``detect_communities`` labels when the caller has already computed them.
+    A directed network raises DataError before any decomposition.
     """
+    _check_undirected(tn)
     s = tn.snapshots[t]
     out = {name: np.full(tn.n_nodes, np.nan) for name in MEASURE_COLUMNS}
     if s.n_edges == 0:
@@ -214,31 +216,31 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
 
 def _history(tn: TemporalNetwork, t: int):
     """(sums, counts): per history column and universe node, the sum and the
-    number of its defined values over snapshots 0..t-1, as (columns, nodes) arrays.
+    number of its defined values over snapshots 0..t-1, as read-only
+    (columns, nodes) arrays.
 
-    A snapshot is measured once per network. Its measures, and the running
-    sums and counts of the last anchor asked for, are kept in the network's
-    private state (pickling drops them), so a horizon sweep adds each
-    snapshot once; an earlier anchor starts again from snapshot 0. Sums that
-    start at 0.0 and add one snapshot at a time are, bit for bit, numpy's sum
-    of the stacked (t, nodes) history over axis 0. (numpy sums a one-node
+    The network keeps one list in its private state (pickling drops it)
+    whose entry u holds the (sums, counts) over snapshots 0..u-1. The list
+    is extended one snapshot at a time, so each snapshot is measured and
+    added once, whatever order the anchors are asked for in. Sums that start
+    at 0.0 and add one snapshot at a time are, bit for bit, numpy's sum of
+    the stacked (t, nodes) history over axis 0. (numpy sums a one-node
     universe pairwise, but such a network has no edge, so it adds only 0.0.)
     """
-    measures = vars(tn).setdefault("_measures", {})
-    state = vars(tn).get("_history")
-    if state is None or state[0] > t:
+    history = vars(tn).get("_history")
+    if history is None:
         shape = (len(_HISTORY_COLUMNS), tn.n_nodes)
-        state = (0, np.zeros(shape), np.zeros(shape, dtype=int))
-    done, sums, counts = state
-    for u in range(done, t):
-        if u not in measures:
-            measures[u] = snapshot_measures(tn, u)
-        hist = np.array([measures[u][name] for name in _HISTORY_COLUMNS])
+        history = vars(tn)["_history"] = [(np.broadcast_to(0.0, shape), np.broadcast_to(0, shape))]
+    while len(history) <= t:
+        sums, counts = history[-1]
+        measures = snapshot_measures(tn, len(history) - 1)
+        hist = np.array([measures[name] for name in _HISTORY_COLUMNS])
         defined = ~np.isnan(hist)
-        sums = sums + np.where(defined, hist, 0.0)
-        counts = counts + defined
-    vars(tn)["_history"] = (t, sums, counts)
-    return sums, counts
+        entry = (sums + np.where(defined, hist, 0.0), counts + defined)
+        for a in entry:
+            a.setflags(write=False)
+        history.append(entry)
+    return history[t]
 
 
 def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):
@@ -290,6 +292,11 @@ def _check_corr_threshold(threshold: float) -> None:
 def _check_target(target: str) -> None:
     if target not in TARGETS:
         raise ArgumentError(f"unknown target {target!r}; expected one of {TARGETS}")
+
+
+def _check_undirected(tn: TemporalNetwork) -> None:
+    if tn.directed:
+        raise DataError("node measures are defined here for undirected networks only; the network is directed")
 
 
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:

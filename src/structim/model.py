@@ -408,15 +408,14 @@ def evaluate(model: LogisticModel, table: FeatureTable, threshold: float = 0.5) 
     )
 
 
-def binom_ci(successes: int, n: int, alpha: float = 0.05, method: str = "exact"):
-    """Two-sided binomial proportion interval.
+def binom_ci(successes: int, n: int, alpha: float = 0.05):
+    """Two-sided exact (Clopper-Pearson) binomial proportion interval.
 
-    ``successes`` and ``n`` must be integers (Python or numpy). "exact" is
-    Clopper-Pearson, whose bounds are beta quantiles (Clopper & Pearson,
-    Biometrika 1934): with k = successes, the lower bound is the alpha/2
-    quantile of Beta(k, n-k+1) and the upper bound the 1-alpha/2 quantile of
-    Beta(k+1, n-k), with 0 at k = 0 and 1 at k = n. "normal" is the flagged
-    large-n approximation p +- z * sqrt(p(1-p)/n), clipped to [0, 1].
+    ``successes`` and ``n`` must be integers (Python or numpy). The bounds
+    are beta quantiles (Clopper & Pearson, Biometrika 1934): with
+    k = successes, the lower bound is the alpha/2 quantile of Beta(k, n-k+1)
+    and the upper bound the 1-alpha/2 quantile of Beta(k+1, n-k), with 0 at
+    k = 0 and 1 at k = n.
     """
     if not (isinstance(successes, numbers.Integral) and isinstance(n, numbers.Integral)):
         raise ArgumentError(f"successes and n must be integers, got {successes!r} and {n!r}")
@@ -424,13 +423,6 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05, method: str = "exact")
         raise ArgumentError("need 0 <= successes <= n with n >= 1")
     if not 0 < alpha < 1:
         raise ArgumentError("alpha must be in (0, 1)")
-    if method == "normal":
-        phat = successes / n
-        z = float(special.ndtri(1.0 - alpha / 2.0))
-        half = z * np.sqrt(phat * (1.0 - phat) / n)
-        return (max(0.0, phat - half), min(1.0, phat + half))
-    if method != "exact":
-        raise ArgumentError(f"unknown method {method!r}")
     k = successes
     lower = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2.0))
     upper = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))

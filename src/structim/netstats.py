@@ -42,7 +42,7 @@ def modularity(snapshot: Snapshot, labels) -> float:
     m2 = a.sum()
     if m2 <= 0:
         raise DataError("modularity undefined for a graph with no edges")
-    s = a.sum(axis=1)
+    s = snapshot.strength()
     q = 0.0
     for c in np.unique(labels):
         idx = labels == c
@@ -112,7 +112,7 @@ def _communities(snapshot: Snapshot) -> tuple:
         raise DataError("community detection undefined for a graph with no edges")
 
     members = [[i] for i in range(n)]  # None once absorbed; a survivor is its smallest member
-    a = adj.sum(axis=1) / m2
+    a = snapshot.strength() / m2
     a_frac = a.tolist()
     nbrs = [{} for _ in range(n)]  # community -> {neighbour community: e_frac}
     rows, cols = np.nonzero(np.triu(adj, 1) > 0)
@@ -225,7 +225,7 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_
     if n == 0:
         raise DataError("pagerank undefined for an empty snapshot")
     a = snapshot.adjacency()
-    out_s = a.sum(axis=1)
+    out_s = snapshot.strength("out")
     nz = out_s > 0
     trans = np.zeros_like(a)
     trans[nz] = a[nz] / out_s[nz, None]

@@ -1,13 +1,15 @@
 """End-to-end prediction over a temporal network.
 
 Feature tables are built for every anchor snapshot with a successor and
-pooled once, in anchor order, then split by time: the first 40% of rows
-train, the next 40% validate (through 5-fold forward chaining for the L2 grid
-search), the last 20% are held out for the final report. Correlation pruning
-is fitted on the first 80% only. Classification targets get the full
-benchmarking treatment (exact binomial CIs, bootstrap AUC CI, prior and
-random-edge null models, permutation importance, per-feature attribution);
-the regression target gets held-out R^2 against a shuffled-target null.
+pooled once, in anchor order, then split by time once, in ``run_prediction``:
+the first 40% of rows train, the next 40% validate (through 5-fold forward
+chaining for the L2 grid search), the last 20% are held out for the final
+report. Correlation pruning and standardization are fitted on the first 80%
+only, and the chosen classifier is refit there. Classification targets get
+the full benchmarking treatment (exact binomial CIs, bootstrap AUC CI, prior
+and random-edge null models, permutation importance, per-feature
+attribution); the regression target gets held-out R^2 against a
+shuffled-target null.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def forward_chain_folds(n: int, folds: int = FOLDS):
     return out
 
 
-def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, details: dict | None = None):
+def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0):
     """Grid-search L2 by forward-chaining validation AUC over a pooled table.
 
     ``table`` is a labeled pool of horizon tables in time order (see
@@ -121,11 +123,10 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, det
     times ``as_of``, so the forward-chaining folds see distinct eras; rows
     out of time order raise DataError, since a fold would then validate on
     rows older than its training rows. The first 80% of rows feed the grid
-    search, and the winner is refit on them.
-    Each fold's standardized, class-balanced training rows and standardized
-    validation rows are prepared once and scored for every L2 value. Returns
-    (model, chosen_l2); pass a dict as ``details`` to also receive the CV
-    means, the standardization constants of the refit, and the split sizes.
+    search. Each fold's standardized, class-balanced training rows and
+    standardized validation rows are prepared once and scored for every L2
+    value. Returns (chosen_l2, cv_auc_by_l2), the latter the mean fold AUC
+    of each grid value; the caller refits at the chosen value.
 
     Ties keep the smallest L2 because the grid is scanned in ascending order
     with a strict improvement test.
@@ -135,8 +136,7 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, det
         raise DataError(f"need at least {FOLDS} horizon tables for forward chaining, got {anchors}")
     if np.any(np.diff(table.as_of) < 0):
         raise DataError("forward chaining needs the pooled rows in time order (non-decreasing as_of)")
-    n = table.n_rows
-    i1, i2 = _split_ends(n)
+    _, i2 = _split_ends(table.n_rows)
 
     folds = []
     for k, (tr, va) in enumerate(forward_chain_folds(i2)):
@@ -159,13 +159,7 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0, det
         if mean_auc > best_mean:
             best_mean = mean_auc
             best_l2 = l2
-
-    train_std, constants = standardize(table.select_rows(np.arange(i2)))
-    model = fit_logistic(oversample(train_std, seed=[seed, 3]), l2=best_l2)
-    if details is not None:
-        split = {"train": i1, "validation": i2 - i1, "test": n - i2}
-        details.update(cv_auc_by_l2=cv_means, constants=constants, split=split)
-    return model, best_l2
+    return best_l2, cv_means
 
 
 def _coefficient_table(model) -> list:
@@ -208,37 +202,37 @@ def run_prediction(
 ) -> PredictionResult:
     """Full prediction pipeline for one target.
 
-    The horizon tables are pooled once, in anchor order. Correlation pruning
-    and standardization are fitted on the training and validation rows (the
-    first 80%) only. A classifier is chosen by ``time_ordered_select`` and
-    evaluated with its nulls; ``rel_change`` fits least squares against a
-    shuffled-target null. Both report from the same held-out rows.
+    The horizon tables are pooled once, in anchor order, and split once.
+    Correlation pruning and standardization are fitted on the training and
+    validation rows (the first 80%) only, and that one standardization
+    serves both target kinds. A classifier's L2 is chosen by
+    ``time_ordered_select``, refit on the class-balanced first 80% and
+    evaluated with its nulls; ``rel_change`` fits least squares on the same
+    rows against a shuffled-target null. Both report from the same held-out
+    rows.
     """
     _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null_trials, bootstrap_iters)
     _check_snapshots(tn, target)
     pooled = pool(build_horizon_tables(tn, target, change_threshold=change_threshold))
     n = pooled.n_rows
-    _, i2 = _split_ends(n)
+    i1, i2 = _split_ends(n)
     _, dropped_corr = prune_correlated(pooled.select_rows(np.arange(i2)), threshold=corr_threshold)
     pooled = pooled.select_columns([c for c in pooled.columns if c not in dropped_corr])
+    train_std, constants = standardize(pooled.select_rows(np.arange(i2)))
+    test_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, n)))
 
-    # rel_change keeps these; time_ordered_select replaces them with its own
-    details = {"split": {"train": i2, "validation": 0, "test": n - i2}, "cv_auc_by_l2": None}
-    best_l2 = report = regression = phi = base = None
+    best_l2 = cv_auc_by_l2 = report = regression = phi = base = None
     shap_rows = ()
     warnings_list = []
     if target == "rel_change":
-        train_std, constants = standardize(pooled.select_rows(np.arange(i2)))
-    else:
-        model, best_l2 = time_ordered_select(pooled, l2_grid=l2_grid, seed=seed, details=details)
-        constants = details["constants"]
-    test_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, n)))
-
-    if target == "rel_change":
+        split = {"train": i2, "validation": 0, "test": n - i2}
         model = fit_linear(train_std, heldout=test_std)
         null = null_shuffle_regression(train_std, test_std, trials=null_trials, seed=[seed, 8])
         regression = {"r2_heldout": model.r2, "null": null, "split": {"train": i2, "heldout": n - i2}}
     else:
+        split = {"train": i1, "validation": i2 - i1, "test": n - i2}
+        best_l2, cv_auc_by_l2 = time_ordered_select(pooled, l2_grid=l2_grid, seed=seed)
+        model = fit_logistic(oversample(train_std, seed=[seed, 3]), l2=best_l2)
         report = evaluate(model, test_std)
         report.ci_method = "exact"
         if report.precision is not None:
@@ -265,12 +259,12 @@ def run_prediction(
         target=target,
         seed=seed,
         n_rows=n,
-        split=details["split"],
+        split=split,
         columns=constants.columns,
         dropped_correlated=tuple(dropped_corr),
         dropped_constant=constants.dropped,
         chosen_l2=best_l2,
-        cv_auc_by_l2=details["cv_auc_by_l2"],
+        cv_auc_by_l2=cv_auc_by_l2,
         report=report,
         regression=regression,
         coefficients=_coefficient_table(model),

@@ -52,6 +52,14 @@ def network_from(snapshots):
     return TemporalNetwork(snapshots=tuple(snapshots), universe=universe)
 
 
+def directed_triangles(horizon=8):
+    """A directed three-node cycle repeated over ``horizon`` snapshots."""
+    return network_from([
+        Snapshot(node_ids=("a", "b", "c"), edges=((0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.5)), directed=True, timestamp=t)
+        for t in range(horizon)
+    ])
+
+
 def student_t_cdf(dof, x):
     """Student-t CDF by Simpson quadrature of the density; oracle only."""
     if x == 0:

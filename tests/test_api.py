@@ -64,7 +64,6 @@ def _labeled_table():
     lambda: structim.binom_ci(2.5, 5),
     lambda: structim.binom_ci(6, 5),
     lambda: structim.binom_ci(2, 5, alpha=1.5),
-    lambda: structim.binom_ci(2, 5, method="wilson"),
     lambda: structim.permutation_importance(structim.fit_logistic(_labeled_table()), _labeled_table(), repeats=0),
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), target="change")]),
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), columns=("mb",))]),
@@ -74,7 +73,7 @@ def _labeled_table():
     lambda: structim.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]])),
     lambda: structim.leading_singular(np.ones(3)),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
-        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha", "binom-ci-method",
+        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha",
         "permutation-importance-repeats", "pool-targets", "pool-columns", "build-features-anchor",
         "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "leading-singular-shape"])
 def test_argument_errors_are_typed(call):

@@ -20,6 +20,8 @@ from structim import (
 )
 from structim.cli import main
 
+from conftest import directed_triangles
+
 
 def _read_json(path):
     with open(path) as fh:
@@ -470,6 +472,15 @@ def test_value_error_after_the_checks_is_not_a_usage_error(synthetic_csv, tmp_pa
     monkeypatch.setattr(cli, "run_prediction", fail)
     with pytest.raises(np.linalg.LinAlgError):
         main(["predict", synthetic_csv, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["analyze", "predict"])
+def test_directed_network_is_a_data_error(tmp_path, capsys, command):
+    net = tmp_path / "directed.json"
+    net.write_text(directed_triangles().to_json())
+    assert main([command, str(net), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "data error: node measures are defined here for undirected networks only; the network is directed\n")
 
 
 def test_predict_too_few_snapshots(tmp_path, capsys):

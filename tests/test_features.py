@@ -26,7 +26,7 @@ from structim import (
     synthetic_temporal,
 )
 
-from conftest import clique, network_from
+from conftest import clique, directed_triangles, network_from
 
 
 def _snap(node_ids, edges, timestamp=0):
@@ -159,9 +159,28 @@ def test_snapshot_measures_once_per_snapshot(monkeypatch):
         build_features(tn, t)
         build_table(tn, t, "rel_change")
     assert calls == [0, 1, 2, 3]
+    # a backward pass after the forward sweep measures nothing again either
+    for t in range(4, 0, -1):
+        build_table(tn, t, "sign")
+    assert calls == [0, 1, 2, 3]
+    # the one piece of history state is the cumulative list, read-only
+    assert "_measures" not in vars(tn)
+    assert len(vars(tn)["_history"]) == 5
+    assert not any(a.flags.writeable for entry in vars(tn)["_history"] for a in entry)
     # a copy is a new network with no measures kept
     build_features(pickle.loads(pickle.dumps(tn)), 2)
     assert calls == [0, 1, 2, 3, 0, 1]
+
+
+def test_directed_network_is_a_data_error_before_any_decomposition(monkeypatch):
+    import structim.features as features
+
+    monkeypatch.setattr(features, "eig_sym", lambda a: pytest.fail("decomposed a directed adjacency"))
+    tn = directed_triangles()
+    with pytest.raises(DataError, match="undirected networks only"):
+        snapshot_measures(tn, 0)
+    with pytest.raises(DataError, match="undirected networks only"):
+        build_features(tn, 1)
 
 
 def test_label_presence():

@@ -358,17 +358,6 @@ def test_binom_ci_boundary_cases():
     assert lo > 0.0 and hi == 1.0
 
 
-def test_binom_ci_normal_approximation():
-    z = 1.959963984540054
-    lo, hi = binom_ci(8, 10, method="normal")
-    half = z * np.sqrt(0.8 * 0.2 / 10)
-    assert lo == pytest.approx(0.8 - half, abs=1e-9)
-    assert hi == 1.0  # clipped
-    lo29, hi29 = binom_ci(5, 10, method="normal")
-    assert lo29 == pytest.approx(0.5 - z * np.sqrt(0.025), abs=1e-9)
-    assert hi29 == pytest.approx(0.5 + z * np.sqrt(0.025), abs=1e-9)
-
-
 def test_binom_ci_validation():
     with pytest.raises(ValueError):
         binom_ci(-1, 5)
@@ -378,8 +367,6 @@ def test_binom_ci_validation():
         binom_ci(1, 0)
     with pytest.raises(ValueError):
         binom_ci(2, 5, alpha=1.5)
-    with pytest.raises(ValueError):
-        binom_ci(2, 5, method="wilson")
 
 
 def test_binom_ci_rejects_non_integral_n():

@@ -20,7 +20,9 @@ from structim import (
     time_ordered_select,
 )
 
+from structim import pipeline
 from structim.errors import ArgumentError
+from structim.model import standardize
 
 from conftest import clique
 
@@ -135,7 +137,7 @@ def test_select_rejects_mixed_targets():
 
 
 def test_select_single_value_grid():
-    _, best = time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=(0.1,))
+    best, _ = time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=(0.1,))
     assert best == 0.1
 
 
@@ -143,30 +145,24 @@ def test_select_uninformative_ties_keep_lowest_l2():
     # constant features are dropped, every fold scores exactly 0.5, and the
     # ascending scan with a strict improvement test keeps the smallest value
     tables = _mk_tables(seed=2, constant=True)
-    details = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, best = time_ordered_select(pool(tables), details=details)
+        best, cv_auc_by_l2 = time_ordered_select(pool(tables))
     assert best == min(L2_GRID)
-    assert set(details["cv_auc_by_l2"].values()) == {0.5}
+    assert set(cv_auc_by_l2.values()) == {0.5}
 
 
 def test_select_details_and_split():
-    tables = _mk_tables(seed=3)
-    details = {}
-    model, best = time_ordered_select(pool(tables), details=details)
+    # the split and the standardization constants are run_prediction's; see
+    # test_run_prediction_splits_and_standardizes_once
+    best, cv_auc_by_l2 = time_ordered_select(pool(_mk_tables(seed=3)))
     assert best in L2_GRID
-    assert sorted(details["cv_auc_by_l2"]) == sorted(float(v) for v in L2_GRID)
-    assert details["split"] == {"train": 48, "validation": 48, "test": 24}
-    assert details["constants"].columns == ("ma", "mb")
-    assert model.feature_names == ("ma", "mb")
+    assert sorted(cv_auc_by_l2) == sorted(float(v) for v in L2_GRID)
 
 
 def test_select_informative_beats_shuffled_control():
     tables = _mk_tables(seed=3)
-    details = {}
-    time_ordered_select(pool(tables), details=details)
-    best_real = max(details["cv_auc_by_l2"].values())
+    best_real = max(time_ordered_select(pool(tables))[1].values())
 
     rng = np.random.default_rng(99)
     shuffled = []
@@ -174,19 +170,16 @@ def test_select_informative_beats_shuffled_control():
         c = t.select_rows(np.ones(t.n_rows, dtype=bool))
         c.y = rng.permutation(t.y)
         shuffled.append(c)
-    details2 = {}
-    time_ordered_select(pool(shuffled), details=details2)
-    best_null = max(details2["cv_auc_by_l2"].values())
+    best_null = max(time_ordered_select(pool(shuffled))[1].values())
     assert best_real > 0.9
     assert best_real > best_null + 0.15
 
 
 def test_select_deterministic():
-    a_model, a_best = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
-    b_model, b_best = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
+    a_best, a_cv = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
+    b_best, b_cv = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
     assert a_best == b_best
-    assert np.array_equal(a_model.coef, b_model.coef)
-    assert a_model.intercept == b_model.intercept
+    assert a_cv == b_cv
 
 
 # --------------------------------------------------------------- run_prediction
@@ -315,6 +308,31 @@ def test_run_prediction_deterministic(coupled_network):
                        null_trials=30, bootstrap_iters=100)
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
     assert np.array_equal(a.shap_values, b.shap_values)
+
+
+@pytest.mark.parametrize("target", ["presence", "rel_change"])
+def test_run_prediction_splits_and_standardizes_once(monkeypatch, coupled_network, target):
+    fitted = []
+
+    def spy(table):
+        train_std, constants = standardize(table)
+        fitted.append((table.n_rows, constants))
+        return train_std, constants
+
+    monkeypatch.setattr(pipeline, "standardize", spy)
+    res = run_prediction(coupled_network, target, seed=5, null_trials=20, bootstrap_iters=50)
+    n = res.n_rows
+    i1, i2 = int(0.4 * n), int(0.8 * n)
+    if target == "rel_change":
+        assert res.split == {"train": i2, "validation": 0, "test": n - i2}
+        assert res.regression["split"] == {"train": i2, "heldout": n - i2}
+    else:
+        assert res.split == {"train": i1, "validation": i2 - i1, "test": n - i2}
+    # the forward-chaining folds train on fewer rows; the first 80% is standardized once
+    constants = [c for rows, c in fitted if rows == i2]
+    assert len(constants) == 1
+    assert res.columns == constants[0].columns
+    assert tuple(c["feature"] for c in res.coefficients[1:]) == res.columns
 
 
 def test_run_prediction_needs_enough_rows():
