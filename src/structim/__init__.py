@@ -15,7 +15,6 @@ from .spectral import (
     SingularTriplet,
     Spectrum,
     eig_sym,
-    kmeans_eigvecs,
     leading_singular,
     select_eigencomponent,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "fit_logistic",
     "forward_chain_folds",
     "importance_components",
-    "kmeans_eigvecs",
     "label_nodes",
     "leading_singular",
     "load_network",

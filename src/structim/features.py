@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgumentError, DataError
-from .graphs import Snapshot, TemporalNetwork
+from .graphs import TemporalNetwork
 from .importance import SCHEMES, node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
 from .spectral import Spectrum, eig_sym
@@ -215,9 +215,11 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
 
 
 def _history(tn: TemporalNetwork, t: int):
-    """(sums, counts): per history column and universe node, the sum and the
-    number of its defined values over snapshots 0..t-1, as read-only
-    (columns, nodes) arrays.
+    """(sums, counts): per history column and universe node, the sum of its
+    defined values over snapshots 0..t-1, as a read-only (columns, nodes)
+    array, and per node their number, as a read-only (nodes,) array. Every
+    column is defined on the same nodes of a snapshot, those present with
+    positive strength, so one count serves all columns.
 
     The network keeps one list in its private state (pickling drops it)
     whose entry u holds the (sums, counts) over snapshots 0..u-1. The list
@@ -229,14 +231,14 @@ def _history(tn: TemporalNetwork, t: int):
     """
     history = vars(tn).get("_history")
     if history is None:
-        shape = (len(_HISTORY_COLUMNS), tn.n_nodes)
-        history = vars(tn)["_history"] = [(np.broadcast_to(0.0, shape), np.broadcast_to(0, shape))]
+        zeros = np.broadcast_to(0.0, (len(_HISTORY_COLUMNS), tn.n_nodes))
+        history = vars(tn)["_history"] = [(zeros, np.broadcast_to(0, tn.n_nodes))]
     while len(history) <= t:
         sums, counts = history[-1]
         measures = snapshot_measures(tn, len(history) - 1)
         hist = np.array([measures[name] for name in _HISTORY_COLUMNS])
         defined = ~np.isnan(hist)
-        entry = (sums + np.where(defined, hist, 0.0), counts + defined)
+        entry = (sums + np.where(defined, hist, 0.0), counts + defined[0])
         for a in entry:
             a.setflags(write=False)
         history.append(entry)

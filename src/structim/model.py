@@ -27,8 +27,8 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy import special
 
+from ._special import betaincinv, expit, ndtr, stdtr
 from .errors import ArgumentError, DataError, NumericalError
 from .features import CONSTANT_STD, FeatureTable, _check_horizon
 from .graphs import TemporalNetwork
@@ -141,7 +141,7 @@ class LogisticModel(_Coefficients):
         return self.intercept + x @ self.coef
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return special.expit(self.log_odds(x))
+        return expit(self.log_odds(x))
 
 
 def _wald(columns, beta, cov, lower_tail) -> dict:
@@ -154,7 +154,7 @@ def _wald(columns, beta, cov, lower_tail) -> dict:
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf)
-    pvals = 2.0 * lower_tail(-np.abs(z))
+    pvals = np.array([2.0 * lower_tail(-abs(v)) for v in z.tolist()])
     return dict(
         feature_names=tuple(columns),
         intercept=float(beta[0]),
@@ -211,7 +211,7 @@ def fit_logistic(
 
     for it in range(1, max_iter + 1):
         eta = design @ beta
-        prob = special.expit(eta)
+        prob = expit(eta)
         grad = design.T @ (y - prob) - ridge @ beta
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
@@ -244,12 +244,12 @@ def fit_logistic(
             f"logistic fit did not converge: {it} iterations, gradient norm {grad_norm:.3e}"
         )
 
-    prob = special.expit(design @ beta)
+    prob = expit(design @ beta)
     w = prob * (1.0 - prob)
     info = design.T @ (design * w[:, None]) + ridge
     cov = np.linalg.inv(info + 1e-12 * np.eye(p + 1))
     return LogisticModel(
-        **_wald(table.columns, beta, cov, special.ndtr),
+        **_wald(table.columns, beta, cov, ndtr),
         l2=float(l2),
         converged=converged,
         n_iter=it,
@@ -424,8 +424,8 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05):
     if not 0 < alpha < 1:
         raise ArgumentError("alpha must be in (0, 1)")
     k = successes
-    lower = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2.0))
-    upper = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
+    lower = 0.0 if k == 0 else betaincinv(k, n - k + 1, alpha / 2.0)
+    upper = 1.0 if k == n else betaincinv(k + 1, n - k, 1.0 - alpha / 2.0)
     return (lower, upper)
 
 
@@ -712,7 +712,7 @@ def fit_linear(
     dof = n - (p + 1)
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(gram)
-    model = LinearModel(**_wald(table.columns, beta, cov, lambda t: special.stdtr(dof, t)), r2=None)
+    model = LinearModel(**_wald(table.columns, beta, cov, lambda t: stdtr(dof, t)), r2=None)
     target = heldout if heldout is not None else table
     model.r2 = r2_score(target.y, model.predict(target.X))
     return model

@@ -122,86 +122,3 @@ def select_eigencomponent(spectrum: Spectrum, node: int | None = None):
         raise IndexError(f"node index {node} out of range for {ranks.shape[0]} nodes")
     return int(ranks[node])
 
-
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
-    n = x.shape[0]
-    # k-means++ seeding
-    centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[c] = x[int(rng.integers(n))]
-        else:
-            centers[c] = x[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
-
-    labels = np.full(n, -1, dtype=int)
-    for _ in range(max_iter):
-        dists = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        for c in range(k):
-            members = new_labels == c
-            if members.any():
-                centers[c] = x[members].mean(axis=0)
-            else:
-                # reseed an emptied cluster at the worst-served point
-                worst = int(np.argmax(np.min(dists, axis=1)))
-                centers[c] = x[worst]
-                new_labels[worst] = c
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    inertia = float(np.sum((x - centers[labels]) ** 2))
-    return labels, inertia
-
-
-def kmeans_eigvecs(
-    spectrum: Spectrum,
-    k: int,
-    seed: int = 0,
-    which: str = "positive",
-    restarts: int = 8,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """Cluster nodes by their rows across selected eigenvectors.
-
-    ``which`` picks the eigenvector columns: "positive" (eigenvalue > 0) or
-    "all". Runs k-means++ seeding plus Lloyd iterations ``restarts`` times
-    with derived seeds and keeps the lowest-inertia run. Labels are relabeled
-    densely from 0 in order of first appearance, so results are deterministic
-    for a given seed.
-    """
-    if which not in ("positive", "all"):
-        raise ArgumentError(f"unknown eigenvector subset {which!r}")
-    n = spectrum.n
-    if not 1 <= k <= n:
-        raise ArgumentError(f"k={k} out of range for {n} nodes")
-    if restarts < 1 or max_iter < 1:
-        raise ArgumentError(f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}")
-    cols = spectrum.positive_count() if which == "positive" else n
-    if cols == 0:
-        raise DataError("no positive eigenvalues to embed nodes with")
-    x = np.array(spectrum.eigenvectors[:, :cols])
-    # rows equal up to eigensolver noise count once
-    distinct = np.unique(np.round(x, 12), axis=0).shape[0]
-    if k > distinct:
-        raise DataError(f"k={k} exceeds the {distinct} distinct embedding rows")
-
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        labels, inertia = _kmeans_once(x, k, rng, max_iter)
-        if best is None or inertia < best[1]:
-            best = (labels, inertia)
-
-    labels = best[0]
-    remap = {}
-    out = np.empty_like(labels)
-    for idx, lab in enumerate(labels):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[idx] = remap[lab]
-    return out

@@ -14,7 +14,6 @@ from structim import (
     barbell,
     binom_ci,
     eig_sym,
-    kmeans_eigvecs,
     modularity,
     node_importance,
     null_prior_predictor,
@@ -73,20 +72,6 @@ def test_A02_eigencomponent_ranks():
     ranks = [int(r) for r in select_eigencomponent(spec)]
     want = [2, 2, 2, 2, 3, 3, 1, 1, 1, 1, 1]
     _verdict("A2 eigencomponent selection", ranks == want, f"ranks={ranks}")
-
-
-def test_A03_kmeans_partition_stability():
-    spec = eig_sym(barbell(4, 2, 5).adjacency())
-    want = {frozenset(range(0, 4)), frozenset((4, 5)), frozenset(range(6, 11))}
-    hits = 0
-    for seed in range(100):
-        labels = kmeans_eigvecs(spec, 3, seed=seed)
-        groups = {}
-        for node, lab in enumerate(labels):
-            groups.setdefault(int(lab), set()).add(node)
-        if {frozenset(g) for g in groups.values()} == want:
-            hits += 1
-    _verdict("A3 k-means partition", hits >= 95, f"{hits}/100 seeds")
 
 
 def test_A04_bridge_outranks_large_clique():

@@ -22,7 +22,7 @@ PUBLIC = (
     "barbell", "binom_ci", "bootstrap_auc_ci", "build_features", "build_horizon_tables",
     "build_table", "detect_communities", "edge_importance", "eig_sym", "eigenvector_centrality",
     "evaluate", "fit_linear", "fit_logistic", "forward_chain_folds", "importance_components",
-    "kmeans_eigvecs", "label_nodes", "leading_singular", "load_network", "load_snapshots_text",
+    "label_nodes", "leading_singular", "load_network", "load_snapshots_text",
     "mean_diff_ttest", "modularity", "node_importance", "node_importance_directed",
     "null_edge_presence", "null_prior_predictor", "null_shuffle_regression", "oversample",
     "pagerank", "pearson", "permutation_importance", "pool", "prune_correlated", "r2_score",
@@ -34,19 +34,39 @@ PUBLIC = (
 
 def test_public_surface_is_pinned():
     # a new export (or a private helper leaking out) must be added here on purpose
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 67
     assert sorted(structim.__all__) == sorted(PUBLIC)
     assert len(set(structim.__all__)) == len(structim.__all__)
     assert all(hasattr(structim, name) for name in PUBLIC)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates start-up time; a cold CLI process must not pay it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy dominates start-up time and resident memory, and structim needs
+    # none of it: neither the import nor a whole predict or analyze job of a
+    # cold CLI process may load any part of it
     src = os.path.dirname(os.path.dirname(os.path.abspath(structim.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, structim, structim.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, structim, structim.cli; print('scipy.stats' in sys.modules, 'scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+    csv = str(tmp_path / "net.csv")
+    gen = ["gen", "synthetic", "--n", "30", "--communities", "2", "--hubs", "2", "--coupling", "-2.0",
+           "--horizon", "8", "--seed", "4", "--out", csv]
+    jobs = {
+        "predict": ["predict", csv, "--target", "presence", "--trials", "30", "--bootstrap-iters", "100",
+                    "--out", str(tmp_path / "predict")],
+        "analyze": ["analyze", csv, "--out", str(tmp_path / "analyze")],
+    }
+    for name, argv in jobs.items():
+        code = (
+            "import sys, structim.cli as cli\n"
+            f"assert cli.main({gen!r}) == 0 and cli.main({argv!r}) == 0\n"
+            "print('scipy' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+                             timeout=300)
+        assert out.stdout.strip().splitlines()[-1] == "False", name
 
 
 def _labeled_table():

@@ -172,6 +172,25 @@ def test_snapshot_measures_once_per_snapshot(monkeypatch):
     assert calls == [0, 1, 2, 3, 0, 1]
 
 
+def test_history_keeps_one_count_row_per_entry():
+    import structim.features as features
+
+    tn = synthetic_temporal(40, 3, 2, -2.0, 8, seed=5)
+    sums, counts = features._history(tn, tn.n_snapshots - 1)
+    for entry_sums, entry_counts in vars(tn)["_history"]:
+        assert entry_sums.shape == (len(features._HISTORY_COLUMNS), tn.n_nodes)
+        assert entry_counts.shape == (tn.n_nodes,)
+    # the count is the number of prior snapshots with the node at positive strength
+    positive = np.zeros((tn.n_snapshots - 1, tn.n_nodes), dtype=int)
+    for t, s in enumerate(tn.snapshots[:-1]):
+        positive[t, tn._positions[t]] = s.strength() > 0
+    assert np.array_equal(counts, positive.sum(axis=0))
+    # and every history column is defined exactly there
+    hist = np.array([[features.snapshot_measures(tn, t)[c] for c in features._HISTORY_COLUMNS]
+                     for t in range(tn.n_snapshots - 1)])
+    assert np.array_equal(~np.isnan(hist), np.broadcast_to(positive[:, None, :] > 0, hist.shape))
+
+
 def test_directed_network_is_a_data_error_before_any_decomposition(monkeypatch):
     import structim.features as features
 

@@ -55,6 +55,23 @@ def test_modularity_range_property():
         assert -0.5 - 1e-12 <= q <= 1.0
 
 
+@pytest.mark.parametrize("snapshot", [
+    barbell(4, 2, 5),
+    synthetic_temporal(120, 4, 4, -2.0, 3, seed=11).snapshots[0],
+], ids=["barbell", "synthetic"])
+def test_modularity_of_huge_weights_matches_unit_scale(snapshot):
+    # 1e160 weights square past the float range; fractions of 2m do not
+    scaled = Snapshot(node_ids=snapshot.node_ids, edges=tuple((i, j, w * 1e160) for i, j, w in snapshot.edges),
+                      directed=False, timestamp=snapshot.timestamp)
+    labels = detect_communities(snapshot)
+    with np.errstate(all="raise"):
+        scaled_labels = detect_communities(scaled)
+        q = modularity(scaled, scaled_labels)
+    assert np.array_equal(scaled_labels, labels)
+    assert labels.max() > 0
+    assert q == pytest.approx(modularity(snapshot, labels), rel=1e-15)
+
+
 def test_modularity_validation():
     s = clique(3)
     with pytest.raises(DataError):
@@ -98,8 +115,9 @@ def test_detect_communities_single_edge_collapses():
 
 @pytest.mark.parametrize("snapshot, scorings", [
     (barbell(4, 2, 5), 1),
-    # merging the two ends rounds Q to -1.4e-16, so the partition falls back
-    (Snapshot(node_ids=(0, 1), edges=((0, 1, 0.1),)), 2),
+    # merging the path into one community rounds Q to -4.4e-16, so the
+    # partition falls back
+    (Snapshot(node_ids=(0, 1, 2), edges=((0, 1, 0.2), (1, 2, 0.1))), 2),
 ])
 def test_communities_are_scored_once_per_snapshot(snapshot, scorings, monkeypatch):
     scored = []

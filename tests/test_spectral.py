@@ -7,7 +7,6 @@ from structim import (
     DataError,
     barbell,
     eig_sym,
-    kmeans_eigvecs,
     leading_singular,
     select_eigencomponent,
 )
@@ -168,64 +167,3 @@ def test_select_eigencomponent_cycle_degenerate_modes():
 def test_select_eigencomponent_requires_positive_part():
     with pytest.raises(DataError):
         select_eigencomponent(eig_sym(np.zeros((4, 4))))
-
-
-def test_kmeans_two_cliques():
-    # two disjoint cliques, k=2: the split must follow the components
-    left = clique(4)
-    edges = list(left.edges)
-    for i in range(4, 8):
-        for j in range(i + 1, 8):
-            edges.append((i, j, 1.0))
-    from structim import Snapshot
-
-    s = Snapshot(node_ids=tuple(range(8)), edges=tuple(edges), directed=False, timestamp=0)
-    spec = eig_sym(s.adjacency())
-    labels = kmeans_eigvecs(spec, 2, seed=0)
-    assert labels[0] == labels[1] == labels[2] == labels[3]
-    assert labels[4] == labels[5] == labels[6] == labels[7]
-    assert labels[0] != labels[4]
-    # labels are dense ints starting at 0
-    assert sorted(set(labels)) == [0, 1]
-
-
-def test_kmeans_barbell_partition():
-    spec = eig_sym(barbell(4, 2, 5).adjacency())
-    labels = kmeans_eigvecs(spec, 3, seed=0)
-    groups = {}
-    for node, lab in enumerate(labels):
-        groups.setdefault(lab, set()).add(node)
-    assert {frozenset(g) for g in groups.values()} == {
-        frozenset({0, 1, 2, 3}),
-        frozenset({4, 5}),
-        frozenset({6, 7, 8, 9, 10}),
-    }
-
-
-def test_kmeans_deterministic_per_seed():
-    spec = eig_sym(barbell(4, 2, 5).adjacency())
-    a = kmeans_eigvecs(spec, 3, seed=7)
-    b = kmeans_eigvecs(spec, 3, seed=7)
-    assert np.array_equal(a, b)
-
-
-def test_kmeans_needs_enough_distinct_rows():
-    spec = eig_sym(clique(4).adjacency())
-    # all rows of the positive-eigenvector block are identical in a clique
-    with pytest.raises(DataError):
-        kmeans_eigvecs(spec, 2, seed=0)
-
-
-def test_kmeans_validates_k():
-    spec = eig_sym(barbell().adjacency())
-    with pytest.raises(ValueError):
-        kmeans_eigvecs(spec, 0, seed=0)
-    with pytest.raises(ValueError):
-        kmeans_eigvecs(spec, 12, seed=0)
-
-
-@pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -1}, {"max_iter": 0}])
-def test_kmeans_needs_a_run_and_an_iteration(option):
-    spec = eig_sym(barbell(4, 2, 5).adjacency())
-    with pytest.raises(ValueError, match="restarts >= 1 and max_iter >= 1"):
-        kmeans_eigvecs(spec, 2, **option)
