@@ -6,7 +6,9 @@ prefactor x^a y^b / B(a, b) in Loader's saddle-point form (Loader, "Fast and
 accurate computation of binomial probabilities", 2000) so that it keeps its
 relative precision when a + b is in the millions. ``betaincinv`` inverts it
 by safeguarded Halley steps (as in DiDonato & Morris, "Algorithm 708", ACM
-TOMS 18, 1992); ``stdtr`` is the Student t tail it gives.
+TOMS 18, 1992); ``stdtr`` is the Student t tail it gives, with Cephes'
+second continued fraction in x / (1 - x) where x is near 1 (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989).
 """
 
 from __future__ import annotations
@@ -36,10 +38,29 @@ def ndtr(x: float) -> float:
 
 
 def stdtr(df: float, t: float) -> float:
-    """Student t lower tail P(T <= t) with ``df`` > 0 degrees of freedom."""
+    """Student t lower tail P(T <= t) with ``df`` > 0 degrees of freedom.
+
+    The tail is I_x(df/2, 1/2) / 2 with x = df / (df + t^2). Where 3 < t^2 <
+    df, x is near 1 on the side where ``betainc`` takes the fraction in x,
+    which is ill-conditioned there (the digits of x lost to rounding cost
+    1e-11 at 10^6 degrees of freedom), so the tail takes ``_betacf_z``.
+    """
     t2 = t * t
-    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + t2), t2 / (df + t2))[0]
+    a, x, y = 0.5 * df, df / (df + t2), t2 / (df + t2)
+    if t2 < df and x * (a + 2.5) < a + 1.0:
+        tail = 0.5 * math.exp(_log_front(a, 0.5, x, y)) * _betacf_z(a, df / t2) / (a * y)
+    else:
+        tail = 0.5 * betainc(a, 0.5, x, y)[0]
     return tail if t < 0 else 1.0 - tail
+
+
+def _betacf_z(a: float, z: float) -> float:
+    """The continued fraction in z = x / y of I_x(a, 1/2) = x^a y^(1/2) /
+    B(a, 1/2) * fraction / (a y) (Cephes ``incbd``). For b = 1/2 all its
+    numerators are positive, so nothing cancels however near 1 x is."""
+    return _lentz(0.5 * z / (a + 1.0), (
+        (z * (m + 1) * (a + 0.5 + m) / ((k + 1.0) * (k + 2.0)), z * (a + m + 1) * (m + 1.5) / ((k + 2.0) * (k + 3.0)))
+        for m, k in ((m, a + 2 * m) for m in range(_MAXIT))), (a, 0.5, z / (1.0 + z)))
 
 
 def _stirlerr(n: float) -> float:
@@ -66,6 +87,17 @@ def betainc(a: float, b: float, x: float, y: float):
         return 0.0, 1.0, -math.inf
     if y <= 0.0:
         return 1.0, 0.0, -math.inf
+    front = _log_front(a, b, x, y)
+    if x * (a + b + 2.0) < a + 1.0:
+        p = math.exp(front) * _betacf(a, b, x) / a
+        return p, 1.0 - p, front
+    q = math.exp(front) * _betacf(b, a, y) / b
+    return 1.0 - q, q, front
+
+
+def _log_front(a: float, b: float, x: float, y: float) -> float:
+    """log(x^a y^b / B(a, b)) in Loader's form; the smaller of ``x`` and
+    ``y`` fixes both deviance terms, so they agree."""
     n = a + b
     if x <= y:
         ma = x * n
@@ -75,27 +107,31 @@ def betainc(a: float, b: float, x: float, y: float):
         mb = y * n
         d = mb - b
         ma = a - d
-    front = (0.5 * math.log(a * b / n) - _LOG_SQRT_2PI + _stirlerr(n) - _stirlerr(a) - _stirlerr(b)
-             - _bd0(a, ma, d) - _bd0(b, mb, -d))
-    if x * (n + 2.0) < a + 1.0:
-        p = math.exp(front) * _betacf(a, b, x) / a
-        return p, 1.0 - p, front
-    q = math.exp(front) * _betacf(b, a, y) / b
-    return 1.0 - q, q, front
+    return (0.5 * math.log(a * b / n) - _LOG_SQRT_2PI + _stirlerr(n) - _stirlerr(a) - _stirlerr(b)
+            - _bd0(a, ma, d) - _bd0(b, mb, -d))
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    """The continued fraction of I_x(a, b)."""
+    return _lentz(-(a + b) * x / (a + 1.0), (
+        (m * (b - m) * x / ((k - 1.0) * k), -(a + m) * (a + b + m) * x / (k * (k + 1.0)))
+        for m, k in ((m, a + 2 * m) for m in range(1, _MAXIT))), (a, b, x))
+
+
+def _lentz(first: float, pairs, args) -> float:
+    """1 / (1 + first / (1 + n_1 / (1 + n_2 / ...))) by the modified Lentz
+    method, the numerators n_i taken two at a time from ``pairs``; ``args``
+    (a, b, x) name the incomplete beta in the error."""
     c = 1.0
-    h = d = 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or _TINY)
-    for m in range(1, _MAXIT):
-        m2 = a + 2 * m
-        for num in (m * (b - m) * x / ((m2 - 1.0) * m2), -(a + m) * (a + b + m) * x / (m2 * (m2 + 1.0))):
+    h = d = 1.0 / ((1.0 + first) or _TINY)
+    for pair in pairs:
+        for num in pair:
             d = 1.0 / ((1.0 + num * d) or _TINY)
             c = (1.0 + num / c) or _TINY
             h *= d * c
         if abs(d * c - 1.0) <= _EPS:
             return h
+    a, b, x = args
     raise NumericalError(f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")
 
 

@@ -26,9 +26,11 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import __version__
 from .errors import ArgumentError, DataError, NumericalError
-from .features import MEASURE_COLUMNS, TARGETS, _check_undirected, label_nodes, snapshot_measures
+from .features import MEASURE_COLUMNS, TARGETS, _check_undirected, _labels, snapshot_measures
 from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
@@ -171,7 +173,7 @@ def cmd_analyze(args) -> int:
     mod_rows = []
     rank_rows = []
     measure_rows = []
-    by_measure = {name: {0: [], 1: []} for name in MEASURE_COLUMNS}
+    values, present = [], []  # per labeled snapshot: its (node, measure) cells, next-snapshot presence
     for t, snap in enumerate(tn.snapshots):
         spec = communities = None
         if snap.n_edges:
@@ -185,18 +187,18 @@ def cmd_analyze(args) -> int:
                         "eigenvalues": [] if spec is None else spec.eigenvalues.tolist(),
                         "positive_count": 0 if spec is None else spec.positive_count()})
 
-        # Measure distributions split by presence in the next snapshot.
-        labels = label_nodes(tn, t, "presence") if t < tn.n_snapshots - 1 else {}
-        if not labels:
+        # Measure distributions split by presence in the next snapshot: the
+        # defined (labeled node, measure) cells, node-major.
+        if t == tn.n_snapshots - 1:
             continue
+        keep, y = _labels(tn, t, "presence")
         measures = snapshot_measures(tn, t, spectrum=spec, communities=communities)
-        for node, present in labels.items():
-            g = tn.universe_index[node]
-            for name in MEASURE_COLUMNS:
-                val = measures[name][g]
-                if val == val:  # skip NaN
-                    measure_rows.append([t, node, name, repr(float(val)), present])
-                    by_measure[name][present].append(float(val))
+        values.append(np.column_stack([measures[name][tn._positions[t][keep]] for name in MEASURE_COLUMNS]))
+        present.append(y[keep].astype(int))
+        r, c = np.nonzero(~np.isnan(values[-1]))
+        measure_rows += zip([t] * r.size, map(snap.node_ids.__getitem__, np.flatnonzero(keep)[r].tolist()),
+                            map(MEASURE_COLUMNS.__getitem__, c.tolist()), map(repr, values[-1][r, c].tolist()),
+                            present[-1][r].tolist())
 
     meta = _meta(args, "analyze")
     artifacts = [
@@ -210,6 +212,9 @@ def cmd_analyze(args) -> int:
             title="Modularity over time", xlabel="snapshot", ylabel="Q",
         )))
     if measure_rows:
+        values, present = np.concatenate(values), np.concatenate(present)
+        by_measure = {name: {p: col[(present == p) & ~np.isnan(col)] for p in (0, 1)}
+                      for name, col in zip(MEASURE_COLUMNS, values.T)}
         artifacts.append(("measures.csv", lambda: _csv_text(
             ["snapshot", "node", "measure", "value", "next_present"], measure_rows)))
         artifacts.append(("ttests.json", lambda: _json_text(_ttests(meta, by_measure))))

@@ -30,25 +30,14 @@ import numpy as np
 
 from .errors import ArgumentError, DataError
 from .graphs import TemporalNetwork
-from .importance import SCHEMES, node_importance
+from .importance import node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
 from .spectral import Spectrum, eig_sym
 
-MEASURE_COLUMNS = (
-    "ma",
-    "mb",
-    "mc",
-    "md",
-    "eig_centrality",
-    "pagerank",
-    "degree",
-    "community_size",
-)
-# mc is identically zero for a zero-diagonal adjacency: it is reported by
-# analyze as a sanity check but is not a feature.
-FEATURE_COLUMNS = tuple(c for c in MEASURE_COLUMNS if c != "mc") + ("presence_count",)
-# the feature columns that average a measure over a node's history
-_HISTORY_COLUMNS = FEATURE_COLUMNS[:-1]
+# mc, identically zero for a zero-diagonal adjacency, is no measure column:
+# ``importance --scheme mc`` reports it as the check of that identity.
+MEASURE_COLUMNS = ("ma", "mb", "md", "eig_centrality", "pagerank", "degree", "community_size")
+FEATURE_COLUMNS = MEASURE_COLUMNS + ("presence_count",)
 
 TARGETS = ("presence", "change", "sign", "rel_change")
 
@@ -160,7 +149,7 @@ def snapshot_measures(
     present = s.strength() > 0
     at = tn._positions[t][present]
     spec = spectrum if spectrum is not None else eig_sym(s.adjacency())
-    for scheme in SCHEMES:
+    for scheme in ("ma", "mb", "md"):
         out[scheme][at] = list(node_importance(s, scheme, spectrum=spec).values.values())
 
     labels = communities if communities is not None else detect_communities(s)
@@ -215,7 +204,7 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
 
 
 def _history(tn: TemporalNetwork, t: int):
-    """(sums, counts): per history column and universe node, the sum of its
+    """(sums, counts): per measure column and universe node, the sum of its
     defined values over snapshots 0..t-1, as a read-only (columns, nodes)
     array, and per node their number, as a read-only (nodes,) array. Every
     column is defined on the same nodes of a snapshot, those present with
@@ -231,12 +220,12 @@ def _history(tn: TemporalNetwork, t: int):
     """
     history = vars(tn).get("_history")
     if history is None:
-        zeros = np.broadcast_to(0.0, (len(_HISTORY_COLUMNS), tn.n_nodes))
+        zeros = np.broadcast_to(0.0, (len(MEASURE_COLUMNS), tn.n_nodes))
         history = vars(tn)["_history"] = [(zeros, np.broadcast_to(0, tn.n_nodes))]
     while len(history) <= t:
         sums, counts = history[-1]
         measures = snapshot_measures(tn, len(history) - 1)
-        hist = np.array([measures[name] for name in _HISTORY_COLUMNS])
+        hist = np.array([measures[name] for name in MEASURE_COLUMNS])
         defined = ~np.isnan(hist)
         entry = (sums + np.where(defined, hist, 0.0), counts + defined[0])
         for a in entry:
@@ -245,7 +234,7 @@ def _history(tn: TemporalNetwork, t: int):
     return history[t]
 
 
-def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):
+def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05):
     """(keep, y) over snapshot t's nodes in its order: which nodes ``target``
     labels, by the S0/S1 rules of the module docstring, and their labels as floats."""
     _check_target(target)

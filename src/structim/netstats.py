@@ -105,17 +105,17 @@ def _communities(snapshot: Snapshot) -> tuple:
     if snapshot.directed:
         raise DataError("community detection is defined here for undirected snapshots only")
     n = snapshot.n_nodes
-    adj = snapshot.adjacency()
-    m2 = adj.sum()
+    s = snapshot.strength()
+    m2 = s.sum()
     if m2 <= 0:
         raise DataError("community detection undefined for a graph with no edges")
 
     members = [[i] for i in range(n)]  # None once absorbed; a survivor is its smallest member
-    a = snapshot.strength() / m2
+    a = s / m2
     a_frac = a.tolist()
     nbrs = [{} for _ in range(n)]  # community -> {neighbour community: e_frac}
-    rows, cols = np.nonzero(np.triu(adj, 1) > 0)
-    e = adj[rows, cols] / m2
+    rows, cols, w = snapshot._edge_arrays  # each undirected edge once, rows < cols
+    e = w / m2
     gains = 2.0 * (e - a[rows] * a[cols])
     rows, cols = rows.tolist(), cols.tolist()
     for i, j, e_ij in zip(rows, cols, e.tolist()):

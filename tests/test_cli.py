@@ -185,9 +185,10 @@ def test_analyze_artifacts(synthetic_csv, tmp_path):
     assert all(int(r[2]) >= 1 for r in ranks[1:])
 
     ttests = _read_json(os.path.join(out, "ttests.json"))
-    assert ttests["bonferroni_alpha"] == pytest.approx(0.05 / 8)
+    # mc, identically zero, is neither tested nor counted in the Bonferroni family
+    assert ttests["bonferroni_alpha"] == pytest.approx(0.05 / 7)
     assert {t["measure"] for t in ttests["tests"]} == {
-        "ma", "mb", "mc", "md", "eig_centrality", "pagerank", "degree", "community_size"
+        "ma", "mb", "md", "eig_centrality", "pagerank", "degree", "community_size"
     }
     keys = ["measure", "n_present", "n_absent", "t_stat", "dof", "p_value"]
     for t in ttests["tests"]:  # an undefined test says why
@@ -195,8 +196,10 @@ def test_analyze_artifacts(synthetic_csv, tmp_path):
     measured = _read_csv(os.path.join(out, "measures.csv"))
     assert measured[0] == ["snapshot", "node", "measure", "value", "next_present"]
     assert len(measured) > 1
+    assert "mc" not in {r[2] for r in measured[1:]}
     for name in ("violin_ma.svg", "violin_degree.svg", "modularity.svg"):
         assert name in listed
+    assert "violin_mc.svg" not in listed
 
 
 def test_malformed_json_document_is_data_error(tmp_path, capsys):

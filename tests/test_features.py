@@ -35,11 +35,10 @@ def _snap(node_ids, edges, timestamp=0):
 
 
 def test_feature_columns():
-    # mc (identically zero) is measured and reported but not a feature
-    assert FEATURE_COLUMNS == tuple(c for c in MEASURE_COLUMNS if c != "mc") + ("presence_count",)
-    for name in ("ma", "mb", "mc", "md", "eig_centrality", "pagerank", "degree",
-                 "community_size"):
-        assert name in MEASURE_COLUMNS
+    # mc (identically zero) is no measure column; importance --scheme mc reports it
+    assert FEATURE_COLUMNS == MEASURE_COLUMNS + ("presence_count",)
+    assert MEASURE_COLUMNS == ("ma", "mb", "md", "eig_centrality", "pagerank", "degree",
+                               "community_size")
 
 
 def test_snapshot_measures_alignment():
@@ -60,7 +59,6 @@ def test_snapshot_measures_alignment():
     assert np.allclose(out["pagerank"][:3], 1.0 / 3.0)
     assert np.allclose(out["eig_centrality"][:3], 1.0 / np.sqrt(3.0))
     assert np.allclose(out["community_size"][:3], 3.0)
-    assert np.allclose(out["mc"][:3], 0.0, atol=1e-12)
 
 
 def test_snapshot_measures_empty_snapshot():
@@ -178,7 +176,7 @@ def test_history_keeps_one_count_row_per_entry():
     tn = synthetic_temporal(40, 3, 2, -2.0, 8, seed=5)
     sums, counts = features._history(tn, tn.n_snapshots - 1)
     for entry_sums, entry_counts in vars(tn)["_history"]:
-        assert entry_sums.shape == (len(features._HISTORY_COLUMNS), tn.n_nodes)
+        assert entry_sums.shape == (len(MEASURE_COLUMNS), tn.n_nodes)
         assert entry_counts.shape == (tn.n_nodes,)
     # the count is the number of prior snapshots with the node at positive strength
     positive = np.zeros((tn.n_snapshots - 1, tn.n_nodes), dtype=int)
@@ -186,7 +184,7 @@ def test_history_keeps_one_count_row_per_entry():
         positive[t, tn._positions[t]] = s.strength() > 0
     assert np.array_equal(counts, positive.sum(axis=0))
     # and every history column is defined exactly there
-    hist = np.array([[features.snapshot_measures(tn, t)[c] for c in features._HISTORY_COLUMNS]
+    hist = np.array([[features.snapshot_measures(tn, t)[c] for c in MEASURE_COLUMNS]
                      for t in range(tn.n_snapshots - 1)])
     assert np.array_equal(~np.isnan(hist), np.broadcast_to(positive[:, None, :] > 0, hist.shape))
 

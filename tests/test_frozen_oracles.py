@@ -1,22 +1,25 @@
-"""Frozen oracles: earlier, plainer versions of four hot loops, kept as the
+"""Frozen oracles: earlier, plainer versions of five hot loops, kept as the
 reference their faster forms must match bit for bit.
 
 Each oracle below is the straightforward loop that the library's version
 replaced: one ``rng.integers`` call per bootstrap resample and one
 ``rng.random`` call per null trial, PageRank adding the dangling mass on
 every iteration, the feature history re-stacked and re-summed at every
-anchor, and IRLS evaluating the penalized log-likelihood of the current
-coefficients at the top of every iteration. The tests assert equality
+anchor, IRLS evaluating the penalized log-likelihood of the current
+coefficients at the top of every iteration, and ``analyze`` reading each
+labeled node's measures one cell at a time. The tests assert equality
 (``==`` or ``np.array_equal``), never closeness, because the artifacts of a
 fixed seed are meant to stay byte-identical.
 """
 
 import itertools
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+import structim.cli as cli
 import structim.model as model_module
 from structim import (
     DataError,
@@ -29,12 +32,14 @@ from structim import (
     build_features,
     build_table,
     fit_logistic,
+    label_nodes,
+    load_network,
     null_prior_predictor,
     pagerank,
     snapshot_measures,
     synthetic_temporal,
 )
-from structim.features import FEATURE_COLUMNS, TARGETS, _labels
+from structim.features import FEATURE_COLUMNS, MEASURE_COLUMNS, TARGETS, _labels
 from structim.model import _CHUNK_CELLS, SEPARATION_BOUND, _auc_groups, _auc_inputs, _trial_summaries
 
 from conftest import clique, cycle, path_graph, random_connected
@@ -329,6 +334,50 @@ def test_feature_history_networks_have_gaps_and_an_empty_snapshot():
     # some node is absent for two or more snapshots between appearances
     gaps = [np.diff(np.flatnonzero(col)) for col in presence.T if col.sum() >= 2]
     assert max(int(g.max()) for g in gaps) >= 3
+
+
+# ---------------------------------------------------------- analyze oracle
+
+
+def _analyze_oracle(tn):
+    """measures.csv rows and the measure groups by next-snapshot presence, one
+    labeled node and one measure at a time, NaN cells skipped."""
+    rows, by_measure = [], {name: {0: [], 1: []} for name in MEASURE_COLUMNS}
+    for t in range(tn.n_snapshots - 1):
+        labels = label_nodes(tn, t, "presence")
+        if not labels:
+            continue
+        measures = snapshot_measures(tn, t)
+        for node, present in labels.items():
+            g = tn.universe_index[node]
+            for name in MEASURE_COLUMNS:
+                val = measures[name][g]
+                if val == val:  # skip NaN
+                    rows.append([t, node, name, repr(float(val)), present])
+                    by_measure[name][present].append(float(val))
+    return rows, by_measure
+
+
+@pytest.mark.parametrize("net", [0, 2])
+def test_analyze_matches_the_per_node_loop(net, tmp_path, monkeypatch):
+    path = tmp_path / "net.json"
+    path.write_text(_NETWORKS[net]().to_json())
+    rows, by_measure = _analyze_oracle(load_network(str(path)))
+    groups = []
+    ttests = cli._ttests
+    monkeypatch.setattr(cli, "_ttests", lambda meta, by: groups.append(by) or ttests(meta, by))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+
+    assert (out / "measures.csv").read_bytes().decode() == cli._csv_text(
+        ["snapshot", "node", "measure", "value", "next_present"], rows)
+    assert {name: {p: g.tolist() for p, g in by.items()} for name, by in groups[0].items()} == by_measure
+    written = json.loads((out / "ttests.json").read_text())
+    assert written == json.loads(cli._json_text(ttests(written["meta"], by_measure)))
+    for name in MEASURE_COLUMNS:
+        assert (out / f"violin_{name}.svg").read_text() == cli.violin_chart(
+            [("absent next", by_measure[name][0]), ("present next", by_measure[name][1])],
+            title=f"{name} by next-snapshot presence", ylabel=name)
 
 
 # -------------------------------------------------------- fit_logistic oracle

@@ -226,6 +226,20 @@ def test_detect_communities_matches_oracle_at_benchmark_scale():
         assert q == modularity(s, labels)
 
 
+def test_detect_communities_builds_no_adjacency(monkeypatch):
+    # the edge arrays and the snapshot's cached strength are all it reads
+    cases = [(barbell(4, 2, 5), 0.46121883656509693)]
+    cases += zip(synthetic_temporal(120, 4, 4, -2.0, horizon=2, seed=11).snapshots,
+                 (0.5358793986344159, 0.5441257326023933))
+    expected = [_quadratic_greedy_modularity(s) for s, _ in cases]
+    for s, _ in cases:
+        s.strength()
+    monkeypatch.setattr(Snapshot, "adjacency", lambda s: pytest.fail("built a dense adjacency"))
+    for (s, q), labels in zip(cases, expected):
+        assert np.array_equal(detect_communities(s), labels)
+        assert netstats._communities(s)[1] == q
+
+
 @st.composite
 def _weighted_graphs(draw, weights):
     """Undirected graphs with at least one edge; isolated nodes allowed."""

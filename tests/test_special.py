@@ -2,10 +2,9 @@
 
 scipy is a test-only oracle here, as networkx is elsewhere. Tolerances are
 relative. The incomplete beta and its inverse are held to 1e-12 up to
-parameters of 10^5, the t tail to 1e-12 up to 10^4 degrees of freedom and
-1e-11 up to 10^5 (where the continued fraction near its switch point loses
-the last digits), the normal tail to 1e-14 plus the x^2 ulps that rounding
-its argument costs, and expit to 4e-16.
+parameters of 10^5, the t tail to 1e-12 up to 10^6 degrees of freedom, the
+normal tail to 1e-14 plus the x^2 ulps that rounding its argument costs, and
+expit to 4e-16.
 Incomplete-beta values below 1e-30 are left out: far in the tail scipy
 itself drifts (at I = 2.8e-265 it is 1.3e-8 off an mpmath reference, which
 the continued fraction matches to 4e-14).
@@ -16,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -63,25 +62,26 @@ def test_betaincinv_ends():
 
 
 def _t_cdf_oracle(df, t):
-    """P(T <= t) from scipy's incomplete beta, on the side that keeps its
-    digits: P(|T| < |t|) = I_y(1/2, df/2) near t = 0, where scipy's own
-    stdtr is off (1.6e-9 at df = 1, t = 1e-8), the tail I_x(df/2, 1/2) / 2
-    beyond."""
-    t2 = t * t
-    if t2 < df:
-        inner = 0.5 * float(special.betainc(0.5, 0.5 * df, t2 / (df + t2)))
+    """P(T <= t) from scipy. Near t = 0 scipy's own stdtr is off (1.6e-9 at
+    df = 1, t = 1e-8), so while P(|T| < |t|) = I_y(1/2, df/2) is at most 1/2
+    the oracle is 1/2 plus or minus half of it, which loses at most one bit.
+    Beyond, it is stdtr, which there agrees with an mpmath quadrature of the
+    density to 1e-14 up to 10^6 degrees of freedom; the incomplete beta in
+    x = df / (df + t^2) does not (1.5e-8 off at 8e5 degrees of freedom)."""
+    inner = 0.5 * float(special.betainc(0.5, 0.5 * df, t * t / (df + t * t)))
+    if inner <= 0.25:
         return 0.5 + inner if t > 0 else 0.5 - inner
-    tail = 0.5 * float(special.betainc(0.5 * df, 0.5, df / (df + t2)))
-    return tail if t < 0 else 1.0 - tail
+    return float(special.stdtr(df, t))
 
 
-@given(st.floats(1.0, 1e5), st.floats(-1e3, 1e3))
+@given(st.floats(1.0, 1e6), st.floats(-1e3, 1e3))
+@example(9.2e5, -1.8).via("near the switch point of the fraction in x")
+@example(7.7e5, -6.76).via("the tail at 1e-11")
 @SETTINGS
 def test_stdtr_matches_scipy(df, t):
     want = _t_cdf_oracle(df, t)
     assume(want >= 1e-30)
-    rel = 1e-12 if df <= 1e4 else 1e-11
-    assert stdtr(df, t) == pytest.approx(want, rel=rel, abs=0.0)
+    assert stdtr(df, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("t", [-1e6, -3.0, -1e-8, 1e-8, 0.5, 40.0])
