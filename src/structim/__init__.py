@@ -43,7 +43,6 @@ from .features import (
     FeatureTable,
     build_features,
     build_table,
-    label_nodes,
     pool,
     prune_correlated,
     snapshot_measures,
@@ -121,7 +120,6 @@ __all__ = [
     "fit_logistic",
     "forward_chain_folds",
     "importance_components",
-    "label_nodes",
     "leading_singular",
     "load_network",
     "load_snapshots_text",

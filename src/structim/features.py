@@ -10,9 +10,9 @@ Feature rows cover the nodes present in snapshot t that have at least one
 prior appearance; a node seen for the first time at t has no history to
 average and is excluded (the count is kept in table metadata).
 
-Labels (``label_nodes``) compare a node's strength S0 in snapshot t with its
-strength S1 in snapshot t+1, 0 when it is absent there. Only nodes with
-S0 > 0 are labeled; the targets that compare strengths also need S1 > 0:
+Labels compare a node's strength S0 in snapshot t with its strength S1 in
+snapshot t+1, 0 when it is absent there. Only nodes with S0 > 0 are labeled;
+the targets that compare strengths also need S1 > 0:
 
     presence    1 iff S1 > 0
     change      1 iff |S1 - S0| / S0 > change_threshold   (S1 > 0)
@@ -167,7 +167,8 @@ def build_features(tn: TemporalNetwork, t: int) -> FeatureTable:
 
 def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05) -> FeatureTable:
     """Feature table at t with the requested target attached: the rows of
-    ``build_features`` that ``label_nodes`` labels."""
+    ``build_features`` that ``target`` labels; ``change_threshold`` must be
+    finite and nonnegative."""
     keep, y = _labels(tn, t, target, change_threshold)
     return _feature_table(tn, t, keep, target, y)
 
@@ -255,19 +256,6 @@ def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 
         return keep, (np.abs(rel) > change_threshold).astype(float)
     keep &= s1 != s0
     return keep, (s1 > s0).astype(float)
-
-
-def label_nodes(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05) -> dict:
-    """{node id: label} for the nodes of snapshot t that ``target`` labels.
-
-    Values are ints (0 or 1), or floats for ``rel_change``; the rules are in
-    the module docstring. ``change_threshold`` must be finite and
-    nonnegative for every target.
-    """
-    keep, y = _labels(tn, t, target, change_threshold)
-    ids = tn.snapshots[t].node_ids
-    kind = float if target == "rel_change" else int
-    return {ids[k]: kind(v) for k, v in zip(np.flatnonzero(keep).tolist(), y[keep].tolist())}
 
 
 def _check_change_threshold(threshold: float) -> None:

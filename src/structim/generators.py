@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, _check_seed
-from .graphs import Snapshot, TemporalNetwork
+from .graphs import Snapshot, TemporalNetwork, _is_weight
 from .importance import node_importance
 
 # Keep probability of an average node in the synthetic generator: the
@@ -33,10 +33,13 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
 
     Nodes 0..n_left-1 form the left clique, the next ``bridge`` nodes the
     path, the last ``n_right`` the right clique. The path attaches at the
-    last left-clique node and the first right-clique node. All weights equal.
+    last left-clique node and the first right-clique node. Every edge has the
+    positive finite ``weight``.
     """
     if n_left < 2 or n_right < 2 or bridge < 0:
         raise ArgumentError(f"barbell needs n_left >= 2, bridge >= 0, n_right >= 2; got {n_left}, {bridge}, {n_right}")
+    if not _is_weight(weight):
+        raise ArgumentError(f"barbell needs a positive finite weight, got {weight!r}")
     n = n_left + bridge + n_right
     edges = []
     for i in range(n_left):

@@ -230,9 +230,6 @@ class Snapshot:
         i, j, _ = self._edge_arrays
         return np.bincount(i, minlength=self.n_nodes) + np.bincount(j, minlength=self.n_nodes)
 
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
     def to_json_dict(self) -> dict:
         return {
             "timestamp": self.timestamp,

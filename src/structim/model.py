@@ -4,8 +4,8 @@ The classifier is an L2-penalized logistic regression fit by Newton/IRLS on
 standardized features, with Wald p-values taken from the observed information
 at the optimum. The regressor is ordinary least squares with a tiny ridge
 jitter for conditioning. Evaluation follows the usual schema: precision and
-recall at a probability threshold with exact binomial intervals, AUC by the
-midrank statistic with a percentile bootstrap, and two null benchmarks
+recall at probability ``THRESHOLD`` with exact binomial intervals, AUC by the
+midrank statistic with a 95% percentile bootstrap, and two null benchmarks
 (training-prior label draws and random-edge-presence labels).
 
 Every AUC, including the bootstrap resamples, the null trials and the
@@ -34,6 +34,12 @@ from .features import CONSTANT_STD, FeatureTable, _check_horizon
 from .graphs import TemporalNetwork
 
 SEPARATION_BOUND = 30.0
+# A prediction is positive at this probability or above, in evaluate and in
+# the edge-presence null alike.
+THRESHOLD = 0.5
+# The percentile pair of every 95% interval: the bootstrap AUC CI and ci95.
+CI95_PERCENTILES = (2.5, 97.5)
+RIDGE_JITTER = 1e-10
 # Fewest null-model trials whose empirical quantiles are reported.
 MIN_NULL_TRIALS = 20
 
@@ -361,10 +367,10 @@ class EvaluationReport:
         return _json_fields(self)
 
 
-def evaluate(model: LogisticModel, table: FeatureTable, threshold: float = 0.5) -> EvaluationReport:
+def evaluate(model: LogisticModel, table: FeatureTable) -> EvaluationReport:
     """Score a fitted classifier on a labeled table (metrics only).
 
-    Predictions are positive at probability >= threshold. Precision is
+    Predictions are positive at probability >= ``THRESHOLD``. Precision is
     reported as None (with a note) when nothing is predicted positive; AUC is
     None when the table is single-class.
     """
@@ -372,7 +378,7 @@ def evaluate(model: LogisticModel, table: FeatureTable, threshold: float = 0.5) 
         raise DataError("evaluate needs a labeled table")
     y = table.y.astype(int)
     prob = model.predict_proba(table.X)
-    yhat = (prob >= threshold).astype(int)
+    yhat = (prob >= THRESHOLD).astype(int)
     tp = int(np.sum((yhat == 1) & (y == 1)))
     fp = int(np.sum((yhat == 1) & (y == 0)))
     fn = int(np.sum((yhat == 0) & (y == 1)))
@@ -403,7 +409,7 @@ def evaluate(model: LogisticModel, table: FeatureTable, threshold: float = 0.5) 
         precision=precision,
         recall=recall,
         auc=auc,
-        threshold=threshold,
+        threshold=THRESHOLD,
         notes=notes,
     )
 
@@ -434,8 +440,8 @@ def _check_bootstrap_iters(iters: int) -> None:
         raise ArgumentError(f"need at least 1 bootstrap iteration, got {iters}")
 
 
-def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 1000, seed=0, alpha: float = 0.05):
-    """Percentile bootstrap interval for the AUC on a labeled table.
+def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 1000, seed=0):
+    """Percentile bootstrap 95% interval for the AUC on a labeled table.
 
     Resamples rows with replacement. A resample that loses one class leaves
     the AUC undefined, so it is redrawn up to 10 times; a slot still
@@ -482,7 +488,7 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 100
         warnings.warn(f"bootstrap skipped {skipped} persistently single-class resamples")
     if not samples:
         raise NumericalError("every bootstrap resample was single-class")
-    lo, hi = np.percentile(samples, [100 * alpha / 2.0, 100 * (1.0 - alpha / 2.0)])
+    lo, hi = np.percentile(samples, CI95_PERCENTILES)
     return (float(lo), float(hi))
 
 
@@ -494,7 +500,7 @@ def _percentile_summary(values) -> dict:
     return {
         "mean": float(arr.mean()),
         "ci90": [float(v) for v in np.percentile(arr, [5.0, 95.0])],
-        "ci95": [float(v) for v in np.percentile(arr, [2.5, 97.5])],
+        "ci95": [float(v) for v in np.percentile(arr, CI95_PERCENTILES)],
         "defined": int(arr.size),
     }
 
@@ -614,7 +620,7 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
 
     svec = _auc_inputs(s=scores[np.concatenate([rows for *_, rows in groups])])[1]
     levels, svec_groups = np.unique(svec, return_inverse=True)
-    yhat = (svec >= 0.5).astype(int)
+    yhat = (svec >= THRESHOLD).astype(int)
     # a block of trials holds at most one kernel chunk of scored rows or of any group's nodes
     step = _chunk_rows(max(svec.size, *(n_t for n_t, *_ in groups)))
     draws = (
@@ -686,12 +692,8 @@ def r2_score(y_true, y_pred) -> float:
     return 1.0 - rss / tss
 
 
-def fit_linear(
-    table: FeatureTable,
-    heldout: FeatureTable | None = None,
-    jitter: float = 1e-10,
-) -> LinearModel:
-    """Least squares with a ridge jitter for conditioning.
+def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> LinearModel:
+    """Least squares with a ridge jitter (``RIDGE_JITTER``) for conditioning.
 
     Coefficient p-values are classical two-sided t-tests. ``r2`` is computed
     on ``heldout`` when given, otherwise in-sample.
@@ -702,7 +704,7 @@ def fit_linear(
     if n <= p + 1:
         raise DataError(f"need more rows ({n}) than parameters ({p + 1})")
     design = np.hstack([np.ones((n, 1)), table.X])
-    gram = design.T @ design + jitter * np.eye(p + 1)
+    gram = design.T @ design + RIDGE_JITTER * np.eye(p + 1)
     if np.linalg.matrix_rank(design) < p + 1:
         warnings.warn("rank-deficient design; falling back to the pseudo-inverse")
         beta = np.linalg.pinv(design) @ table.y

@@ -96,21 +96,19 @@ def _split_ends(n: int):
     return int(0.4 * n), int(0.8 * n)
 
 
-def forward_chain_folds(n: int, folds: int = FOLDS):
+def forward_chain_folds(n: int):
     """Expanding-window folds over row indices 0..n-1.
 
-    The last ``folds`` blocks of size n // (folds + 1) are validation sets;
+    The last ``FOLDS`` blocks of size n // (FOLDS + 1) are validation sets;
     everything before a block trains. The remainder stays in the earliest
     training window.
     """
-    if folds < 1:
-        raise ArgumentError(f"need at least 1 fold, got {folds}")
-    block = n // (folds + 1)
+    block = n // (FOLDS + 1)
     if block < 1:
-        raise DataError(f"too few rows ({n}) for {folds}-fold forward chaining")
+        raise DataError(f"too few rows ({n}) for {FOLDS}-fold forward chaining")
     out = []
-    for k in range(folds):
-        val_start = n - (folds - k) * block
+    for k in range(FOLDS):
+        val_start = n - (FOLDS - k) * block
         out.append((np.arange(0, val_start), np.arange(val_start, val_start + block)))
     return out
 

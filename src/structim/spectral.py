@@ -36,13 +36,6 @@ class Spectrum:
     def positive_count(self) -> int:
         return int(np.sum(self.eigenvalues > 0))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-            "positive_count": self.positive_count(),
-        }
-
 
 @dataclass(frozen=True)
 class SingularTriplet:

@@ -60,6 +60,36 @@ def directed_triangles(horizon=8):
     ])
 
 
+def strengths(s):
+    """{node id: strength} of a snapshot, from its edge list one edge at a time."""
+    out = dict.fromkeys(s.node_ids, 0.0)
+    for i, j, w in s.edges:
+        out[s.node_ids[i]] += w
+        out[s.node_ids[j]] += w
+    return out
+
+
+def reference_labels(tn, t, target, threshold=0.05):
+    """{node id: label} for the nodes of snapshot t that ``target`` labels,
+    in snapshot order, written node by node from the rules in README; ints,
+    floats for rel_change."""
+    s1_of = strengths(tn.snapshots[t + 1])
+    out = {}
+    for v, s0 in strengths(tn.snapshots[t]).items():
+        s1 = s1_of.get(v, 0.0)
+        if s0 <= 0:
+            continue
+        if target == "presence":
+            out[v] = int(s1 > 0)
+        elif s1 > 0 and target == "change":
+            out[v] = int(abs(s1 - s0) / s0 > threshold)
+        elif s1 > 0 and target == "sign" and s1 != s0:
+            out[v] = int(s1 > s0)
+        elif s1 > 0 and target == "rel_change":
+            out[v] = (s1 - s0) / s0
+    return out
+
+
 def student_t_cdf(dof, x):
     """Student-t CDF by Simpson quadrature of the density; oracle only."""
     if x == 0:

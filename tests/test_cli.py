@@ -429,6 +429,10 @@ _REJECTED = [
     ("importance IN --aggregation=0", lambda: load_network("any.json", aggregation=0)),
     ("gen barbell --n-left=1", lambda: barbell(n_left=1)),
     ("gen barbell --bridge=-1", lambda: barbell(bridge=-1)),
+    ("gen barbell --weight=-1", lambda: barbell(weight=-1.0)),
+    ("gen barbell --weight=0", lambda: barbell(weight=0.0)),
+    ("gen barbell --weight=nan", lambda: barbell(weight=_NAN)),
+    ("gen barbell --weight=inf", lambda: barbell(weight=float("inf"))),
     ("gen barbell --repeats=0", lambda: repeat_snapshot(barbell(), 0)),
     ("gen synthetic --n=5 --communities=10", lambda: synthetic_temporal(5, 10, 4, 0.0, 30)),
     ("gen synthetic --hubs=-1", lambda: synthetic_temporal(120, 4, -1, 0.0, 30)),

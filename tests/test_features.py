@@ -20,13 +20,14 @@ from structim import (
     build_table,
     detect_communities,
     eig_sym,
-    label_nodes,
     prune_correlated,
     snapshot_measures,
     synthetic_temporal,
 )
 
-from conftest import clique, directed_triangles, network_from
+from structim.features import _labels
+
+from conftest import clique, directed_triangles, network_from, reference_labels
 
 
 def _snap(node_ids, edges, timestamp=0):
@@ -205,9 +206,9 @@ def test_label_presence():
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),
         _snap((0, 1, 2, 3, 4), [(0, 1, 1.0), (2, 4, 1.0)], timestamp=1),
     ])
-    labels = label_nodes(tn, 0, "presence")
+    keep, y = _labels(tn, 0, "presence")
     # node 3 is listed at t+1 but carries no edge there
-    assert labels == {0: 1, 1: 1, 2: 1, 3: 0}
+    assert keep.tolist() == [True] * 4 and y.tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
 def test_label_change_threshold_is_strict():
@@ -216,14 +217,16 @@ def test_label_change_threshold_is_strict():
         _snap((0, 1), [(0, 1, 1.25)], timestamp=1),
     ])
     # relative change is exactly 0.25 for both endpoints
-    assert label_nodes(tn, 0, "change", change_threshold=0.25) == {0: 0, 1: 0}
-    assert label_nodes(tn, 0, "change", change_threshold=0.2) == {0: 1, 1: 1}
+    for threshold, label in ((0.25, 0.0), (0.2, 1.0)):
+        keep, y = _labels(tn, 0, "change", threshold)
+        assert keep.tolist() == [True, True] and y.tolist() == [label, label]
     # decreases count through the absolute value
     tn_down = network_from([
         _snap((0, 1), [(0, 1, 1.0)], timestamp=0),
         _snap((0, 1), [(0, 1, 0.5)], timestamp=1),
     ])
-    assert label_nodes(tn_down, 0, "change", change_threshold=0.25) == {0: 1, 1: 1}
+    keep, y = _labels(tn_down, 0, "change", 0.25)
+    assert keep.tolist() == [True, True] and y.tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf"), float("-inf")])
@@ -233,7 +236,7 @@ def test_label_change_rejects_non_finite_or_negative_threshold(threshold):
         _snap((0, 1), [(0, 1, 1.25)], timestamp=1),
     ])
     with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
-        label_nodes(tn, 0, "change", change_threshold=threshold)
+        _labels(tn, 0, "change", threshold)
 
 
 def test_label_sign_drops_ties():
@@ -241,13 +244,15 @@ def test_label_sign_drops_ties():
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 1.0)], timestamp=1),
     ])
-    labels = label_nodes(tn, 0, "sign")
-    assert labels == {2: 0, 3: 0}  # 0 and 1 tied, dropped
+    keep, y = _labels(tn, 0, "sign")
+    assert keep.tolist() == [False, False, True, True]  # 0 and 1 tied, dropped
+    assert y[keep].tolist() == [0.0, 0.0]
     tn_up = network_from([
         _snap((0, 1), [(0, 1, 1.0)], timestamp=0),
         _snap((0, 1), [(0, 1, 2.0)], timestamp=1),
     ])
-    assert label_nodes(tn_up, 0, "sign") == {0: 1, 1: 1}
+    keep, y = _labels(tn_up, 0, "sign")
+    assert keep.tolist() == [True, True] and y.tolist() == [1.0, 1.0]
 
 
 def test_label_rel_change_values():
@@ -255,19 +260,18 @@ def test_label_rel_change_values():
         _snap((0, 1, 2), [(0, 1, 1.0), (1, 2, 1.0)], timestamp=0),
         _snap((0, 1, 2), [(0, 1, 1.25), (1, 2, 0.75)], timestamp=1),
     ])
-    labels = label_nodes(tn, 0, "rel_change")
-    assert labels[0] == pytest.approx(0.25)
-    assert labels[1] == pytest.approx(0.0)
-    assert labels[2] == pytest.approx(-0.25)
+    keep, y = _labels(tn, 0, "rel_change")
+    assert keep.tolist() == [True] * 3
+    assert y.tolist() == pytest.approx([0.25, 0.0, -0.25])
 
 
 def test_label_requires_next_snapshot():
     tn = network_from([clique(3, timestamp=0), clique(3, timestamp=1)])
     for target in TARGETS:
         with pytest.raises(ValueError):
-            label_nodes(tn, 1, target)
+            _labels(tn, 1, target)
         with pytest.raises(ValueError):
-            label_nodes(tn, -1, target)
+            _labels(tn, -1, target)
 
 
 def test_build_table_attaches_target():
@@ -302,7 +306,7 @@ def test_change_threshold_is_checked_for_every_target(target):
     with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
         build_table(tn, 1, target, change_threshold=-1.0)
     with pytest.raises(ValueError, match="change_threshold must be finite and nonnegative"):
-        label_nodes(tn, 1, target, change_threshold=float("nan"))
+        _labels(tn, 1, target, float("nan"))
 
 
 def test_build_table_rejects_unknown_target():
@@ -333,32 +337,6 @@ def _networks(draw):
     return TemporalNetwork(snapshots=tuple(snapshots), universe=universe)
 
 
-def _strengths(s):
-    out = dict.fromkeys(s.node_ids, 0.0)
-    for i, j, w in s.edges:
-        out[s.node_ids[i]] += w
-        out[s.node_ids[j]] += w
-    return out
-
-
-def _reference_labels(tn, t, target, threshold):
-    s1_of = _strengths(tn.snapshots[t + 1])
-    out = {}
-    for v, s0 in _strengths(tn.snapshots[t]).items():
-        s1 = s1_of.get(v, 0.0)
-        if s0 <= 0:
-            continue
-        if target == "presence":
-            out[v] = int(s1 > 0)
-        elif s1 > 0 and target == "change":
-            out[v] = int(abs(s1 - s0) / s0 > threshold)
-        elif s1 > 0 and target == "sign" and s1 != s0:
-            out[v] = int(s1 > s0)
-        elif s1 > 0 and target == "rel_change":
-            out[v] = (s1 - s0) / s0
-    return out
-
-
 def _reference_rows(tn, t):
     """{node: (mean prior degree, prior appearances)} for the featurizable
     nodes of snapshot t, in its order, and the two skip counts."""
@@ -385,11 +363,11 @@ def test_labels_and_tables_follow_the_per_node_rules(tn, threshold):
             features = build_features(tn, t)
             assert features.node_ids == tuple(rows) and features.meta == meta
         for target in TARGETS:
-            expected = _reference_labels(tn, t, target, threshold)
-            labels = label_nodes(tn, t, target, change_threshold=threshold)
-            assert list(labels.items()) == list(expected.items())
-            kind = float if target == "rel_change" else int
-            assert all(type(v) is kind for v in labels.values())
+            expected = reference_labels(tn, t, target, threshold)
+            keep, y = _labels(tn, t, target, threshold)
+            node_ids = tn.snapshots[t].node_ids
+            assert [node_ids[k] for k in np.flatnonzero(keep)] == list(expected)
+            assert y.dtype == np.float64 and y[keep].tolist() == list(expected.values())
             if not t:
                 continue
             table = build_table(tn, t, target, change_threshold=threshold)

@@ -32,7 +32,6 @@ from structim import (
     build_features,
     build_table,
     fit_logistic,
-    label_nodes,
     load_network,
     null_prior_predictor,
     pagerank,
@@ -42,7 +41,7 @@ from structim import (
 from structim.features import FEATURE_COLUMNS, MEASURE_COLUMNS, TARGETS, _labels
 from structim.model import _CHUNK_CELLS, SEPARATION_BOUND, _auc_groups, _auc_inputs, _trial_summaries
 
-from conftest import clique, cycle, path_graph, random_connected
+from conftest import clique, cycle, path_graph, random_connected, reference_labels
 
 
 def _stacked(rows, width):
@@ -344,7 +343,7 @@ def _analyze_oracle(tn):
     labeled node and one measure at a time, NaN cells skipped."""
     rows, by_measure = [], {name: {0: [], 1: []} for name in MEASURE_COLUMNS}
     for t in range(tn.n_snapshots - 1):
-        labels = label_nodes(tn, t, "presence")
+        labels = reference_labels(tn, t, "presence")
         if not labels:
             continue
         measures = snapshot_measures(tn, t)

@@ -357,11 +357,6 @@ def test_constructor_field_of_the_wrong_kind_is_a_data_error(call, message):
         call()
 
 
-def test_total_weight():
-    s = clique(3, w=2.0)
-    assert s.total_weight() == pytest.approx(6.0)
-
-
 def test_network_validation():
     s0 = clique(3, timestamp=0)
     s1 = clique(3, timestamp=1)

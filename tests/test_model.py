@@ -536,6 +536,20 @@ def test_null_edge_presence_saturated_next_snapshot():
     assert res["precision"]["defined"] == res["recall"]["defined"] == 30
 
 
+def test_evaluate_and_the_edge_presence_null_read_one_threshold(monkeypatch):
+    # every score is 0.75: positive at the default THRESHOLD, negative at 0.8, for both readers
+    tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
+    table, scores = _scored_rows({0: 0.75, 1: 0.75, 2: 0.75, 3: 0.75})
+    model = _manual_logistic(np.log(3.0), [0.0], names=("ma",))
+    labeled = _table(("ma",), table.X, y=[1, 0, 1, 0])
+    for threshold, positive in ((model_module.THRESHOLD, True), (0.8, False)):
+        monkeypatch.setattr(model_module, "THRESHOLD", threshold)
+        rep = evaluate(model, labeled)
+        assert rep.threshold == threshold and rep.tp + rep.fp == (4 if positive else 0)
+        null = null_edge_presence(tn, table, scores, trials=20, seed=0)
+        assert null["recall"]["mean"] == (1.0 if positive else 0.0)
+
+
 def test_null_edge_presence_validation():
     tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
     with pytest.raises(ValueError):

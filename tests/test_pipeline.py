@@ -84,7 +84,7 @@ def test_build_horizon_tables_validation():
 
 
 def test_forward_chain_folds_structure():
-    folds = forward_chain_folds(12, folds=5)
+    folds = forward_chain_folds(12)
     assert len(folds) == 5
     seen_val = []
     prev_train = -1
@@ -98,7 +98,7 @@ def test_forward_chain_folds_structure():
 
 
 def test_forward_chain_folds_remainder_stays_in_training():
-    folds = forward_chain_folds(33, folds=5)
+    folds = forward_chain_folds(33)
     block = 33 // 6
     assert all(len(va) == block for _, va in folds)
     assert len(folds[0][0]) == 33 - 5 * block
@@ -106,13 +106,7 @@ def test_forward_chain_folds_remainder_stays_in_training():
 
 def test_forward_chain_folds_too_small():
     with pytest.raises(DataError):
-        forward_chain_folds(5, folds=5)
-
-
-@pytest.mark.parametrize("folds", [0, -1])
-def test_forward_chain_folds_needs_a_fold(folds):
-    with pytest.raises(ValueError, match="at least 1 fold"):
-        forward_chain_folds(30, folds)
+        forward_chain_folds(5)
 
 
 # --------------------------------------------------------- time_ordered_select

@@ -101,14 +101,6 @@ def test_positive_count():
     assert eig_sym(np.zeros((3, 3))).positive_count() == 0
 
 
-def test_spectrum_json_dict():
-    spec = eig_sym(clique(3).adjacency())
-    d = spec.to_json_dict()
-    assert len(d["eigenvalues"]) == 3
-    assert len(d["eigenvectors"]) == 3
-    assert d["positive_count"] == 1
-
-
 def test_leading_singular_frozen_nilpotent():
     trip = leading_singular(np.array([[0.0, 2.0], [0.0, 0.0]]))
     assert trip.s == pytest.approx(2.0, abs=1e-12)
