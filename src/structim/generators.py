@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, _check_seed
-from .graphs import Snapshot, TemporalNetwork, _is_weight
+from .graphs import Snapshot, TemporalNetwork, _is_integer, _is_weight
 from .importance import node_importance
 
 # Keep probability of an average node in the synthetic generator: the
@@ -28,6 +28,13 @@ _P_HUB_OUT = 0.1  # hub to out-of-community node
 _NOISE_SIGMA = 0.25  # per-snapshot lognormal weight jitter
 
 
+def _check_integers(generator: str, **sizes) -> None:
+    """Each size argument of ``generator`` is an integer, Python's or numpy's, and not a bool."""
+    for name, value in sizes.items():
+        if not _is_integer(value):
+            raise ArgumentError(f"{generator} needs an integer {name}, got {value!r}")
+
+
 def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 1.0) -> Snapshot:
     """Two cliques joined by a path of ``bridge`` intermediate nodes.
 
@@ -36,6 +43,7 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
     last left-clique node and the first right-clique node. Every edge has the
     positive finite ``weight``.
     """
+    _check_integers("barbell", n_left=n_left, bridge=bridge, n_right=n_right)
     if n_left < 2 or n_right < 2 or bridge < 0:
         raise ArgumentError(f"barbell needs n_left >= 2, bridge >= 0, n_right >= 2; got {n_left}, {bridge}, {n_right}")
     if not _is_weight(weight):
@@ -57,6 +65,7 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
 
 def repeat_snapshot(snapshot: Snapshot, repeats: int) -> TemporalNetwork:
     """A static temporal network: the same snapshot at times 0..repeats-1."""
+    _check_integers("repeat_snapshot", repeats=repeats)
     if repeats < 1:
         raise ArgumentError(f"repeats must be >= 1, got {repeats}")
     snaps = tuple(
@@ -107,6 +116,7 @@ def synthetic_temporal(
 
     Same arguments and seed give an identical network, byte for byte.
     """
+    _check_integers("synthetic_temporal", n=n, communities=communities, hub_count=hub_count, horizon=horizon)
     if communities < 1 or n < communities:
         raise ArgumentError(f"need n >= communities >= 1, got n={n}, communities={communities}")
     if not 0 <= hub_count <= n:

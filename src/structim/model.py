@@ -178,37 +178,20 @@ def _penalized_ll(design, y, beta, l2):
     return ll - 0.5 * l2 * float(np.sum(beta[1:] ** 2))
 
 
-def fit_logistic(
-    table: FeatureTable,
-    l2: float = 1.0,
-    max_iter: int = 500,
-    tol: float = 1e-8,
-) -> LogisticModel:
-    """Newton/IRLS fit of L2-penalized logistic regression.
+def _ridge(n_coef: int, l2: float) -> np.ndarray:
+    """The L2 penalty's Hessian: ``l2`` on every coefficient but the intercept."""
+    return np.diag([0.0] + [l2] * (n_coef - 1))
 
-    The penalty excludes the intercept. Convergence is a gradient 2-norm at
-    or below ``tol``; perfect separation (any standardized coefficient
-    passing 30 in magnitude) stops the fit with a clamped solution and a
-    warning flag instead of diverging. Failing to converge without separation
-    raises NumericalError with the iteration diagnostics.
 
-    Wald standard errors come from the observed information of the penalized
-    objective at the optimum.
+def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
+    """Newton/IRLS of the penalized log-likelihood from the coefficients ``beta``.
+
+    ``design`` carries the intercept column first. Returns (beta, converged,
+    n_iter, grad_norm, separation); see ``fit_logistic`` for the rules. The
+    coefficients only: no covariance and no model.
     """
-    if not 0 <= l2 < np.inf:
-        raise ArgumentError(f"l2 must be finite and nonnegative, got {l2}")
-    if table.y is None:
-        raise DataError("fit_logistic needs a labeled table")
-    y = table.y.astype(float)
-    if not np.all(np.isin(y, (0.0, 1.0))):
-        raise DataError("fit_logistic needs binary 0/1 labels")
-    if y.min() == y.max():
-        raise DataError("fit_logistic needs both classes present")
-
-    n, p = table.X.shape
-    design = np.hstack([np.ones((n, 1)), table.X])
-    ridge = np.diag([0.0] + [l2] * p)
-    beta = np.zeros(p + 1)
+    n_coef = design.shape[1]
+    ridge = _ridge(n_coef, l2)
     current = _penalized_ll(design, y, beta, l2)
     separation = False
     converged = False
@@ -225,7 +208,7 @@ def fit_logistic(
             break
         w = prob * (1.0 - prob)
         hess = design.T @ (design * w[:, None]) + ridge
-        step = np.linalg.solve(hess + 1e-12 * np.eye(p + 1), grad)
+        step = np.linalg.solve(hess + 1e-12 * np.eye(n_coef), grad)
         # step halving keeps Newton from overshooting on near-separable data;
         # the accepted candidate's penalized log-likelihood is the next
         # iteration's ``current``
@@ -249,11 +232,50 @@ def fit_logistic(
         raise NumericalError(
             f"logistic fit did not converge: {it} iterations, gradient norm {grad_norm:.3e}"
         )
+    return beta, converged, it, grad_norm, separation
 
+
+def _with_intercept(x: np.ndarray) -> np.ndarray:
+    """The design matrix of ``x``: a column of ones, then the features."""
+    return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def fit_logistic(
+    table: FeatureTable,
+    l2: float = 1.0,
+    max_iter: int = 500,
+    tol: float = 1e-8,
+) -> LogisticModel:
+    """Newton/IRLS fit of L2-penalized logistic regression, from zero coefficients.
+
+    The penalty excludes the intercept. Convergence is a gradient 2-norm at
+    or below ``tol``; perfect separation (any standardized coefficient
+    passing 30 in magnitude) stops the fit with a clamped solution and a
+    warning flag instead of diverging. Failing to converge without separation
+    raises NumericalError with the iteration diagnostics.
+
+    Wald standard errors come from the observed information of the penalized
+    objective at the optimum. The L2 grid search runs the same IRLS loop
+    (``_irls``) warm-started along each fold's grid, for coefficients only;
+    ``run_prediction`` reports this function's cold refit at the chosen L2.
+    """
+    if not 0 <= l2 < np.inf:
+        raise ArgumentError(f"l2 must be finite and nonnegative, got {l2}")
+    if table.y is None:
+        raise DataError("fit_logistic needs a labeled table")
+    y = table.y.astype(float)
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise DataError("fit_logistic needs binary 0/1 labels")
+    if y.min() == y.max():
+        raise DataError("fit_logistic needs both classes present")
+
+    design = _with_intercept(table.X)
+    n_coef = design.shape[1]
+    beta, converged, it, grad_norm, separation = _irls(design, y, l2, np.zeros(n_coef), max_iter, tol)
     prob = expit(design @ beta)
     w = prob * (1.0 - prob)
-    info = design.T @ (design * w[:, None]) + ridge
-    cov = np.linalg.inv(info + 1e-12 * np.eye(p + 1))
+    info = design.T @ (design * w[:, None]) + _ridge(n_coef, l2)
+    cov = np.linalg.inv(info + 1e-12 * np.eye(n_coef))
     return LogisticModel(
         **_wald(table.columns, beta, cov, ndtr),
         l2=float(l2),
@@ -703,7 +725,7 @@ def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> Line
     n, p = table.X.shape
     if n <= p + 1:
         raise DataError(f"need more rows ({n}) than parameters ({p + 1})")
-    design = np.hstack([np.ones((n, 1)), table.X])
+    design = _with_intercept(table.X)
     gram = design.T @ design + RIDGE_JITTER * np.eye(p + 1)
     if np.linalg.matrix_rank(design) < p + 1:
         warnings.warn("rank-deficient design; falling back to the pseudo-inverse")

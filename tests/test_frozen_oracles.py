@@ -1,15 +1,19 @@
-"""Frozen oracles: earlier, plainer versions of five hot loops, kept as the
-reference their faster forms must match bit for bit.
+"""Frozen oracles: earlier, plainer versions of the library's hot loops,
+kept as the reference their faster forms must match bit for bit.
 
 Each oracle below is the straightforward loop that the library's version
 replaced: one ``rng.integers`` call per bootstrap resample and one
 ``rng.random`` call per null trial, PageRank adding the dangling mass on
 every iteration, the feature history re-stacked and re-summed at every
 anchor, IRLS evaluating the penalized log-likelihood of the current
-coefficients at the top of every iteration, and ``analyze`` reading each
-labeled node's measures one cell at a time. The tests assert equality
-(``==`` or ``np.array_equal``), never closeness, because the artifacts of a
-fixed seed are meant to stay byte-identical.
+coefficients at the top of every iteration, ``analyze`` reading each
+labeled node's measures one cell at a time, and the L2 grid search fitting
+a cold ``fit_logistic`` and scoring one ``auc_score`` per (L2, fold) cell.
+The tests assert equality (``==`` or ``np.array_equal``), never closeness,
+because the artifacts of a fixed seed are meant to stay byte-identical. The
+one exception is the feature-history test's ``rel_change`` labels: they come
+from ``conftest.reference_labels``, which sums strength edge by edge, so a
+ratio may differ in its last bits and is compared at 1e-13 relative.
 """
 
 import itertools
@@ -18,28 +22,41 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import structim.cli as cli
 import structim.model as model_module
+import structim.pipeline as pipeline
 from structim import (
+    L2_GRID,
     DataError,
     FeatureTable,
     LogisticModel,
     NumericalError,
     Snapshot,
     TemporalNetwork,
+    apply_standardization,
+    auc_score,
     bootstrap_auc_ci,
     build_features,
+    build_horizon_tables,
     build_table,
     fit_logistic,
+    forward_chain_folds,
     load_network,
     null_prior_predictor,
+    oversample,
     pagerank,
+    pool,
     snapshot_measures,
+    standardize,
     synthetic_temporal,
+    time_ordered_select,
 )
-from structim.features import FEATURE_COLUMNS, MEASURE_COLUMNS, TARGETS, _labels
+from structim.features import FEATURE_COLUMNS, MEASURE_COLUMNS, TARGETS
 from structim.model import _CHUNK_CELLS, SEPARATION_BOUND, _auc_groups, _auc_inputs, _trial_summaries
+from structim.pipeline import _split_ends
 
 from conftest import clique, cycle, path_graph, random_connected, reference_labels
 
@@ -279,11 +296,14 @@ def _feature_oracle(tn, t, keep=True, target=None, y=None):
     )
 
 
-def _same_table(a, b):
+def _same_table(a, b, y_rtol=0.0):
     assert a.columns == b.columns and a.node_ids == b.node_ids and a.target == b.target and a.meta == b.meta
     assert np.array_equal(a.as_of, b.as_of)
     assert np.array_equal(a.X, b.X)
-    assert (a.y is None and b.y is None) or np.array_equal(a.y, b.y)
+    if y_rtol:
+        np.testing.assert_allclose(a.y, b.y, rtol=y_rtol, atol=0.0)
+    else:
+        assert (a.y is None and b.y is None) or np.array_equal(a.y, b.y)
 
 
 def _intermittent_network(seed, n_universe=40, horizon=12):
@@ -319,9 +339,14 @@ def test_build_table_matches_the_stacked_history_at_every_anchor(net):
     anchors = list(range(1, tn.n_snapshots - 1))
     order = anchors + anchors[::-1] + list(np.random.default_rng(net).permutation(anchors))
     for t in order:
+        ids = tn.snapshots[t].node_ids
         for target in TARGETS:
-            keep, y = _labels(tn, t, target, 0.05)
-            _same_table(build_table(tn, t, target), _feature_oracle(tn, t, keep, target, y))
+            labels = reference_labels(tn, t, target)
+            keep = np.array([v in labels for v in ids], dtype=bool)
+            y = np.array([labels.get(v, 0.0) for v in ids], dtype=float)
+            # the reference sums strength edge by edge, so a ratio may differ in its last bits
+            _same_table(build_table(tn, t, target), _feature_oracle(tn, t, keep, target, y),
+                        y_rtol=1e-13 if target == "rel_change" else 0.0)
     for t in range(1, tn.n_snapshots):
         _same_table(build_features(tn, t), _feature_oracle(tn, t))
 
@@ -472,3 +497,112 @@ def test_fit_logistic_nonconvergence_matches():
     assert not _fit_oracle(table, 1.0, max_iter=2)[1]
     with pytest.raises(NumericalError, match="did not converge: 2 iterations"):
         fit_logistic(table, l2=1.0, max_iter=2)
+
+
+# ------------------------------------------------------------- L2 grid oracle
+
+
+def _select_oracle(table, l2_grid, seed=0):
+    """(chosen_l2, cv_auc_by_l2) with a cold ``fit_logistic`` and one
+    ``auc_score`` per (L2, fold) cell, the loop that the warm-started path
+    replaced."""
+    _, i2 = _split_ends(table.n_rows)
+    folds = []
+    for k, (tr, va) in enumerate(forward_chain_folds(i2)):
+        y_tr, y_va = table.y[tr], table.y[va]
+        if y_tr.min() == y_tr.max() or y_va.min() == y_va.max():
+            continue
+        train_std, constants = standardize(table.select_rows(tr))
+        val_std = apply_standardization(constants, table.select_rows(va))
+        folds.append((oversample(train_std, seed=[seed, 2, k]), val_std))
+    if not folds:
+        raise DataError("every forward-chaining fold was single-class")
+    cv_means = {}
+    best_l2 = None
+    best_mean = -np.inf
+    for l2 in sorted(set(float(v) for v in l2_grid)):
+        fold_aucs = [auc_score(val.y, fit_logistic(train, l2=l2).predict_proba(val.X)) for train, val in folds]
+        mean_auc = float(np.mean(fold_aucs))
+        cv_means[l2] = mean_auc
+        if mean_auc > best_mean:
+            best_mean = mean_auc
+            best_l2 = l2
+    return best_l2, cv_means
+
+
+def _check_select(table, l2_grid, seed=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # near-constant columns dropped per fold
+        try:
+            expected = _select_oracle(table, l2_grid, seed)
+        except DataError:
+            with pytest.raises(DataError):
+                time_ordered_select(table, l2_grid=l2_grid, seed=seed)
+            return False
+        assert time_ordered_select(table, l2_grid=l2_grid, seed=seed) == expected
+    return True
+
+
+@pytest.mark.parametrize("grid", [L2_GRID, (1.0, 0.01, 10.0, 0.1, 1.0)], ids=["default", "unsorted-duplicate"])
+@pytest.mark.parametrize("net", range(len(_NETWORKS)))
+def test_time_ordered_select_matches_a_cold_fit_per_cell(net, grid):
+    tn = _NETWORKS[net]()
+    scored = [_check_select(pool(build_horizon_tables(tn, target)), grid, seed=net)
+              for target in ("presence", "change", "sign")]
+    assert any(scored)
+
+
+def _separable_pool(seed, anchors=6, rows=12, p=2):
+    """A pooled table in time order whose label is the sign of column 0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(anchors * rows, p))
+    return FeatureTable(columns=tuple(f"f{i}" for i in range(p)), X=x, node_ids=tuple(range(len(x))),
+                        as_of=np.repeat(np.arange(1, anchors + 1), rows), target="presence",
+                        y=(x[:, 0] > 0).astype(float))
+
+
+def test_time_ordered_select_matches_after_a_separated_fit(monkeypatch):
+    """An unpenalized fit separates; the next grid value starts from zero,
+    and every other value from the previous value's coefficients."""
+    grid = (0.0, 0.01, 1.0)
+    calls = []
+
+    def recording(design, y, l2, beta, *args):
+        out = model_module._irls(design, y, l2, beta, *args)
+        calls.append((beta, out[0], out[4]))
+        return out
+
+    monkeypatch.setattr(pipeline, "_irls", recording)
+    assert _check_select(_separable_pool(4), grid)
+    assert any(separated for *_, separated in calls)
+    for k, (start, _, _) in enumerate(calls):
+        if k % len(grid) == 0 or calls[k - 1][2]:
+            assert not start.any()
+        else:
+            assert np.array_equal(start, calls[k - 1][1])
+
+
+# path neighbours on the default grid, in both directions
+_NEIGHBOURS = list(zip(L2_GRID, L2_GRID[1:])) + list(zip(L2_GRID[1:], L2_GRID))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(30, 120), st.integers(1, 4), st.sampled_from(_NEIGHBOURS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_a_warm_start_converges_to_the_cold_validation_auc(seed, n, p, neighbours):
+    """From zero or from a neighbouring L2's solution, the IRLS core ends
+    within its gradient tolerance and ranks held-out rows the same way."""
+    previous, l2 = neighbours
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n + 40, p))
+    y = (x[:, 0] + rng.normal(size=n + 40) > 0).astype(float)
+    assume(0 < y[:n].sum() < n and 0 < y[n:].sum() < 40)
+    design = model_module._with_intercept(x[:n])
+    start, *_, start_separated = model_module._irls(design, y[:n], previous, np.zeros(p + 1))
+    cold = model_module._irls(design, y[:n], l2, np.zeros(p + 1))
+    warm = model_module._irls(design, y[:n], l2, start)
+    assume(not (start_separated or cold[4] or warm[4]))
+    aucs = []
+    for beta, converged, _, grad_norm, _ in (cold, warm):
+        assert converged and grad_norm <= 1e-8
+        aucs.append(auc_score(y[n:], model_module.expit(float(beta[0]) + x[n:] @ beta[1:])))
+    assert aucs[0] == aucs[1]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from structim import (BASE_PRESENCE, Snapshot, TemporalNetwork, barbell, node_importance, repeat_snapshot,
                       synthetic_temporal)
+from structim.errors import ArgumentError
 from structim.generators import _ALPHA, _NOISE_SIGMA, _P_HUB_OUT, _P_IN, _P_OUT, _base_graph
 
 
@@ -59,6 +60,31 @@ def test_barbell_validates_sizes():
         barbell(1, 2, 5)
     with pytest.raises(ValueError):
         barbell(4, -1, 5)
+
+
+# one rejected value per size argument: a float, a bool, a string
+_NOT_INTEGER = [
+    ("barbell", "n_left", lambda: barbell(n_left=2.5)),
+    ("barbell", "bridge", lambda: barbell(bridge=True)),
+    ("barbell", "n_right", lambda: barbell(n_right="3")),
+    ("repeat_snapshot", "repeats", lambda: repeat_snapshot(barbell(), 2.5)),
+    ("synthetic_temporal", "n", lambda: synthetic_temporal(20.5, 2, 1, 0.0, 3)),
+    ("synthetic_temporal", "communities", lambda: synthetic_temporal(20, 2.0, 1, 0.0, 3)),
+    ("synthetic_temporal", "hub_count", lambda: synthetic_temporal(20, 2, True, 0.0, 3)),
+    ("synthetic_temporal", "horizon", lambda: synthetic_temporal(20, 2, 1, 0.0, np.float64(3))),
+]
+
+
+@pytest.mark.parametrize("generator,name,call", _NOT_INTEGER, ids=[f"{g}-{n}" for g, n, _ in _NOT_INTEGER])
+def test_generators_reject_sizes_that_are_not_integers(generator, name, call):
+    with pytest.raises(ArgumentError, match=f"{generator} needs an integer {name}, got"):
+        call()
+
+
+def test_generators_take_numpy_integer_sizes():
+    assert barbell(np.int64(3), np.int32(1), np.int64(3)).n_nodes == 7
+    assert repeat_snapshot(barbell(), np.int64(2)).n_snapshots == 2
+    assert synthetic_temporal(np.int64(20), np.int64(2), np.int64(1), 0.0, np.int64(3)).n_snapshots == 3
 
 
 def test_barbell_zero_bridge_joins_cliques_directly():

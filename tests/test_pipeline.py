@@ -135,6 +135,13 @@ def test_select_single_value_grid():
     assert best == 0.1
 
 
+@pytest.mark.parametrize("grid", [(), (0.1, -0.5), (float("nan"),), (1.0, float("inf"))])
+def test_select_rejects_a_bad_grid_before_any_fit(monkeypatch, grid):
+    monkeypatch.setattr("structim.pipeline._irls", lambda *args: pytest.fail("fit before the grid check"))
+    with pytest.raises(ArgumentError, match="l2_grid needs finite nonnegative values"):
+        time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=grid)
+
+
 def test_select_uninformative_ties_keep_lowest_l2():
     # constant features are dropped, every fold scores exactly 0.5, and the
     # ascending scan with a strict improvement test keeps the smallest value
