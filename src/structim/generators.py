@@ -10,6 +10,7 @@ important nodes are more likely to drop out of the next snapshot.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -26,6 +27,7 @@ _P_IN = 0.25  # intra-community edge probability
 _P_OUT = 0.02  # inter-community edge probability
 _P_HUB_OUT = 0.1  # hub to out-of-community node
 _NOISE_SIGMA = 0.25  # per-snapshot lognormal weight jitter
+_PCG64_PERIOD = 1 << 128  # advancing a PCG64 stream by its period leaves it where it stands
 
 
 def _check_integers(generator: str, **sizes) -> None:
@@ -85,15 +87,29 @@ def _base_graph(n: int, communities: int, hub_count: int, rng: np.random.Generat
 
     # One uniform draw per pair in (i, j) order and one lognormal per kept
     # pair, as a plain double loop would make them. Probabilities are built
-    # a row at a time, so memory stays O(n) rather than O(n^2).
+    # a row at a time, so memory stays O(n) rather than O(n^2). Each row's
+    # uniforms come from one block call, which yields the same doubles as
+    # that many scalar calls. At the first kept pair k the generator is
+    # rewound to just after k's uniform: PCG64's period is 2^128, so
+    # advancing by 2^128 minus the draws past k steps back over them. Then
+    # k's lognormal is drawn and the row goes on from k + 1, so the stream
+    # and the final state are the pairwise loop's.
+    bits = rng.bit_generator
     edges = {}
     for i in range(n):
         same = block_of[i + 1 :] == block_of[i]
         hub_pair = is_hub[i + 1 :] | is_hub[i]
         p = np.where(same, np.where(hub_pair, 1.0, _P_IN), np.where(hub_pair, _P_HUB_OUT, _P_OUT))
-        for j, p_ij in enumerate(p.tolist(), start=i + 1):
-            if rng.random() < p_ij:
-                edges[(i, j)] = float(rng.lognormal(0.0, 1.0))
+        j = i + 1
+        while p.size:
+            hit = rng.random(p.size) < p
+            k = int(hit.argmax())
+            if not hit[k]:
+                break
+            bits.advance(_PCG64_PERIOD - (p.size - k - 1))
+            edges[(i, j + k)] = float(rng.lognormal(0.0, 1.0))
+            j += k + 1
+            p = p[k + 1 :]
     return edges
 
 
@@ -112,16 +128,29 @@ def synthetic_temporal(
     sigmoid(logit(0.8) + dropout_coupling * z_i), where z_i is the node's
     standardized mb importance in the previous snapshot (0 when absent), and
     surviving base edges get fresh lognormal weight noise. With
-    dropout_coupling = 0 presence is i.i.d. at rate ~0.8.
+    dropout_coupling = 0 presence is i.i.d. at rate ~0.8. A dropout_coupling
+    so large that the logit overflows keeps a node with probability exactly
+    0 or 1, the sigmoid's limit.
 
-    Same arguments and seed give an identical network, byte for byte.
+    Same arguments and seed give an identical network, byte for byte. The
+    base graph draws each row's pair uniforms in one call and, at each kept
+    pair, rewinds the PCG64 generator by a 2^128-periodic advance to just
+    after that pair's uniform before its lognormal weight. A block call gives
+    the same doubles as that many scalar calls, so the networks are those of
+    a plain loop with one uniform per pair and one lognormal per kept pair.
     """
     _check_integers("synthetic_temporal", n=n, communities=communities, hub_count=hub_count, horizon=horizon)
     if communities < 1 or n < communities:
         raise ArgumentError(f"need n >= communities >= 1, got n={n}, communities={communities}")
     if not 0 <= hub_count <= n:
         raise ArgumentError(f"hub_count must be in 0..n={n}, got {hub_count}")
-    if not math.isfinite(dropout_coupling):
+    if not isinstance(dropout_coupling, numbers.Real) or isinstance(dropout_coupling, bool):
+        raise ArgumentError(f"synthetic_temporal needs a real dropout_coupling, got {dropout_coupling!r}")
+    try:
+        finite = math.isfinite(dropout_coupling)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ArgumentError(f"dropout_coupling must be finite, got {dropout_coupling}")
     if horizon < 2:
         raise ArgumentError(f"horizon must be >= 2, got {horizon}")
@@ -144,8 +173,11 @@ def synthetic_temporal(
             mean = raw.mean()
             if std > 0:
                 z[list(mb)] = (raw - mean) / std
-        keep_logit = _ALPHA + dropout_coupling * z
-        keep = rng.random(n) < 1.0 / (1.0 + np.exp(-keep_logit))
+        # at a large |coupling| the logit or its exp overflows to inf, which
+        # sends the keep probability to its limit, exactly 0.0 or 1.0
+        with np.errstate(over="ignore"):
+            keep_logit = _ALPHA + dropout_coupling * z
+            keep = rng.random(n) < 1.0 / (1.0 + np.exp(-keep_logit))
         # one noise draw per surviving base edge in pair order: the stream of k scalar draws
         live = keep[lo] & keep[hi]
         noisy = w[live] * rng.lognormal(0.0, _NOISE_SIGMA, size=np.count_nonzero(live))

@@ -158,14 +158,33 @@ def test_synthetic_validates_args():
         synthetic_temporal(n=10, communities=2, hub_count=1, dropout_coupling=0.0, horizon=3, seed=-1)
 
 
-@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), -float("inf")])
+# non-finite as a float, then no real number at all (a bool counts as none)
+_BAD_COUPLINGS = [
+    float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="int-beyond-float"),
+    "a", None, pytest.param([1.0], id="list"), True, pytest.param(np.bool_(True), id="numpy-bool"),
+]
+
+
+@pytest.mark.parametrize("coupling", _BAD_COUPLINGS)
 def test_synthetic_rejects_nonfinite_coupling(monkeypatch, coupling):
     def generate_nothing(*args, **kwargs):
         raise AssertionError("generated before the argument checks")
 
     monkeypatch.setattr("structim.generators._base_graph", generate_nothing)
-    with pytest.raises(ValueError, match="dropout_coupling must be finite"):
+    real = isinstance(coupling, (int, float)) and not isinstance(coupling, bool)
+    message = "dropout_coupling must be finite" if real else "synthetic_temporal needs a real dropout_coupling, got"
+    with pytest.raises(ArgumentError, match=message):
         synthetic_temporal(20, 2, 2, coupling, 5, seed=1)
+
+
+@pytest.mark.parametrize("coupling", [1000.0, -1000.0, 1e308, -1e308])
+def test_synthetic_takes_a_coupling_that_overflows_the_logit(coupling):
+    # pyproject.toml's filterwarnings = error fails on an overflow warning; the keep probability
+    # goes to its limit, 0.0 or 1.0, as the unguarded sigmoid's does
+    got = synthetic_temporal(30, 3, 2, coupling, 4, seed=1)
+    with np.errstate(over="ignore"):
+        want = _synthetic_temporal_oracle(30, 3, 2, coupling, 4, 1)
+    assert got.to_json() == want.to_json()
 
 
 @st.composite
@@ -178,10 +197,21 @@ def _base_graph_args(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_base_graph_matches_pairwise_loop(args):
     n, communities, hub_count, seed = args
-    got = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
-    want = _base_graph_oracle(n, communities, hub_count, np.random.default_rng([seed, 0]))
+    got = _base_graph(n, communities, hub_count, got_rng := np.random.default_rng([seed, 0]))
+    want = _base_graph_oracle(n, communities, hub_count, want_rng := np.random.default_rng([seed, 0]))
     assert list(got.items()) == list(want.items())
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert all(type(i) is int and type(j) is int and type(w) is float for (i, j), w in got.items())
+
+
+# the analyze-sparse inputs of seed 11 (sub-seeds 11 and 100011) and a
+# predict-small one: rows of up to 599 pairs, each drawn as one block
+@pytest.mark.parametrize("n,communities,hub_count,seed", [(600, 24, 4, 11), (600, 24, 4, 100011), (120, 4, 4, 11)])
+def test_base_graph_matches_pairwise_loop_at_benchmark_scale(n, communities, hub_count, seed):
+    got = _base_graph(n, communities, hub_count, got_rng := np.random.default_rng([seed, 0]))
+    want = _base_graph_oracle(n, communities, hub_count, want_rng := np.random.default_rng([seed, 0]))
+    assert list(got.items()) == list(want.items())
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _synthetic_temporal_oracle(n, communities, hub_count, dropout_coupling, horizon, seed):
