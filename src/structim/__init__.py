@@ -4,7 +4,7 @@ The package measures how much each node supports the spectrum of a weighted
 network (several per-node importance schemes, plus an edge variant and a
 directed variant), tracks those measures across temporal snapshots, and fits
 benchmarked models that predict node activity in the next snapshot from the
-measure history.
+measures of the current one.
 """
 
 from .errors import DataError, NumericalError, StructimError

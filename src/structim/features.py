@@ -1,14 +1,15 @@
 """Per-node feature tables for activity prediction.
 
-Features for a prediction anchored at snapshot t are averages of per-snapshot
-node measures over snapshots 0..t-1, where the average runs only over the
-snapshots in which the node was actually present (measures are undefined for
-absent nodes, so absent snapshots are masked out rather than zero-filled).
-The presence_count column counts those prior appearances.
+Features for a prediction anchored at snapshot t are the node measures of
+snapshot t itself, the same ``snapshot_measures(tn, t)`` cells that
+``analyze`` reports, so a measure computed from one static network predicts
+the next one. The presence_count column counts a node's appearances in
+snapshots 0..t-1.
 
-Feature rows cover the nodes present in snapshot t that have at least one
-prior appearance; a node seen for the first time at t has no history to
-average and is excluded (the count is kept in table metadata).
+Feature rows cover the nodes present in snapshot t with positive strength
+there that appeared at least once before t; a node seen for the first time
+at t and a seen node with zero strength at t (whose measures are undefined)
+are excluded, and both counts are kept in table metadata.
 
 Labels compare a node's strength S0 in snapshot t with its strength S1 in
 snapshot t+1, 0 when it is absent there. Only nodes with S0 > 0 are labeled;
@@ -161,14 +162,16 @@ def snapshot_measures(
 
 
 def build_features(tn: TemporalNetwork, t: int) -> FeatureTable:
-    """Historical-mean feature table anchored at snapshot t, rows in snapshot order."""
+    """Feature table anchored at snapshot t, rows in snapshot order."""
     return _feature_table(tn, t)
 
 
 def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05) -> FeatureTable:
     """Feature table at t with the requested target attached: the rows of
     ``build_features`` that ``target`` labels; ``change_threshold`` must be
-    finite and nonnegative."""
+    finite and nonnegative. Nothing is cached on the network: each call
+    measures snapshot t, so several targets at one anchor measure it once
+    per call."""
     keep, y = _labels(tn, t, target, change_threshold)
     return _feature_table(tn, t, keep, target, y)
 
@@ -178,17 +181,14 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
     ``y`` when given; ``keep`` and ``y`` run over snapshot t's nodes."""
     if not 1 <= t < tn.n_snapshots:
         raise ArgumentError(f"anchor t={t} needs at least one prior snapshot and must exist")
-    sums, counts = _history(tn, t)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    measures = snapshot_measures(tn, t)
     at = tn._positions[t]
     prior_count = tn.presence_matrix()[:t].sum(axis=0).astype(float)[at]
-    x = np.empty((at.size, len(FEATURE_COLUMNS)))
-    x[:, :-1] = means[:, at].T
-    x[:, -1] = prior_count
+    x = np.column_stack([measures[name][at] for name in MEASURE_COLUMNS] + [prior_count])
 
-    # A node seen for the first time at t has no history; a node can also be
-    # present without defined importance (zero strength in every prior
-    # appearance). Neither can be featurized.
+    # A node seen for the first time at t is new; a seen node can also be
+    # present at t without defined measures (zero strength at t). Neither
+    # can be featurized.
     seen = prior_count >= 1
     defined = seen & ~np.isnan(x).any(axis=1)
     rows = defined & keep
@@ -202,37 +202,6 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
         y=None if y is None else y[rows],
         meta={"skipped_new_nodes": int(at.size - seen.sum()), "skipped_undefined": int((seen & ~defined).sum())},
     )
-
-
-def _history(tn: TemporalNetwork, t: int):
-    """(sums, counts): per measure column and universe node, the sum of its
-    defined values over snapshots 0..t-1, as a read-only (columns, nodes)
-    array, and per node their number, as a read-only (nodes,) array. Every
-    column is defined on the same nodes of a snapshot, those present with
-    positive strength, so one count serves all columns.
-
-    The network keeps one list in its private state (pickling drops it)
-    whose entry u holds the (sums, counts) over snapshots 0..u-1. The list
-    is extended one snapshot at a time, so each snapshot is measured and
-    added once, whatever order the anchors are asked for in. Sums that start
-    at 0.0 and add one snapshot at a time are, bit for bit, numpy's sum of
-    the stacked (t, nodes) history over axis 0. (numpy sums a one-node
-    universe pairwise, but such a network has no edge, so it adds only 0.0.)
-    """
-    history = vars(tn).get("_history")
-    if history is None:
-        zeros = np.broadcast_to(0.0, (len(MEASURE_COLUMNS), tn.n_nodes))
-        history = vars(tn)["_history"] = [(zeros, np.broadcast_to(0, tn.n_nodes))]
-    while len(history) <= t:
-        sums, counts = history[-1]
-        measures = snapshot_measures(tn, len(history) - 1)
-        hist = np.array([measures[name] for name in MEASURE_COLUMNS])
-        defined = ~np.isnan(hist)
-        entry = (sums + np.where(defined, hist, 0.0), counts + defined[0])
-        for a in entry:
-            a.setflags(write=False)
-        history.append(entry)
-    return history[t]
 
 
 def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05):

@@ -62,29 +62,32 @@ class PredictionResult:
 
 
 def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = 0.05):
-    """Feature tables for every anchor 1..T-2; each snapshot is measured once.
+    """Feature tables for every anchor 1..T-2; each anchor is measured once.
 
     An anchor whose table has no rows is left out.
     """
     _check_target(target)
+    anchors = range(1, tn.n_snapshots - 1)
+    if not anchors:
+        raise DataError("no usable feature rows at any anchor (an anchor needs a prior and a next snapshot)")
     tables = []
-    for t in range(1, tn.n_snapshots - 1):
+    for t in anchors:
         table = build_table(tn, t, target, change_threshold=change_threshold)
         if table.n_rows:
             tables.append(table)
     if not tables:
-        raise DataError("no usable feature rows at any anchor (an anchor needs a prior and a next snapshot)")
+        raise DataError(f"anchors 1..{anchors[-1]} exist, but target {target!r} labels none of their featurizable nodes")
     return tables
 
 
 def _check_snapshots(tn: TemporalNetwork, target: str) -> None:
     """The per-target snapshot minimum of run_prediction.
 
-    Every anchor needs a prior snapshot for its history and a next one for
-    its labels; a classifier also needs one anchor per forward-chaining fold.
+    Every anchor needs a prior snapshot, to tell new nodes from seen ones, and
+    a next one for its labels; a classifier also needs one anchor per fold.
     """
     if target == "rel_change":
-        need, why = 3, "history, anchor, successor"
+        need, why = 3, "a prior snapshot, anchor, successor"
     else:
         need, why = FOLDS + 2, f"at least {FOLDS} horizon tables for {FOLDS}-fold forward chaining"
     if tn.n_snapshots < need:

@@ -17,6 +17,7 @@ from structim import (
     repeat_snapshot,
     run_prediction,
     synthetic_temporal,
+    write_edge_csv,
 )
 from structim.cli import main
 
@@ -507,3 +508,28 @@ def test_predict_snapshot_minimum_is_the_library_rule(tmp_path, capsys, target, 
         run_prediction(load_network(net), target)
     assert main(["predict", net, "--target", target, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"data error: {exc.value}\n"
+
+
+def test_predict_with_no_labeled_row_names_the_target(tmp_path, capsys):
+    net = str(tmp_path / "static.csv")
+    write_edge_csv(repeat_snapshot(barbell(4, 2, 5), 12), net)
+    assert main(["predict", net, "--target", "sign", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "data error: anchors 1..10 exist, but target 'sign' labels none of their featurizable nodes\n")
+
+
+def test_predict_features_are_the_analyze_measure_cells(tmp_path):
+    net = str(tmp_path / "net.csv")
+    write_edge_csv(synthetic_temporal(40, 2, 2, -2.0, 6, seed=3), net)
+    out = tmp_path / "out"
+    assert main(["analyze", net, "--format", "csv", "--out", str(out)]) == 0
+    cells = {(int(t), node, name): value for t, node, name, value, _ in _read_csv(out / "measures.csv")[1:]}
+    tn = load_network(net)
+    compared = 0
+    for t in range(1, tn.n_snapshots - 1):
+        table = features.build_table(tn, t, "presence")
+        for node, row in zip(table.node_ids, table.X):
+            for name, value in zip(features.MEASURE_COLUMNS, row):
+                assert cells[(t, str(node), name)] == repr(float(value))
+                compared += 1
+    assert compared > 500

@@ -1,7 +1,5 @@
 """Feature extraction, labeling, and correlation pruning."""
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,17 +108,18 @@ def test_new_nodes_skipped_and_counted():
 
 
 def test_presence_masked_mean():
-    # node 3 joins at snapshot 1; at t=2 its history covers snapshot 1 only
+    # node 3 joins at snapshot 1: at t=2 it counts one prior appearance, and
+    # every measure is read from snapshot 2 alone, not from the earlier ones
     tn = network_from([
         clique(3, timestamp=0),   # degree 2 for 0,1,2
-        clique(4, timestamp=1),   # degree 3 for all
-        clique(4, timestamp=2),
+        clique(4, timestamp=1),   # degree 3 for 0..3
+        clique(5, timestamp=2),   # degree 4 for 0..4; node 4 is new
     ])
     table = build_features(tn, 2)
+    assert table.node_ids == (0, 1, 2, 3)
     deg = dict(zip(table.node_ids, table.column("degree")))
     cnt = dict(zip(table.node_ids, table.column("presence_count")))
-    assert deg[0] == pytest.approx(2.5)   # mean of 2 and 3
-    assert deg[3] == pytest.approx(3.0)   # snapshot 0 masked out, not zero-filled
+    assert deg[0] == deg[3] == 4.0
     assert cnt[0] == 2.0
     assert cnt[3] == 1.0
 
@@ -133,6 +132,27 @@ def test_features_ignore_future_snapshots():
     tb = build_features(network_from(shared + [fut_b]), 1)
     assert ta.node_ids == tb.node_ids
     assert np.array_equal(ta.X, tb.X)
+
+
+def _scaled(tn, times, factor):
+    """tn with every weight of the snapshots at ``times`` multiplied by ``factor``."""
+    return TemporalNetwork(snapshots=tuple(
+        Snapshot(node_ids=s.node_ids, edges=tuple((i, j, factor * w) for i, j, w in s.edges), timestamp=s.timestamp)
+        if u in times else s
+        for u, s in enumerate(tn.snapshots)), universe=tn.universe)
+
+
+@pytest.mark.parametrize("t", [1, 3, 6])
+def test_features_are_read_from_the_anchor_snapshot_alone(t):
+    tn = synthetic_temporal(40, 2, 2, -2.0, 8, seed=3)
+    base = build_table(tn, t, "rel_change")
+    # the node sets of 0..t-1 stay, so the presence counts stay too
+    past = build_table(_scaled(tn, range(t), 3.0), t, "rel_change")
+    assert past.node_ids == base.node_ids and past.meta == base.meta
+    assert np.array_equal(past.X, base.X) and np.array_equal(past.y, base.y)
+    following = build_table(_scaled(tn, {t + 1}, 3.0), t, "rel_change")
+    assert following.node_ids == base.node_ids and np.array_equal(following.X, base.X)
+    assert not np.array_equal(following.y, base.y)
 
 
 def test_build_features_anchor_validation():
@@ -152,42 +172,10 @@ def test_snapshot_measures_once_per_snapshot(monkeypatch):
     tn = network_from([clique(3 + t % 2, timestamp=t) for t in range(6)])
     tables = build_horizon_tables(tn, "presence")
     assert [t.as_of[0] for t in tables] == [1, 2, 3, 4]
-    assert calls == [0, 1, 2, 3]
-    # more anchors and targets on the same network measure nothing again
-    for t in range(1, 5):
-        build_features(tn, t)
-        build_table(tn, t, "rel_change")
-    assert calls == [0, 1, 2, 3]
-    # a backward pass after the forward sweep measures nothing again either
-    for t in range(4, 0, -1):
-        build_table(tn, t, "sign")
-    assert calls == [0, 1, 2, 3]
-    # the one piece of history state is the cumulative list, read-only
-    assert "_measures" not in vars(tn)
-    assert len(vars(tn)["_history"]) == 5
-    assert not any(a.flags.writeable for entry in vars(tn)["_history"] for a in entry)
-    # a copy is a new network with no measures kept
-    build_features(pickle.loads(pickle.dumps(tn)), 2)
-    assert calls == [0, 1, 2, 3, 0, 1]
-
-
-def test_history_keeps_one_count_row_per_entry():
-    import structim.features as features
-
-    tn = synthetic_temporal(40, 3, 2, -2.0, 8, seed=5)
-    sums, counts = features._history(tn, tn.n_snapshots - 1)
-    for entry_sums, entry_counts in vars(tn)["_history"]:
-        assert entry_sums.shape == (len(MEASURE_COLUMNS), tn.n_nodes)
-        assert entry_counts.shape == (tn.n_nodes,)
-    # the count is the number of prior snapshots with the node at positive strength
-    positive = np.zeros((tn.n_snapshots - 1, tn.n_nodes), dtype=int)
-    for t, s in enumerate(tn.snapshots[:-1]):
-        positive[t, tn._positions[t]] = s.strength() > 0
-    assert np.array_equal(counts, positive.sum(axis=0))
-    # and every history column is defined exactly there
-    hist = np.array([[features.snapshot_measures(tn, t)[c] for c in MEASURE_COLUMNS]
-                     for t in range(tn.n_snapshots - 1)])
-    assert np.array_equal(~np.isnan(hist), np.broadcast_to(positive[:, None, :] > 0, hist.shape))
+    # each anchor is measured once, and no earlier snapshot is
+    assert calls == [1, 2, 3, 4]
+    # no measure is kept on the network
+    assert "_history" not in vars(tn) and "_measures" not in vars(tn)
 
 
 def test_directed_network_is_a_data_error_before_any_decomposition(monkeypatch):
@@ -338,19 +326,19 @@ def _networks(draw):
 
 
 def _reference_rows(tn, t):
-    """{node: (mean prior degree, prior appearances)} for the featurizable
-    nodes of snapshot t, in its order, and the two skip counts."""
+    """{node: (degree at t, prior appearances)} for the featurizable nodes
+    of snapshot t, in its order, and the two skip counts."""
     rows, new, undefined = {}, 0, 0
-    for v in tn.snapshots[t].node_ids:
-        prior = [s for s in tn.snapshots[:t] if v in s.node_ids]
-        degrees = [sum(s.node_ids[k] == v for e in s.edges for k in e[:2]) for s in prior]
-        degrees = [d for d in degrees if d > 0]
+    s = tn.snapshots[t]
+    for v in s.node_ids:
+        prior = sum(v in p.node_ids for p in tn.snapshots[:t])
+        degree = sum(s.node_ids[k] == v for e in s.edges for k in e[:2])
         if not prior:
             new += 1
-        elif not degrees:
+        elif not degree:
             undefined += 1
         else:
-            rows[v] = (sum(degrees) / len(degrees), float(len(prior)))
+            rows[v] = (float(degree), float(prior))
     return rows, {"skipped_new_nodes": new, "skipped_undefined": undefined}
 
 

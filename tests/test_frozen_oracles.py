@@ -4,14 +4,14 @@ kept as the reference their faster forms must match bit for bit.
 Each oracle below is the straightforward loop that the library's version
 replaced: one ``rng.integers`` call per bootstrap resample and one
 ``rng.random`` call per null trial, PageRank adding the dangling mass on
-every iteration, the feature history re-stacked and re-summed at every
-anchor, IRLS evaluating the penalized log-likelihood of the current
+every iteration, the feature table read node by node from the anchor's
+measures, IRLS evaluating the penalized log-likelihood of the current
 coefficients at the top of every iteration, ``analyze`` reading each
 labeled node's measures one cell at a time, and the L2 grid search fitting
 a cold ``fit_logistic`` and scoring one ``auc_score`` per (L2, fold) cell.
 The tests assert equality (``==`` or ``np.array_equal``), never closeness,
 because the artifacts of a fixed seed are meant to stay byte-identical. The
-one exception is the feature-history test's ``rel_change`` labels: they come
+one exception is the feature-table test's ``rel_change`` labels: they come
 from ``conftest.reference_labels``, which sums strength edge by edge, so a
 ratio may differ in its last bits and is compared at 1e-13 relative.
 """
@@ -268,31 +268,29 @@ def test_pagerank_oracle_cases_cover_dangling_and_none():
     assert dangling.count(True) >= 4 and dangling.count(False) >= 4
 
 
-# ------------------------------------------------------ feature history oracle
+# ------------------------------------------------------ feature table oracle
 
 
 def _feature_oracle(tn, t, keep=True, target=None, y=None):
-    """The feature table with the history stacked and summed per column."""
-    measures = [snapshot_measures(tn, u) for u in range(t)]
-    at = tn._positions[t]
-    prior_count = tn.presence_matrix()[:t].sum(axis=0).astype(float)[at]
-    x = np.empty((at.size, len(FEATURE_COLUMNS)))
-    for c, name in enumerate(FEATURE_COLUMNS[:-1]):
-        hist = np.stack([measures[u][name] for u in range(t)])
-        defined_mask = ~np.isnan(hist)
-        counts = defined_mask.sum(axis=0)
-        sums = np.where(defined_mask, hist, 0.0).sum(axis=0)
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        x[:, c] = means[at]
-    x[:, -1] = prior_count
-    seen = prior_count >= 1
-    defined = seen & ~np.isnan(x).any(axis=1)
-    rows = defined & keep
+    """The feature table read node by node from the anchor's own measures,
+    with the prior appearances counted snapshot by snapshot."""
+    measures = snapshot_measures(tn, t)
     ids = tn.snapshots[t].node_ids
+    rows, x, new, undefined = [], [], 0, 0
+    for k, v in enumerate(ids):
+        prior = sum(v in s.node_ids for s in tn.snapshots[:t])
+        values = [float(measures[name][tn.universe_index[v]]) for name in MEASURE_COLUMNS]
+        if not prior:
+            new += 1
+        elif any(val != val for val in values):  # NaN: zero strength at t
+            undefined += 1
+        elif keep is True or keep[k]:
+            rows.append(k)
+            x.append(values + [float(prior)])
     return FeatureTable(
-        columns=FEATURE_COLUMNS, X=x[rows], node_ids=tuple(ids[k] for k in np.flatnonzero(rows).tolist()),
-        as_of=t, target=target, y=None if y is None else y[rows],
-        meta={"skipped_new_nodes": int(at.size - seen.sum()), "skipped_undefined": int((seen & ~defined).sum())},
+        columns=FEATURE_COLUMNS, X=np.array(x).reshape(len(rows), len(FEATURE_COLUMNS)),
+        node_ids=tuple(ids[k] for k in rows), as_of=t, target=target, y=None if y is None else y[rows],
+        meta={"skipped_new_nodes": new, "skipped_undefined": undefined},
     )
 
 
@@ -334,11 +332,9 @@ _NETWORKS = [
 
 
 @pytest.mark.parametrize("net", range(len(_NETWORKS)))
-def test_build_table_matches_the_stacked_history_at_every_anchor(net):
+def test_build_table_matches_the_anchor_measures_at_every_anchor(net):
     tn = _NETWORKS[net]()
-    anchors = list(range(1, tn.n_snapshots - 1))
-    order = anchors + anchors[::-1] + list(np.random.default_rng(net).permutation(anchors))
-    for t in order:
+    for t in range(1, tn.n_snapshots - 1):
         ids = tn.snapshots[t].node_ids
         for target in TARGETS:
             labels = reference_labels(tn, t, target)
@@ -358,6 +354,8 @@ def test_feature_history_networks_have_gaps_and_an_empty_snapshot():
     # some node is absent for two or more snapshots between appearances
     gaps = [np.diff(np.flatnonzero(col)) for col in presence.T if col.sum() >= 2]
     assert max(int(g.max()) for g in gaps) >= 3
+    # and some seen node is present with zero strength at an anchor
+    assert any(build_features(tn, t).meta["skipped_undefined"] for t in range(1, tn.n_snapshots))
 
 
 # ---------------------------------------------------------- analyze oracle

@@ -11,6 +11,7 @@ from structim import (
     L2_GRID,
     DataError,
     FeatureTable,
+    barbell,
     build_horizon_tables,
     forward_chain_folds,
     pool,
@@ -76,8 +77,16 @@ def test_build_horizon_tables_validation():
     with pytest.raises(ValueError):
         build_horizon_tables(tn, "strength")
     short = repeat_snapshot(clique(5), 2)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"at any anchor \(an anchor needs a prior and a next snapshot\)$"):
         build_horizon_tables(short, "presence")
+
+
+def test_build_horizon_tables_names_the_target_that_labels_no_row():
+    # a static network has 10 anchors, but sign drops every tie S1 == S0
+    tied = repeat_snapshot(barbell(4, 2, 5), 12)
+    with pytest.raises(DataError, match=r"^anchors 1\.\.10 exist, but target 'sign' labels none of their featurizable nodes$"):
+        build_horizon_tables(tied, "sign")
+    assert len(build_horizon_tables(tied, "presence")) == 10
 
 
 # --------------------------------------------------------- forward_chain_folds
