@@ -11,15 +11,19 @@ Inputs are edge-list CSVs (``time,src,dst,value``) or network JSON documents.
 ``importance`` writes JSON or CSV by its ``--out`` extension; ``analyze`` and
 ``predict`` write a directory of artifacts that ``--format`` filters by
 extension. Every output carries the tool version and the resolved arguments,
-either embedded (JSON) or in a sidecar. Exit codes: 0 success, 2 usage error
-(a bad option value gets the message of the library check that owns it), 3
-data error, 4 numerical error.
+either embedded (JSON) or in a sidecar. An option that feeds a library
+parameter takes that parameter's default from the function's signature. Exit
+codes: 0 success, 2 usage error (a bad option value gets the message of the
+library check that owns it; an output that cannot be written names its path),
+3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -30,15 +34,21 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DataError, NumericalError
-from .features import MEASURE_COLUMNS, TARGETS, _check_undirected, _labels, snapshot_measures
+from .features import CHANGE_THRESHOLD, MEASURE_COLUMNS, TARGETS, _check_undirected, _labels, snapshot_measures
 from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
 from .ingest import load_network, write_edge_csv
 from .netstats import TTestResult, _communities, detect_communities, mean_diff_ttest
-from .pipeline import L2_GRID, _check_prediction_args, run_prediction
+from .pipeline import _check_prediction_args, run_prediction
 from .spectral import eig_sym, select_eigencomponent
 from .svgplot import bar_chart, line_chart, violin_chart
+
+
+def _default(fn, param: str):
+    """The default of ``fn``'s parameter ``param``, the one source of the
+    default of every option that feeds it."""
+    return inspect.signature(fn).parameters[param].default
 
 
 def _meta(args: argparse.Namespace, command: str) -> dict:
@@ -60,8 +70,18 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Writing ``path``: an OSError (a missing directory, an existing file
+    where a directory goes) becomes a usage error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output(path), open(path, "w", newline="") as fh:
         fh.write(text)
 
 
@@ -69,7 +89,8 @@ def _write_artifacts(args, artifacts) -> list:
     """Write each ``(name, render)`` artifact that ``--format`` keeps (``all``
     or the name's extension) into ``--out``, calling ``render`` only for kept
     ones. Returns the names written, in order."""
-    os.makedirs(args.out, exist_ok=True)
+    with _output(args.out):
+        os.makedirs(args.out, exist_ok=True)
     written = []
     for name, render in artifacts:
         if args.format in ("all", name.rsplit(".", 1)[1]):
@@ -80,7 +101,8 @@ def _write_artifacts(args, artifacts) -> list:
 
 def _add_io_args(sub):
     sub.add_argument("input", help="edge-list CSV or network JSON")
-    sub.add_argument("--aggregation", type=int, default=1, help="time labels per snapshot (default 1)")
+    sub.add_argument("--aggregation", type=int, default=_default(load_network, "aggregation"),
+                     help="time labels per snapshot (default %(default)s)")
 
 
 def _add_job_args(sub):
@@ -98,7 +120,8 @@ def cmd_gen(args) -> int:
         tn = synthetic_temporal(
             args.n, args.communities, args.hubs, args.coupling, args.horizon, seed=args.seed
         )
-    write_edge_csv(tn, args.out)
+    with _output(args.out):
+        write_edge_csv(tn, args.out)
     meta = _meta(args, f"gen {args.family}")
     meta["n_snapshots"] = tn.n_snapshots
     meta["n_nodes"] = tn.n_nodes
@@ -191,7 +214,7 @@ def cmd_analyze(args) -> int:
         # defined (labeled node, measure) cells, node-major.
         if t == tn.n_snapshots - 1:
             continue
-        keep, y = _labels(tn, t, "presence")
+        keep, y = _labels(tn, t, "presence", CHANGE_THRESHOLD)
         measures = snapshot_measures(tn, t, spectrum=spec, communities=communities)
         values.append(np.column_stack([measures[name][tn._positions[t][keep]] for name in MEASURE_COLUMNS]))
         present.append(y[keep].astype(int))
@@ -290,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("gen", help="generate benchmark networks")
     gen_subs = gen.add_subparsers(dest="family", required=True)
     gb = gen_subs.add_parser("barbell", help="two cliques joined by a path")
-    gb.add_argument("--n-left", type=int, default=4)
-    gb.add_argument("--bridge", type=int, default=2)
-    gb.add_argument("--n-right", type=int, default=5)
-    gb.add_argument("--weight", type=float, default=1.0)
+    gb.add_argument("--n-left", type=int, default=_default(barbell, "n_left"))
+    gb.add_argument("--bridge", type=int, default=_default(barbell, "bridge"))
+    gb.add_argument("--n-right", type=int, default=_default(barbell, "n_right"))
+    gb.add_argument("--weight", type=float, default=_default(barbell, "weight"))
     gb.add_argument("--repeats", type=int, default=1, help="emit the graph at this many time steps")
     gb.add_argument("--out", required=True)
     gb.set_defaults(func=cmd_gen)
@@ -303,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--hubs", type=int, default=4)
     gs.add_argument("--coupling", type=float, default=0.0)
     gs.add_argument("--horizon", type=int, default=30)
-    gs.add_argument("--seed", type=int, default=0)
+    gs.add_argument("--seed", type=int, default=_default(synthetic_temporal, "seed"))
     gs.add_argument("--out", required=True)
     gs.set_defaults(func=cmd_gen)
 
@@ -312,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     imp.add_argument("--scheme", choices=SCHEMES + (DIRECTED_SCHEME,), default="mb")
     imp.add_argument("--snapshot", type=int, default=0)
     imp.add_argument("--directed", action="store_true", help="treat input arcs as directed")
-    imp.add_argument("--strength-mode", choices=STRENGTH_MODES, default="total")
+    imp.add_argument("--strength-mode", choices=STRENGTH_MODES,
+                     default=_default(node_importance_directed, "strength_mode"))
     imp.add_argument("--out", required=True, help="a .json path, or a CSV path with a .meta.json sidecar")
     imp.set_defaults(func=cmd_importance)
 
@@ -323,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = subs.add_parser("predict", help="fit and benchmark activity prediction")
     _add_job_args(pred)
-    pred.add_argument("--seed", type=int, default=0)
+    pred.add_argument("--seed", type=int, default=_default(run_prediction, "seed"))
     pred.add_argument("--target", choices=TARGETS, default="presence")
-    pred.add_argument("--l2-grid", default=",".join(str(v) for v in L2_GRID))
-    pred.add_argument("--change-threshold", type=float, default=0.05)
-    pred.add_argument("--corr-threshold", type=float, default=0.8)
-    pred.add_argument("--trials", type=int, default=100, help="null-model trials")
-    pred.add_argument("--bootstrap-iters", type=int, default=1000)
+    pred.add_argument("--l2-grid", default=",".join(str(v) for v in _default(run_prediction, "l2_grid")))
+    pred.add_argument("--change-threshold", type=float, default=_default(run_prediction, "change_threshold"))
+    pred.add_argument("--corr-threshold", type=float, default=_default(run_prediction, "corr_threshold"))
+    pred.add_argument("--trials", type=int, default=_default(run_prediction, "null_trials"), help="null-model trials")
+    pred.add_argument("--bootstrap-iters", type=int, default=_default(run_prediction, "bootstrap_iters"))
     pred.add_argument("--out", required=True, help="output directory")
     pred.set_defaults(func=cmd_predict)
 

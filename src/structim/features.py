@@ -44,6 +44,10 @@ TARGETS = ("presence", "change", "sign", "rel_change")
 
 # A column whose standard deviation is at most this is treated as constant.
 CONSTANT_STD = 1e-12
+# Defaults of the change target's |relative change| cut (``build_table``) and
+# of the |Pearson r| above which ``prune_correlated`` drops a column.
+CHANGE_THRESHOLD = 0.05
+CORR_THRESHOLD = 0.8
 
 # When correlation pruning has to break a partner-count tie, drop the most
 # generic column first and the headline spectral measure last.
@@ -166,7 +170,7 @@ def build_features(tn: TemporalNetwork, t: int) -> FeatureTable:
     return _feature_table(tn, t)
 
 
-def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05) -> FeatureTable:
+def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: float = CHANGE_THRESHOLD) -> FeatureTable:
     """Feature table at t with the requested target attached: the rows of
     ``build_features`` that ``target`` labels; ``change_threshold`` must be
     finite and nonnegative. Nothing is cached on the network: each call
@@ -204,7 +208,7 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
     )
 
 
-def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float = 0.05):
+def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):
     """(keep, y) over snapshot t's nodes in its order: which nodes ``target``
     labels, by the S0/S1 rules of the module docstring, and their labels as floats."""
     _check_target(target)
@@ -252,7 +256,7 @@ def _check_horizon(tn: TemporalNetwork, t: int) -> None:
         raise ArgumentError(f"labels at t={t} need snapshot t+1 to exist")
 
 
-def prune_correlated(table: FeatureTable, threshold: float = 0.8):
+def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
     """Drop features until no pair's |Pearson r| exceeds ``threshold``.
 
     Iteratively removes the column with the most over-threshold partners;

@@ -81,6 +81,18 @@ def _is_number(field: str) -> bool:
     return _ascii_number_text(field)
 
 
+def _read_block(reader, source: str, offset: int) -> list:
+    """The next ``_BLOCK`` records after the first ``offset``; a record the csv
+    module cannot split (a field over ``csv.field_size_limit()``) raises
+    DataError with its record number."""
+    block = []
+    try:
+        block.extend(itertools.islice(reader, _BLOCK))  # keeps the records read before a failure
+    except csv.Error as exc:
+        raise DataError(f"{source}:{offset + len(block) + 1}: {exc}") from None
+    return block
+
+
 def _parse_columns(reader, source: str, aggregation: int):
     """Read the records in blocks, split each block into columns and check it.
 
@@ -96,7 +108,7 @@ def _parse_columns(reader, source: str, aggregation: int):
     blocks = []
     offset = 0
     header_possible = True
-    while block := list(itertools.islice(reader, _BLOCK)):
+    while block := _read_block(reader, source, offset):
         lens = np.fromiter(map(len, block), dtype=int, count=len(block))
         blank = lens == 0
         for k in np.flatnonzero(lens == 1):
@@ -169,7 +181,8 @@ def load_snapshots_text(text: str, aggregation: int = 1, directed: bool = False)
     """Read an edge-list CSV string into a TemporalNetwork, as load_network
     reads a CSV path."""
     _check_options(aggregation, directed)
-    return _build_network(*_parse_columns(csv.reader(io.StringIO(text)), "<text>", aggregation), directed)
+    # newline="" as load_network opens files: the csv module splits \r, \r\n and \n records itself
+    return _build_network(*_parse_columns(csv.reader(io.StringIO(text, newline="")), "<text>", aggregation), directed)
 
 
 def _build_network(period, starts, src, dst, w, ids, directed: bool) -> TemporalNetwork:

@@ -42,6 +42,11 @@ CI95_PERCENTILES = (2.5, 97.5)
 RIDGE_JITTER = 1e-10
 # Fewest null-model trials whose empirical quantiles are reported.
 MIN_NULL_TRIALS = 20
+# Defaults of the null models' trials, the bootstrap's resamples and the
+# permutation-importance shuffles per column.
+NULL_TRIALS = 100
+BOOTSTRAP_ITERS = 1000
+PERMUTATION_REPEATS = 10
 
 
 def _check_null_trials(trials: int) -> None:
@@ -462,7 +467,7 @@ def _check_bootstrap_iters(iters: int) -> None:
         raise ArgumentError(f"need at least 1 bootstrap iteration, got {iters}")
 
 
-def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = 1000, seed=0):
+def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = BOOTSTRAP_ITERS, seed=0):
     """Percentile bootstrap 95% interval for the AUC on a labeled table.
 
     Resamples rows with replacement. A resample that loses one class leaves
@@ -547,7 +552,7 @@ def _trial_summaries(chunks) -> dict:
     return dict(zip(("precision", "recall", "auc"), map(_percentile_summary, columns)))
 
 
-def null_prior_predictor(train_y, test_y, trials: int = 100, seed=0) -> dict:
+def null_prior_predictor(train_y, test_y, trials: int = NULL_TRIALS, seed=0) -> dict:
     """Benchmark: draw positive predictions at the training prior.
 
     Each trial predicts labels i.i.d. Bernoulli(prior) for the test rows and
@@ -607,7 +612,7 @@ def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator,
     return out
 
 
-def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = 100, seed=0) -> dict:
+def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = NULL_TRIALS, seed=0) -> dict:
     """Benchmark for the presence target: labels from random-graph snapshots.
 
     ``scores[r]`` is the predicted probability for row r of ``table``; rows
@@ -654,7 +659,8 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     return {"kind": "edge_presence", "trials": trials, "groups": len(groups), **_trial_summaries(chunks)}
 
 
-def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: int = 10, seed=0) -> dict:
+def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: int = PERMUTATION_REPEATS,
+                           seed=0) -> dict:
     """Mean increase in 1 - AUC when one feature column is shuffled.
 
     Positive values mean the model leaned on the feature; a feature with a
@@ -742,7 +748,7 @@ def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> Line
     return model
 
 
-def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: int = 100, seed=0) -> dict:
+def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: int = NULL_TRIALS, seed=0) -> dict:
     """Held-out R^2 distribution after shuffling the target.
 
     Each trial permutes the pooled train+heldout target, refits on the train

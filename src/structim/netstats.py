@@ -226,8 +226,7 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_
     a = snapshot.adjacency()
     out_s = snapshot.strength("out")
     nz = out_s > 0
-    trans = np.zeros_like(a)
-    trans[nz] = a[nz] / out_s[nz, None]
+    trans = np.divide(a, out_s[:, None], out=np.zeros_like(a), where=nz[:, None])
 
     dangling = np.flatnonzero(~nz)
     p = np.full(n, 1.0 / n)

@@ -21,13 +21,13 @@ import numpy as np
 
 from ._special import expit
 from .errors import ArgumentError, DataError, _check_seed
-from .features import (FeatureTable, _check_change_threshold, _check_corr_threshold, _check_target, build_table,
-                       pool, prune_correlated)
+from .features import (CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_change_threshold,
+                       _check_corr_threshold, _check_target, build_table, pool, prune_correlated)
 from .graphs import TemporalNetwork
-from .model import (EvaluationReport, _auc_rows, _check_bootstrap_iters, _check_null_trials, _irls, _json_fields,
-                    _with_intercept, apply_standardization, binom_ci, bootstrap_auc_ci, evaluate, fit_linear,
-                    fit_logistic, null_edge_presence, null_prior_predictor, null_shuffle_regression, oversample,
-                    permutation_importance, shap_linear, standardize)
+from .model import (BOOTSTRAP_ITERS, NULL_TRIALS, EvaluationReport, _auc_rows, _check_bootstrap_iters,
+                    _check_null_trials, _irls, _json_fields, _with_intercept, apply_standardization, binom_ci,
+                    bootstrap_auc_ci, evaluate, fit_linear, fit_logistic, null_edge_presence, null_prior_predictor,
+                    null_shuffle_regression, oversample, permutation_importance, shap_linear, standardize)
 
 L2_GRID = (0.01, 0.1, 1.0, 10.0)
 MIN_ROWS = 25
@@ -61,7 +61,7 @@ class PredictionResult:
         return _json_fields(self, skip=("shap_values", "shap_rows"))
 
 
-def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = 0.05):
+def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = CHANGE_THRESHOLD):
     """Feature tables for every anchor 1..T-2; each anchor is measured once.
 
     An anchor whose table has no rows is left out.
@@ -219,10 +219,10 @@ def run_prediction(
     target: str,
     seed: int = 0,
     l2_grid=L2_GRID,
-    change_threshold: float = 0.05,
-    corr_threshold: float = 0.8,
-    null_trials: int = 100,
-    bootstrap_iters: int = 1000,
+    change_threshold: float = CHANGE_THRESHOLD,
+    corr_threshold: float = CORR_THRESHOLD,
+    null_trials: int = NULL_TRIALS,
+    bootstrap_iters: int = BOOTSTRAP_ITERS,
 ) -> PredictionResult:
     """Full prediction pipeline for one target.
 
@@ -270,7 +270,7 @@ def run_prediction(
             report.null_edge_presence = null_edge_presence(
                 tn, test_std, model.predict_proba(test_std.X), trials=null_trials, seed=[seed, 6]
             )
-        report.permutation_importance = permutation_importance(model, test_std, repeats=10, seed=[seed, 7])
+        report.permutation_importance = permutation_importance(model, test_std, seed=[seed, 7])
         phi, base = shap_linear(model, test_std.X)
         report.shap_mean_abs = {c: float(np.mean(np.abs(phi[:, j]))) for j, c in enumerate(test_std.columns)}
         shap_rows = test_std.node_ids

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import structim
+from structim import features, model, pipeline
 from structim.errors import ArgumentError
 
 from conftest import clique, network_from
@@ -46,6 +47,30 @@ def test_fixed_values_are_constants_not_options():
     for fn, name in ((structim.forward_chain_folds, "folds"), (structim.fit_linear, "jitter"),
                      (structim.evaluate, "threshold"), (structim.bootstrap_auc_ci, "alpha")):
         assert name not in inspect.signature(fn).parameters
+
+
+def test_each_shared_default_has_one_owner():
+    # a signature that forwards a shared default names its owner's constant,
+    # so no copy of the value can drift from the others
+    owners = {
+        features.CHANGE_THRESHOLD: [(structim.build_table, "change_threshold"),
+                                    (structim.build_horizon_tables, "change_threshold"),
+                                    (structim.run_prediction, "change_threshold")],
+        features.CORR_THRESHOLD: [(structim.prune_correlated, "threshold"),
+                                  (structim.run_prediction, "corr_threshold")],
+        model.NULL_TRIALS: [(structim.null_prior_predictor, "trials"), (structim.null_edge_presence, "trials"),
+                            (structim.null_shuffle_regression, "trials"), (structim.run_prediction, "null_trials")],
+        model.BOOTSTRAP_ITERS: [(structim.bootstrap_auc_ci, "iters"), (structim.run_prediction, "bootstrap_iters")],
+        model.PERMUTATION_REPEATS: [(structim.permutation_importance, "repeats")],
+        pipeline.L2_GRID: [(structim.time_ordered_select, "l2_grid"), (structim.run_prediction, "l2_grid")],
+    }
+    assert (features.CHANGE_THRESHOLD, features.CORR_THRESHOLD) == (0.05, 0.8)
+    assert (model.NULL_TRIALS, model.BOOTSTRAP_ITERS, model.PERMUTATION_REPEATS) == (100, 1000, 10)
+    for constant, users in owners.items():
+        for fn, name in users:
+            assert inspect.signature(fn).parameters[name].default is constant, (fn.__name__, name)
+    for name in ("CHANGE_THRESHOLD", "CORR_THRESHOLD", "NULL_TRIALS", "BOOTSTRAP_ITERS", "PERMUTATION_REPEATS"):
+        assert name not in structim.__all__
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):

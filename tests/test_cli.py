@@ -1,8 +1,11 @@
 """Command-line interface: artifacts, metadata echo, and exit codes."""
 
 import csv
+import functools
+import inspect
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from structim import (
     features,
     load_network,
     node_importance,
+    node_importance_directed,
     repeat_snapshot,
     run_prediction,
     synthetic_temporal,
@@ -474,6 +478,7 @@ def test_predict_negative_seed_on_missing_input_is_usage_error(tmp_path, capsys)
 
 def test_value_error_after_the_checks_is_not_a_usage_error(synthetic_csv, tmp_path, monkeypatch):
     # numpy's LinAlgError is a ValueError; raised mid-run it must not read as a bad option
+    @functools.wraps(run_prediction)  # the parser reads its defaults from this signature
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
@@ -533,3 +538,63 @@ def test_predict_features_are_the_analyze_measure_cells(tmp_path):
                 assert cells[(t, str(node), name)] == repr(float(value))
                 compared += 1
     assert compared > 500
+
+
+def _parsed_defaults(argv):
+    args = vars(cli.build_parser().parse_args([*argv, "--out", "out"]))
+    return {k: v for k, v in args.items() if k not in ("func", "command", "family", "input", "out")}
+
+
+# For each subcommand: option dest -> (library function, parameter), and the
+# options whose default is the CLI's own, because no library parameter takes
+# it with a default.
+_IO = {"aggregation": (load_network, "aggregation")}
+_DEFAULTS = [
+    ("gen barbell", {"n_left": (barbell, "n_left"), "bridge": (barbell, "bridge"), "n_right": (barbell, "n_right"),
+                     "weight": (barbell, "weight")}, {"repeats"}),
+    ("gen synthetic", {"seed": (synthetic_temporal, "seed")}, {"n", "communities", "hubs", "coupling", "horizon"}),
+    ("importance IN", {**_IO, "directed": (load_network, "directed"),
+                       "strength_mode": (node_importance_directed, "strength_mode")}, {"scheme", "snapshot"}),
+    ("analyze IN", _IO, {"format"}),
+    ("predict IN", {**_IO, "seed": (run_prediction, "seed"), "l2_grid": (run_prediction, "l2_grid"),
+                    "change_threshold": (run_prediction, "change_threshold"),
+                    "corr_threshold": (run_prediction, "corr_threshold"), "trials": (run_prediction, "null_trials"),
+                    "bootstrap_iters": (run_prediction, "bootstrap_iters")}, {"format", "target"}),
+]
+
+
+@pytest.mark.parametrize("argv, library, cli_only", _DEFAULTS, ids=[argv for argv, *_ in _DEFAULTS])
+def test_cli_defaults_are_the_library_defaults(argv, library, cli_only):
+    got = _parsed_defaults(argv.split())
+    assert set(got) == set(library) | cli_only  # every option is accounted for
+    if "l2_grid" in got:  # the option takes the grid as comma-separated text
+        got["l2_grid"] = tuple(float(v) for v in got["l2_grid"].split(","))
+    for dest, (fn, param) in library.items():
+        default = inspect.signature(fn).parameters[param].default
+        assert got[dest] == default and type(got[dest]) is type(default), dest
+
+
+@pytest.mark.parametrize("command", ["gen", "importance", "analyze", "predict"])
+def test_an_output_that_cannot_be_written_is_a_usage_error(synthetic_csv, tmp_path, capsys, command):
+    original = pathlib.Path(synthetic_csv).read_bytes()
+    net = tmp_path / "net.csv"
+    net.write_bytes(original)
+    argv, out = {
+        "gen": (["gen", "barbell"], tmp_path / "missing" / "g.csv"),
+        "importance": (["importance", str(net)], tmp_path / "missing" / "i.json"),
+        "analyze": (["analyze", str(net)], net),  # an existing file, not a directory
+        "predict": (["predict", str(net), "--target", "rel_change"], net),
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    reason = "File exists" if out == net else "No such file or directory"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+    assert net.read_bytes() == original
+
+
+def test_a_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    path = tmp_path / "big.csv"
+    path.write_text("0,a,b,1\n0," + "x" * (limit + 1) + ",b,1\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: big.csv:2: field larger than field limit ({limit})\n"

@@ -23,7 +23,7 @@ from structim import (
     synthetic_temporal,
 )
 
-from structim.features import _labels
+from structim.features import CHANGE_THRESHOLD, _labels
 
 from conftest import clique, directed_triangles, network_from, reference_labels
 
@@ -194,7 +194,7 @@ def test_label_presence():
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),
         _snap((0, 1, 2, 3, 4), [(0, 1, 1.0), (2, 4, 1.0)], timestamp=1),
     ])
-    keep, y = _labels(tn, 0, "presence")
+    keep, y = _labels(tn, 0, "presence", CHANGE_THRESHOLD)
     # node 3 is listed at t+1 but carries no edge there
     assert keep.tolist() == [True] * 4 and y.tolist() == [1.0, 1.0, 1.0, 0.0]
 
@@ -232,14 +232,14 @@ def test_label_sign_drops_ties():
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 2.0)], timestamp=0),
         _snap((0, 1, 2, 3), [(0, 1, 1.0), (2, 3, 1.0)], timestamp=1),
     ])
-    keep, y = _labels(tn, 0, "sign")
+    keep, y = _labels(tn, 0, "sign", CHANGE_THRESHOLD)
     assert keep.tolist() == [False, False, True, True]  # 0 and 1 tied, dropped
     assert y[keep].tolist() == [0.0, 0.0]
     tn_up = network_from([
         _snap((0, 1), [(0, 1, 1.0)], timestamp=0),
         _snap((0, 1), [(0, 1, 2.0)], timestamp=1),
     ])
-    keep, y = _labels(tn_up, 0, "sign")
+    keep, y = _labels(tn_up, 0, "sign", CHANGE_THRESHOLD)
     assert keep.tolist() == [True, True] and y.tolist() == [1.0, 1.0]
 
 
@@ -248,7 +248,7 @@ def test_label_rel_change_values():
         _snap((0, 1, 2), [(0, 1, 1.0), (1, 2, 1.0)], timestamp=0),
         _snap((0, 1, 2), [(0, 1, 1.25), (1, 2, 0.75)], timestamp=1),
     ])
-    keep, y = _labels(tn, 0, "rel_change")
+    keep, y = _labels(tn, 0, "rel_change", CHANGE_THRESHOLD)
     assert keep.tolist() == [True] * 3
     assert y.tolist() == pytest.approx([0.25, 0.0, -0.25])
 
@@ -257,9 +257,9 @@ def test_label_requires_next_snapshot():
     tn = network_from([clique(3, timestamp=0), clique(3, timestamp=1)])
     for target in TARGETS:
         with pytest.raises(ValueError):
-            _labels(tn, 1, target)
+            _labels(tn, 1, target, CHANGE_THRESHOLD)
         with pytest.raises(ValueError):
-            _labels(tn, -1, target)
+            _labels(tn, -1, target, CHANGE_THRESHOLD)
 
 
 def test_build_table_attaches_target():

@@ -172,6 +172,33 @@ def test_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, name, data):
         load_network(str(path))
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_text_and_file_read_every_line_ending_alike(tmp_path, newline):
+    text = newline.join(["time,src,dst,value", "0,a,b,1", "", "0,b,c,2.5", "1,a,c,-1", ""])
+    path = tmp_path / "net.csv"
+    path.write_bytes(text.encode())
+    tn = load_snapshots_text(text)
+    assert tn == load_network(str(path))
+    assert tn.n_snapshots == 2 and tn.negative_weight_count == 1
+
+
+def test_a_field_over_the_csv_limit_is_a_data_error_with_its_record_number(tmp_path):
+    # the quoted line break makes the faulty record, the third, the file's fourth line
+    limit = csv.field_size_limit()
+    text = '0,a,"b\nc",1\n\n0,a,' + "b" * (limit + 1) + ",1\n"
+    message = f"field larger than field limit ({limit})"
+    with pytest.raises(DataError, match=re.escape(f"<text>:3: {message}")):
+        load_snapshots_text(text)
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(f"big.csv:3: {message}")):
+        load_network(str(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK", 2)  # the faulty record opens the second block
+        with pytest.raises(DataError, match=re.escape(f"<text>:3: {message}")):
+            load_snapshots_text(text)
+
+
 def test_write_then_load_round_trip(tmp_path):
     from structim.generators import repeat_snapshot
 
