@@ -62,7 +62,6 @@ from .model import (
     null_edge_presence,
     null_prior_predictor,
     null_shuffle_regression,
-    oversample,
     permutation_importance,
     r2_score,
     shap_linear,
@@ -130,7 +129,6 @@ __all__ = [
     "null_edge_presence",
     "null_prior_predictor",
     "null_shuffle_regression",
-    "oversample",
     "pagerank",
     "pearson",
     "permutation_importance",

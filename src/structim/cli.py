@@ -38,7 +38,7 @@ from .features import CHANGE_THRESHOLD, MEASURE_COLUMNS, TARGETS, _check_undirec
 from .generators import barbell, repeat_snapshot, synthetic_temporal
 from .graphs import STRENGTH_MODES
 from .importance import DIRECTED_SCHEME, SCHEMES, node_importance, node_importance_directed
-from .ingest import load_network, write_edge_csv
+from .ingest import _check_options, load_network, write_edge_csv
 from .netstats import TTestResult, _communities, detect_communities, mean_diff_ttest
 from .pipeline import _check_prediction_args, run_prediction
 from .spectral import eig_sym, select_eigencomponent
@@ -85,12 +85,18 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_artifacts(args, artifacts) -> list:
-    """Write each ``(name, render)`` artifact that ``--format`` keeps (``all``
-    or the name's extension) into ``--out``, calling ``render`` only for kept
-    ones. Returns the names written, in order."""
+def _make_out_dir(args) -> None:
+    """Create ``--out`` after the option checks, so a bad option creates
+    nothing, and before the input is read, so an unwritable one costs no work."""
+    _check_options(args.aggregation, False)
     with _output(args.out):
         os.makedirs(args.out, exist_ok=True)
+
+
+def _write_artifacts(args, artifacts) -> list:
+    """Write each ``(name, render)`` artifact that ``--format`` keeps (``all``
+    or the name's extension) into the ``--out`` directory, calling ``render``
+    only for kept ones. Returns the names written, in order."""
     written = []
     for name, render in artifacts:
         if args.format in ("all", name.rsplit(".", 1)[1]):
@@ -188,6 +194,7 @@ def _ttests(meta: dict, by_measure: dict, alpha: float = 0.05) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    _make_out_dir(args)
     tn = load_network(args.input, aggregation=args.aggregation)
     _check_undirected(tn)
     # One pass: each snapshot's spectrum and communities feed its spectra,
@@ -262,6 +269,7 @@ def cmd_predict(args) -> int:
     options = dict(seed=args.seed, l2_grid=grid, change_threshold=args.change_threshold,
                    corr_threshold=args.corr_threshold, null_trials=args.trials, bootstrap_iters=args.bootstrap_iters)
     _check_prediction_args(**options)  # before the input is read
+    _make_out_dir(args)
     tn = load_network(args.input, aggregation=args.aggregation)
     result = run_prediction(tn, args.target, **options)
     meta = _meta(args, "predict")

@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from .errors import ArgumentError, DataError
-from .graphs import Snapshot, TemporalNetwork
+from .graphs import Snapshot, TemporalNetwork, _is_integer
 
 _HEADER = ("time", "src", "dst", "value")
 _INT_ID = re.compile(r"[+-]?[0-9]+")
@@ -171,7 +171,7 @@ def _parse_columns(reader, source: str, aggregation: int):
 
 
 def _check_options(aggregation: int, directed: bool) -> None:
-    if not isinstance(aggregation, int) or aggregation < 1:
+    if not _is_integer(aggregation) or aggregation < 1:
         raise ArgumentError(f"aggregation must be a positive integer, got {aggregation!r}")
     if not isinstance(directed, (bool, np.bool_)):  # the trusted Snapshot builder takes it as is
         raise ArgumentError(f"directed must be true or false, got {directed!r}")
@@ -182,7 +182,8 @@ def load_snapshots_text(text: str, aggregation: int = 1, directed: bool = False)
     reads a CSV path."""
     _check_options(aggregation, directed)
     # newline="" as load_network opens files: the csv module splits \r, \r\n and \n records itself
-    return _build_network(*_parse_columns(csv.reader(io.StringIO(text, newline="")), "<text>", aggregation), directed)
+    columns = _parse_columns(csv.reader(io.StringIO(text, newline="")), "<text>", int(aggregation))
+    return _build_network(*columns, directed)
 
 
 def _build_network(period, starts, src, dst, w, ids, directed: bool) -> TemporalNetwork:
@@ -245,14 +246,15 @@ def load_network(path: str, aggregation: int = 1, directed: bool = False) -> Tem
 
     Raises DataError for unreadable files, text that is not UTF-8, malformed
     records (a CSV record with its line number), or an empty record set.
-    ``aggregation`` must be a positive int and ``directed`` a bool.
+    ``aggregation`` must be a positive integer, Python's or numpy's but not a
+    bool, and ``directed`` a bool.
     """
     _check_options(aggregation, directed)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             if path.endswith(".json"):
                 return TemporalNetwork.from_json(fh.read())
-            columns = _parse_columns(csv.reader(fh), os.path.basename(path), aggregation)
+            columns = _parse_columns(csv.reader(fh), os.path.basename(path), int(aggregation))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return _build_network(*columns, directed)

@@ -1,11 +1,12 @@
 """Models, evaluation metrics, and null benchmarks for node-activity prediction.
 
-The classifier is an L2-penalized logistic regression fit by Newton/IRLS on
-standardized features, with Wald p-values taken from the observed information
-at the optimum. The regressor is ordinary least squares with a tiny ridge
-jitter for conditioning. Evaluation follows the usual schema: precision and
-recall at probability ``THRESHOLD`` with exact binomial intervals, AUC by the
-midrank statistic with a 95% percentile bootstrap, and two null benchmarks
+The classifier is a class-balanced, L2-penalized logistic regression fit by
+Newton/IRLS on standardized features, with Wald p-values taken from the
+observed information at the optimum; it draws no random number. The
+regressor is ordinary least squares with a tiny ridge jitter for
+conditioning. Evaluation follows the usual schema: precision and recall at
+probability ``THRESHOLD`` with exact binomial intervals, AUC by the midrank
+statistic with a 95% percentile bootstrap, and two null benchmarks
 (training-prior label draws and random-edge-presence labels).
 
 Every AUC, including the bootstrap resamples, the null trials and the
@@ -31,7 +32,7 @@ import numpy as np
 from ._special import betaincinv, expit, ndtr, stdtr
 from .errors import ArgumentError, DataError, NumericalError
 from .features import CONSTANT_STD, FeatureTable, _check_horizon
-from .graphs import TemporalNetwork
+from .graphs import TemporalNetwork, _is_integer
 
 SEPARATION_BOUND = 30.0
 # A prediction is positive at this probability or above, in evaluate and in
@@ -49,9 +50,11 @@ BOOTSTRAP_ITERS = 1000
 PERMUTATION_REPEATS = 10
 
 
-def _check_null_trials(trials: int) -> None:
-    if trials < MIN_NULL_TRIALS:
-        raise ArgumentError(f"need at least {MIN_NULL_TRIALS} trials for stable quantiles, got {trials}")
+def _check_count(value, least: int, what: str) -> None:
+    """A count argument: an integer, Python's or numpy's, that is not a bool,
+    and at least ``least``; ``what`` names what it counts."""
+    if not _is_integer(value) or value < least:
+        raise ArgumentError(f"need at least {least} {what}, as an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,30 +86,6 @@ def apply_standardization(constants: StandardizationConstants, table: FeatureTab
     reduced = table.select_columns(constants.columns)
     reduced.X = (reduced.X - constants.means) / constants.stds
     return reduced
-
-
-def oversample(table: FeatureTable, seed=0) -> FeatureTable:
-    """Balance a binary-labeled table by duplicating minority rows.
-
-    Duplicates are drawn uniformly with replacement and appended until both
-    classes have equal counts. Raises DataError when only one class is
-    present.
-    """
-    if table.y is None:
-        raise DataError("oversample needs a labeled table")
-    y = table.y.astype(int)
-    n1 = int((y == 1).sum())
-    n0 = int((y == 0).sum())
-    if n1 == 0 or n0 == 0:
-        raise DataError("oversample needs both classes present")
-    rows = np.arange(len(y))
-    if n1 == n0:
-        return table.select_rows(rows)
-    minority = 1 if n1 < n0 else 0
-    idx = np.flatnonzero(y == minority)
-    rng = np.random.default_rng(seed)
-    extra = rng.choice(idx, size=abs(n1 - n0), replace=True)
-    return table.select_rows(np.concatenate([rows, extra]))
 
 
 def _json_fields(record, skip=()) -> dict:
@@ -177,9 +156,18 @@ def _wald(columns, beta, cov, lower_tail) -> dict:
     )
 
 
-def _penalized_ll(design, y, beta, l2):
+def _class_weights(y) -> np.ndarray:
+    """Each row's likelihood weight: 1 in the majority class and n_major /
+    n_minor in the minority (1.0 everywhere when balanced), the expected
+    weight of a row after oversampling the minority to the majority's count."""
+    n1 = np.count_nonzero(y)
+    n0 = y.size - n1
+    return np.where(y == float(n1 < n0), max(n0, n1) / min(n0, n1), 1.0)
+
+
+def _penalized_ll(design, y, beta, l2, weights):
     eta = design @ beta
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    ll = float(np.sum(weights * (y * eta - np.logaddexp(0.0, eta))))
     return ll - 0.5 * l2 * float(np.sum(beta[1:] ** 2))
 
 
@@ -189,7 +177,8 @@ def _ridge(n_coef: int, l2: float) -> np.ndarray:
 
 
 def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
-    """Newton/IRLS of the penalized log-likelihood from the coefficients ``beta``.
+    """Newton/IRLS of the class-weighted penalized log-likelihood from the
+    coefficients ``beta``.
 
     ``design`` carries the intercept column first. Returns (beta, converged,
     n_iter, grad_norm, separation); see ``fit_logistic`` for the rules. The
@@ -197,7 +186,8 @@ def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
     """
     n_coef = design.shape[1]
     ridge = _ridge(n_coef, l2)
-    current = _penalized_ll(design, y, beta, l2)
+    weights = _class_weights(y)
+    current = _penalized_ll(design, y, beta, l2, weights)
     separation = False
     converged = False
     grad_norm = np.inf
@@ -206,12 +196,12 @@ def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
     for it in range(1, max_iter + 1):
         eta = design @ beta
         prob = expit(eta)
-        grad = design.T @ (y - prob) - ridge @ beta
+        grad = design.T @ (weights * (y - prob)) - ridge @ beta
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
             converged = True
             break
-        w = prob * (1.0 - prob)
+        w = weights * prob * (1.0 - prob)
         hess = design.T @ (design * w[:, None]) + ridge
         step = np.linalg.solve(hess + 1e-12 * np.eye(n_coef), grad)
         # step halving keeps Newton from overshooting on near-separable data;
@@ -220,14 +210,14 @@ def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            ll = _penalized_ll(design, y, candidate, l2)
+            ll = _penalized_ll(design, y, candidate, l2, weights)
             if ll >= current - 1e-12:
                 beta, current = candidate, ll
                 break
             scale *= 0.5
         else:
             beta = beta + scale * step
-            current = _penalized_ll(design, y, beta, l2)
+            current = _penalized_ll(design, y, beta, l2, weights)
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             beta = np.clip(beta, -SEPARATION_BOUND, SEPARATION_BOUND)
             separation = True
@@ -251,15 +241,19 @@ def fit_logistic(
     max_iter: int = 500,
     tol: float = 1e-8,
 ) -> LogisticModel:
-    """Newton/IRLS fit of L2-penalized logistic regression, from zero coefficients.
+    """Newton/IRLS fit of class-balanced, L2-penalized logistic regression, from zero coefficients.
 
-    The penalty excludes the intercept. Convergence is a gradient 2-norm at
-    or below ``tol``; perfect separation (any standardized coefficient
-    passing 30 in magnitude) stops the fit with a clamped solution and a
-    warning flag instead of diverging. Failing to converge without separation
-    raises NumericalError with the iteration diagnostics.
+    Majority rows weigh 1 in the likelihood and minority rows n_major /
+    n_minor: the expected likelihood of oversampling the minority (King &
+    Zeng, Political Analysis 2001), with no random draw. A balanced table
+    weighs every row 1.0. The penalty excludes the intercept. Convergence is
+    a gradient 2-norm at or below ``tol``; perfect separation (any
+    standardized coefficient passing 30 in magnitude) stops the fit with a
+    clamped solution and a warning flag instead of diverging. Failing to
+    converge without separation raises NumericalError with the iteration
+    diagnostics.
 
-    Wald standard errors come from the observed information of the penalized
+    Wald standard errors come from the observed information of the weighted
     objective at the optimum. The L2 grid search runs the same IRLS loop
     (``_irls``) warm-started along each fold's grid, for coefficients only;
     ``run_prediction`` reports this function's cold refit at the chosen L2.
@@ -278,7 +272,7 @@ def fit_logistic(
     n_coef = design.shape[1]
     beta, converged, it, grad_norm, separation = _irls(design, y, l2, np.zeros(n_coef), max_iter, tol)
     prob = expit(design @ beta)
-    w = prob * (1.0 - prob)
+    w = _class_weights(y) * prob * (1.0 - prob)
     info = design.T @ (design * w[:, None]) + _ridge(n_coef, l2)
     cov = np.linalg.inv(info + 1e-12 * np.eye(n_coef))
     return LogisticModel(
@@ -462,11 +456,6 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05):
     return (lower, upper)
 
 
-def _check_bootstrap_iters(iters: int) -> None:
-    if iters < 1:
-        raise ArgumentError(f"need at least 1 bootstrap iteration, got {iters}")
-
-
 def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = BOOTSTRAP_ITERS, seed=0):
     """Percentile bootstrap 95% interval for the AUC on a labeled table.
 
@@ -480,7 +469,7 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = BOO
     order under the redraw rule. Rows left over when the last slot is filled
     are discarded, which no result sees, since the generator is the call's own.
     """
-    _check_bootstrap_iters(iters)
+    _check_count(iters, 1, "bootstrap iteration")
     if table.y is None:
         raise DataError("bootstrap needs a labeled table")
     pos, scores = _auc_inputs(table.y.astype(int), model.predict_proba(table.X))
@@ -559,7 +548,7 @@ def null_prior_predictor(train_y, test_y, trials: int = NULL_TRIALS, seed=0) -> 
     scores them against the true test labels. Returns per-metric means with
     empirical ci90 and ci95 (both labeled because the conventions differ).
     """
-    _check_null_trials(trials)
+    _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
     train_y = np.asarray(train_y).astype(int)
     test_y = np.asarray(test_y).astype(int)
     if train_y.size == 0 or test_y.size == 0:
@@ -625,7 +614,7 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     are skipped. The random stream runs block of trials by block of trials,
     and within a block anchor group by anchor group (``edge_presence_labels``).
     """
-    _check_null_trials(trials)
+    _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
     scores = np.asarray(scores, dtype=float)
     rng = np.random.default_rng(seed)
     groups = []
@@ -666,8 +655,7 @@ def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: i
     Positive values mean the model leaned on the feature; a feature with a
     zero coefficient scores exactly zero because predictions cannot change.
     """
-    if repeats < 1:
-        raise ArgumentError(f"need at least 1 repeat, got {repeats}")
+    _check_count(repeats, 1, "repeat")
     if table.y is None:
         raise DataError("permutation importance needs a labeled table")
     base = auc_score(table.y, model.predict_proba(table.X))
@@ -754,7 +742,7 @@ def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: 
     Each trial permutes the pooled train+heldout target, refits on the train
     rows, and scores R^2 on the held-out rows.
     """
-    _check_null_trials(trials)
+    _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
     y_all = np.concatenate([train.y, heldout.y])
     n_train = len(train.y)
     rng = np.random.default_rng(seed)

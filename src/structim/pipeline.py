@@ -7,10 +7,12 @@ chaining for the L2 grid search), the last 20% are held out for the final
 report. Correlation pruning and standardization are fitted on the first 80%
 only. Each fold's L2 grid is one warm-started path of IRLS fits that compute
 only coefficients; the chosen classifier is a cold ``fit_logistic`` refit on
-the first 80%. Classification targets get the full benchmarking treatment
-(exact binomial CIs, bootstrap AUC CI, prior and random-edge null models,
-permutation importance, per-feature attribution); the regression target gets
-held-out R^2 against a shuffled-target null.
+the first 80%. Every fit is class-weighted and draws no random number, so the
+seed reaches only the bootstrap, the null models and permutation importance.
+Classification targets get the full benchmarking treatment (exact binomial
+CIs, bootstrap AUC CI, prior and random-edge null models, permutation
+importance, per-feature attribution); the regression target gets held-out
+R^2 against a shuffled-target null.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .errors import ArgumentError, DataError, _check_seed
 from .features import (CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_change_threshold,
                        _check_corr_threshold, _check_target, build_table, pool, prune_correlated)
 from .graphs import TemporalNetwork
-from .model import (BOOTSTRAP_ITERS, NULL_TRIALS, EvaluationReport, _auc_rows, _check_bootstrap_iters,
-                    _check_null_trials, _irls, _json_fields, _with_intercept, apply_standardization, binom_ci,
-                    bootstrap_auc_ci, evaluate, fit_linear, fit_logistic, null_edge_presence, null_prior_predictor,
-                    null_shuffle_regression, oversample, permutation_importance, shap_linear, standardize)
+from .model import (BOOTSTRAP_ITERS, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _check_count, _irls,
+                    _json_fields, _with_intercept, apply_standardization, binom_ci, bootstrap_auc_ci, evaluate,
+                    fit_linear, fit_logistic, null_edge_presence, null_prior_predictor, null_shuffle_regression,
+                    permutation_importance, shap_linear, standardize)
 
 L2_GRID = (0.01, 0.1, 1.0, 10.0)
 MIN_ROWS = 25
@@ -124,7 +126,7 @@ def _check_l2_grid(l2_grid) -> None:
         raise ArgumentError(f"l2_grid needs finite nonnegative values, got {grid}")
 
 
-def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0):
+def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
     """Grid-search L2 by forward-chaining validation AUC over a pooled table.
 
     ``table`` is a labeled pool of horizon tables in time order (see
@@ -132,13 +134,14 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0):
     times ``as_of``, so the forward-chaining folds see distinct eras; rows
     out of time order raise DataError, since a fold would then validate on
     rows older than its training rows. The first 80% of rows feed the grid
-    search. Each fold's standardized, class-balanced training design and
-    standardized validation rows are prepared once. The fold's grid is one
-    regularization path (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010):
-    the ascending L2 values are fit in turn by the IRLS loop of
+    search. Each fold's standardized training design and standardized
+    validation rows are prepared once. The fold's grid is one regularization
+    path (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010): the ascending
+    L2 values are fit in turn by the class-weighted IRLS loop of
     ``fit_logistic``, each from the previous value's coefficients (from zero
     for the first value and after a separated fit), for coefficients only,
-    and the fold's validation AUCs are counted in one call. Returns
+    and the fold's validation AUCs are counted in one call. No random number
+    is drawn. Returns
     (chosen_l2, cv_auc_by_l2), the latter the mean fold AUC of each grid
     value; the caller refits cold at the chosen value with ``fit_logistic``.
 
@@ -156,14 +159,13 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID, seed: int = 0):
     grid = sorted(set(float(v) for v in l2_grid))
 
     fold_aucs = []
-    for k, (tr, va) in enumerate(forward_chain_folds(i2)):
+    for tr, va in forward_chain_folds(i2):
         y_tr, y_va = table.y[tr], table.y[va]
         if y_tr.min() == y_tr.max() or y_va.min() == y_va.max():
             continue
         train_std, constants = standardize(table.select_rows(tr))
         val_std = apply_standardization(constants, table.select_rows(va))
-        train = oversample(train_std, seed=[seed, 2, k])
-        design, y = _with_intercept(train.X), train.y.astype(float)
+        design, y = _with_intercept(train_std.X), train_std.y.astype(float)
         beta = np.zeros(design.shape[1])
         scores = []
         for l2 in grid:
@@ -210,8 +212,8 @@ def _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null
     _check_l2_grid(l2_grid)
     _check_change_threshold(change_threshold)
     _check_corr_threshold(corr_threshold)
-    _check_null_trials(null_trials)
-    _check_bootstrap_iters(bootstrap_iters)
+    _check_count(null_trials, MIN_NULL_TRIALS, "trials for stable quantiles")
+    _check_count(bootstrap_iters, 1, "bootstrap iteration")
 
 
 def run_prediction(
@@ -230,10 +232,10 @@ def run_prediction(
     Correlation pruning and standardization are fitted on the training and
     validation rows (the first 80%) only, and that one standardization
     serves both target kinds. A classifier's L2 is chosen by
-    ``time_ordered_select``, refit on the class-balanced first 80% and
-    evaluated with its nulls; ``rel_change`` fits least squares on the same
-    rows against a shuffled-target null. Both report from the same held-out
-    rows.
+    ``time_ordered_select``, refit on the first 80% and evaluated with its
+    nulls; the seed reaches only the bootstrap, the nulls and permutation
+    importance. ``rel_change`` fits least squares on the same rows against a
+    shuffled-target null. Both report from the same held-out rows.
     """
     _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null_trials, bootstrap_iters)
     _check_snapshots(tn, target)
@@ -255,8 +257,8 @@ def run_prediction(
         regression = {"r2_heldout": model.r2, "null": null, "split": {"train": i2, "heldout": n - i2}}
     else:
         split = {"train": i1, "validation": i2 - i1, "test": n - i2}
-        best_l2, cv_auc_by_l2 = time_ordered_select(pooled, l2_grid=l2_grid, seed=seed)
-        model = fit_logistic(oversample(train_std, seed=[seed, 3]), l2=best_l2)
+        best_l2, cv_auc_by_l2 = time_ordered_select(pooled, l2_grid=l2_grid)
+        model = fit_logistic(train_std, l2=best_l2)
         report = evaluate(model, test_std)
         report.ci_method = "exact"
         if report.precision is not None:

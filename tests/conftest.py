@@ -90,6 +90,15 @@ def reference_labels(tn, t, target, threshold=0.05):
     return out
 
 
+def class_weights_oracle(y):
+    """Each row's class weight, row by row: 1 in the larger class, and the
+    larger class's count over the smaller's in the smaller class."""
+    n1 = int(np.sum(y))
+    n0 = len(y) - n1
+    small = 1.0 if n1 < n0 else 0.0
+    return np.array([max(n0, n1) / min(n0, n1) if v == small else 1.0 for v in y])
+
+
 def student_t_cdf(dof, x):
     """Student-t CDF by Simpson quadrature of the density; oracle only."""
     if x == 0:

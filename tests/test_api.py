@@ -26,7 +26,7 @@ PUBLIC = (
     "evaluate", "fit_linear", "fit_logistic", "forward_chain_folds", "importance_components",
     "leading_singular", "load_network", "load_snapshots_text",
     "mean_diff_ttest", "modularity", "node_importance", "node_importance_directed",
-    "null_edge_presence", "null_prior_predictor", "null_shuffle_regression", "oversample",
+    "null_edge_presence", "null_prior_predictor", "null_shuffle_regression",
     "pagerank", "pearson", "permutation_importance", "pool", "prune_correlated", "r2_score",
     "repeat_snapshot", "run_prediction", "select_eigencomponent", "shap_linear",
     "snapshot_measures", "standardize", "synthetic_temporal", "time_ordered_select",
@@ -36,7 +36,7 @@ PUBLIC = (
 
 def test_public_surface_is_pinned():
     # a new export (or a private helper leaking out) must be added here on purpose
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 65
     assert sorted(structim.__all__) == sorted(PUBLIC)
     assert len(set(structim.__all__)) == len(structim.__all__)
     assert all(hasattr(structim, name) for name in PUBLIC)

@@ -23,6 +23,7 @@ from structim import (
     synthetic_temporal,
     write_edge_csv,
 )
+from structim import cli
 from structim.cli import main
 
 from conftest import directed_triangles
@@ -590,6 +591,22 @@ def test_an_output_that_cannot_be_written_is_a_usage_error(synthetic_csv, tmp_pa
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
     assert not (tmp_path / "missing").exists()
     assert net.read_bytes() == original
+
+
+@pytest.mark.parametrize("command", ["analyze", "predict"])
+def test_an_unwritable_out_fails_before_the_job(tmp_path, capsys, monkeypatch, command):
+    def never(fn):
+        @functools.wraps(fn)  # the parser reads the option defaults from the signature
+        def fail(*args, **kwargs):
+            raise AssertionError("the job ran before --out was checked")
+        return fail
+
+    monkeypatch.setattr(cli, "load_network", never(cli.load_network))
+    monkeypatch.setattr(cli, "run_prediction", never(cli.run_prediction))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, str(tmp_path / "net.csv"), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
 
 
 def test_a_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):

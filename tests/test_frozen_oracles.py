@@ -46,7 +46,6 @@ from structim import (
     forward_chain_folds,
     load_network,
     null_prior_predictor,
-    oversample,
     pagerank,
     pool,
     snapshot_measures,
@@ -58,7 +57,7 @@ from structim.features import FEATURE_COLUMNS, MEASURE_COLUMNS, TARGETS
 from structim.model import _CHUNK_CELLS, SEPARATION_BOUND, _auc_groups, _auc_inputs, _trial_summaries
 from structim.pipeline import _split_ends
 
-from conftest import clique, cycle, path_graph, random_connected, reference_labels
+from conftest import class_weights_oracle, clique, cycle, path_graph, random_connected, reference_labels
 
 
 def _stacked(rows, width):
@@ -409,8 +408,10 @@ def _fit_oracle(table, l2=1.0, max_iter=500, tol=1e-8):
     """(beta, converged, n_iter, grad_norm, separation, halvings), the log-
     likelihood of the current beta evaluated at the top of every iteration.
     It reads ``expit`` and ``_penalized_ll`` from the model module, as
-    fit_logistic does, so it pins the loop's structure, not the sigmoid."""
+    fit_logistic does, so it pins the loop's structure, not the sigmoid; the
+    class weights are its own (``conftest.class_weights_oracle``)."""
     y = table.y.astype(float)
+    weights = class_weights_oracle(y)
     n, p = table.X.shape
     design = np.hstack([np.ones((n, 1)), table.X])
     ridge = np.diag([0.0] + [l2] * p)
@@ -421,19 +422,19 @@ def _fit_oracle(table, l2=1.0, max_iter=500, tol=1e-8):
     for it in range(1, max_iter + 1):
         eta = design @ beta
         prob = model_module.expit(eta)
-        grad = design.T @ (y - prob) - ridge @ beta
+        grad = design.T @ (weights * (y - prob)) - ridge @ beta
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
             converged = True
             break
-        w = prob * (1.0 - prob)
+        w = weights * prob * (1.0 - prob)
         hess = design.T @ (design * w[:, None]) + ridge
         step = np.linalg.solve(hess + 1e-12 * np.eye(p + 1), grad)
-        current = model_module._penalized_ll(design, y, beta, l2)
+        current = model_module._penalized_ll(design, y, beta, l2, weights)
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            if model_module._penalized_ll(design, y, candidate, l2) >= current - 1e-12:
+            if model_module._penalized_ll(design, y, candidate, l2, weights) >= current - 1e-12:
                 break
             scale *= 0.5
             halvings += 1
@@ -456,11 +457,12 @@ def _check_fit(table, l2, **kwargs):
 
 
 def _halving_table():
-    """A small noisy table on which a full Newton step lowers the likelihood."""
-    rng = np.random.default_rng(117)
-    n, p = int(rng.integers(8, 40)), int(rng.integers(1, 4))
-    x = rng.normal(size=(n, p)) * rng.choice([1.0, 5.0, 20.0])
-    y = (x[:, 0] + rng.normal(scale=0.5, size=n) > 0).astype(float)
+    """A small imbalanced table with Cauchy-tailed features (9 of 12 rows
+    positive, so each negative row weighs 3) on which a full Newton step
+    lowers the weighted likelihood."""
+    rng = np.random.default_rng(86)
+    x = rng.standard_cauchy(size=(12, 2))
+    y = (rng.random(12) < 0.5 + 0.5 * np.tanh(x[:, 0] / 2)).astype(float)
     return _table(x, y)
 
 
@@ -471,7 +473,9 @@ def test_fit_logistic_matches_the_recomputed_likelihood(seed, l2):
 
 
 def test_fit_logistic_matches_through_a_line_search_halving():
-    assert _check_fit(_halving_table(), 0.01) >= 1
+    table = _halving_table()
+    assert table.y.sum() == 9 and class_weights_oracle(table.y).max() == 3.0
+    assert _check_fit(table, 0.01) >= 1
 
 
 def test_fit_logistic_matches_on_separation():
@@ -486,7 +490,8 @@ def test_fit_logistic_matches_after_thirty_halvings(monkeypatch):
     candidate ties with -inf and is accepted."""
     real = model_module._penalized_ll
     monkeypatch.setattr(model_module, "_penalized_ll",
-                        lambda design, y, beta, l2: real(design, y, beta, l2) if not beta.any() else -np.inf)
+                        lambda design, y, beta, l2, weights: real(design, y, beta, l2, weights)
+                        if not beta.any() else -np.inf)
     assert _check_fit(_noisy_table(7, 100, p=2), 1.0) == 30
 
 
@@ -500,19 +505,18 @@ def test_fit_logistic_nonconvergence_matches():
 # ------------------------------------------------------------- L2 grid oracle
 
 
-def _select_oracle(table, l2_grid, seed=0):
+def _select_oracle(table, l2_grid):
     """(chosen_l2, cv_auc_by_l2) with a cold ``fit_logistic`` and one
     ``auc_score`` per (L2, fold) cell, the loop that the warm-started path
     replaced."""
     _, i2 = _split_ends(table.n_rows)
     folds = []
-    for k, (tr, va) in enumerate(forward_chain_folds(i2)):
+    for tr, va in forward_chain_folds(i2):
         y_tr, y_va = table.y[tr], table.y[va]
         if y_tr.min() == y_tr.max() or y_va.min() == y_va.max():
             continue
         train_std, constants = standardize(table.select_rows(tr))
-        val_std = apply_standardization(constants, table.select_rows(va))
-        folds.append((oversample(train_std, seed=[seed, 2, k]), val_std))
+        folds.append((train_std, apply_standardization(constants, table.select_rows(va))))
     if not folds:
         raise DataError("every forward-chaining fold was single-class")
     cv_means = {}
@@ -528,16 +532,16 @@ def _select_oracle(table, l2_grid, seed=0):
     return best_l2, cv_means
 
 
-def _check_select(table, l2_grid, seed=0):
+def _check_select(table, l2_grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # near-constant columns dropped per fold
         try:
-            expected = _select_oracle(table, l2_grid, seed)
+            expected = _select_oracle(table, l2_grid)
         except DataError:
             with pytest.raises(DataError):
-                time_ordered_select(table, l2_grid=l2_grid, seed=seed)
+                time_ordered_select(table, l2_grid=l2_grid)
             return False
-        assert time_ordered_select(table, l2_grid=l2_grid, seed=seed) == expected
+        assert time_ordered_select(table, l2_grid=l2_grid) == expected
     return True
 
 
@@ -545,7 +549,7 @@ def _check_select(table, l2_grid, seed=0):
 @pytest.mark.parametrize("net", range(len(_NETWORKS)))
 def test_time_ordered_select_matches_a_cold_fit_per_cell(net, grid):
     tn = _NETWORKS[net]()
-    scored = [_check_select(pool(build_horizon_tables(tn, target)), grid, seed=net)
+    scored = [_check_select(pool(build_horizon_tables(tn, target)), grid)
               for target in ("presence", "change", "sign")]
     assert any(scored)
 

@@ -142,6 +142,31 @@ def test_aggregation_must_be_positive_int():
         load_snapshots_text("0,0,1,1.0\n", aggregation=1.5)
 
 
+_TWO_DAYS = "0,a,b,1.0\n1,a,b,2.0\n3,b,c,1.0\n"
+
+
+@pytest.mark.parametrize("loader", ["text", "path"])
+@pytest.mark.parametrize("aggregation", [True, 2.0])
+def test_aggregation_that_is_not_an_integer_is_an_argument_error(loader, aggregation, tmp_path):
+    # a bool is no count, although Python's bool is an int
+    path = tmp_path / "net.csv"
+    path.write_text(_TWO_DAYS)
+    message = re.escape(f"aggregation must be a positive integer, got {aggregation!r}")
+    with pytest.raises(ArgumentError, match=message):
+        load_snapshots_text(_TWO_DAYS, aggregation) if loader == "text" else load_network(str(path), aggregation)
+
+
+@pytest.mark.parametrize("loader", ["text", "path"])
+@pytest.mark.parametrize("aggregation", [1, 2])
+def test_a_numpy_integer_aggregation_is_the_python_one(loader, aggregation, tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_text(_TWO_DAYS)
+    load = (lambda a: load_snapshots_text(_TWO_DAYS, a)) if loader == "text" else (lambda a: load_network(str(path), a))
+    tn = load(np.int64(aggregation))
+    assert tn.to_json() == load(aggregation).to_json()
+    assert all(type(s.timestamp) is int for s in tn.snapshots)
+
+
 @pytest.mark.parametrize("directed", ["no", 1, None])
 def test_directed_that_is_not_a_bool_is_an_argument_error(directed, tmp_path):
     # "no" once built snapshots flagged "no" and was written as such

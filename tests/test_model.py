@@ -24,7 +24,6 @@ from structim import (
     null_edge_presence,
     null_prior_predictor,
     null_shuffle_regression,
-    oversample,
     permutation_importance,
     pool,
     r2_score,
@@ -32,10 +31,11 @@ from structim import (
     standardize,
 )
 import structim.model as model_module
+from structim.errors import ArgumentError
 from structim.generators import synthetic_temporal
 from structim.model import _CHUNK_CELLS, _auc_groups, _auc_rows, edge_presence_labels
 
-from conftest import binom_ci_oracle, clique, network_from
+from conftest import binom_ci_oracle, class_weights_oracle, clique, network_from
 
 
 def _table(columns, x, y=None):
@@ -106,47 +106,77 @@ def test_apply_standardization_uses_train_constants():
     assert "standardization" not in out.meta
 
 
-# ----------------------------------------------------------------- oversample
-
-
-def test_oversample_balances_counts():
-    rng = np.random.default_rng(1)
-    y = np.array([1.0] * 9 + [0.0] * 3)
-    table = _table(("ma",), rng.normal(size=(12, 1)), y=y)
-    out = oversample(table, seed=4)
-    assert int((out.y == 1).sum()) == 9
-    assert int((out.y == 0).sum()) == 9
-    # every duplicate is a copy of a minority row
-    minority_ids = set(table.node_ids[9:])
-    assert set(out.node_ids[12:]) <= minority_ids
-    for i in range(12, 18):
-        src = table.node_ids.index(out.node_ids[i])
-        assert np.array_equal(out.X[i], table.X[src])
-
-
-def test_oversample_deterministic_and_balanced_passthrough():
-    rng = np.random.default_rng(2)
-    y = np.array([1.0] * 7 + [0.0] * 2)
-    table = _table(("ma",), rng.normal(size=(9, 1)), y=y)
-    a = oversample(table, seed=11)
-    b = oversample(table, seed=11)
-    assert np.array_equal(a.X, b.X) and a.node_ids == b.node_ids
-    even = _table(("ma",), rng.normal(size=(4, 1)), y=[1, 0, 1, 0])
-    out = oversample(even, seed=0)
-    assert np.array_equal(out.X, even.X)
-    out.X[0, 0] = 99.0  # returned table is a copy
-    assert even.X[0, 0] != 99.0
-
-
-def test_oversample_single_class_rejected():
-    table = _table(("ma",), np.ones((4, 1)), y=[1, 1, 1, 1])
-    with pytest.raises(DataError):
-        oversample(table)
-    with pytest.raises(DataError):
-        oversample(_table(("ma",), np.ones((4, 1))))
-
-
 # --------------------------------------------------------------- fit_logistic
+
+
+def _unweighted_fit(table, l2):
+    """(beta, n_iter): Newton/IRLS of the plain penalized likelihood, every
+    row weighing 1, with the same arithmetic and step halving as the library."""
+    y = table.y.astype(float)
+    design = np.hstack([np.ones((table.n_rows, 1)), table.X])
+    ridge = np.diag([0.0] + [l2] * table.X.shape[1])
+
+    def penalized_ll(beta):
+        eta = design @ beta
+        return float(np.sum(y * eta - np.logaddexp(0.0, eta))) - 0.5 * l2 * float(np.sum(beta[1:] ** 2))
+
+    beta = np.zeros(design.shape[1])
+    for it in range(1, 501):
+        prob = model_module.expit(design @ beta)
+        grad = design.T @ (y - prob) - ridge @ beta
+        if float(np.linalg.norm(grad)) <= 1e-8:
+            return beta, it
+        hess = design.T @ (design * (prob * (1.0 - prob))[:, None]) + ridge
+        step = np.linalg.solve(hess + 1e-12 * np.eye(len(beta)), grad)
+        current, scale = penalized_ll(beta), 1.0
+        for _ in range(30):
+            if penalized_ll(beta + scale * step) >= current - 1e-12:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+    raise AssertionError("the reference loop did not converge")
+
+
+def _class_table(seed, n_minor, n_major, p=2):
+    rng = np.random.default_rng(seed)
+    y = np.array([1.0] * n_minor + [0.0] * n_major)
+    x = rng.normal(size=(len(y), p)) + 0.8 * y[:, None]
+    return _table(tuple(f"f{j}" for j in range(p)), x, y=y)
+
+
+@pytest.mark.parametrize("l2", [0.0, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_logistic_on_a_balanced_table_is_the_unweighted_fit(seed, l2):
+    table = _class_table(seed, 40, 40)
+    beta, n_iter = _unweighted_fit(table, l2)
+    model = fit_logistic(table, l2=l2)
+    assert model.intercept == beta[0] and np.array_equal(model.coef, beta[1:])
+    assert model.n_iter == n_iter
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("l2", [0.0, 1.0])
+def test_class_weights_equal_repeating_each_minority_row(k, seed, l2):
+    """With n_major = k n_minor, each minority row weighs k: the weighted fit
+    is the unweighted one on the table with each minority row repeated k
+    times, up to the two loops' summation order (1e-12)."""
+    table = _class_table(seed, 30, 30 * k)
+    repeated = table.select_rows(np.concatenate([np.repeat(np.arange(30), k), np.arange(30, table.n_rows)]))
+    beta, _ = _unweighted_fit(repeated, l2)
+    weighted = fit_logistic(table, l2=l2)
+    np.testing.assert_allclose(np.concatenate([[weighted.intercept], weighted.coef]), beta, rtol=0, atol=1e-12)
+    # the Wald information is the repeated table's too
+    plain = fit_logistic(repeated, l2=l2)
+    np.testing.assert_allclose(weighted.coef_se, plain.coef_se, rtol=1e-12)
+    np.testing.assert_allclose(weighted.intercept_se, plain.intercept_se, rtol=1e-12)
+
+
+def test_class_weights_balance_either_minority():
+    y = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    assert model_module._class_weights(y).tolist() == class_weights_oracle(y).tolist() == [2, 1, 1, 1, 2, 1]
+    assert model_module._class_weights(1.0 - y).tolist() == [2, 1, 1, 1, 2, 1]
+    assert model_module._class_weights(np.array([0.0, 1.0, 1.0, 0.0])).tolist() == [1.0] * 4
 
 
 def test_logistic_separable_ranks_perfectly():
@@ -187,12 +217,14 @@ def test_logistic_gradient_vanishes_at_optimum():
     x = rng.normal(size=(60, 2))
     p_true = 1.0 / (1.0 + np.exp(-(0.5 + x[:, 0] - 0.5 * x[:, 1])))
     y = (rng.random(60) < p_true).astype(float)
+    assert y.sum() != 30  # imbalanced, so the class weights are not all 1
     l2 = 1.0
     model = fit_logistic(_table(("ma", "mb"), x, y=y), l2=l2)
+    weights = class_weights_oracle(y)
 
     def penalized_ll(beta):
         eta = beta[0] + x @ beta[1:]
-        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+        ll = float(np.sum(weights * (y * eta - np.logaddexp(0.0, eta))))
         return ll - 0.5 * l2 * float(np.sum(beta[1:] ** 2))
 
     beta = np.concatenate([[model.intercept], model.coef])
@@ -567,6 +599,40 @@ def test_nulls_need_min_trials():
     x = np.arange(12.0).reshape(6, 2) ** 1.5
     with pytest.raises(ValueError, match="at least 20 trials"):
         null_shuffle_regression(_table(("a", "b"), x[:4], y=x[:4, 0]), _table(("a", "b"), x[4:], y=x[4:, 0]), trials=19)
+
+
+def _count_calls():
+    """Each function that takes a count, called with the count ``v`` and
+    arguments that are valid otherwise, and the least count it takes."""
+    tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
+    model = _manual_logistic(0.0, [1.0], names=("ma",))
+    labeled = _table(("ma",), [[1.0], [-1.0], [0.5], [-0.5]], y=[1, 0, 0, 1])
+    x = np.arange(12.0).reshape(6, 2) ** 1.5
+    train, heldout = _table(("a", "b"), x[:4], y=x[:4, 0]), _table(("a", "b"), x[4:], y=x[4:, 0])
+    return {
+        "null_prior_predictor": (20, lambda v: null_prior_predictor([0, 1], [0, 1, 1, 0], trials=v)),
+        "null_edge_presence": (20, lambda v: null_edge_presence(tn, *_scored_rows({0: 0.9, 1: 0.2, 2: 0.6}), trials=v)),
+        "null_shuffle_regression": (20, lambda v: null_shuffle_regression(train, heldout, trials=v)),
+        "bootstrap_auc_ci": (1, lambda v: bootstrap_auc_ci(model, labeled, iters=v)),
+        "permutation_importance": (1, lambda v: permutation_importance(model, labeled, repeats=v)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_count_calls()))
+@pytest.mark.parametrize("kind", ["float", "fraction", "bool"])
+def test_a_count_that_is_not_an_integer_is_an_argument_error(name, kind):
+    least, call = _count_calls()[name]
+    value = {"float": float(least + 1), "fraction": least + 0.5, "bool": True}[kind]
+    with pytest.raises(ArgumentError, match=f"need at least {least} .*, as an integer, got {value!r}"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", list(_count_calls()))
+def test_a_numpy_integer_count_is_the_python_one(name):
+    least, call = _count_calls()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tiny tables leave some trials undefined
+        assert call(np.int64(least + 1)) == call(least + 1)
 
 
 # --------------------------------------------------- permutation / attribution

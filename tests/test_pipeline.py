@@ -186,8 +186,8 @@ def test_select_informative_beats_shuffled_control():
 
 
 def test_select_deterministic():
-    a_best, a_cv = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
-    b_best, b_cv = time_ordered_select(pool(_mk_tables(seed=4)), seed=7)
+    a_best, a_cv = time_ordered_select(pool(_mk_tables(seed=4)))
+    b_best, b_cv = time_ordered_select(pool(_mk_tables(seed=4)))
     assert a_best == b_best
     assert a_cv == b_cv
 
@@ -318,6 +318,17 @@ def test_run_prediction_deterministic(coupled_network):
                        null_trials=30, bootstrap_iters=100)
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
     assert np.array_equal(a.shap_values, b.shap_values)
+
+
+def test_the_seed_does_not_reach_the_fit(coupled_network):
+    # the class-weighted fits draw no random number: only the bootstrap,
+    # the nulls and permutation importance read the seed
+    a, b = (run_prediction(coupled_network, "presence", seed=seed, null_trials=20, bootstrap_iters=50)
+            for seed in (5, 6))
+    assert (a.chosen_l2, a.cv_auc_by_l2, a.coefficients) == (b.chosen_l2, b.cv_auc_by_l2, b.coefficients)
+    assert (a.report.precision, a.report.recall, a.report.auc) == (b.report.precision, b.report.recall, b.report.auc)
+    assert np.array_equal(a.shap_values, b.shap_values)
+    assert a.report.null_prior != b.report.null_prior
 
 
 @pytest.mark.parametrize("target", ["presence", "rel_change"])
