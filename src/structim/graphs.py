@@ -195,13 +195,19 @@ class Snapshot:
 
     @cached_property
     def _strengths(self) -> dict:
+        """Strength vectors by mode, which every measure reads: finite weights
+        whose sum overflows are a DataError here, not an inf strength or 2m."""
         a = self.adjacency()
-        out_s = a.sum(axis=1)
-        if not self.directed:
-            by_mode = dict.fromkeys(("total", "in", "out"), out_s)
-        else:
-            in_s = a.sum(axis=0)
-            by_mode = {"total": out_s + in_s, "in": in_s, "out": out_s}
+        with np.errstate(over="ignore"):  # an overflow is the DataError below
+            out_s = a.sum(axis=1)
+            if not self.directed:
+                by_mode = dict.fromkeys(("total", "in", "out"), out_s)
+            else:
+                in_s = a.sum(axis=0)
+                by_mode = {"total": out_s + in_s, "in": in_s, "out": out_s}
+            total = by_mode["total"].sum()  # no smaller than the other modes' sums
+        if not np.isfinite(total):
+            raise DataError(f"snapshot {self.timestamp}: the strengths overflow the float range")
         for vec in by_mode.values():
             vec.setflags(write=False)
         return by_mode
@@ -214,7 +220,8 @@ class Snapshot:
         "in" incoming, "total" their sum. The vector is computed once per
         snapshot and is read-only; copy it before changing it. With ``node``
         set, returns that node's strength as a float; out-of-range indices
-        raise IndexError.
+        raise IndexError. Strengths whose sum overflows the float range raise
+        DataError.
         """
         if mode not in STRENGTH_MODES:
             raise ArgumentError(f"unknown strength mode {mode!r}")

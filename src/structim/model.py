@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +41,11 @@ THRESHOLD = 0.5
 # The percentile pair of every 95% interval: the bootstrap AUC CI and ci95.
 CI95_PERCENTILES = (2.5, 97.5)
 RIDGE_JITTER = 1e-10
+# IRLS stops at a gradient 2-norm of IRLS_TOL or after IRLS_MAX_ITER Newton
+# steps; its Newton systems and the Wald covariance add HESSIAN_JITTER * I.
+IRLS_MAX_ITER = 500
+IRLS_TOL = 1e-8
+HESSIAN_JITTER = 1e-12
 # Fewest null-model trials whose empirical quantiles are reported.
 MIN_NULL_TRIALS = 20
 # Defaults of the null models' trials, the bootstrap's resamples and the
@@ -176,7 +181,7 @@ def _ridge(n_coef: int, l2: float) -> np.ndarray:
     return np.diag([0.0] + [l2] * (n_coef - 1))
 
 
-def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
+def _irls(design, y, l2: float, beta, max_iter: int = IRLS_MAX_ITER, tol: float = IRLS_TOL):
     """Newton/IRLS of the class-weighted penalized log-likelihood from the
     coefficients ``beta``.
 
@@ -203,7 +208,7 @@ def _irls(design, y, l2: float, beta, max_iter: int = 500, tol: float = 1e-8):
             break
         w = weights * prob * (1.0 - prob)
         hess = design.T @ (design * w[:, None]) + ridge
-        step = np.linalg.solve(hess + 1e-12 * np.eye(n_coef), grad)
+        step = np.linalg.solve(hess + HESSIAN_JITTER * np.eye(n_coef), grad)
         # step halving keeps Newton from overshooting on near-separable data;
         # the accepted candidate's penalized log-likelihood is the next
         # iteration's ``current``
@@ -238,8 +243,8 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
 def fit_logistic(
     table: FeatureTable,
     l2: float = 1.0,
-    max_iter: int = 500,
-    tol: float = 1e-8,
+    max_iter: int = IRLS_MAX_ITER,
+    tol: float = IRLS_TOL,
 ) -> LogisticModel:
     """Newton/IRLS fit of class-balanced, L2-penalized logistic regression, from zero coefficients.
 
@@ -274,7 +279,7 @@ def fit_logistic(
     prob = expit(design @ beta)
     w = _class_weights(y) * prob * (1.0 - prob)
     info = design.T @ (design * w[:, None]) + _ridge(n_coef, l2)
-    cov = np.linalg.inv(info + 1e-12 * np.eye(n_coef))
+    cov = np.linalg.inv(info + HESSIAN_JITTER * np.eye(n_coef))
     return LogisticModel(
         **_wald(table.columns, beta, cov, ndtr),
         l2=float(l2),
@@ -708,6 +713,21 @@ def r2_score(y_true, y_pred) -> float:
     return 1.0 - rss / tss
 
 
+def _least_squares(table: FeatureTable):
+    """``fit_linear``'s row check, design, Gram matrix and rank check (a deficient
+    rank warns once): (design, gram, solve), ``solve`` mapping a target to its coefficients."""
+    n, p = table.X.shape
+    if n <= p + 1:
+        raise DataError(f"need more rows ({n}) than parameters ({p + 1})")
+    design = _with_intercept(table.X)
+    gram = design.T @ design + RIDGE_JITTER * np.eye(p + 1)
+    if np.linalg.matrix_rank(design) < p + 1:
+        warnings.warn("rank-deficient design; falling back to the pseudo-inverse")
+        pinv = np.linalg.pinv(design)
+        return design, gram, lambda y: pinv @ y
+    return design, gram, lambda y: np.linalg.solve(gram, design.T @ y)
+
+
 def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> LinearModel:
     """Least squares with a ridge jitter (``RIDGE_JITTER``) for conditioning.
 
@@ -716,18 +736,10 @@ def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> Line
     """
     if table.y is None:
         raise DataError("fit_linear needs a labeled table")
-    n, p = table.X.shape
-    if n <= p + 1:
-        raise DataError(f"need more rows ({n}) than parameters ({p + 1})")
-    design = _with_intercept(table.X)
-    gram = design.T @ design + RIDGE_JITTER * np.eye(p + 1)
-    if np.linalg.matrix_rank(design) < p + 1:
-        warnings.warn("rank-deficient design; falling back to the pseudo-inverse")
-        beta = np.linalg.pinv(design) @ table.y
-    else:
-        beta = np.linalg.solve(gram, design.T @ table.y)
+    design, gram, solve = _least_squares(table)
+    beta = solve(table.y)
     resid = table.y - design @ beta
-    dof = n - (p + 1)
+    dof = design.shape[0] - design.shape[1]
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(gram)
     model = LinearModel(**_wald(table.columns, beta, cov, lambda t: stdtr(dof, t)), r2=None)
@@ -740,18 +752,20 @@ def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: 
     """Held-out R^2 distribution after shuffling the target.
 
     Each trial permutes the pooled train+heldout target, refits on the train
-    rows, and scores R^2 on the held-out rows.
+    rows, and scores R^2 on the held-out rows. The rank check and Gram matrix
+    run once (``_least_squares``); a trial solves for its coefficients only.
     """
     _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
+    solve = _least_squares(train)[2]
     y_all = np.concatenate([train.y, heldout.y])
     n_train = len(train.y)
     rng = np.random.default_rng(seed)
     scores = []
     for _ in range(trials):
         perm = rng.permutation(y_all)
-        try:
-            m = fit_linear(replace(train, y=perm[:n_train]), heldout=replace(heldout, y=perm[n_train:]))
-            scores.append(m.r2)
-        except DataError:
+        beta = solve(perm[:n_train])
+        try:  # LinearModel.predict's arithmetic
+            scores.append(r2_score(perm[n_train:], float(beta[0]) + heldout.X @ beta[1:]))
+        except DataError:  # a constant held-out target
             scores.append(np.nan)
     return {"kind": "shuffled_target", "trials": trials, "r2": _percentile_summary(scores)}

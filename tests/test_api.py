@@ -63,9 +63,13 @@ def test_each_shared_default_has_one_owner():
         model.BOOTSTRAP_ITERS: [(structim.bootstrap_auc_ci, "iters"), (structim.run_prediction, "bootstrap_iters")],
         model.PERMUTATION_REPEATS: [(structim.permutation_importance, "repeats")],
         pipeline.L2_GRID: [(structim.time_ordered_select, "l2_grid"), (structim.run_prediction, "l2_grid")],
+        # the L2 grid's fits (_irls) and the refit (fit_logistic) stop by the same rule
+        model.IRLS_MAX_ITER: [(structim.fit_logistic, "max_iter"), (model._irls, "max_iter")],
+        model.IRLS_TOL: [(structim.fit_logistic, "tol"), (model._irls, "tol")],
     }
     assert (features.CHANGE_THRESHOLD, features.CORR_THRESHOLD) == (0.05, 0.8)
     assert (model.NULL_TRIALS, model.BOOTSTRAP_ITERS, model.PERMUTATION_REPEATS) == (100, 1000, 10)
+    assert (model.IRLS_MAX_ITER, model.IRLS_TOL, model.HESSIAN_JITTER) == (500, 1e-8, 1e-12)
     for constant, users in owners.items():
         for fn, name in users:
             assert inspect.signature(fn).parameters[name].default is constant, (fn.__name__, name)

@@ -615,3 +615,16 @@ def test_a_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):
     path.write_text("0,a,b,1\n0," + "x" * (limit + 1) + ",b,1\n")
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"data error: big.csv:2: field larger than field limit ({limit})\n"
+
+
+# predict measures its anchors from snapshot 1 on
+@pytest.mark.parametrize("argv, snapshot", [(["analyze"], 0), (["importance", "--scheme", "mb"], 0), (["predict"], 1),
+                                            (["predict", "--target", "rel_change"], 1)])
+def test_strengths_that_overflow_are_a_data_error(tmp_path, capsys, argv, snapshot):
+    net = str(tmp_path / "b.csv")
+    assert main(["gen", "barbell", "--n-left", "2", "--bridge", "0", "--n-right", "2", "--weight", "1e308",
+                 "--repeats", "7", "--out", net]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / ("i.json" if argv[0] == "importance" else "out"))
+    assert main([argv[0], net, *argv[1:], "--out", out]) == 3
+    assert capsys.readouterr().err == f"data error: snapshot {snapshot}: the strengths overflow the float range\n"

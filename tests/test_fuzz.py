@@ -1,12 +1,19 @@
-"""A derandomized fuzz of the text entry points: whatever the input, reading
-it gives a network or a StructimError, never any other exception."""
+"""A derandomized fuzz of the text entry points and the command line: whatever
+the input, reading it gives a network or a StructimError, never any other
+exception, and a command exits with 0, 2, 3 or 4."""
 
+import contextlib
+import io
 import json
+import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structim import StructimError, TemporalNetwork, barbell, load_snapshots_text, repeat_snapshot, synthetic_temporal
+from structim import (StructimError, TemporalNetwork, barbell, load_snapshots_text, repeat_snapshot,
+                      synthetic_temporal, write_edge_csv)
+from structim.cli import main
 from structim.graphs import Snapshot
 
 _FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
@@ -124,3 +131,103 @@ def _mutated_document(draw):
 @given(_mutated_document())
 def test_mutated_json_document_reads_to_a_network_or_a_structim_error(text):
     _read_json(text)
+
+
+# ------------------------------------------------------------ the command line
+#
+# Each command line gives every option of one subcommand a value within its
+# documented bounds, or leaves it out, except at most one option, which gets a
+# value at or beyond a bound. The valid counts and sizes are small, so that
+# each job stays cheap; the costly defaults (synthetic --n and --horizon,
+# predict --trials and --bootstrap-iters) are always given.
+
+_INPUT = ("input", ["valid.csv", "overflow.csv", "directed.json"], ["garbled.csv", "missing.csv"])
+_AGGREGATION = ("--aggregation", [None, "1", "2"], ["0", "-1", "2.5", ""])
+_FORMAT = ("--format", [None, "all", "csv", "json", "svg"], ["xml"])
+_OPTIONS_BY_COMMAND = {
+    "gen barbell": [
+        ("--n-left", [None, "2", "3"], ["1", "0", "-1", "2.5", "nan", ""]),
+        ("--bridge", [None, "0", "1"], ["-1", "2.5", "x"]),
+        ("--n-right", [None, "2", "3"], ["1", "0", "-1", "2.5"]),
+        ("--weight", [None, "0.5", "1e308"], ["0", "-1", "nan", "inf", "-inf", "x"]),
+        ("--repeats", [None, "1", "2"], ["0", "-1", "2.5"]),
+    ],
+    "gen synthetic": [
+        ("--n", ["3", "12"], ["0", "-1", "2.5"]),
+        ("--communities", ["1", "2"], ["0", "-1", "13", "2.5"]),
+        ("--hubs", ["0", "1", "2"], ["-1", "13", "2.5"]),
+        ("--coupling", [None, "-2", "0", "1e308"], ["nan", "inf", "-inf", "x"]),
+        ("--horizon", ["2", "3"], ["1", "0", "-1", "2.5"]),
+        ("--seed", [None, "0", "7"], ["-1", "2.5"]),
+    ],
+    "importance": [
+        _INPUT, _AGGREGATION,
+        ("--scheme", [None, "ma", "mb", "mc", "md", "directed"], ["mz"]),
+        ("--snapshot", [None, "0", "1"], ["-1", "99", "2.5"]),
+        ("--strength-mode", [None, "total", "in", "out"], ["up"]),
+        ("--directed", [None, True], []),  # a switch, given or not
+    ],
+    "analyze": [_INPUT, _AGGREGATION, _FORMAT],
+    "predict": [
+        _INPUT, _AGGREGATION, _FORMAT,
+        ("--seed", [None, "0", "7", str(2**70)], ["-1", "2.5"]),
+        ("--target", [None, "presence", "change", "sign", "rel_change"], ["size"]),
+        ("--l2-grid", [None, "0", "1", "0.1,1"], ["", ",", "1,,2", "abc", "nan", "inf", "-1", "1e400"]),
+        ("--change-threshold", [None, "0", "0.5", "1e308"], ["nan", "inf", "-inf", "-1", "x"]),
+        ("--corr-threshold", [None, "0.5", "0.95"], ["0", "1", "nan", "inf", "-1", "2"]),
+        ("--trials", ["20", "21"], ["0", "-1", "19", "2.5"]),
+        ("--bootstrap-iters", ["1", "2"], ["0", "-1", "2.5", "nan", ""]),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("cli_fuzz")
+    write_edge_csv(synthetic_temporal(16, 2, 1, -2.0, 8, seed=3), str(where / "valid.csv"))
+    write_edge_csv(repeat_snapshot(barbell(2, 0, 2, weight=1e308), 7), str(where / "overflow.csv"))
+    (where / "garbled.csv").write_text('time,src\n0,a\n"1,b,c\n')
+    (where / "directed.json").write_text(_NETWORKS[2].to_json())
+    (where / "taken").write_text("")  # an --out under it cannot be written
+    return where
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv without --out, the --out name); an ``input`` names a file of ``cli_dir``."""
+    command = draw(st.sampled_from(sorted(_OPTIONS_BY_COMMAND)))
+    specs = _OPTIONS_BY_COMMAND[command] + [("--out", ["ok"], ["unwritable", "taken"])]
+    beyond = draw(st.one_of(st.none(), st.sampled_from([k for k, spec in enumerate(specs) if spec[2]])))
+    argv, out = command.split(), None
+    for k, (flag, valid, bad) in enumerate(specs):
+        value = draw(st.sampled_from(bad if k == beyond else valid))
+        if flag == "--out":
+            out = value
+        elif flag == "input":
+            argv.append(value)
+        elif value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv += [flag, value]
+    name = {"gen": "g.csv", "importance": draw(st.sampled_from(["i.json", "i.csv"]))}.get(argv[0], "out")
+    return argv, {"ok": name, "unwritable": f"taken/{name}", "taken": "taken"}[out]
+
+
+def _exit_code(argv):
+    """What ``main(argv)`` returns, or the code of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the library's own notes on a fit, not failures
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@_FUZZ
+@given(_command_lines())
+def test_every_command_line_exits_with_a_documented_code(cli_dir, command_line):
+    argv, out = command_line
+    inputs = {*_INPUT[1], *_INPUT[2]}
+    argv = [str(cli_dir / arg) if arg in inputs else arg for arg in argv]
+    assert _exit_code([*argv, "--out", str(cli_dir / out)]) in (0, 2, 3, 4)

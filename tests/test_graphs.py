@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structim import DataError, Snapshot, TemporalNetwork, load_snapshots_text
+from structim import (DataError, Snapshot, TemporalNetwork, detect_communities, load_snapshots_text, modularity,
+                      node_importance, node_importance_directed, pagerank)
 
 from conftest import clique, network_from
 
@@ -261,6 +262,42 @@ def test_strength_and_presence_are_cached_read_only():
     assert s_copy == s and tn_copy == tn
     assert not s_copy.strength().flags.writeable
     assert not tn_copy.presence_matrix().flags.writeable
+
+
+_OVERFLOWING = {
+    # the two middle nodes' strengths overflow
+    "path": Snapshot(node_ids=(0, 1, 2, 3), edges=((0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308))),
+    # every strength is finite, but their sum 2m is not
+    "cycle": Snapshot(node_ids=(0, 1, 2, 3), edges=((0, 1, 0.6e308), (1, 2, 0.6e308), (2, 3, 0.6e308),
+                                                    (0, 3, 0.6e308))),
+    # the in-strength of node 1 overflows, the out-strengths do not
+    "arcs": Snapshot(node_ids=(0, 1, 2), edges=((0, 1, 1e308), (2, 1, 1e308)), directed=True),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_strengths_that_overflow_are_a_data_error(name):
+    snap = _OVERFLOWING[name]
+    measures = [lambda mode=mode: snap.strength(mode) for mode in ("total", "in", "out")]
+    measures.append(lambda: snap.strength(node=0))
+    if snap.directed:
+        measures += [lambda mode=mode: node_importance_directed(snap, mode) for mode in ("total", "in", "out")]
+    else:
+        measures += [lambda scheme=scheme: node_importance(snap, scheme) for scheme in ("ma", "mb", "mc", "md")]
+        measures += [lambda: detect_communities(snap), lambda: modularity(snap, np.zeros(4, dtype=int))]
+    measures.append(lambda: pagerank(snap))
+    with np.errstate(all="raise"):  # and no overflow warning on the way
+        for measure in measures:
+            with pytest.raises(DataError, match="snapshot 0: the strengths overflow the float range"):
+                measure()
+
+
+def test_strengths_just_inside_the_float_range_are_kept():
+    # 2m is 1.6e308, below the largest float 1.797e308
+    snap = Snapshot(node_ids=(0, 1, 2, 3), edges=((0, 1, 0.2e308), (1, 2, 0.2e308), (2, 3, 0.2e308),
+                                                  (0, 3, 0.2e308)))
+    assert snap.strength().tolist() == [0.4e308] * 4
+    assert detect_communities(snap).tolist() == [0, 0, 1, 1]
 
 
 def _constructed_network():

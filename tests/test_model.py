@@ -1,6 +1,7 @@
 """Classifier, regressor, metrics, intervals, nulls, and attributions."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -808,6 +809,91 @@ def test_null_shuffle_regression_destroys_signal():
     assert real.r2 > null["r2"]["ci95"][1]
     again = null_shuffle_regression(train, heldout, trials=100, seed=0)
     assert null == again
+
+
+def _shuffle_null_oracle(train, heldout, trials, seed):
+    """The shuffled-target null as one whole ``fit_linear`` per trial, the
+    way it was computed before its refits shared one least-squares core:
+    returns (R^2 per trial, summary)."""
+    y_all = np.concatenate([train.y, heldout.y])
+    n_train = len(train.y)
+    rng = np.random.default_rng(seed)
+    scores = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a rank-deficient design warns on every trial
+        for _ in range(trials):
+            perm = rng.permutation(y_all)
+            try:
+                fit = fit_linear(replace(train, y=perm[:n_train]), heldout=replace(heldout, y=perm[n_train:]))
+                scores.append(fit.r2)
+            except DataError:
+                scores.append(np.nan)
+    return scores, {"kind": "shuffled_target", "trials": trials, "r2": model_module._percentile_summary(scores)}
+
+
+def _shuffle_null_tables(case):
+    rng = np.random.default_rng([31, len(case)])
+    x = rng.normal(size=(60, 3))
+    y = 1.0 + x @ np.array([0.5, -1.0, 0.25]) + rng.normal(size=60)
+    if case == "rank-deficient":
+        x[:, 2] = 2.0 * x[:, 0]
+    if case == "constant held-out":
+        # most permutations leave the 3 held-out rows all zero
+        y = np.zeros(60)
+        y[[4, 11]] = (1.0, 2.0)
+        x, y = x[:43], y[:43]
+    cut = len(y) - (3 if case == "constant held-out" else 20)
+    return _table(("a", "b", "c"), x[:cut], y=y[:cut]), _table(("a", "b", "c"), x[cut:], y=y[cut:])
+
+
+@pytest.mark.parametrize("case", ["full rank", "rank-deficient", "constant held-out"])
+def test_null_shuffle_regression_is_the_per_trial_fit_bit_for_bit(monkeypatch, case):
+    train, heldout = _shuffle_null_tables(case)
+    expected_scores, expected = _shuffle_null_oracle(train, heldout, trials=60, seed=[3, 8])
+    seen, percentile_summary = [], model_module._percentile_summary
+
+    def summary(values):
+        seen.append(list(values))
+        return percentile_summary(values)
+
+    monkeypatch.setattr(model_module, "_percentile_summary", summary)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = null_shuffle_regression(train, heldout, trials=60, seed=[3, 8])
+    np.testing.assert_array_equal(seen[0], expected_scores)
+    assert got == expected
+    assert [str(w.message) for w in caught] == (
+        ["rank-deficient design; falling back to the pseudo-inverse"] if case == "rank-deficient" else [])
+    if case == "constant held-out":
+        assert 0 < np.isnan(seen[0]).sum() < 60
+        assert got["r2"]["defined"] == 60 - np.isnan(seen[0]).sum()
+
+
+def test_null_shuffle_regression_with_too_few_training_rows_is_a_data_error():
+    x = np.arange(18.0).reshape(6, 3) ** 1.5
+    train, heldout = _table(("a", "b", "c"), x[:4], y=x[:4, 0]), _table(("a", "b", "c"), x[4:], y=x[4:, 0])
+    with pytest.raises(DataError, match=r"need more rows \(4\) than parameters \(4\)"):
+        null_shuffle_regression(train, heldout, trials=20)
+
+
+def test_null_shuffle_regression_checks_rank_once_and_fits_no_model(monkeypatch):
+    train, heldout = _shuffle_null_tables("full rank")
+    calls = {"rank": 0, "core": 0}
+    matrix_rank, core = np.linalg.matrix_rank, model_module._least_squares
+
+    def counting_rank(*args, **kwargs):
+        calls["rank"] += 1
+        return matrix_rank(*args, **kwargs)
+
+    def counting_core(table):
+        calls["core"] += 1
+        return core(table)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    monkeypatch.setattr(model_module, "_least_squares", counting_core)
+    monkeypatch.setattr(model_module, "fit_linear", lambda *args, **kwargs: pytest.fail("a whole fit per trial"))
+    null_shuffle_regression(train, heldout, trials=50)
+    assert calls == {"rank": 1, "core": 1}  # one rank check, one design and one Gram matrix
 
 
 # ----------------------------------------- parity with the per-call evaluation
