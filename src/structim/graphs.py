@@ -212,25 +212,18 @@ class Snapshot:
             vec.setflags(write=False)
         return by_mode
 
-    def strength(self, mode: str = "total", node: int | None = None):
-        """Per-node strength vector, or a single node's strength.
+    def strength(self, mode: str = "total") -> np.ndarray:
+        """Per-node strength vector.
 
         Undirected snapshots return adjacency row sums for every mode.
         Directed snapshots honor ``mode``: "out" sums outgoing arc weights,
         "in" incoming, "total" their sum. The vector is computed once per
-        snapshot and is read-only; copy it before changing it. With ``node``
-        set, returns that node's strength as a float; out-of-range indices
-        raise IndexError. Strengths whose sum overflows the float range raise
-        DataError.
+        snapshot and is read-only; copy it before changing it. Strengths whose
+        sum overflows the float range raise DataError.
         """
         if mode not in STRENGTH_MODES:
             raise ArgumentError(f"unknown strength mode {mode!r}")
-        s = self._strengths[mode]
-        if node is None:
-            return s
-        if not 0 <= node < self.n_nodes:
-            raise IndexError(f"node index {node} out of range for {self.n_nodes} nodes")
-        return float(s[node])
+        return self._strengths[mode]
 
     def degrees(self) -> np.ndarray:
         """Number of incident edges per node (in + out for directed)."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, NumericalError
 from .graphs import Snapshot
 from .spectral import Spectrum, eig_sym, leading_singular, select_eigencomponent
 
@@ -115,7 +115,8 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
 
 
 def node_importance_directed(snapshot: Snapshot, strength_mode: str = "total") -> ImportanceVector:
-    """Directed importance from the leading singular structure of the arc matrix."""
+    """Directed importance from the leading singular structure of the arc matrix;
+    NumericalError when a @ a.T or a product S_i * s passes the float range."""
     if not snapshot.directed:
         raise DataError("directed importance requires a directed snapshot")
     a = snapshot.adjacency()
@@ -125,11 +126,12 @@ def node_importance_directed(snapshot: Snapshot, strength_mode: str = "total") -
     if not mask.any():
         return ImportanceVector(scheme=DIRECTED_SCHEME, values={}, excluded=excluded)
 
-    trip = leading_singular(a)
-    m = a @ a.T
-    contrib = trip.vector * (m @ trip.vector)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = contrib / (s * trip.s)
+    trip = leading_singular(a)  # which checks that a @ a.T is finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = s * trip.s
+        vals = trip.vector * (a @ a.T @ trip.vector) / denom
+    if not np.isfinite(denom).all():
+        raise NumericalError("directed importance overflows the float range")
     values = {v: float(x) for v, x, keep in zip(snapshot.node_ids, vals, mask) if keep}
     return ImportanceVector(scheme=DIRECTED_SCHEME, values=values, excluded=excluded)
 

@@ -23,7 +23,6 @@ skips, so its stream follows its block rule (``edge_presence_labels``).
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -181,7 +180,7 @@ def _ridge(n_coef: int, l2: float) -> np.ndarray:
     return np.diag([0.0] + [l2] * (n_coef - 1))
 
 
-def _irls(design, y, l2: float, beta, max_iter: int = IRLS_MAX_ITER, tol: float = IRLS_TOL):
+def _irls(design, y, l2: float, beta):
     """Newton/IRLS of the class-weighted penalized log-likelihood from the
     coefficients ``beta``.
 
@@ -198,12 +197,12 @@ def _irls(design, y, l2: float, beta, max_iter: int = IRLS_MAX_ITER, tol: float 
     grad_norm = np.inf
     it = 0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         eta = design @ beta
         prob = expit(eta)
         grad = design.T @ (weights * (y - prob)) - ridge @ beta
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
+        if grad_norm <= IRLS_TOL:
             converged = True
             break
         w = weights * prob * (1.0 - prob)
@@ -240,23 +239,18 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def fit_logistic(
-    table: FeatureTable,
-    l2: float = 1.0,
-    max_iter: int = IRLS_MAX_ITER,
-    tol: float = IRLS_TOL,
-) -> LogisticModel:
+def fit_logistic(table: FeatureTable, l2: float = 1.0) -> LogisticModel:
     """Newton/IRLS fit of class-balanced, L2-penalized logistic regression, from zero coefficients.
 
     Majority rows weigh 1 in the likelihood and minority rows n_major /
     n_minor: the expected likelihood of oversampling the minority (King &
     Zeng, Political Analysis 2001), with no random draw. A balanced table
     weighs every row 1.0. The penalty excludes the intercept. Convergence is
-    a gradient 2-norm at or below ``tol``; perfect separation (any
-    standardized coefficient passing 30 in magnitude) stops the fit with a
-    clamped solution and a warning flag instead of diverging. Failing to
-    converge without separation raises NumericalError with the iteration
-    diagnostics.
+    a gradient 2-norm at or below ``IRLS_TOL`` within ``IRLS_MAX_ITER``
+    Newton steps; perfect separation (any standardized coefficient passing
+    30 in magnitude) stops the fit with a clamped solution and a warning flag
+    instead of diverging. Failing to converge without separation raises
+    NumericalError with the iteration diagnostics.
 
     Wald standard errors come from the observed information of the weighted
     objective at the optimum. The L2 grid search runs the same IRLS loop
@@ -275,7 +269,7 @@ def fit_logistic(
 
     design = _with_intercept(table.X)
     n_coef = design.shape[1]
-    beta, converged, it, grad_norm, separation = _irls(design, y, l2, np.zeros(n_coef), max_iter, tol)
+    beta, converged, it, grad_norm, separation = _irls(design, y, l2, np.zeros(n_coef))
     prob = expit(design @ beta)
     w = _class_weights(y) * prob * (1.0 - prob)
     info = design.T @ (design * w[:, None]) + _ridge(n_coef, l2)
@@ -443,13 +437,13 @@ def evaluate(model: LogisticModel, table: FeatureTable) -> EvaluationReport:
 def binom_ci(successes: int, n: int, alpha: float = 0.05):
     """Two-sided exact (Clopper-Pearson) binomial proportion interval.
 
-    ``successes`` and ``n`` must be integers (Python or numpy). The bounds
+    ``successes`` and ``n`` must be integers (Python or numpy, not bool). The bounds
     are beta quantiles (Clopper & Pearson, Biometrika 1934): with
     k = successes, the lower bound is the alpha/2 quantile of Beta(k, n-k+1)
     and the upper bound the 1-alpha/2 quantile of Beta(k+1, n-k), with 0 at
     k = 0 and 1 at k = n.
     """
-    if not (isinstance(successes, numbers.Integral) and isinstance(n, numbers.Integral)):
+    if not (_is_integer(successes) and _is_integer(n)):
         raise ArgumentError(f"successes and n must be integers, got {successes!r} and {n!r}")
     if not 0 <= successes <= n or n < 1:
         raise ArgumentError("need 0 <= successes <= n with n >= 1")
@@ -706,10 +700,15 @@ class LinearModel(_Coefficients):
 
 def r2_score(y_true, y_pred) -> float:
     y = np.asarray(y_true, dtype=float)
+    pred = np.asarray(y_pred, dtype=float)
+    if y.shape != pred.shape:
+        raise ArgumentError(f"r2_score expects equal shapes, got {y.shape} and {pred.shape}")
+    if y.size == 0:
+        raise DataError("R^2 undefined for an empty target")
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss <= 0:
         raise DataError("R^2 undefined for a constant target")
-    rss = float(np.sum((y - np.asarray(y_pred, dtype=float)) ** 2))
+    rss = float(np.sum((y - pred) ** 2))
     return 1.0 - rss / tss
 
 

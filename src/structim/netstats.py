@@ -24,6 +24,9 @@ from .spectral import Spectrum, eig_sym
 
 # A merge must beat the running best gain by more than this.
 _GAIN_TOL = 1e-15
+# PageRank stops at an L1 change of PAGERANK_TOL, or fails after PAGERANK_MAX_ITER steps.
+PAGERANK_TOL = 1e-10
+PAGERANK_MAX_ITER = 100000
 
 
 def modularity(snapshot: Snapshot, labels) -> float:
@@ -211,11 +214,11 @@ def eigenvector_centrality(snapshot: Snapshot, spectrum: Spectrum | None = None)
     return np.abs(spec.eigenvectors[:, 0])
 
 
-def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
+def pagerank(snapshot: Snapshot, damping: float = 0.85) -> np.ndarray:
     """Weighted PageRank by power iteration.
 
     Transition weights are out-strength normalized; dangling nodes spread
-    their mass uniformly. Iterates until the L1 change drops to ``tol``.
+    their mass uniformly. Iterates until the L1 change drops to ``PAGERANK_TOL``.
     Without dangling nodes the term is skipped: adding its 0.0 changes no bit.
     """
     if not 0 <= damping <= 1:
@@ -230,15 +233,15 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85, tol: float = 1e-10, max_
 
     dangling = np.flatnonzero(~nz)
     p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         flow = trans.T @ p
         if dangling.size:
             flow += p[dangling].sum() / n
         nxt = damping * flow + (1.0 - damping) / n
-        if np.abs(nxt - p).sum() <= tol:
+        if np.abs(nxt - p).sum() <= PAGERANK_TOL:
             return nxt
         p = nxt
-    raise NumericalError(f"pagerank did not converge in {max_iter} iterations")
+    raise NumericalError(f"pagerank did not converge in {PAGERANK_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -252,12 +255,14 @@ def mean_diff_ttest(a, b) -> TTestResult:
     """Welch's two-sided t-test for a difference in means.
 
     Uses the Welch-Satterthwaite degrees of freedom; each group needs at
-    least two samples and nonzero variance.
+    least two finite samples and nonzero variance.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise DataError("each group needs at least two samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("t-test needs finite samples")
     va = a.var(ddof=1) / a.size
     vb = b.var(ddof=1) / b.size
     if va <= 0 or vb <= 0:
@@ -270,13 +275,15 @@ def mean_diff_ttest(a, b) -> TTestResult:
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation; raises DataError when either input is constant."""
+    """Pearson correlation; raises DataError when either input is constant or not finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ArgumentError("pearson expects two equal-length 1-D arrays")
     if x.size < 2:
         raise DataError("need at least two observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("correlation needs finite observations")
     xd = x - x.mean()
     yd = y - y.mean()
     sx = np.sqrt((xd**2).sum())

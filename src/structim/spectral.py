@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, NumericalError
 
 SYMMETRY_TOL = 1e-10
 
@@ -48,12 +48,14 @@ class SingularTriplet:
 def eig_sym(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a symmetric matrix with deterministic orientation.
 
-    Raises ArgumentError when the input is not square 2-D or not symmetric to
-    within an absolute tolerance of 1e-10.
+    Raises ArgumentError when the input is not square 2-D, has a non-finite
+    entry, or is not symmetric to within an absolute tolerance of 1e-10.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ArgumentError("matrix has a non-finite entry")
     if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise ArgumentError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(a)
@@ -73,7 +75,8 @@ def leading_singular(a: np.ndarray) -> SingularTriplet:
     """Leading singular value of ``a`` and leading eigenvector of a @ a.T.
 
     The all-zero matrix maps to s = 0 with the first coordinate vector, so
-    callers never see a NaN direction.
+    callers never see a NaN direction. A product a @ a.T beyond the float
+    range raises NumericalError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -83,14 +86,17 @@ def leading_singular(a: np.ndarray) -> SingularTriplet:
         if e0.shape[0]:
             e0[0] = 1.0
         return SingularTriplet(s=0.0, vector=e0)
-    m = a @ a.T
-    m = (m + m.T) / 2.0  # clear float asymmetry from the product
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is the error below
+        m = a @ a.T
+        m = (m + m.T) / 2.0  # clear float asymmetry from the product
+    if not np.isfinite(m).all():
+        raise NumericalError("a @ a.T overflows the float range")
     spec = eig_sym(m)
     lam = max(float(spec.eigenvalues[0]), 0.0)
     return SingularTriplet(s=float(np.sqrt(lam)), vector=np.array(spec.eigenvectors[:, 0]))
 
 
-def select_eigencomponent(spectrum: Spectrum, node: int | None = None):
+def select_eigencomponent(spectrum: Spectrum) -> np.ndarray:
     """Per-node eigenvalue rank where the node's component magnitude peaks.
 
     Ranks are 1-based positions in the descending eigenvalue order, and the
@@ -100,18 +106,10 @@ def select_eigencomponent(spectrum: Spectrum, node: int | None = None):
     node and would make the selection useless for locating structure. Ties
     resolve to the smallest rank.
 
-    Returns the full rank array, or a single int when ``node`` is given
-    (out-of-range indices raise IndexError). Raises DataError when the
-    spectrum has no positive eigenvalue.
+    Raises DataError when the spectrum has no positive eigenvalue.
     """
     n_pos = spectrum.positive_count()
     if n_pos == 0:
         raise DataError("no positive eigenvalues; eigencomponent selection undefined")
-    block = np.abs(spectrum.eigenvectors[:, :n_pos])
-    ranks = np.argmax(block, axis=1) + 1
-    if node is None:
-        return ranks
-    if not 0 <= node < ranks.shape[0]:
-        raise IndexError(f"node index {node} out of range for {ranks.shape[0]} nodes")
-    return int(ranks[node])
+    return np.argmax(np.abs(spectrum.eigenvectors[:, :n_pos]), axis=1) + 1
 

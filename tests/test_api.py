@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import structim
-from structim import features, model, pipeline
+from structim import features, model, netstats, pipeline
 from structim.errors import ArgumentError
 
 from conftest import clique, network_from
@@ -42,11 +42,35 @@ def test_public_surface_is_pinned():
     assert all(hasattr(structim, name) for name in PUBLIC)
 
 
+def _public_callables():
+    """The functions in ``__all__`` and the public methods of its classes."""
+    for name in structim.__all__:
+        obj = getattr(structim, name)
+        if inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj, lambda m: inspect.isfunction(m) or inspect.ismethod(m)):
+                if not attr.startswith("_"):
+                    yield member
+        elif callable(obj):
+            yield obj
+
+
+def test_public_options_are_pinned():
+    # a new keyword option (or a removed one) must edit this count on purpose
+    options = [(fn.__qualname__, p.name) for fn in _public_callables()
+               for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+    assert len(options) == 40, options
+
+
 def test_fixed_values_are_constants_not_options():
-    # no caller set them: pipeline.FOLDS, model.RIDGE_JITTER, model.THRESHOLD, model.CI95_PERCENTILES
+    # no caller set them: pipeline.FOLDS, model.RIDGE_JITTER, model.THRESHOLD, model.CI95_PERCENTILES,
+    # model.IRLS_MAX_ITER and IRLS_TOL, netstats.PAGERANK_TOL and PAGERANK_MAX_ITER; the rank array and
+    # the strength vector are indexed for one node
     for fn, name in ((structim.forward_chain_folds, "folds"), (structim.fit_linear, "jitter"),
-                     (structim.evaluate, "threshold"), (structim.bootstrap_auc_ci, "alpha")):
-        assert name not in inspect.signature(fn).parameters
+                     (structim.evaluate, "threshold"), (structim.bootstrap_auc_ci, "alpha"),
+                     (structim.fit_logistic, "max_iter"), (structim.fit_logistic, "tol"),
+                     (structim.pagerank, "tol"), (structim.pagerank, "max_iter"),
+                     (structim.select_eigencomponent, "node"), (structim.Snapshot.strength, "node")):
+        assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
 
 
 def test_each_shared_default_has_one_owner():
@@ -63,13 +87,12 @@ def test_each_shared_default_has_one_owner():
         model.BOOTSTRAP_ITERS: [(structim.bootstrap_auc_ci, "iters"), (structim.run_prediction, "bootstrap_iters")],
         model.PERMUTATION_REPEATS: [(structim.permutation_importance, "repeats")],
         pipeline.L2_GRID: [(structim.time_ordered_select, "l2_grid"), (structim.run_prediction, "l2_grid")],
-        # the L2 grid's fits (_irls) and the refit (fit_logistic) stop by the same rule
-        model.IRLS_MAX_ITER: [(structim.fit_logistic, "max_iter"), (model._irls, "max_iter")],
-        model.IRLS_TOL: [(structim.fit_logistic, "tol"), (model._irls, "tol")],
     }
     assert (features.CHANGE_THRESHOLD, features.CORR_THRESHOLD) == (0.05, 0.8)
     assert (model.NULL_TRIALS, model.BOOTSTRAP_ITERS, model.PERMUTATION_REPEATS) == (100, 1000, 10)
+    # the L2 grid's fits (_irls) and the refit (fit_logistic) read the same two limits
     assert (model.IRLS_MAX_ITER, model.IRLS_TOL, model.HESSIAN_JITTER) == (500, 1e-8, 1e-12)
+    assert (netstats.PAGERANK_TOL, netstats.PAGERANK_MAX_ITER) == (1e-10, 100000)
     for constant, users in owners.items():
         for fn, name in users:
             assert inspect.signature(fn).parameters[name].default is constant, (fn.__name__, name)
@@ -128,11 +151,15 @@ def _labeled_table():
     lambda: structim.build_table(network_from([clique(3), clique(3, timestamp=1)]), 1, "presence"),
     lambda: structim.eig_sym(np.ones((2, 3))),
     lambda: structim.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]])),
+    lambda: structim.eig_sym(np.array([[0.0, np.nan], [np.nan, 0.0]])),
+    lambda: structim.eig_sym(np.array([[np.inf, 1.0], [1.0, 0.0]])),
     lambda: structim.leading_singular(np.ones(3)),
+    lambda: structim.r2_score([1.0, 2.0], [1.0]),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha",
         "permutation-importance-repeats", "pool-targets", "pool-columns", "build-features-anchor",
-        "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "leading-singular-shape"])
+        "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "eig-sym-nan", "eig-sym-inf",
+        "leading-singular-shape", "r2-score-shape"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):

@@ -628,3 +628,13 @@ def test_strengths_that_overflow_are_a_data_error(tmp_path, capsys, argv, snapsh
     out = str(tmp_path / ("i.json" if argv[0] == "importance" else "out"))
     assert main([argv[0], net, *argv[1:], "--out", out]) == 3
     assert capsys.readouterr().err == f"data error: snapshot {snapshot}: the strengths overflow the float range\n"
+
+
+def test_directed_importance_that_overflows_is_a_numerical_error(tmp_path, capsys):
+    # the strengths are finite (at most 2e200), a @ a.T is not; the JSON once read "value": NaN
+    net = tmp_path / "big.csv"
+    net.write_text("0,a,b,1e200\n0,b,c,1e200\n0,c,a,1e200\n0,a,c,1e200\n")
+    out = tmp_path / "big.json"
+    assert main(["importance", str(net), "--directed", "--scheme", "directed", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "numerical error: a @ a.T overflows the float range\n"
+    assert not out.exists()

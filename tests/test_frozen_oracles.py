@@ -446,9 +446,9 @@ def _fit_oracle(table, l2=1.0, max_iter=500, tol=1e-8):
     return beta, converged, it, grad_norm, separation, halvings
 
 
-def _check_fit(table, l2, **kwargs):
-    beta, converged, n_iter, grad_norm, separation, halvings = _fit_oracle(table, l2, **kwargs)
-    fit = fit_logistic(table, l2=l2, **kwargs)
+def _check_fit(table, l2):
+    beta, converged, n_iter, grad_norm, separation, halvings = _fit_oracle(table, l2)
+    fit = fit_logistic(table, l2=l2)
     assert fit.intercept == beta[0]
     assert np.array_equal(fit.coef, beta[1:])
     assert (fit.converged, fit.n_iter, fit.grad_norm, fit.separation_warning) == \
@@ -495,11 +495,12 @@ def test_fit_logistic_matches_after_thirty_halvings(monkeypatch):
     assert _check_fit(_noisy_table(7, 100, p=2), 1.0) == 30
 
 
-def test_fit_logistic_nonconvergence_matches():
+def test_fit_logistic_nonconvergence_matches(monkeypatch):
     table = _noisy_table(8, 100, p=2)
     assert not _fit_oracle(table, 1.0, max_iter=2)[1]
+    monkeypatch.setattr(model_module, "IRLS_MAX_ITER", 2)
     with pytest.raises(NumericalError, match="did not converge: 2 iterations"):
-        fit_logistic(table, l2=1.0, max_iter=2)
+        fit_logistic(table, l2=1.0)
 
 
 # ------------------------------------------------------------- L2 grid oracle

@@ -165,13 +165,9 @@ def test_strength_modes_directed():
         assert np.allclose(u.strength(mode), [2.0, 2.0, 2.0])
 
 
-def test_strength_single_node_accessor():
+def test_strength_vector_indexes_one_node():
     s = clique(4, w=1.5)
-    assert s.strength(node=2) == pytest.approx(4.5)
-    with pytest.raises(IndexError):
-        s.strength(node=4)
-    with pytest.raises(IndexError):
-        s.strength(node=-1)
+    assert s.strength()[2] == pytest.approx(4.5)
     with pytest.raises(ValueError):
         s.strength(mode="sideways")
 
@@ -279,7 +275,6 @@ _OVERFLOWING = {
 def test_strengths_that_overflow_are_a_data_error(name):
     snap = _OVERFLOWING[name]
     measures = [lambda mode=mode: snap.strength(mode) for mode in ("total", "in", "out")]
-    measures.append(lambda: snap.strength(node=0))
     if snap.directed:
         measures += [lambda mode=mode: node_importance_directed(snap, mode) for mode in ("total", "in", "out")]
     else:

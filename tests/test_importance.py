@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from structim import (
     DataError,
+    NumericalError,
     Snapshot,
     barbell,
     edge_importance,
@@ -163,6 +164,23 @@ def test_directed_nilpotent_frozen():
     vec = node_importance_directed(s, "total")
     assert vec.values[0] == pytest.approx(1.0, abs=1e-12)
     assert vec.values[1] == pytest.approx(0.0, abs=1e-12)
+
+
+_OVERFLOWING_ARCS = {
+    # finite strengths (at most 2e200), but a @ a.T overflows
+    "a @ a.T": Snapshot(node_ids=("a", "b", "c"), directed=True,
+                        edges=((0, 1, 1e200), (1, 2, 1e200), (2, 0, 1e200), (0, 2, 1e200))),
+    # a @ a.T peaks at 6e307, but the hub's strength times sigma passes 1.8e308
+    "the terms": Snapshot(node_ids=tuple(range(21)), directed=True,
+                          edges=tuple((0, j, 1.732e153) for j in range(1, 21))),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING_ARCS))
+def test_directed_importance_that_overflows_is_a_numerical_error(name):
+    with np.errstate(all="raise"):  # and no overflow warning on the way
+        with pytest.raises(NumericalError, match="overflows the float range"):
+            node_importance_directed(_OVERFLOWING_ARCS[name], "total")
 
 
 def test_directed_out_importance_matches_singular_value_derivative():

@@ -247,12 +247,13 @@ def test_logistic_separation_clamps_with_flag():
     assert auc_score(table.y, model.predict_proba(table.X)) == 1.0
 
 
-def test_logistic_nonconvergence_reports_diagnostics():
+def test_logistic_nonconvergence_reports_diagnostics(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(50, 2))
     y = (rng.random(50) < 0.5).astype(float)
-    with pytest.raises(NumericalError, match="did not converge"):
-        fit_logistic(_table(("ma", "mb"), x, y=y), l2=1.0, max_iter=1)
+    monkeypatch.setattr(model_module, "IRLS_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="did not converge: 1 iterations"):
+        fit_logistic(_table(("ma", "mb"), x, y=y), l2=1.0)
 
 
 def test_logistic_validation():
@@ -410,6 +411,10 @@ def test_binom_ci_rejects_non_integral_n():
 def test_binom_ci_rejects_non_integral_successes():
     with pytest.raises(ValueError):
         binom_ci(2.5, 5)
+    # a bool is no count, as everywhere else
+    for successes, n in ((True, 5), (1, True), (np.bool_(True), 5)):
+        with pytest.raises(ArgumentError, match="must be integers"):
+            binom_ci(successes, n)
     # numpy integers, as counted from label arrays, stay accepted
     assert binom_ci(np.int64(3), np.int64(10)) == binom_ci(3, 10)
 
@@ -792,6 +797,11 @@ def test_r2_score_values():
     assert r2_score(y, np.array([3.0, 2.0, 1.0])) < 0.0
     with pytest.raises(DataError):
         r2_score(np.full(3, 5.0), y)
+
+
+def test_r2_score_of_empty_inputs_is_a_data_error_before_any_warning():
+    with pytest.raises(DataError, match="empty target"):
+        r2_score([], [])
 
 
 def test_null_shuffle_regression_destroys_signal():

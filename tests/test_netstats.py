@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from structim import netstats
 from structim import (
     DataError,
+    NumericalError,
     Snapshot,
     barbell,
     detect_communities,
@@ -372,6 +373,12 @@ def test_pagerank_rejects_damping_outside_unit_interval(damping):
         pagerank(clique(4), damping=damping)
 
 
+def test_pagerank_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(netstats, "PAGERANK_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="pagerank did not converge in 1 iterations"):
+        pagerank(path_graph(4))
+
+
 def test_pagerank_accepts_unit_interval_ends():
     for damping in (0.0, 1.0):
         assert pagerank(clique(4), damping=damping).sum() == pytest.approx(1.0, abs=1e-9)
@@ -405,6 +412,13 @@ def test_welch_ttest_validation():
         mean_diff_ttest([3.0, 3.0, 3.0], [1.0, 2.0, 4.0])  # constant group
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_welch_ttest_of_a_non_finite_sample_is_a_data_error(bad):
+    for a, b in (([1.0, bad, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+        with pytest.raises(DataError, match="t-test needs finite samples"):
+            mean_diff_ttest(a, b)
+
+
 def test_pearson_frozen_and_bounds():
     assert pearson([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-12)
     assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
@@ -415,6 +429,13 @@ def test_pearson_frozen_and_bounds():
     r = pearson(x, y)
     assert -1.0 <= r <= 1.0
     assert pearson(y, x) == pytest.approx(r, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pearson_of_a_non_finite_input_is_a_data_error(bad):
+    for x, y in (([1.0, bad, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+        with pytest.raises(DataError, match="correlation needs finite observations"):
+            pearson(x, y)
 
 
 def test_pearson_constant_input_errors():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from structim import (
     DataError,
+    NumericalError,
     barbell,
     eig_sym,
     leading_singular,
@@ -107,6 +108,13 @@ def test_leading_singular_frozen_nilpotent():
     assert np.allclose(np.abs(trip.vector), [1.0, 0.0], atol=1e-9)
 
 
+def test_leading_singular_of_an_overflowing_product_is_a_numerical_error():
+    a = np.array([[0.0, 1e200], [1e200, 0.0]])
+    with np.errstate(all="raise"):
+        with pytest.raises(NumericalError, match=r"a @ a.T overflows the float range"):
+            leading_singular(a)
+
+
 def test_leading_singular_zero_matrix():
     trip = leading_singular(np.zeros((3, 3)))
     assert trip.s == 0.0
@@ -127,17 +135,6 @@ def test_select_eigencomponent_barbell_ranks():
     spec = eig_sym(barbell(4, 2, 5).adjacency())
     ranks = select_eigencomponent(spec)
     assert list(ranks) == [2, 2, 2, 2, 3, 3, 1, 1, 1, 1, 1]
-
-
-def test_select_eigencomponent_single_node_form():
-    spec = eig_sym(barbell(4, 2, 5).adjacency())
-    assert select_eigencomponent(spec, 0) == 2
-    assert select_eigencomponent(spec, 5) == 3
-    assert select_eigencomponent(spec, 10) == 1
-    with pytest.raises(IndexError):
-        select_eigencomponent(spec, 11)
-    with pytest.raises(IndexError):
-        select_eigencomponent(spec, -1)
 
 
 def test_select_eigencomponent_cliques_rank_one():
