@@ -44,6 +44,9 @@ from .pipeline import _check_prediction_args, run_prediction
 from .spectral import eig_sym, select_eigencomponent
 from .svgplot import bar_chart, line_chart, violin_chart
 
+# The significance level that ttests.json reports, with its Bonferroni split over the measures.
+TTEST_ALPHA = 0.05
+
 
 def _default(fn, param: str):
     """The default of ``fn``'s parameter ``param``, the one source of the
@@ -179,7 +182,7 @@ def cmd_importance(args) -> int:
     return 0
 
 
-def _ttests(meta: dict, by_measure: dict, alpha: float = 0.05) -> dict:
+def _ttests(meta: dict, by_measure: dict) -> dict:
     """Welch tests of each measure, present-next against absent-next."""
     tests = []
     for name in MEASURE_COLUMNS:
@@ -190,7 +193,7 @@ def _ttests(meta: dict, by_measure: dict, alpha: float = 0.05) -> dict:
         except DataError as exc:
             entry.update(dict.fromkeys((f.name for f in fields(TTestResult)), None), note=str(exc))
         tests.append(entry)
-    return {"meta": meta, "alpha": alpha, "bonferroni_alpha": alpha / len(MEASURE_COLUMNS), "tests": tests}
+    return {"meta": meta, "alpha": TTEST_ALPHA, "bonferroni_alpha": TTEST_ALPHA / len(MEASURE_COLUMNS), "tests": tests}
 
 
 def cmd_analyze(args) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, _check_count, _check_real
 from .graphs import TemporalNetwork
 from .importance import node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
@@ -142,8 +142,10 @@ def snapshot_measures(
     A snapshot with no edges yields all-NaN columns. ``spectrum`` and
     ``communities`` may carry the snapshot's ``eig_sym`` decomposition and
     ``detect_communities`` labels when the caller has already computed them.
-    A directed network raises DataError before any decomposition.
+    ``t`` is a snapshot position, 0..T-1. A directed network raises DataError
+    before any decomposition.
     """
+    _check_count(t, 0, "t", tn.n_snapshots - 1)
     _check_undirected(tn)
     s = tn.snapshots[t]
     out = {name: np.full(tn.n_nodes, np.nan) for name in MEASURE_COLUMNS}
@@ -183,8 +185,7 @@ def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: floa
 def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) -> FeatureTable:
     """The featurizable nodes of snapshot t among ``keep``, with their labels
     ``y`` when given; ``keep`` and ``y`` run over snapshot t's nodes."""
-    if not 1 <= t < tn.n_snapshots:
-        raise ArgumentError(f"anchor t={t} needs at least one prior snapshot and must exist")
+    _check_count(t, 1, "anchor t (after a prior snapshot)", tn.n_snapshots - 1)
     measures = snapshot_measures(tn, t)
     at = tn._positions[t]
     prior_count = tn.presence_matrix()[:t].sum(axis=0).astype(float)[at]
@@ -212,7 +213,7 @@ def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):
     """(keep, y) over snapshot t's nodes in its order: which nodes ``target``
     labels, by the S0/S1 rules of the module docstring, and their labels as floats."""
     _check_target(target)
-    _check_change_threshold(change_threshold)
+    _check_real(change_threshold, "change_threshold", 0, np.inf, "[)")
     _check_horizon(tn, t)
     s0 = tn.snapshots[t].strength()
     s1 = np.zeros(tn.n_nodes)
@@ -231,16 +232,6 @@ def _labels(tn: TemporalNetwork, t: int, target: str, change_threshold: float):
     return keep, (s1 > s0).astype(float)
 
 
-def _check_change_threshold(threshold: float) -> None:
-    if not (np.isfinite(threshold) and threshold >= 0):
-        raise ArgumentError(f"change_threshold must be finite and nonnegative, got {threshold}")
-
-
-def _check_corr_threshold(threshold: float) -> None:
-    if not 0 < threshold < 1:
-        raise ArgumentError(f"corr_threshold must be in (0, 1), got {threshold}")
-
-
 def _check_target(target: str) -> None:
     if target not in TARGETS:
         raise ArgumentError(f"unknown target {target!r}; expected one of {TARGETS}")
@@ -252,8 +243,7 @@ def _check_undirected(tn: TemporalNetwork) -> None:
 
 
 def _check_horizon(tn: TemporalNetwork, t: int) -> None:
-    if not 0 <= t < tn.n_snapshots - 1:
-        raise ArgumentError(f"labels at t={t} need snapshot t+1 to exist")
+    _check_count(t, 0, "labeled anchor t (before snapshot t+1)", tn.n_snapshots - 2)
 
 
 def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
@@ -264,7 +254,7 @@ def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
     columns have no defined correlation and are never dropped here; the
     standardization step handles them. Returns (reduced table, dropped names).
     """
-    _check_corr_threshold(threshold)
+    _check_real(threshold, "threshold", 0, 1, "()")
     if table.n_rows < 2:
         raise DataError("correlation pruning needs at least two rows")
 

@@ -10,12 +10,11 @@ important nodes are more likely to drop out of the next snapshot.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ArgumentError, _check_seed
-from .graphs import Snapshot, TemporalNetwork, _is_integer, _is_weight
+from .errors import _check_count, _check_real
+from .graphs import Snapshot, TemporalNetwork
 from .importance import node_importance
 
 # Keep probability of an average node in the synthetic generator: the
@@ -30,13 +29,6 @@ _NOISE_SIGMA = 0.25  # per-snapshot lognormal weight jitter
 _PCG64_PERIOD = 1 << 128  # advancing a PCG64 stream by its period leaves it where it stands
 
 
-def _check_integers(generator: str, **sizes) -> None:
-    """Each size argument of ``generator`` is an integer, Python's or numpy's, and not a bool."""
-    for name, value in sizes.items():
-        if not _is_integer(value):
-            raise ArgumentError(f"{generator} needs an integer {name}, got {value!r}")
-
-
 def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 1.0) -> Snapshot:
     """Two cliques joined by a path of ``bridge`` intermediate nodes.
 
@@ -45,11 +37,10 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
     last left-clique node and the first right-clique node. Every edge has the
     positive finite ``weight``.
     """
-    _check_integers("barbell", n_left=n_left, bridge=bridge, n_right=n_right)
-    if n_left < 2 or n_right < 2 or bridge < 0:
-        raise ArgumentError(f"barbell needs n_left >= 2, bridge >= 0, n_right >= 2; got {n_left}, {bridge}, {n_right}")
-    if not _is_weight(weight):
-        raise ArgumentError(f"barbell needs a positive finite weight, got {weight!r}")
+    _check_count(n_left, 2, "n_left")
+    _check_count(bridge, 0, "bridge")
+    _check_count(n_right, 2, "n_right")
+    _check_real(weight, "weight", 0, math.inf, "()")
     n = n_left + bridge + n_right
     edges = []
     for i in range(n_left):
@@ -67,9 +58,7 @@ def barbell(n_left: int = 4, bridge: int = 2, n_right: int = 5, weight: float = 
 
 def repeat_snapshot(snapshot: Snapshot, repeats: int) -> TemporalNetwork:
     """A static temporal network: the same snapshot at times 0..repeats-1."""
-    _check_integers("repeat_snapshot", repeats=repeats)
-    if repeats < 1:
-        raise ArgumentError(f"repeats must be >= 1, got {repeats}")
+    _check_count(repeats, 1, "repeats")
     snaps = tuple(
         Snapshot(node_ids=snapshot.node_ids, edges=snapshot.edges, directed=snapshot.directed, timestamp=t)
         for t in range(repeats)
@@ -139,22 +128,12 @@ def synthetic_temporal(
     the same doubles as that many scalar calls, so the networks are those of
     a plain loop with one uniform per pair and one lognormal per kept pair.
     """
-    _check_integers("synthetic_temporal", n=n, communities=communities, hub_count=hub_count, horizon=horizon)
-    if communities < 1 or n < communities:
-        raise ArgumentError(f"need n >= communities >= 1, got n={n}, communities={communities}")
-    if not 0 <= hub_count <= n:
-        raise ArgumentError(f"hub_count must be in 0..n={n}, got {hub_count}")
-    if not isinstance(dropout_coupling, numbers.Real) or isinstance(dropout_coupling, bool):
-        raise ArgumentError(f"synthetic_temporal needs a real dropout_coupling, got {dropout_coupling!r}")
-    try:
-        finite = math.isfinite(dropout_coupling)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ArgumentError(f"dropout_coupling must be finite, got {dropout_coupling}")
-    if horizon < 2:
-        raise ArgumentError(f"horizon must be >= 2, got {horizon}")
-    _check_seed(seed)
+    _check_count(communities, 1, "communities")
+    _check_count(n, communities, "n")
+    _check_count(hub_count, 0, "hub_count", n)
+    _check_real(dropout_coupling, "dropout_coupling", -math.inf, math.inf, "()")
+    _check_count(horizon, 2, "horizon")
+    _check_count(seed, 0, "seed", math.inf)
 
     base = _base_graph(n, communities, hub_count, np.random.default_rng([seed, 0]))
     # _base_graph's pairs (i, j) come once each, with i < j, in sorted order

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, _is_integer
 
 _FORMAT_TAG = "structim-network"
 _FORMAT_VERSION = 1
@@ -43,17 +43,10 @@ def _json_value(value, kind, rule: str):
 _MAX_WEIGHT = sys.float_info.max
 
 
-def _is_integer(value) -> bool:
-    """An integer, Python's or numpy's, that is not a bool (numpy's bool is no Integral)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_weight(value) -> bool:
-    """A real number, not a bool (numpy's bool is no Real), positive and finite as a float."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < float(value) <= _MAX_WEIGHT
-    except OverflowError:  # an int beyond the float range
-        return False
+    """A real number, not a bool (numpy's bool is no Real), positive and finite as a float;
+    an int is compared exactly, so one beyond the float range is no weight."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value <= _MAX_WEIGHT
 
 
 def _hashable_ids(ids, what: str) -> tuple:

@@ -28,8 +28,8 @@ import re
 
 import numpy as np
 
-from .errors import ArgumentError, DataError
-from .graphs import Snapshot, TemporalNetwork, _is_integer
+from .errors import ArgumentError, DataError, _check_count
+from .graphs import Snapshot, TemporalNetwork
 
 _HEADER = ("time", "src", "dst", "value")
 _INT_ID = re.compile(r"[+-]?[0-9]+")
@@ -171,8 +171,7 @@ def _parse_columns(reader, source: str, aggregation: int):
 
 
 def _check_options(aggregation: int, directed: bool) -> None:
-    if not _is_integer(aggregation) or aggregation < 1:
-        raise ArgumentError(f"aggregation must be a positive integer, got {aggregation!r}")
+    _check_count(aggregation, 1, "aggregation")
     if not isinstance(directed, (bool, np.bool_)):  # the trusted Snapshot builder takes it as is
         raise ArgumentError(f"directed must be true or false, got {directed!r}")
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._special import betaincinv, expit, ndtr, stdtr
-from .errors import ArgumentError, DataError, NumericalError
+from .errors import ArgumentError, DataError, NumericalError, _check_count, _check_real
 from .features import CONSTANT_STD, FeatureTable, _check_horizon
-from .graphs import TemporalNetwork, _is_integer
+from .graphs import TemporalNetwork
 
 SEPARATION_BOUND = 30.0
 # A prediction is positive at this probability or above, in evaluate and in
@@ -54,11 +54,12 @@ BOOTSTRAP_ITERS = 1000
 PERMUTATION_REPEATS = 10
 
 
-def _check_count(value, least: int, what: str) -> None:
-    """A count argument: an integer, Python's or numpy's, that is not a bool,
-    and at least ``least``; ``what`` names what it counts."""
-    if not _is_integer(value) or value < least:
-        raise ArgumentError(f"need at least {least} {what}, as an integer, got {value!r}")
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator of ``seed``: a nonnegative integer, or a list or tuple
+    of them, as ``run_prediction`` passes [seed, k]."""
+    for part in seed if isinstance(seed, (list, tuple)) else (seed,):
+        _check_count(part, 0, "seed", np.inf)
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,11 @@ def _irls(design, y, l2: float, beta):
     for it in range(1, IRLS_MAX_ITER + 1):
         eta = design @ beta
         prob = expit(eta)
-        grad = design.T @ (weights * (y - prob)) - ridge @ beta
-        grad_norm = float(np.linalg.norm(grad))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge l2 on warm-started coefficients
+            grad = design.T @ (weights * (y - prob)) - ridge @ beta
+            grad_norm = float(np.linalg.norm(grad))
+        if not np.isfinite(grad).all():
+            raise NumericalError(f"logistic fit: the gradient at l2={l2} overflows the float range")
         if grad_norm <= IRLS_TOL:
             converged = True
             break
@@ -257,8 +261,7 @@ def fit_logistic(table: FeatureTable, l2: float = 1.0) -> LogisticModel:
     (``_irls``) warm-started along each fold's grid, for coefficients only;
     ``run_prediction`` reports this function's cold refit at the chosen L2.
     """
-    if not 0 <= l2 < np.inf:
-        raise ArgumentError(f"l2 must be finite and nonnegative, got {l2}")
+    _check_real(l2, "l2", 0, np.inf, "[)")
     if table.y is None:
         raise DataError("fit_logistic needs a labeled table")
     y = table.y.astype(float)
@@ -443,12 +446,9 @@ def binom_ci(successes: int, n: int, alpha: float = 0.05):
     and the upper bound the 1-alpha/2 quantile of Beta(k+1, n-k), with 0 at
     k = 0 and 1 at k = n.
     """
-    if not (_is_integer(successes) and _is_integer(n)):
-        raise ArgumentError(f"successes and n must be integers, got {successes!r} and {n!r}")
-    if not 0 <= successes <= n or n < 1:
-        raise ArgumentError("need 0 <= successes <= n with n >= 1")
-    if not 0 < alpha < 1:
-        raise ArgumentError("alpha must be in (0, 1)")
+    _check_count(n, 1, "n")
+    _check_count(successes, 0, "successes", n)
+    _check_real(alpha, "alpha", 0, 1, "()")
     k = successes
     lower = 0.0 if k == 0 else betaincinv(k, n - k + 1, alpha / 2.0)
     upper = 1.0 if k == n else betaincinv(k + 1, n - k, 1.0 - alpha / 2.0)
@@ -468,7 +468,8 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = BOO
     order under the redraw rule. Rows left over when the last slot is filled
     are discarded, which no result sees, since the generator is the call's own.
     """
-    _check_count(iters, 1, "bootstrap iteration")
+    _check_count(iters, 1, "iters")
+    rng = _rng(seed)
     if table.y is None:
         raise DataError("bootstrap needs a labeled table")
     pos, scores = _auc_inputs(table.y.astype(int), model.predict_proba(table.X))
@@ -477,7 +478,6 @@ def bootstrap_auc_ci(model: LogisticModel, table: FeatureTable, iters: int = BOO
         raise DataError("bootstrap needs at least one row")
     # the scores are fixed, so their tie groups are found once for every resample
     levels, groups = np.unique(scores, return_inverse=True)
-    rng = np.random.default_rng(seed)
     rows = _chunk_rows(n)
     samples = []
     slot = attempt = skipped = 0
@@ -547,14 +547,14 @@ def null_prior_predictor(train_y, test_y, trials: int = NULL_TRIALS, seed=0) -> 
     scores them against the true test labels. Returns per-metric means with
     empirical ci90 and ci95 (both labeled because the conventions differ).
     """
-    _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
+    _check_count(trials, MIN_NULL_TRIALS, "trials")
+    rng = _rng(seed)
     train_y = np.asarray(train_y).astype(int)
     test_y = np.asarray(test_y).astype(int)
     if train_y.size == 0 or test_y.size == 0:
         raise DataError("null prior predictor needs nonempty label arrays")
     pos = _auc_inputs(test_y)[0]
     prior = float(train_y.mean())
-    rng = np.random.default_rng(seed)
     # one block per kernel chunk: the same stream as one rng.random call per trial
     step = _chunk_rows(test_y.size)
     draws = ((rng.random((min(step, trials - lo), test_y.size)) < prior).astype(int) for lo in range(0, trials, step))
@@ -613,9 +613,9 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     are skipped. The random stream runs block of trials by block of trials,
     and within a block anchor group by anchor group (``edge_presence_labels``).
     """
-    _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
+    _check_count(trials, MIN_NULL_TRIALS, "trials")
+    rng = _rng(seed)
     scores = np.asarray(scores, dtype=float)
-    rng = np.random.default_rng(seed)
     groups = []
     for t in sorted(set(table.as_of)):
         _check_horizon(tn, t)
@@ -654,7 +654,8 @@ def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: i
     Positive values mean the model leaned on the feature; a feature with a
     zero coefficient scores exactly zero because predictions cannot change.
     """
-    _check_count(repeats, 1, "repeat")
+    _check_count(repeats, 1, "repeats")
+    _rng(seed)  # the seed's rule, before any work; each shuffle below has a stream of its own
     if table.y is None:
         raise DataError("permutation importance needs a labeled table")
     base = auc_score(table.y, model.predict_proba(table.X))
@@ -677,14 +678,18 @@ def shap_linear(model: LogisticModel, x: np.ndarray, background_mean: np.ndarray
     beta_j * (x_j - mean_j) against a background mean. The default background
     is the all-zero vector, the mean of the standardized training data.
     Accepts a FeatureTable or a raw row matrix. Returns (phi matrix, base
-    value); base + phi row sums reproduce the log-odds exactly.
+    value); base + phi row sums reproduce the log-odds exactly. Rows and the
+    background mean need one value per coefficient.
     """
     if hasattr(x, "X"):
         x = x.X
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    mean = np.zeros(x.shape[1]) if background_mean is None else np.asarray(background_mean, dtype=float)
+    p = model.coef.size
+    mean = np.zeros(p) if background_mean is None else np.asarray(background_mean, dtype=float)
+    if x.ndim != 2 or x.shape[1] != p or mean.shape != (p,):
+        raise ArgumentError(f"shap_linear needs {p} values per row and in the mean, got shapes {x.shape}, {mean.shape}")
     phi = model.coef[None, :] * (x - mean[None, :])
     base = float(model.intercept + model.coef @ mean)
     return phi, base
@@ -705,10 +710,13 @@ def r2_score(y_true, y_pred) -> float:
         raise ArgumentError(f"r2_score expects equal shapes, got {y.shape} and {pred.shape}")
     if y.size == 0:
         raise DataError("R^2 undefined for an empty target")
-    tss = float(np.sum((y - y.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the error below
+        tss = float(np.sum((y - y.mean()) ** 2))
+        rss = float(np.sum((y - pred) ** 2))
+    if not (np.isfinite(tss) and np.isfinite(rss)):
+        raise NumericalError(f"R^2 sums of squares are not finite: total {tss}, residual {rss}")
     if tss <= 0:
         raise DataError("R^2 undefined for a constant target")
-    rss = float(np.sum((y - pred) ** 2))
     return 1.0 - rss / tss
 
 
@@ -754,11 +762,11 @@ def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: 
     rows, and scores R^2 on the held-out rows. The rank check and Gram matrix
     run once (``_least_squares``); a trial solves for its coefficients only.
     """
-    _check_count(trials, MIN_NULL_TRIALS, "trials for stable quantiles")
+    _check_count(trials, MIN_NULL_TRIALS, "trials")
+    rng = _rng(seed)
     solve = _least_squares(train)[2]
     y_all = np.concatenate([train.y, heldout.y])
     n_train = len(train.y)
-    rng = np.random.default_rng(seed)
     scores = []
     for _ in range(trials):
         perm = rng.permutation(y_all)

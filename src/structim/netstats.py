@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import stdtr
-from .errors import ArgumentError, DataError, NumericalError
+from .errors import ArgumentError, DataError, NumericalError, _check_real
 from .graphs import Snapshot
 from .spectral import Spectrum, eig_sym
 
@@ -221,8 +221,7 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85) -> np.ndarray:
     their mass uniformly. Iterates until the L1 change drops to ``PAGERANK_TOL``.
     Without dangling nodes the term is skipped: adding its 0.0 changes no bit.
     """
-    if not 0 <= damping <= 1:
-        raise ArgumentError(f"damping must be in [0, 1], got {damping}")
+    _check_real(damping, "damping", 0, 1)
     n = snapshot.n_nodes
     if n == 0:
         raise DataError("pagerank undefined for an empty snapshot")
@@ -255,7 +254,8 @@ def mean_diff_ttest(a, b) -> TTestResult:
     """Welch's two-sided t-test for a difference in means.
 
     Uses the Welch-Satterthwaite degrees of freedom; each group needs at
-    least two finite samples and nonzero variance.
+    least two finite samples and nonzero variance. Variances whose t
+    statistic or degrees of freedom leave the float range raise NumericalError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -263,19 +263,23 @@ def mean_diff_ttest(a, b) -> TTestResult:
         raise DataError("each group needs at least two samples")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("t-test needs finite samples")
-    va = a.var(ddof=1) / a.size
-    vb = b.var(ddof=1) / b.size
+    with np.errstate(all="ignore"):  # a constant group or a non-finite result is an error below
+        va = a.var(ddof=1) / a.size
+        vb = b.var(ddof=1) / b.size
+        denom = va + vb
+        t = (a.mean() - b.mean()) / np.sqrt(denom)
+        dof = denom**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
     if va <= 0 or vb <= 0:
         raise DataError("constant group; t statistic undefined")
-    denom = va + vb
-    t = (a.mean() - b.mean()) / np.sqrt(denom)
-    dof = denom**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    if not (np.isfinite(t) and np.isfinite(dof)):
+        raise NumericalError(f"t-test variances leave the float range: t={t}, dof={dof}")
     p = 2.0 * stdtr(float(dof), -abs(float(t)))
     return TTestResult(t_stat=float(t), dof=float(dof), p_value=p)
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation; raises DataError when either input is constant or not finite."""
+    """Pearson correlation; raises DataError when either input is constant or
+    not finite, and NumericalError when its sums of squares overflow."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -284,10 +288,14 @@ def pearson(x, y) -> float:
         raise DataError("need at least two observations")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("correlation needs finite observations")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = np.sqrt((xd**2).sum())
-    sy = np.sqrt((yd**2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale is the error below
+        xd = x - x.mean()
+        yd = y - y.mean()
+        sx = np.sqrt((xd**2).sum())
+        sy = np.sqrt((yd**2).sum())
+        scale = sx * sy
+    if not np.isfinite(scale):
+        raise NumericalError("correlation's sums of squares overflow the float range")
     if sx == 0 or sy == 0:
         raise DataError("correlation undefined for a constant input")
-    return float((xd * yd).sum() / (sx * sy))
+    return float((xd * yd).sum() / scale)

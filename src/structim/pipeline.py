@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import expit
-from .errors import ArgumentError, DataError, _check_seed
-from .features import (CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_change_threshold,
-                       _check_corr_threshold, _check_target, build_table, pool, prune_correlated)
+from .errors import ArgumentError, DataError, _check_count, _check_real
+from .features import CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_target, build_table, pool, prune_correlated
 from .graphs import TemporalNetwork
-from .model import (BOOTSTRAP_ITERS, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _check_count, _irls,
+from .model import (BOOTSTRAP_ITERS, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _irls,
                     _json_fields, _with_intercept, apply_standardization, binom_ci, bootstrap_auc_ci, evaluate,
                     fit_linear, fit_logistic, null_edge_presence, null_prior_predictor, null_shuffle_regression,
                     permutation_importance, shap_linear, standardize)
@@ -121,9 +120,10 @@ def forward_chain_folds(n: int):
 
 
 def _check_l2_grid(l2_grid) -> None:
-    grid = [float(v) for v in l2_grid]
-    if not grid or not all(np.isfinite(v) and v >= 0 for v in grid):
-        raise ArgumentError(f"l2_grid needs finite nonnegative values, got {grid}")
+    if not (isinstance(l2_grid, (list, tuple)) and l2_grid):
+        raise ArgumentError(f"l2_grid needs a nonempty list or tuple of values, got {l2_grid!r}")
+    for value in l2_grid:
+        _check_real(value, "l2_grid value", 0, np.inf, "[)")
 
 
 def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
@@ -207,13 +207,13 @@ def _coefficient_table(model) -> list:
 
 
 def _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null_trials, bootstrap_iters) -> None:
-    """run_prediction's argument rules, each the check of the function that owns the parameter."""
-    _check_seed(seed)
+    """run_prediction's argument rules, the bounds of the functions it passes each one to."""
+    _check_count(seed, 0, "seed", np.inf)
     _check_l2_grid(l2_grid)
-    _check_change_threshold(change_threshold)
-    _check_corr_threshold(corr_threshold)
-    _check_count(null_trials, MIN_NULL_TRIALS, "trials for stable quantiles")
-    _check_count(bootstrap_iters, 1, "bootstrap iteration")
+    _check_real(change_threshold, "change_threshold", 0, np.inf, "[)")
+    _check_real(corr_threshold, "corr_threshold", 0, 1, "()")
+    _check_count(null_trials, MIN_NULL_TRIALS, "null_trials")
+    _check_count(bootstrap_iters, 1, "bootstrap_iters")
 
 
 def run_prediction(

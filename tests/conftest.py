@@ -1,10 +1,24 @@
 """Shared builders and independent numeric oracles for the test suite."""
 
+import inspect
 import math
 
 import numpy as np
 
+import structim
 from structim import Snapshot, TemporalNetwork
+
+
+def public_callables():
+    """The functions in ``__all__`` and the public methods of its classes."""
+    for name in structim.__all__:
+        obj = getattr(structim, name)
+        if inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj, lambda m: inspect.isfunction(m) or inspect.ismethod(m)):
+                if not attr.startswith("_"):
+                    yield member
+        elif callable(obj):
+            yield obj
 
 
 def clique(n, w=1.0, timestamp=0, node_ids=None):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import structim
-from structim import features, model, netstats, pipeline
+from structim import cli, features, model, netstats, pipeline, svgplot
 from structim.errors import ArgumentError
 
-from conftest import clique, network_from
+from conftest import clique, network_from, public_callables
 
 PUBLIC = (
     "BASE_PRESENCE", "DIRECTED_SCHEME", "DataError", "EvaluationReport", "FEATURE_COLUMNS",
@@ -42,34 +42,24 @@ def test_public_surface_is_pinned():
     assert all(hasattr(structim, name) for name in PUBLIC)
 
 
-def _public_callables():
-    """The functions in ``__all__`` and the public methods of its classes."""
-    for name in structim.__all__:
-        obj = getattr(structim, name)
-        if inspect.isclass(obj):
-            for attr, member in inspect.getmembers(obj, lambda m: inspect.isfunction(m) or inspect.ismethod(m)):
-                if not attr.startswith("_"):
-                    yield member
-        elif callable(obj):
-            yield obj
-
-
 def test_public_options_are_pinned():
     # a new keyword option (or a removed one) must edit this count on purpose
-    options = [(fn.__qualname__, p.name) for fn in _public_callables()
+    options = [(fn.__qualname__, p.name) for fn in public_callables()
                for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
     assert len(options) == 40, options
 
 
 def test_fixed_values_are_constants_not_options():
     # no caller set them: pipeline.FOLDS, model.RIDGE_JITTER, model.THRESHOLD, model.CI95_PERCENTILES,
-    # model.IRLS_MAX_ITER and IRLS_TOL, netstats.PAGERANK_TOL and PAGERANK_MAX_ITER; the rank array and
-    # the strength vector are indexed for one node
+    # model.IRLS_MAX_ITER and IRLS_TOL, netstats.PAGERANK_TOL and PAGERANK_MAX_ITER, cli.TTEST_ALPHA and
+    # the SVG size; the rank array and the strength vector are indexed for one node
     for fn, name in ((structim.forward_chain_folds, "folds"), (structim.fit_linear, "jitter"),
                      (structim.evaluate, "threshold"), (structim.bootstrap_auc_ci, "alpha"),
                      (structim.fit_logistic, "max_iter"), (structim.fit_logistic, "tol"),
                      (structim.pagerank, "tol"), (structim.pagerank, "max_iter"),
-                     (structim.select_eigencomponent, "node"), (structim.Snapshot.strength, "node")):
+                     (structim.select_eigencomponent, "node"), (structim.Snapshot.strength, "node"),
+                     (cli._ttests, "alpha"), (svgplot.line_chart, "width"), (svgplot.bar_chart, "height"),
+                     (svgplot.violin_chart, "width")):
         assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
 
 
@@ -148,6 +138,7 @@ def _labeled_table():
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), target="change")]),
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), columns=("mb",))]),
     lambda: structim.build_features(network_from([clique(3), clique(3, timestamp=1)]), 0),
+    lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), -1),
     lambda: structim.build_table(network_from([clique(3), clique(3, timestamp=1)]), 1, "presence"),
     lambda: structim.eig_sym(np.ones((2, 3))),
     lambda: structim.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]])),
@@ -155,11 +146,14 @@ def _labeled_table():
     lambda: structim.eig_sym(np.array([[np.inf, 1.0], [1.0, 0.0]])),
     lambda: structim.leading_singular(np.ones(3)),
     lambda: structim.r2_score([1.0, 2.0], [1.0]),
+    lambda: structim.shap_linear(replace(structim.fit_logistic(_labeled_table()), coef=np.ones(2)), np.ones((3, 1))),
+    lambda: structim.shap_linear(structim.fit_logistic(_labeled_table()), np.ones((3, 1)), background_mean=np.zeros(2)),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha",
         "permutation-importance-repeats", "pool-targets", "pool-columns", "build-features-anchor",
+        "snapshot-measures-anchor",
         "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "eig-sym-nan", "eig-sym-inf",
-        "leading-singular-shape", "r2-score-shape"])
+        "leading-singular-shape", "r2-score-shape", "shap-linear-columns", "shap-linear-background"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):

@@ -363,7 +363,7 @@ def test_predict_bad_grid_is_usage_error(synthetic_csv, tmp_path, capsys):
     assert main(["predict", synthetic_csv, "--l2-grid", "abc", "--out", out]) == 2
     assert "cannot parse" in capsys.readouterr().err
     assert main(["predict", synthetic_csv, "--l2-grid=-1.0,2.0", "--out", out]) == 2
-    assert "nonnegative" in capsys.readouterr().err
+    assert "l2_grid value must be a real number in [0, inf), got -1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["19", "5", "0", "-3"])
@@ -371,7 +371,7 @@ def test_predict_too_few_trials_is_usage_error(synthetic_csv, tmp_path, capsys, 
     out = str(tmp_path / "bad")
     assert main(["predict", synthetic_csv, f"--trials={trials}", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: need at least 20 trials for stable quantiles") and err.count("\n") == 1
+    assert err == f"error: null_trials must be an integer >= 20, got {trials}\n"
     assert not os.path.exists(out)
 
 
@@ -380,20 +380,20 @@ def test_predict_nonpositive_bootstrap_iters_is_usage_error(synthetic_csv, tmp_p
     out = str(tmp_path / "bad")
     assert main(["predict", synthetic_csv, f"--bootstrap-iters={iters}", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: need at least 1 bootstrap iteration") and err.count("\n") == 1
+    assert err == f"error: bootstrap_iters must be an integer >= 1, got {iters}\n"
     assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--l2-grid=nan", "error: l2_grid needs finite nonnegative values, got [nan]"),
-    ("--l2-grid=inf", "error: l2_grid needs finite nonnegative values, got [inf]"),
-    ("--l2-grid=0.1,-inf", "error: l2_grid needs finite nonnegative values, got [0.1, -inf]"),
-    ("--corr-threshold=1.5", "error: corr_threshold must be in (0, 1), got 1.5"),
-    ("--corr-threshold=0", "error: corr_threshold must be in (0, 1), got 0.0"),
-    ("--corr-threshold=nan", "error: corr_threshold must be in (0, 1), got nan"),
-    ("--change-threshold=nan", "error: change_threshold must be finite and nonnegative, got nan"),
-    ("--change-threshold=-1", "error: change_threshold must be finite and nonnegative, got -1.0"),
-    ("--change-threshold=inf", "error: change_threshold must be finite and nonnegative, got inf"),
+    ("--l2-grid=nan", "error: l2_grid value must be a real number in [0, inf), got nan"),
+    ("--l2-grid=inf", "error: l2_grid value must be a real number in [0, inf), got inf"),
+    ("--l2-grid=0.1,-inf", "error: l2_grid value must be a real number in [0, inf), got -inf"),
+    ("--corr-threshold=1.5", "error: corr_threshold must be a real number in (0, 1), got 1.5"),
+    ("--corr-threshold=0", "error: corr_threshold must be a real number in (0, 1), got 0.0"),
+    ("--corr-threshold=nan", "error: corr_threshold must be a real number in (0, 1), got nan"),
+    ("--change-threshold=nan", "error: change_threshold must be a real number in [0, inf), got nan"),
+    ("--change-threshold=-1", "error: change_threshold must be a real number in [0, inf), got -1.0"),
+    ("--change-threshold=inf", "error: change_threshold must be a real number in [0, inf), got inf"),
 ], ids=["l2-nan", "l2-inf", "l2-minus-inf", "corr-1.5", "corr-0", "corr-nan",
         "change-nan", "change-minus-1", "change-inf"])
 def test_predict_bad_flag_value_is_usage_error(tmp_path, capsys, flag, message):
@@ -414,7 +414,7 @@ def test_nonpositive_aggregation_is_usage_error(tmp_path, capsys, command, extra
     missing = str(tmp_path / "missing.csv")  # the check runs before the input is read
     assert main([command, missing, "--aggregation", "0", *extra, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err == "error: aggregation must be a positive integer, got 0\n"
+    assert err == "error: aggregation must be an integer >= 1, got 0\n"
     assert not os.path.exists(out)
 
 
@@ -473,7 +473,7 @@ def test_seed_is_only_an_option_where_it_is_read(tmp_path, capsys, argv):
 def test_predict_negative_seed_on_missing_input_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["predict", str(tmp_path / "missing.csv"), "--seed", "-1", "--out", out]) == 2
-    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
     assert not os.path.exists(out)
 
 

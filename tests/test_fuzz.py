@@ -3,10 +3,15 @@ the input, reading it gives a network or a StructimError, never any other
 exception, and a command exits with 0, 2, 3 or 4."""
 
 import contextlib
+import inspect
 import io
 import json
+import math
+import numbers
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +19,10 @@ from hypothesis import strategies as st
 from structim import (StructimError, TemporalNetwork, barbell, load_snapshots_text, repeat_snapshot,
                       synthetic_temporal, write_edge_csv)
 from structim.cli import main
+from structim.errors import ArgumentError
 from structim.graphs import Snapshot
+
+from conftest import public_callables
 
 _FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -231,3 +239,151 @@ def test_every_command_line_exits_with_a_documented_code(cli_dir, command_line):
     inputs = {*_INPUT[1], *_INPUT[2]}
     argv = [str(cli_dir / arg) if arg in inputs else arg for arg in argv]
     assert _exit_code([*argv, "--out", str(cli_dir / out)]) in (0, 2, 3, 4)
+
+
+# ------------------------------------------------------------ numeric options
+#
+# Every parameter of a public callable whose default is a number or a tuple of
+# numbers, and the positional counts of the generators and of binom_ci, gets
+# one value at a time on a tiny network, the other arguments cheap valid ones.
+# A value that is no real number (a bool, a string, None) or is not finite
+# must raise ArgumentError; any other value gives a result or a StructimError.
+# A count that sets the amount of work is never given a valid large value, so
+# no call runs long.
+
+_NOT_NUMBERS = (True, False, np.True_, "1", "x", None, math.nan, math.inf, -math.inf)
+_MOST = sys.maxsize  # the default upper bound of a count
+
+
+def _bound_values(spec):
+    """Values at and just past each finite bound of ``spec``: the (least, most)
+    of a count, whose ``most`` may be _MOST or inf, or the (low, high) of a real."""
+    low, high = spec
+    if isinstance(low, int):
+        past = [] if high == math.inf else [high + 1] if high == _MOST else [high, high + 1]
+        return [low - 1, low, low + 0.5, *past]
+    out = []
+    for bound in (low, high):
+        if math.isinf(bound):
+            out.append(math.copysign(sys.float_info.max, bound))
+        else:
+            out += [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+    return out
+
+
+def _fuzz_values(spec):
+    """The values fed to one option; an L2 grid gets each as the second of two grid values."""
+    if spec == "grid":
+        values = (*_NOT_NUMBERS, 10**400, *_bound_values((0.0, math.inf)))
+        return [*_NOT_NUMBERS, 0.5, (), *((0.1, v) for v in values)]
+    return [*_NOT_NUMBERS, 10**400, -10**400, *_bound_values(spec)]
+
+
+def _must_be_rejected(value) -> bool:
+    if isinstance(value, tuple):
+        return not value or any(map(_must_be_rejected, value))
+    return (value is None or isinstance(value, (bool, np.bool_, str))
+            or isinstance(value, float) and not math.isfinite(value))
+
+
+@pytest.fixture(scope="module")
+def numeric_calls(cli_dir):
+    """{(function, parameter): (bounds, call with one value)} over the numeric options."""
+    from structim import (binom_ci, bootstrap_auc_ci, build_horizon_tables, build_table, fit_logistic,
+                          load_network, null_edge_presence, null_prior_predictor, null_shuffle_regression,
+                          pagerank, permutation_importance, pool, prune_correlated, run_prediction,
+                          time_ordered_select)
+    from structim.features import FeatureTable
+
+    tn = synthetic_temporal(12, 2, 1, -2.0, 8, seed=2)  # five anchors and enough rows for run_prediction
+    pooled = pool(build_horizon_tables(tn, "presence"))
+    labeled = FeatureTable(columns=("ma",), X=np.array([[1.0], [-1.0], [0.5], [-0.5]]), node_ids=(0, 1, 2, 3),
+                           as_of=1, target="presence", y=np.array([1.0, 0.0, 0.0, 1.0]))
+    model = fit_logistic(labeled)
+    anchored = build_table(tn, 3, "presence")
+    scores = np.full(anchored.n_rows, 0.5)
+    x = np.arange(12.0).reshape(6, 2) ** 1.5
+    train, heldout = (FeatureTable(columns=("a", "b"), X=x[rows], node_ids=tuple(range(len(x[rows]))), as_of=1,
+                                   y=x[rows, 0]) for rows in (slice(0, 4), slice(4, 6)))
+    path = str(cli_dir / "valid.csv")
+    snap = barbell(2, 0, 2)
+    count, trials, seed = (1, _MOST), (20, _MOST), (0, math.inf)
+    unit, from_zero = (0.0, 1.0), (0.0, math.inf)
+    calls = {
+        ("barbell", "n_left"): ((2, _MOST), lambda v: barbell(v, 0, 2)),
+        ("barbell", "bridge"): ((0, _MOST), lambda v: barbell(2, v, 2)),
+        ("barbell", "n_right"): ((2, _MOST), lambda v: barbell(2, 0, v)),
+        ("barbell", "weight"): (from_zero, lambda v: barbell(2, 0, 2, weight=v)),
+        ("repeat_snapshot", "repeats"): (count, lambda v: repeat_snapshot(snap, v)),
+        ("synthetic_temporal", "n"): ((2, _MOST), lambda v: synthetic_temporal(v, 2, 1, 0.0, 2)),
+        ("synthetic_temporal", "communities"): (count, lambda v: synthetic_temporal(6, v, 1, 0.0, 2)),
+        ("synthetic_temporal", "hub_count"): ((0, 6), lambda v: synthetic_temporal(6, 2, v, 0.0, 2)),
+        ("synthetic_temporal", "dropout_coupling"): ((-math.inf, math.inf),
+                                                     lambda v: synthetic_temporal(6, 2, 1, v, 2)),
+        ("synthetic_temporal", "horizon"): ((2, _MOST), lambda v: synthetic_temporal(6, 2, 1, 0.0, v)),
+        ("synthetic_temporal", "seed"): (seed, lambda v: synthetic_temporal(6, 2, 1, 0.0, 2, seed=v)),
+        ("binom_ci", "successes"): ((0, 5), lambda v: binom_ci(v, 5)),
+        ("binom_ci", "n"): (count, lambda v: binom_ci(1, v)),
+        ("binom_ci", "alpha"): (unit, lambda v: binom_ci(2, 5, alpha=v)),
+        ("load_network", "aggregation"): (count, lambda v: load_network(path, aggregation=v)),
+        ("load_snapshots_text", "aggregation"): (count, lambda v: load_snapshots_text(_VALID_CSV, aggregation=v)),
+        ("pagerank", "damping"): (unit, lambda v: pagerank(snap, damping=v)),
+        ("build_table", "change_threshold"): (from_zero, lambda v: build_table(tn, 3, "change", change_threshold=v)),
+        ("build_horizon_tables", "change_threshold"): (
+            from_zero, lambda v: build_horizon_tables(tn, "change", change_threshold=v)),
+        ("prune_correlated", "threshold"): (unit, lambda v: prune_correlated(pooled, threshold=v)),
+        ("fit_logistic", "l2"): (from_zero, lambda v: fit_logistic(labeled, l2=v)),
+        ("bootstrap_auc_ci", "iters"): (count, lambda v: bootstrap_auc_ci(model, labeled, iters=v)),
+        ("bootstrap_auc_ci", "seed"): (seed, lambda v: bootstrap_auc_ci(model, labeled, iters=2, seed=v)),
+        ("permutation_importance", "repeats"): (count, lambda v: permutation_importance(model, labeled, repeats=v)),
+        ("permutation_importance", "seed"): (seed, lambda v: permutation_importance(model, labeled, 1, seed=v)),
+        ("null_prior_predictor", "trials"): (trials, lambda v: null_prior_predictor([0, 1], [0, 1, 1, 0], v)),
+        ("null_prior_predictor", "seed"): (seed, lambda v: null_prior_predictor([0, 1], [0, 1, 1, 0], 20, seed=v)),
+        ("null_edge_presence", "trials"): (trials, lambda v: null_edge_presence(tn, anchored, scores, trials=v)),
+        ("null_edge_presence", "seed"): (seed, lambda v: null_edge_presence(tn, anchored, scores, 20, seed=v)),
+        ("null_shuffle_regression", "trials"): (trials, lambda v: null_shuffle_regression(train, heldout, v)),
+        ("null_shuffle_regression", "seed"): (seed, lambda v: null_shuffle_regression(train, heldout, 20, seed=v)),
+        ("time_ordered_select", "l2_grid"): ("grid", lambda v: time_ordered_select(pooled, l2_grid=v)),
+    }
+    cheap = dict(null_trials=20, bootstrap_iters=2)
+    for name, spec in [("seed", seed), ("l2_grid", "grid"), ("change_threshold", from_zero),
+                       ("corr_threshold", unit), ("null_trials", trials), ("bootstrap_iters", count)]:
+        calls["run_prediction", name] = (spec, lambda v, name=name: run_prediction(tn, "presence",
+                                                                                   **{**cheap, name: v}))
+    return calls
+
+
+def _is_numeric_default(value) -> bool:
+    if isinstance(value, tuple):
+        return bool(value) and all(map(_is_numeric_default, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)  # a bool default is a switch
+
+
+# every public keyword option whose default is a number or a tuple of numbers, and the positional counts
+_NUMERIC_OPTIONS = sorted({(fn.__qualname__, p.name) for fn in public_callables()
+                           for p in inspect.signature(fn).parameters.values() if _is_numeric_default(p.default)}
+                          | {("synthetic_temporal", name) for name in ("n", "communities", "hub_count",
+                                                                       "dropout_coupling", "horizon")}
+                          | {("repeat_snapshot", "repeats"), ("binom_ci", "successes"), ("binom_ci", "n")})
+
+
+def test_numeric_fuzz_covers_every_numeric_option(numeric_calls):
+    assert sorted(numeric_calls) == _NUMERIC_OPTIONS
+
+
+@pytest.mark.parametrize("option", _NUMERIC_OPTIONS, ids=[".".join(option) for option in _NUMERIC_OPTIONS])
+@_FUZZ
+@given(data=st.data())
+def test_numeric_option_gives_a_result_or_a_structim_error(numeric_calls, option, data):
+    spec, call = numeric_calls[option]
+    value = data.draw(st.sampled_from(_fuzz_values(spec)), label=".".join(option))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the library's own notes on a fit, not failures
+        if _must_be_rejected(value):
+            with pytest.raises(ArgumentError):
+                call(value)
+            return
+        try:
+            call(value)
+        except StructimError:
+            pass

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,9 +76,13 @@ _NOT_INTEGER = [
 ]
 
 
+# the least value of each size, with the other arguments as _NOT_INTEGER gives them
+_LEAST = {"n_left": 2, "bridge": 0, "n_right": 2, "repeats": 1, "n": 2, "communities": 1, "hub_count": 0, "horizon": 2}
+
+
 @pytest.mark.parametrize("generator,name,call", _NOT_INTEGER, ids=[f"{g}-{n}" for g, n, _ in _NOT_INTEGER])
 def test_generators_reject_sizes_that_are_not_integers(generator, name, call):
-    with pytest.raises(ArgumentError, match=f"{generator} needs an integer {name}, got"):
+    with pytest.raises(ArgumentError, match=f"^{name} must be an integer >= {_LEAST[name]}, got "):
         call()
 
 
@@ -171,8 +176,7 @@ def test_synthetic_rejects_nonfinite_coupling(monkeypatch, coupling):
         raise AssertionError("generated before the argument checks")
 
     monkeypatch.setattr("structim.generators._base_graph", generate_nothing)
-    real = isinstance(coupling, (int, float)) and not isinstance(coupling, bool)
-    message = "dropout_coupling must be finite" if real else "synthetic_temporal needs a real dropout_coupling, got"
+    message = re.escape(f"dropout_coupling must be a real number in (-inf, inf), got {coupling!r}")
     with pytest.raises(ArgumentError, match=message):
         synthetic_temporal(20, 2, 2, coupling, 5, seed=1)
 

@@ -151,7 +151,7 @@ def test_aggregation_that_is_not_an_integer_is_an_argument_error(loader, aggrega
     # a bool is no count, although Python's bool is an int
     path = tmp_path / "net.csv"
     path.write_text(_TWO_DAYS)
-    message = re.escape(f"aggregation must be a positive integer, got {aggregation!r}")
+    message = re.escape(f"aggregation must be an integer >= 1, got {aggregation!r}")
     with pytest.raises(ArgumentError, match=message):
         load_snapshots_text(_TWO_DAYS, aggregation) if loader == "text" else load_network(str(path), aggregation)
 

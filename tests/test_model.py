@@ -1,5 +1,6 @@
 """Classifier, regressor, metrics, intervals, nulls, and attributions."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -261,7 +262,7 @@ def test_logistic_validation():
     with pytest.raises(ValueError):
         fit_logistic(_table(("ma",), x, y=[0, 1, 0, 1]), l2=-1.0)
     for l2 in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(f"l2 must be a real number in [0, inf), got {l2!r}")):
             fit_logistic(_table(("ma",), x, y=[0, 1, 0, 1]), l2=l2)
     with pytest.raises(DataError):
         fit_logistic(_table(("ma",), x))
@@ -412,8 +413,10 @@ def test_binom_ci_rejects_non_integral_successes():
     with pytest.raises(ValueError):
         binom_ci(2.5, 5)
     # a bool is no count, as everywhere else
-    for successes, n in ((True, 5), (1, True), (np.bool_(True), 5)):
-        with pytest.raises(ArgumentError, match="must be integers"):
+    for successes, n, message in ((True, 5, "successes must be an integer >= 0, got True"),
+                                  (1, True, "n must be an integer >= 1, got True"),
+                                  (np.bool_(True), 5, "successes must be an integer >= 0, got np.True_")):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
             binom_ci(successes, n)
     # numpy integers, as counted from label arrays, stay accepted
     assert binom_ci(np.int64(3), np.int64(10)) == binom_ci(3, 10)
@@ -496,7 +499,7 @@ def test_bootstrap_all_single_class_raises_after_warning():
 @pytest.mark.parametrize("iters", [0, -5])
 def test_bootstrap_needs_an_iteration(iters):
     model = _manual_logistic(0.0, [1.0], names=("ma",))
-    with pytest.raises(ValueError, match="at least 1 bootstrap iteration"):
+    with pytest.raises(ValueError, match=f"iters must be an integer >= 1, got {iters}"):
         bootstrap_auc_ci(model, _table(("ma",), [[1.0], [-1.0]], y=[1, 0]), iters=iters)
 
 
@@ -525,7 +528,7 @@ def test_null_prior_balanced_labels_hover_at_half():
 
 
 def test_null_prior_validation_and_determinism():
-    with pytest.raises(ValueError, match="at least 20 trials"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 20, got 19"):
         null_prior_predictor([0, 1], [0, 1], trials=19)
     with pytest.raises(DataError):
         null_prior_predictor([], [0, 1], trials=30)
@@ -600,10 +603,10 @@ def test_null_edge_presence_validation():
 
 def test_nulls_need_min_trials():
     tn = network_from([clique(4, timestamp=0), clique(4, timestamp=1)])
-    with pytest.raises(ValueError, match="at least 20 trials"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 20, got 19"):
         null_edge_presence(tn, *_scored_rows({0: 0.5}), trials=19)
     x = np.arange(12.0).reshape(6, 2) ** 1.5
-    with pytest.raises(ValueError, match="at least 20 trials"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 20, got 19"):
         null_shuffle_regression(_table(("a", "b"), x[:4], y=x[:4, 0]), _table(("a", "b"), x[4:], y=x[4:, 0]), trials=19)
 
 
@@ -629,7 +632,8 @@ def _count_calls():
 def test_a_count_that_is_not_an_integer_is_an_argument_error(name, kind):
     least, call = _count_calls()[name]
     value = {"float": float(least + 1), "fraction": least + 0.5, "bool": True}[kind]
-    with pytest.raises(ArgumentError, match=f"need at least {least} .*, as an integer, got {value!r}"):
+    param = {"bootstrap_auc_ci": "iters", "permutation_importance": "repeats"}.get(name, "trials")
+    with pytest.raises(ArgumentError, match=re.escape(f"{param} must be an integer >= {least}, got {value!r}")):
         call(value)
 
 
@@ -679,7 +683,7 @@ def test_permutation_duplicated_feature_still_registers():
 
 def test_permutation_needs_a_repeat():
     model = _manual_logistic(0.0, [1.0], names=("ma",))
-    with pytest.raises(ValueError, match="at least 1 repeat"):
+    with pytest.raises(ValueError, match="repeats must be an integer >= 1, got 0"):
         permutation_importance(model, _table(("ma",), [[1.0], [-1.0]], y=[1, 0]), repeats=0)
 
 
@@ -802,6 +806,12 @@ def test_r2_score_values():
 def test_r2_score_of_empty_inputs_is_a_data_error_before_any_warning():
     with pytest.raises(DataError, match="empty target"):
         r2_score([], [])
+
+
+def test_r2_score_of_overflowing_squares_is_a_numerical_error():
+    # the total sum of squares overflows; it once gave inf / inf = nan
+    with pytest.raises(NumericalError, match="R\\^2 sums of squares are not finite: total inf"):
+        r2_score([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])
 
 
 def test_null_shuffle_regression_destroys_signal():

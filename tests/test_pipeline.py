@@ -1,6 +1,7 @@
 """Horizon tables, forward-chaining selection, and the full prediction run."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -144,10 +145,15 @@ def test_select_single_value_grid():
     assert best == 0.1
 
 
-@pytest.mark.parametrize("grid", [(), (0.1, -0.5), (float("nan"),), (1.0, float("inf"))])
-def test_select_rejects_a_bad_grid_before_any_fit(monkeypatch, grid):
+@pytest.mark.parametrize("grid, message", [
+    ((), "l2_grid needs a nonempty list or tuple of values, got ()"),
+    ((0.1, -0.5), "l2_grid value must be a real number in [0, inf), got -0.5"),
+    ((float("nan"),), "l2_grid value must be a real number in [0, inf), got nan"),
+    ((1.0, float("inf")), "l2_grid value must be a real number in [0, inf), got inf"),
+], ids=["grid0", "grid1", "grid2", "grid3"])
+def test_select_rejects_a_bad_grid_before_any_fit(monkeypatch, grid, message):
     monkeypatch.setattr("structim.pipeline._irls", lambda *args: pytest.fail("fit before the grid check"))
-    with pytest.raises(ArgumentError, match="l2_grid needs finite nonnegative values"):
+    with pytest.raises(ArgumentError, match=re.escape(message)):
         time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=grid)
 
 
@@ -375,7 +381,9 @@ def test_run_prediction_checks_counts_before_building_tables(monkeypatch, couple
         raise AssertionError("tables built before the argument checks")
 
     monkeypatch.setattr("structim.pipeline.build_horizon_tables", build_nothing)
-    with pytest.raises(ValueError, match="at least"):
+    (name, value), = counts.items()
+    least = {"null_trials": 20, "bootstrap_iters": 1}[name]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}, got {value}"):
         run_prediction(coupled_network, target, **counts)
 
 
