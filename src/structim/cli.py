@@ -141,11 +141,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    if args.scheme == DIRECTED_SCHEME and not args.directed:
-        raise ArgumentError("scheme 'directed' requires --directed input")
-    if args.scheme != DIRECTED_SCHEME and args.directed:
-        raise ArgumentError(f"scheme {args.scheme!r} is undirected; drop --directed")
-    tn = load_network(args.input, aggregation=args.aggregation, directed=args.directed)
+    tn = load_network(args.input, aggregation=args.aggregation, directed=args.scheme == DIRECTED_SCHEME)
     if not 0 <= args.snapshot < tn.n_snapshots:
         raise DataError(f"snapshot {args.snapshot} out of range 0..{tn.n_snapshots - 1}")
     snap = tn.snapshots[args.snapshot]
@@ -345,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(imp)
     imp.add_argument("--scheme", choices=SCHEMES + (DIRECTED_SCHEME,), default="mb")
     imp.add_argument("--snapshot", type=int, default=0)
-    imp.add_argument("--directed", action="store_true", help="treat input arcs as directed")
     imp.add_argument("--strength-mode", choices=STRENGTH_MODES,
                      default=_default(node_importance_directed, "strength_mode"))
     imp.add_argument("--out", required=True, help="a .json path, or a CSV path with a .meta.json sidecar")

@@ -252,14 +252,14 @@ def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
     Iteratively removes the column with the most over-threshold partners;
     ties break by a fixed drop priority (generic benchmarks first). Constant
     columns have no defined correlation and are never dropped here; the
-    standardization step handles them. Returns (reduced table, dropped names).
+    standardization step handles them. Returns the dropped names, in drop
+    order; the caller selects the columns it keeps.
     """
     _check_real(threshold, "threshold", 0, 1, "()")
     if table.n_rows < 2:
         raise DataError("correlation pruning needs at least two rows")
 
-    active = [c for c in table.columns]
-    variable = [c for c in active if np.std(table.column(c)) > CONSTANT_STD]
+    variable = [c for c in table.columns if np.std(table.column(c)) > CONSTANT_STD]
     corr = {}
     for i, ci in enumerate(variable):
         for cj in variable[i + 1 :]:
@@ -281,7 +281,6 @@ def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
         candidates = [c for c, k in partners.items() if k == worst]
         victim = min(candidates, key=lambda c: (priority(c), table.columns.index(c)))
         variable.remove(victim)
-        active.remove(victim)
         dropped.append(victim)
 
-    return table.select_columns(active), dropped
+    return dropped

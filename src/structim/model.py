@@ -37,7 +37,7 @@ SEPARATION_BOUND = 30.0
 # A prediction is positive at this probability or above, in evaluate and in
 # the edge-presence null alike.
 THRESHOLD = 0.5
-# The percentile pair of every 95% interval: the bootstrap AUC CI and ci95.
+# The percentile pair of every 95% interval: the bootstrap AUC CI, ci95 and binom_ci (as p / 100).
 CI95_PERCENTILES = (2.5, 97.5)
 RIDGE_JITTER = 1e-10
 # IRLS stops at a gradient 2-norm of IRLS_TOL or after IRLS_MAX_ITER Newton
@@ -437,21 +437,21 @@ def evaluate(model: LogisticModel, table: FeatureTable) -> EvaluationReport:
     )
 
 
-def binom_ci(successes: int, n: int, alpha: float = 0.05):
-    """Two-sided exact (Clopper-Pearson) binomial proportion interval.
+def binom_ci(successes: int, n: int):
+    """Two-sided exact (Clopper-Pearson) 95% binomial proportion interval.
 
     ``successes`` and ``n`` must be integers (Python or numpy, not bool). The bounds
     are beta quantiles (Clopper & Pearson, Biometrika 1934): with
-    k = successes, the lower bound is the alpha/2 quantile of Beta(k, n-k+1)
-    and the upper bound the 1-alpha/2 quantile of Beta(k+1, n-k), with 0 at
-    k = 0 and 1 at k = n.
+    k = successes, the lower bound is the 0.025 quantile of Beta(k, n-k+1)
+    and the upper bound the 0.975 quantile of Beta(k+1, n-k), with 0 at
+    k = 0 and 1 at k = n; the two tail probabilities are ``CI95_PERCENTILES`` / 100.
     """
     _check_count(n, 1, "n")
     _check_count(successes, 0, "successes", n)
-    _check_real(alpha, "alpha", 0, 1, "()")
     k = successes
-    lower = 0.0 if k == 0 else betaincinv(k, n - k + 1, alpha / 2.0)
-    upper = 1.0 if k == n else betaincinv(k + 1, n - k, 1.0 - alpha / 2.0)
+    low_tail, high_tail = (p / 100.0 for p in CI95_PERCENTILES)
+    lower = 0.0 if k == 0 else betaincinv(k, n - k + 1, low_tail)
+    upper = 1.0 if k == n else betaincinv(k + 1, n - k, high_tail)
     return (lower, upper)
 
 
@@ -606,9 +606,10 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     ``scores[r]`` is the predicted probability for row r of ``table``; rows
     are grouped by their anchor time ``as_of`` (a single-anchor table is one
     group). Each trial synthesizes snapshot t+1 of every group as an
-    independent random graph over the nodes present at t, with pair
-    probability equal to the observed edge density of the real snapshot t+1
-    over those nodes, and scores all groups' predictions together against
+    independent random graph over the n nodes present at t, with pair
+    probability min(1, E / (n (n - 1) / 2)), E the count of every edge of the
+    real snapshot t+1, those with an end absent at t included, and scores
+    all groups' predictions together against
     the synthetic presence labels. Anchors with fewer than two present nodes
     are skipped. The random stream runs block of trials by block of trials,
     and within a block anchor group by anchor group (``edge_presence_labels``).
@@ -647,14 +648,12 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     return {"kind": "edge_presence", "trials": trials, "groups": len(groups), **_trial_summaries(chunks)}
 
 
-def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: int = PERMUTATION_REPEATS,
-                           seed=0) -> dict:
-    """Mean increase in 1 - AUC when one feature column is shuffled.
+def permutation_importance(model: LogisticModel, table: FeatureTable, seed=0) -> dict:
+    """Mean increase in 1 - AUC over ``PERMUTATION_REPEATS`` shuffles of each feature column.
 
     Positive values mean the model leaned on the feature; a feature with a
     zero coefficient scores exactly zero because predictions cannot change.
     """
-    _check_count(repeats, 1, "repeats")
     _rng(seed)  # the seed's rule, before any work; each shuffle below has a stream of its own
     if table.y is None:
         raise DataError("permutation importance needs a labeled table")
@@ -662,12 +661,12 @@ def permutation_importance(model: LogisticModel, table: FeatureTable, repeats: i
     out = {}
     for j, name in enumerate(table.columns):
         probs = []
-        for r in range(repeats):
+        for r in range(PERMUTATION_REPEATS):
             rng = np.random.default_rng([seed, j, r])
             xp = table.X.copy()
             xp[:, j] = rng.permutation(xp[:, j])
             probs.append(model.predict_proba(xp))
-        out[name] = float(np.mean(base - _auc_rows(np.broadcast_to(table.y, (repeats, table.n_rows)), probs)))
+        out[name] = float(np.mean(base - _auc_rows(np.broadcast_to(table.y, (len(probs), table.n_rows)), probs)))
     return out
 
 
@@ -697,8 +696,6 @@ def shap_linear(model: LogisticModel, x: np.ndarray, background_mean: np.ndarray
 
 @dataclass
 class LinearModel(_Coefficients):
-    r2: float | None
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + np.asarray(x, dtype=float) @ self.coef
 
@@ -735,11 +732,11 @@ def _least_squares(table: FeatureTable):
     return design, gram, lambda y: np.linalg.solve(gram, design.T @ y)
 
 
-def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> LinearModel:
+def fit_linear(table: FeatureTable) -> LinearModel:
     """Least squares with a ridge jitter (``RIDGE_JITTER``) for conditioning.
 
-    Coefficient p-values are classical two-sided t-tests. ``r2`` is computed
-    on ``heldout`` when given, otherwise in-sample.
+    Coefficient p-values are classical two-sided t-tests. The fit only: score
+    it with ``r2_score(other.y, model.predict(other.X))`` on any labeled table.
     """
     if table.y is None:
         raise DataError("fit_linear needs a labeled table")
@@ -749,10 +746,7 @@ def fit_linear(table: FeatureTable, heldout: FeatureTable | None = None) -> Line
     dof = design.shape[0] - design.shape[1]
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(gram)
-    model = LinearModel(**_wald(table.columns, beta, cov, lambda t: stdtr(dof, t)), r2=None)
-    target = heldout if heldout is not None else table
-    model.r2 = r2_score(target.y, model.predict(target.X))
-    return model
+    return LinearModel(**_wald(table.columns, beta, cov, lambda t: stdtr(dof, t)))
 
 
 def null_shuffle_regression(train: FeatureTable, heldout: FeatureTable, trials: int = NULL_TRIALS, seed=0) -> dict:

@@ -13,18 +13,20 @@ gain. PageRank and eigenvector centrality are the usual weighted variants.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import stdtr
-from .errors import ArgumentError, DataError, NumericalError, _check_real
+from .errors import ArgumentError, DataError, NumericalError
 from .graphs import Snapshot
 from .spectral import Spectrum, eig_sym
 
 # A merge must beat the running best gain by more than this.
 _GAIN_TOL = 1e-15
-# PageRank stops at an L1 change of PAGERANK_TOL, or fails after PAGERANK_MAX_ITER steps.
+# PageRank's damping; it stops at an L1 change of PAGERANK_TOL, or fails after PAGERANK_MAX_ITER steps.
+PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-10
 PAGERANK_MAX_ITER = 100000
 
@@ -214,14 +216,13 @@ def eigenvector_centrality(snapshot: Snapshot, spectrum: Spectrum | None = None)
     return np.abs(spec.eigenvectors[:, 0])
 
 
-def pagerank(snapshot: Snapshot, damping: float = 0.85) -> np.ndarray:
-    """Weighted PageRank by power iteration.
+def pagerank(snapshot: Snapshot) -> np.ndarray:
+    """Weighted PageRank by power iteration, damped by ``PAGERANK_DAMPING``.
 
     Transition weights are out-strength normalized; dangling nodes spread
     their mass uniformly. Iterates until the L1 change drops to ``PAGERANK_TOL``.
     Without dangling nodes the term is skipped: adding its 0.0 changes no bit.
     """
-    _check_real(damping, "damping", 0, 1)
     n = snapshot.n_nodes
     if n == 0:
         raise DataError("pagerank undefined for an empty snapshot")
@@ -236,7 +237,7 @@ def pagerank(snapshot: Snapshot, damping: float = 0.85) -> np.ndarray:
         flow = trans.T @ p
         if dangling.size:
             flow += p[dangling].sum() / n
-        nxt = damping * flow + (1.0 - damping) / n
+        nxt = PAGERANK_DAMPING * flow + (1.0 - PAGERANK_DAMPING) / n
         if np.abs(nxt - p).sum() <= PAGERANK_TOL:
             return nxt
         p = nxt
@@ -254,8 +255,9 @@ def mean_diff_ttest(a, b) -> TTestResult:
     """Welch's two-sided t-test for a difference in means.
 
     Uses the Welch-Satterthwaite degrees of freedom; each group needs at
-    least two finite samples and nonzero variance. Variances whose t
-    statistic or degrees of freedom leave the float range raise NumericalError.
+    least two finite samples and nonzero variance. Where squared variances
+    overflow, the degrees of freedom come from variances scaled by 2^-k; a t
+    statistic or degrees of freedom that still leave the float range raise NumericalError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -269,6 +271,10 @@ def mean_diff_ttest(a, b) -> TTestResult:
         denom = va + vb
         t = (a.mean() - b.mean()) / np.sqrt(denom)
         dof = denom**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+        if np.isfinite(t) and not np.isfinite(dof):  # scaling by a power of two is exact
+            scale = math.frexp(max(va, vb))[1]
+            va_s, vb_s = np.ldexp(va, -scale), np.ldexp(vb, -scale)
+            dof = (va_s + vb_s) ** 2 / (va_s**2 / (a.size - 1) + vb_s**2 / (b.size - 1))
     if va <= 0 or vb <= 0:
         raise DataError("constant group; t statistic undefined")
     if not (np.isfinite(t) and np.isfinite(dof)):

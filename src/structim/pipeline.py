@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import expit
-from .errors import ArgumentError, DataError, _check_count, _check_real
+from .errors import ArgumentError, DataError, NumericalError, _check_count, _check_real
 from .features import CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_target, build_table, pool, prune_correlated
 from .graphs import TemporalNetwork
 from .model import (BOOTSTRAP_ITERS, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _irls,
                     _json_fields, _with_intercept, apply_standardization, binom_ci, bootstrap_auc_ci, evaluate,
                     fit_linear, fit_logistic, null_edge_presence, null_prior_predictor, null_shuffle_regression,
-                    permutation_importance, shap_linear, standardize)
+                    permutation_importance, r2_score, shap_linear, standardize)
 
 L2_GRID = (0.01, 0.1, 1.0, 10.0)
 MIN_ROWS = 25
@@ -139,11 +139,11 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
     path (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010): the ascending
     L2 values are fit in turn by the class-weighted IRLS loop of
     ``fit_logistic``, each from the previous value's coefficients (from zero
-    for the first value and after a separated fit), for coefficients only,
-    and the fold's validation AUCs are counted in one call. No random number
-    is drawn. Returns
-    (chosen_l2, cv_auc_by_l2), the latter the mean fold AUC of each grid
-    value; the caller refits cold at the chosen value with ``fit_logistic``.
+    for the first value, after a separated fit, and again when a warm-started
+    fit raises NumericalError), for coefficients only, and the fold's
+    validation AUCs are counted in one call. No random number is drawn.
+    Returns (chosen_l2, cv_auc_by_l2), the latter the mean fold AUC of each
+    grid value; the caller refits cold at the chosen value with ``fit_logistic``.
 
     Ties keep the smallest L2 because the grid is scanned in ascending order
     with a strict improvement test. An empty grid, or a value that is not
@@ -169,7 +169,10 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
         beta = np.zeros(design.shape[1])
         scores = []
         for l2 in grid:
-            beta, _, _, _, separated = _irls(design, y, l2, beta)
+            try:
+                beta, _, _, _, separated = _irls(design, y, l2, beta)
+            except NumericalError:  # where a warm start fails, a cold fit may converge
+                beta, _, _, _, separated = _irls(design, y, l2, np.zeros_like(beta))
             # LogisticModel.predict_proba's arithmetic
             scores.append(expit(float(beta[0]) + val_std.X @ beta[1:]))
             if separated:
@@ -242,7 +245,7 @@ def run_prediction(
     pooled = pool(build_horizon_tables(tn, target, change_threshold=change_threshold))
     n = pooled.n_rows
     i1, i2 = _split_ends(n)
-    _, dropped_corr = prune_correlated(pooled.select_rows(np.arange(i2)), threshold=corr_threshold)
+    dropped_corr = prune_correlated(pooled.select_rows(np.arange(i2)), threshold=corr_threshold)
     pooled = pooled.select_columns([c for c in pooled.columns if c not in dropped_corr])
     train_std, constants = standardize(pooled.select_rows(np.arange(i2)))
     test_std = apply_standardization(constants, pooled.select_rows(np.arange(i2, n)))
@@ -252,9 +255,10 @@ def run_prediction(
     warnings_list = []
     if target == "rel_change":
         split = {"train": i2, "validation": 0, "test": n - i2}
-        model = fit_linear(train_std, heldout=test_std)
+        model = fit_linear(train_std)
         null = null_shuffle_regression(train_std, test_std, trials=null_trials, seed=[seed, 8])
-        regression = {"r2_heldout": model.r2, "null": null, "split": {"train": i2, "heldout": n - i2}}
+        regression = {"r2_heldout": r2_score(test_std.y, model.predict(test_std.X)), "null": null,
+                      "split": {"train": i2, "heldout": n - i2}}
     else:
         split = {"train": i1, "validation": i2 - i1, "test": n - i2}
         best_l2, cv_auc_by_l2 = time_ordered_select(pooled, l2_grid=l2_grid)
@@ -283,7 +287,7 @@ def run_prediction(
 
     return PredictionResult(
         target=target,
-        seed=seed,
+        seed=int(seed),
         n_rows=n,
         split=split,
         columns=constants.columns,

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import argparse
 import inspect
 import os
 import subprocess
@@ -46,15 +47,45 @@ def test_public_options_are_pinned():
     # a new keyword option (or a removed one) must edit this count on purpose
     options = [(fn.__qualname__, p.name) for fn in public_callables()
                for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
-    assert len(options) == 40, options
+    assert len(options) == 36, options
+
+
+def _flags(parser, command=""):
+    """{command: its positional arguments and flags, in order} over every (sub)parser."""
+    flags, out = [], {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_flags(sub, f"{command} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            flags.append(action.option_strings[0] if action.option_strings else action.dest)
+    return {command: flags, **out}
+
+
+def test_cli_flags_are_pinned():
+    # a new flag (or a removed one) must edit this list on purpose
+    assert _flags(cli.build_parser()) == {
+        "": ["--version"],
+        "gen": [],
+        "gen barbell": ["--n-left", "--bridge", "--n-right", "--weight", "--repeats", "--out"],
+        "gen synthetic": ["--n", "--communities", "--hubs", "--coupling", "--horizon", "--seed", "--out"],
+        "importance": ["input", "--aggregation", "--scheme", "--snapshot", "--strength-mode", "--out"],
+        "analyze": ["input", "--aggregation", "--format", "--out"],
+        "predict": ["input", "--aggregation", "--format", "--seed", "--target", "--l2-grid", "--change-threshold",
+                    "--corr-threshold", "--trials", "--bootstrap-iters", "--out"],
+    }
 
 
 def test_fixed_values_are_constants_not_options():
-    # no caller set them: pipeline.FOLDS, model.RIDGE_JITTER, model.THRESHOLD, model.CI95_PERCENTILES,
-    # model.IRLS_MAX_ITER and IRLS_TOL, netstats.PAGERANK_TOL and PAGERANK_MAX_ITER, cli.TTEST_ALPHA and
-    # the SVG size; the rank array and the strength vector are indexed for one node
+    # no caller set them: pipeline.FOLDS, model.RIDGE_JITTER, model.THRESHOLD, model.CI95_PERCENTILES
+    # (also binom_ci's tails), model.IRLS_MAX_ITER and IRLS_TOL, model.PERMUTATION_REPEATS,
+    # netstats.PAGERANK_DAMPING, PAGERANK_TOL and PAGERANK_MAX_ITER, cli.TTEST_ALPHA and the SVG size;
+    # the rank array and the strength vector are indexed for one node, and run_prediction alone scored
+    # fit_linear on held-out rows
     for fn, name in ((structim.forward_chain_folds, "folds"), (structim.fit_linear, "jitter"),
                      (structim.evaluate, "threshold"), (structim.bootstrap_auc_ci, "alpha"),
+                     (structim.binom_ci, "alpha"), (structim.permutation_importance, "repeats"),
+                     (structim.pagerank, "damping"), (structim.fit_linear, "heldout"),
                      (structim.fit_logistic, "max_iter"), (structim.fit_logistic, "tol"),
                      (structim.pagerank, "tol"), (structim.pagerank, "max_iter"),
                      (structim.select_eigencomponent, "node"), (structim.Snapshot.strength, "node"),
@@ -75,14 +106,13 @@ def test_each_shared_default_has_one_owner():
         model.NULL_TRIALS: [(structim.null_prior_predictor, "trials"), (structim.null_edge_presence, "trials"),
                             (structim.null_shuffle_regression, "trials"), (structim.run_prediction, "null_trials")],
         model.BOOTSTRAP_ITERS: [(structim.bootstrap_auc_ci, "iters"), (structim.run_prediction, "bootstrap_iters")],
-        model.PERMUTATION_REPEATS: [(structim.permutation_importance, "repeats")],
         pipeline.L2_GRID: [(structim.time_ordered_select, "l2_grid"), (structim.run_prediction, "l2_grid")],
     }
     assert (features.CHANGE_THRESHOLD, features.CORR_THRESHOLD) == (0.05, 0.8)
     assert (model.NULL_TRIALS, model.BOOTSTRAP_ITERS, model.PERMUTATION_REPEATS) == (100, 1000, 10)
     # the L2 grid's fits (_irls) and the refit (fit_logistic) read the same two limits
     assert (model.IRLS_MAX_ITER, model.IRLS_TOL, model.HESSIAN_JITTER) == (500, 1e-8, 1e-12)
-    assert (netstats.PAGERANK_TOL, netstats.PAGERANK_MAX_ITER) == (1e-10, 100000)
+    assert (netstats.PAGERANK_DAMPING, netstats.PAGERANK_TOL, netstats.PAGERANK_MAX_ITER) == (0.85, 1e-10, 100000)
     for constant, users in owners.items():
         for fn, name in users:
             assert inspect.signature(fn).parameters[name].default is constant, (fn.__name__, name)
@@ -133,8 +163,6 @@ def _labeled_table():
     lambda: structim.fit_logistic(_labeled_table(), l2=-1.0),
     lambda: structim.binom_ci(2.5, 5),
     lambda: structim.binom_ci(6, 5),
-    lambda: structim.binom_ci(2, 5, alpha=1.5),
-    lambda: structim.permutation_importance(structim.fit_logistic(_labeled_table()), _labeled_table(), repeats=0),
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), target="change")]),
     lambda: structim.pool([_labeled_table(), replace(_labeled_table(), columns=("mb",))]),
     lambda: structim.build_features(network_from([clique(3), clique(3, timestamp=1)]), 0),
@@ -149,9 +177,8 @@ def _labeled_table():
     lambda: structim.shap_linear(replace(structim.fit_logistic(_labeled_table()), coef=np.ones(2)), np.ones((3, 1))),
     lambda: structim.shap_linear(structim.fit_logistic(_labeled_table()), np.ones((3, 1)), background_mean=np.zeros(2)),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
-        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "binom-ci-alpha",
-        "permutation-importance-repeats", "pool-targets", "pool-columns", "build-features-anchor",
-        "snapshot-measures-anchor",
+        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "pool-targets", "pool-columns",
+        "build-features-anchor", "snapshot-measures-anchor",
         "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "eig-sym-nan", "eig-sym-inf",
         "leading-singular-shape", "r2-score-shape", "shap-linear-columns", "shap-linear-background"])
 def test_argument_errors_are_typed(call):

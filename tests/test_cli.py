@@ -126,21 +126,11 @@ def test_importance_json_output(tmp_path):
     assert doc["excluded_zero_strength"] == []
 
 
-def test_importance_scheme_flag_mismatch(tmp_path, capsys):
-    net = str(tmp_path / "net.csv")
-    main(["gen", "barbell", "--out", net])
-    out = str(tmp_path / "imp.csv")
-    assert main(["importance", net, "--scheme", "directed", "--out", out]) == 2
-    assert "requires --directed" in capsys.readouterr().err
-    assert main(["importance", net, "--scheme", "ma", "--directed", "--out", out]) == 2
-    assert "drop --directed" in capsys.readouterr().err
-
-
 def test_importance_directed_scheme_runs(tmp_path):
     net = str(tmp_path / "net.csv")
     main(["gen", "barbell", "--out", net])
     out = str(tmp_path / "imp.csv")
-    code = main(["importance", net, "--scheme", "directed", "--directed", "--out", out])
+    code = main(["importance", net, "--scheme", "directed", "--out", out])
     assert code == 0
     assert len(_read_csv(out)) == 12  # header + 11 nodes
 
@@ -554,8 +544,7 @@ _DEFAULTS = [
     ("gen barbell", {"n_left": (barbell, "n_left"), "bridge": (barbell, "bridge"), "n_right": (barbell, "n_right"),
                      "weight": (barbell, "weight")}, {"repeats"}),
     ("gen synthetic", {"seed": (synthetic_temporal, "seed")}, {"n", "communities", "hubs", "coupling", "horizon"}),
-    ("importance IN", {**_IO, "directed": (load_network, "directed"),
-                       "strength_mode": (node_importance_directed, "strength_mode")}, {"scheme", "snapshot"}),
+    ("importance IN", {**_IO, "strength_mode": (node_importance_directed, "strength_mode")}, {"scheme", "snapshot"}),
     ("analyze IN", _IO, {"format"}),
     ("predict IN", {**_IO, "seed": (run_prediction, "seed"), "l2_grid": (run_prediction, "l2_grid"),
                     "change_threshold": (run_prediction, "change_threshold"),
@@ -635,6 +624,6 @@ def test_directed_importance_that_overflows_is_a_numerical_error(tmp_path, capsy
     net = tmp_path / "big.csv"
     net.write_text("0,a,b,1e200\n0,b,c,1e200\n0,c,a,1e200\n0,a,c,1e200\n")
     out = tmp_path / "big.json"
-    assert main(["importance", str(net), "--directed", "--scheme", "directed", "--out", str(out)]) == 4
+    assert main(["importance", str(net), "--scheme", "directed", "--out", str(out)]) == 4
     assert capsys.readouterr().err == "numerical error: a @ a.T overflows the float range\n"
     assert not out.exists()

@@ -382,13 +382,11 @@ def test_prune_correlated_drops_duplicate_by_priority():
     rng = np.random.default_rng(42)
     base = rng.normal(size=30)
     other = rng.normal(size=30)
-    # degree duplicates mb exactly; priority says drop degree first
-    table = _manual_table(("mb", "degree", "mc"),
-                          np.column_stack([base, base * 2.0 + 1.0, other]))
-    reduced, dropped = prune_correlated(table, threshold=0.8)
-    assert dropped == ["degree"]
-    assert reduced.columns == ("mb", "mc")
-    assert np.array_equal(reduced.column("mb"), base)
+    # pagerank and degree duplicate mb exactly; priority says drop degree
+    # first, then pagerank, and the names come in that order
+    table = _manual_table(("mb", "pagerank", "degree", "mc"),
+                          np.column_stack([base, base * 2.0 + 1.0, 1.0 - base, other]))
+    assert prune_correlated(table, threshold=0.8) == ["degree", "pagerank"]
 
 
 def test_prune_correlated_respects_threshold():
@@ -398,10 +396,8 @@ def test_prune_correlated_respects_threshold():
     from structim import pearson
     r = abs(pearson(a, b))
     table = _manual_table(("ma", "mb"), np.column_stack([a, b]))
-    _, dropped_hi = prune_correlated(table, threshold=min(0.99, r + 0.01))
-    assert dropped_hi == []
-    _, dropped_lo = prune_correlated(table, threshold=max(0.01, r - 0.01))
-    assert len(dropped_lo) == 1
+    assert prune_correlated(table, threshold=min(0.99, r + 0.01)) == []
+    assert len(prune_correlated(table, threshold=max(0.01, r - 0.01))) == 1
 
 
 def test_prune_correlated_keeps_constant_columns():
@@ -409,9 +405,7 @@ def test_prune_correlated_keeps_constant_columns():
     a = rng.normal(size=20)
     table = _manual_table(("ma", "presence_count"),
                           np.column_stack([a, np.full(20, 5.0)]))
-    reduced, dropped = prune_correlated(table, threshold=0.5)
-    assert dropped == []
-    assert reduced.columns == ("ma", "presence_count")
+    assert prune_correlated(table, threshold=0.5) == []
 
 
 def test_prune_correlated_validation():

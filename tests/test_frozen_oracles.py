@@ -18,6 +18,7 @@ ratio may differ in its last bits and is compared at 1e-13 relative.
 
 import itertools
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 import structim.cli as cli
 import structim.model as model_module
+import structim.netstats as netstats
 import structim.pipeline as pipeline
 from structim import (
     L2_GRID,
@@ -257,9 +259,10 @@ _DIRECTED = [
 
 @pytest.mark.parametrize("damping", [0.85, 0.5])
 @pytest.mark.parametrize("snap", range(len(_UNDIRECTED) + len(_DIRECTED)))
-def test_pagerank_matches_the_dangling_term_on_every_iteration(snap, damping):
+def test_pagerank_matches_the_dangling_term_on_every_iteration(monkeypatch, snap, damping):
     s = (_UNDIRECTED + _DIRECTED)[snap]
-    assert np.array_equal(pagerank(s, damping=damping), _pagerank_oracle(s, damping=damping))
+    monkeypatch.setattr(netstats, "PAGERANK_DAMPING", damping)
+    assert np.array_equal(pagerank(s), _pagerank_oracle(s, damping=damping))
 
 
 def test_pagerank_oracle_cases_cover_dangling_and_none():
@@ -583,6 +586,13 @@ def test_time_ordered_select_matches_after_a_separated_fit(monkeypatch):
             assert not start.any()
         else:
             assert np.array_equal(start, calls[k - 1][1])
+
+
+def test_time_ordered_select_fits_from_zero_where_a_warm_start_fails():
+    # from the l2 = 0.1 coefficients the gradient at the largest float overflows;
+    # a cold fit there converges in two steps
+    tn = synthetic_temporal(12, 2, 1, -2.0, 8, seed=2)
+    assert _check_select(pool(build_horizon_tables(tn, "presence")), (0.1, sys.float_info.max))
 
 
 # path neighbours on the default grid, in both directions

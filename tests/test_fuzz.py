@@ -173,7 +173,6 @@ _OPTIONS_BY_COMMAND = {
         ("--scheme", [None, "ma", "mb", "mc", "md", "directed"], ["mz"]),
         ("--snapshot", [None, "0", "1"], ["-1", "99", "2.5"]),
         ("--strength-mode", [None, "total", "in", "out"], ["up"]),
-        ("--directed", [None, True], []),  # a switch, given or not
     ],
     "analyze": [_INPUT, _AGGREGATION, _FORMAT],
     "predict": [
@@ -213,8 +212,6 @@ def _command_lines(draw):
             out = value
         elif flag == "input":
             argv.append(value)
-        elif value is True:
-            argv.append(flag)
         elif value is not None:
             argv += [flag, value]
     name = {"gen": "g.csv", "importance": draw(st.sampled_from(["i.json", "i.csv"]))}.get(argv[0], "out")
@@ -291,7 +288,7 @@ def numeric_calls(cli_dir):
     """{(function, parameter): (bounds, call with one value)} over the numeric options."""
     from structim import (binom_ci, bootstrap_auc_ci, build_horizon_tables, build_table, fit_logistic,
                           load_network, null_edge_presence, null_prior_predictor, null_shuffle_regression,
-                          pagerank, permutation_importance, pool, prune_correlated, run_prediction,
+                          permutation_importance, pool, prune_correlated, run_prediction,
                           time_ordered_select)
     from structim.features import FeatureTable
 
@@ -324,10 +321,8 @@ def numeric_calls(cli_dir):
         ("synthetic_temporal", "seed"): (seed, lambda v: synthetic_temporal(6, 2, 1, 0.0, 2, seed=v)),
         ("binom_ci", "successes"): ((0, 5), lambda v: binom_ci(v, 5)),
         ("binom_ci", "n"): (count, lambda v: binom_ci(1, v)),
-        ("binom_ci", "alpha"): (unit, lambda v: binom_ci(2, 5, alpha=v)),
         ("load_network", "aggregation"): (count, lambda v: load_network(path, aggregation=v)),
         ("load_snapshots_text", "aggregation"): (count, lambda v: load_snapshots_text(_VALID_CSV, aggregation=v)),
-        ("pagerank", "damping"): (unit, lambda v: pagerank(snap, damping=v)),
         ("build_table", "change_threshold"): (from_zero, lambda v: build_table(tn, 3, "change", change_threshold=v)),
         ("build_horizon_tables", "change_threshold"): (
             from_zero, lambda v: build_horizon_tables(tn, "change", change_threshold=v)),
@@ -335,8 +330,7 @@ def numeric_calls(cli_dir):
         ("fit_logistic", "l2"): (from_zero, lambda v: fit_logistic(labeled, l2=v)),
         ("bootstrap_auc_ci", "iters"): (count, lambda v: bootstrap_auc_ci(model, labeled, iters=v)),
         ("bootstrap_auc_ci", "seed"): (seed, lambda v: bootstrap_auc_ci(model, labeled, iters=2, seed=v)),
-        ("permutation_importance", "repeats"): (count, lambda v: permutation_importance(model, labeled, repeats=v)),
-        ("permutation_importance", "seed"): (seed, lambda v: permutation_importance(model, labeled, 1, seed=v)),
+        ("permutation_importance", "seed"): (seed, lambda v: permutation_importance(model, labeled, seed=v)),
         ("null_prior_predictor", "trials"): (trials, lambda v: null_prior_predictor([0, 1], [0, 1, 1, 0], v)),
         ("null_prior_predictor", "seed"): (seed, lambda v: null_prior_predictor([0, 1], [0, 1, 1, 0], 20, seed=v)),
         ("null_edge_presence", "trials"): (trials, lambda v: null_edge_presence(tn, anchored, scores, trials=v)),

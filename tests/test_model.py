@@ -33,6 +33,7 @@ from structim import (
     standardize,
 )
 import structim.model as model_module
+from structim._special import betaincinv
 from structim.errors import ArgumentError
 from structim.generators import synthetic_temporal
 from structim.model import _CHUNK_CELLS, _auc_groups, _auc_rows, edge_presence_labels
@@ -400,8 +401,6 @@ def test_binom_ci_validation():
         binom_ci(6, 5)
     with pytest.raises(ValueError):
         binom_ci(1, 0)
-    with pytest.raises(ValueError):
-        binom_ci(2, 5, alpha=1.5)
 
 
 def test_binom_ci_rejects_non_integral_n():
@@ -428,8 +427,7 @@ def _binomial_case(draw):
     return draw(st.integers(0, n)), n, draw(st.sampled_from((0.01, 0.05, 0.1)))
 
 
-def _check_tail_probabilities(k, n, alpha):
-    lo, hi = binom_ci(k, n, alpha)
+def _check_tail_probabilities(k, n, alpha, lo, hi):
     # Clopper-Pearson: each bound puts exactly alpha/2 in its tail
     if k > 0:
         assert stats.binom.sf(k - 1, n, lo) == pytest.approx(alpha / 2, rel=1e-7)
@@ -440,10 +438,13 @@ def _check_tail_probabilities(k, n, alpha):
 @given(_binomial_case())
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_binom_ci_tails_hit_alpha_half_up_to_large_n(case):
+    # binom_ci is the 95% interval; other levels check its beta quantiles directly
     k, n, alpha = case
-    _check_tail_probabilities(k, n, alpha)
-    lo, hi = binom_ci(k, n, alpha)
-    lo_mirror, hi_mirror = binom_ci(n - k, n, alpha)
+    _check_tail_probabilities(k, n, alpha, 0.0 if k == 0 else betaincinv(k, n - k + 1, alpha / 2),
+                              1.0 if k == n else betaincinv(k + 1, n - k, 1.0 - alpha / 2))
+    lo, hi = binom_ci(k, n)
+    _check_tail_probabilities(k, n, 0.05, lo, hi)
+    lo_mirror, hi_mirror = binom_ci(n - k, n)
     assert lo == pytest.approx(1.0 - hi_mirror, abs=1e-12)
     assert hi == pytest.approx(1.0 - lo_mirror, abs=1e-12)
 
@@ -452,7 +453,7 @@ def test_binom_ci_small_lower_bound_at_large_n():
     # a bound near 6e-8 needs relative, not absolute, precision in p
     lo, hi = binom_ci(3, 10**7)
     assert lo == pytest.approx(6.1867e-8, rel=1e-4)
-    _check_tail_probabilities(3, 10**7, 0.05)
+    _check_tail_probabilities(3, 10**7, 0.05, lo, hi)
 
 
 # ----------------------------------------------------------- bootstrap_auc_ci
@@ -623,7 +624,6 @@ def _count_calls():
         "null_edge_presence": (20, lambda v: null_edge_presence(tn, *_scored_rows({0: 0.9, 1: 0.2, 2: 0.6}), trials=v)),
         "null_shuffle_regression": (20, lambda v: null_shuffle_regression(train, heldout, trials=v)),
         "bootstrap_auc_ci": (1, lambda v: bootstrap_auc_ci(model, labeled, iters=v)),
-        "permutation_importance": (1, lambda v: permutation_importance(model, labeled, repeats=v)),
     }
 
 
@@ -632,7 +632,7 @@ def _count_calls():
 def test_a_count_that_is_not_an_integer_is_an_argument_error(name, kind):
     least, call = _count_calls()[name]
     value = {"float": float(least + 1), "fraction": least + 0.5, "bool": True}[kind]
-    param = {"bootstrap_auc_ci": "iters", "permutation_importance": "repeats"}.get(name, "trials")
+    param = {"bootstrap_auc_ci": "iters"}.get(name, "trials")
     with pytest.raises(ArgumentError, match=re.escape(f"{param} must be an integer >= {least}, got {value!r}")):
         call(value)
 
@@ -679,12 +679,6 @@ def test_permutation_duplicated_feature_still_registers():
     imp = permutation_importance(model, table, seed=3)
     assert imp["ma"] > 0.0
     assert imp["mb"] > 0.0
-
-
-def test_permutation_needs_a_repeat():
-    model = _manual_logistic(0.0, [1.0], names=("ma",))
-    with pytest.raises(ValueError, match="repeats must be an integer >= 1, got 0"):
-        permutation_importance(model, _table(("ma",), [[1.0], [-1.0]], y=[1, 0]), repeats=0)
 
 
 def test_permutation_deterministic():
@@ -740,22 +734,20 @@ def test_fit_linear_recovers_exact_relation():
     assert model.intercept == pytest.approx(3.0, abs=1e-6)
     assert model.coef[0] == pytest.approx(2.0, abs=1e-6)
     assert model.coef[1] == pytest.approx(-1.0, abs=1e-6)
-    assert abs(model.r2 - 1.0) <= 1e-9
+    assert abs(r2_score(y, model.predict(x)) - 1.0) <= 1e-9
     assert model.coef_pvalues[0] < 1e-6
 
 
 def test_fit_linear_scores_on_heldout_when_given():
+    # the fit is scored where its caller asks, as run_prediction scores the held-out rows
     rng = np.random.default_rng(19)
     x = rng.normal(size=(60, 1))
     y = 1.0 + 0.5 * x[:, 0]
-    train = _table(("ma",), x, y=y)
     xh = rng.normal(size=(30, 1))
-    unrelated = _table(("ma",), xh, y=rng.normal(size=30))
-    in_sample = fit_linear(train)
-    held = fit_linear(train, heldout=unrelated)
-    assert in_sample.r2 > 0.99
-    assert held.r2 < 0.5
-    assert np.allclose(held.coef, in_sample.coef)
+    yh = rng.normal(size=30)
+    model = fit_linear(_table(("ma",), x, y=y))
+    assert r2_score(y, model.predict(x)) > 0.99
+    assert r2_score(yh, model.predict(xh)) < 0.5
 
 
 def test_fit_linear_independent_target_has_no_heldout_skill():
@@ -767,9 +759,8 @@ def test_fit_linear_independent_target_has_no_heldout_skill():
         yt = rng.normal(size=150)
         xh = rng.normal(size=(80, 3))
         yh = rng.normal(size=80)
-        model = fit_linear(_table(("a", "b", "c"), xt, y=yt),
-                           heldout=_table(("a", "b", "c"), xh, y=yh))
-        if model.r2 <= 0.05:
+        model = fit_linear(_table(("a", "b", "c"), xt, y=yt))
+        if r2_score(yh, model.predict(xh)) <= 0.05:
             ok += 1
     assert ok >= int(0.95 * len(seeds))
 
@@ -781,7 +772,7 @@ def test_fit_linear_rank_deficient_falls_back_to_pinv():
     y = 1.0 + 3.0 * a
     with pytest.warns(UserWarning, match="rank-deficient"):
         model = fit_linear(_table(("ma", "mb"), x, y=y))
-    assert abs(model.r2 - 1.0) <= 1e-9
+    assert abs(r2_score(y, model.predict(x)) - 1.0) <= 1e-9
     # minimum-norm solution splits the weight across the copies
     assert model.coef[0] + model.coef[1] == pytest.approx(3.0, abs=1e-6)
 
@@ -820,21 +811,21 @@ def test_null_shuffle_regression_destroys_signal():
     y = 2.0 * x[:, 0] + rng.normal(scale=0.3, size=120)
     train = _table(("ma", "mb"), x[:80], y=y[:80])
     heldout = _table(("ma", "mb"), x[80:], y=y[80:])
-    real = fit_linear(train, heldout=heldout)
+    real = r2_score(heldout.y, fit_linear(train).predict(heldout.X))
     null = null_shuffle_regression(train, heldout, trials=100, seed=0)
-    assert real.r2 > 0.8
+    assert real > 0.8
     assert null["kind"] == "shuffled_target"
     assert null["trials"] == 100
     assert null["r2"]["mean"] < 0.1
-    assert real.r2 > null["r2"]["ci95"][1]
+    assert real > null["r2"]["ci95"][1]
     again = null_shuffle_regression(train, heldout, trials=100, seed=0)
     assert null == again
 
 
 def _shuffle_null_oracle(train, heldout, trials, seed):
-    """The shuffled-target null as one whole ``fit_linear`` per trial, the
-    way it was computed before its refits shared one least-squares core:
-    returns (R^2 per trial, summary)."""
+    """The shuffled-target null as one whole ``fit_linear`` and held-out
+    ``r2_score`` per trial, the way it was computed before its refits shared
+    one least-squares core: returns (R^2 per trial, summary)."""
     y_all = np.concatenate([train.y, heldout.y])
     n_train = len(train.y)
     rng = np.random.default_rng(seed)
@@ -844,8 +835,8 @@ def _shuffle_null_oracle(train, heldout, trials, seed):
         for _ in range(trials):
             perm = rng.permutation(y_all)
             try:
-                fit = fit_linear(replace(train, y=perm[:n_train]), heldout=replace(heldout, y=perm[n_train:]))
-                scores.append(fit.r2)
+                fit = fit_linear(replace(train, y=perm[:n_train]))
+                scores.append(r2_score(perm[n_train:], fit.predict(heldout.X)))
             except DataError:
                 scores.append(np.nan)
     return scores, {"kind": "shuffled_target", "trials": trials, "r2": model_module._percentile_summary(scores)}
@@ -1279,10 +1270,11 @@ def test_null_edge_presence_matches_oracle():
         assert got == _oracle_null_edge_presence(tn, table, scores, 250, [seed, 6])
 
 
-def test_permutation_importance_matches_oracle():
+def test_permutation_importance_matches_oracle(monkeypatch):
     for seed, n, repeats in ((0, 60, 10), (1, 200, 10), (2, 30, 3)):
         table = _tie_heavy_table(seed, n, p=3)
         model = fit_logistic(table, l2=1.0)
-        assert permutation_importance(model, table, repeats=repeats, seed=[seed, 7]) == (
+        monkeypatch.setattr(model_module, "PERMUTATION_REPEATS", repeats)
+        assert permutation_importance(model, table, seed=[seed, 7]) == (
             _oracle_permutation_importance(model, table, repeats, [seed, 7])
         )

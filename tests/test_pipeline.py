@@ -326,6 +326,13 @@ def test_run_prediction_deterministic(coupled_network):
     assert np.array_equal(a.shap_values, b.shap_values)
 
 
+def test_a_numpy_seed_serializes_as_the_python_one(coupled_network):
+    # the result keeps the seed as a Python int; a numpy one once broke json.dumps
+    a, b = (run_prediction(coupled_network, "presence", seed=seed, null_trials=20, bootstrap_iters=5)
+            for seed in (np.int64(3), 3))
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
 def test_the_seed_does_not_reach_the_fit(coupled_network):
     # the class-weighted fits draw no random number: only the bootstrap,
     # the nulls and permutation importance read the seed
