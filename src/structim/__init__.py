@@ -43,7 +43,6 @@ from .features import (
     FeatureTable,
     build_features,
     build_table,
-    pool,
     prune_correlated,
     snapshot_measures,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "pagerank",
     "pearson",
     "permutation_importance",
-    "pool",
     "prune_correlated",
     "r2_score",
     "repeat_snapshot",

@@ -71,15 +71,14 @@ class FeatureTable:
     ids from the network universe) at the anchor snapshot ``as_of[r]``. A
     table built for one anchor time carries a constant ``as_of``; an int
     given at construction is broadcast to every row. A pooled table (see
-    ``pool``) stacks several anchors in time order. ``y`` and ``target`` are
-    attached by the labeling step.
+    ``pipeline.build_horizon_tables``) stacks several anchors in time order.
+    ``y`` holds the labels of the target the table was built for.
     """
 
     columns: tuple
     X: np.ndarray
     node_ids: tuple
     as_of: np.ndarray
-    target: str | None = None
     y: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
@@ -104,29 +103,6 @@ class FeatureTable:
         idx = np.arange(self.n_rows)[np.asarray(rows)]
         return replace(self, X=self.X[idx], node_ids=tuple(map(self.node_ids.__getitem__, idx.tolist())),
                        as_of=self.as_of[idx], y=None if self.y is None else self.y[idx], meta=dict(self.meta))
-
-
-def pool(tables) -> FeatureTable:
-    """Stack tables with the same columns and target into one, in the given order.
-
-    Each row keeps its own ``as_of``, so a pool of the per-anchor tables in
-    anchor order is time-ordered. Per-table ``meta`` is not carried over.
-    """
-    tables = list(tables)
-    targets = {t.target for t in tables}
-    if len(targets) != 1:
-        raise ArgumentError(f"tables mix targets: {sorted(targets, key=str)}")
-    columns = tables[0].columns
-    if any(t.columns != columns for t in tables):
-        raise ArgumentError("tables have different columns")
-    return FeatureTable(
-        columns=columns,
-        X=np.vstack([t.X for t in tables]),
-        node_ids=tuple(v for t in tables for v in t.node_ids),
-        as_of=np.concatenate([t.as_of for t in tables]),
-        target=tables[0].target,
-        y=None if tables[0].y is None else np.concatenate([t.y for t in tables]),
-    )
 
 
 def snapshot_measures(
@@ -173,16 +149,16 @@ def build_features(tn: TemporalNetwork, t: int) -> FeatureTable:
 
 
 def build_table(tn: TemporalNetwork, t: int, target: str, change_threshold: float = CHANGE_THRESHOLD) -> FeatureTable:
-    """Feature table at t with the requested target attached: the rows of
+    """Feature table at t with the labels of ``target`` attached: the rows of
     ``build_features`` that ``target`` labels; ``change_threshold`` must be
     finite and nonnegative. Nothing is cached on the network: each call
     measures snapshot t, so several targets at one anchor measure it once
     per call."""
     keep, y = _labels(tn, t, target, change_threshold)
-    return _feature_table(tn, t, keep, target, y)
+    return _feature_table(tn, t, keep, y)
 
 
-def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) -> FeatureTable:
+def _feature_table(tn: TemporalNetwork, t: int, keep=True, y=None) -> FeatureTable:
     """The featurizable nodes of snapshot t among ``keep``, with their labels
     ``y`` when given; ``keep`` and ``y`` run over snapshot t's nodes."""
     _check_count(t, 1, "anchor t (after a prior snapshot)", tn.n_snapshots - 1)
@@ -203,7 +179,6 @@ def _feature_table(tn: TemporalNetwork, t: int, keep=True, target=None, y=None) 
         X=x[rows],
         node_ids=tuple(ids[k] for k in np.flatnonzero(rows).tolist()),
         as_of=t,
-        target=target,
         y=None if y is None else y[rows],
         meta={"skipped_new_nodes": int(at.size - seen.sum()), "skipped_undefined": int((seen & ~defined).sum())},
     )
@@ -259,7 +234,8 @@ def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
     if table.n_rows < 2:
         raise DataError("correlation pruning needs at least two rows")
 
-    variable = [c for c in table.columns if np.std(table.column(c)) > CONSTANT_STD]
+    with np.errstate(over="ignore"):  # an infinite std is not constant, and pearson raises on it
+        variable = [c for c in table.columns if np.std(table.column(c)) > CONSTANT_STD]
     corr = {}
     for i, ci in enumerate(variable):
         for cj in variable[i + 1 :]:

@@ -39,6 +39,8 @@ SEPARATION_BOUND = 30.0
 THRESHOLD = 0.5
 # The percentile pair of every 95% interval: the bootstrap AUC CI, ci95 and binom_ci (as p / 100).
 CI95_PERCENTILES = (2.5, 97.5)
+# The standard normal quantile at 97.5%: every coefficient interval is coef +- CI95_Z * se.
+CI95_Z = 1.959963984540054
 RIDGE_JITTER = 1e-10
 # IRLS stops at a gradient 2-norm of IRLS_TOL or after IRLS_MAX_ITER Newton
 # steps; its Newton systems and the Wald covariance add HESSIAN_JITTER * I.
@@ -713,7 +715,12 @@ def r2_score(y_true, y_pred) -> float:
     if not (np.isfinite(tss) and np.isfinite(rss)):
         raise NumericalError(f"R^2 sums of squares are not finite: total {tss}, residual {rss}")
     if tss <= 0:
-        raise DataError("R^2 undefined for a constant target")
+        if y.min() == y.max():
+            raise DataError("R^2 undefined for a constant target")
+        # tss underflowed: both inputs times the power of two that brings y to unit magnitude keep R^2
+        k = np.frexp(np.abs(y).max())[1]
+        with np.errstate(over="ignore"):  # a prediction scaled past the float range fails the sums' check
+            return r2_score(np.ldexp(y, -k), np.ldexp(pred, -k))
     return 1.0 - rss / tss
 
 

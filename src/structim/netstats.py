@@ -255,9 +255,10 @@ def mean_diff_ttest(a, b) -> TTestResult:
     """Welch's two-sided t-test for a difference in means.
 
     Uses the Welch-Satterthwaite degrees of freedom; each group needs at
-    least two finite samples and nonzero variance. Where squared variances
-    overflow, the degrees of freedom come from variances scaled by 2^-k; a t
-    statistic or degrees of freedom that still leave the float range raise NumericalError.
+    least two finite samples and must not be constant. Where a variance
+    underflows, both groups are scaled by 2^-k; where squared variances overflow,
+    the degrees of freedom come from variances scaled by 2^-k. A t statistic or
+    degrees of freedom that still leave the float range raise NumericalError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -265,7 +266,22 @@ def mean_diff_ttest(a, b) -> TTestResult:
         raise DataError("each group needs at least two samples")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("t-test needs finite samples")
-    with np.errstate(all="ignore"):  # a constant group or a non-finite result is an error below
+    t, dof, va, vb = _welch(a, b)
+    if va <= 0 or vb <= 0:
+        if a.min() == a.max() or b.min() == b.max():
+            raise DataError("constant group; t statistic undefined")
+        # a variance underflowed: both groups times one power of two keep t and dof
+        k = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+        t, dof, _, _ = _welch(np.ldexp(a, -k), np.ldexp(b, -k))
+    if not (np.isfinite(t) and np.isfinite(dof)):
+        raise NumericalError(f"t-test variances leave the float range: t={t}, dof={dof}")
+    p = 2.0 * stdtr(float(dof), -abs(float(t)))
+    return TTestResult(t_stat=float(t), dof=float(dof), p_value=p)
+
+
+def _welch(a: np.ndarray, b: np.ndarray):
+    """(t, dof, va, vb) of Welch's test, va and vb the squared standard errors of the means."""
+    with np.errstate(all="ignore"):  # a zero variance or a non-finite result is the caller's error
         va = a.var(ddof=1) / a.size
         vb = b.var(ddof=1) / b.size
         denom = va + vb
@@ -275,12 +291,7 @@ def mean_diff_ttest(a, b) -> TTestResult:
             scale = math.frexp(max(va, vb))[1]
             va_s, vb_s = np.ldexp(va, -scale), np.ldexp(vb, -scale)
             dof = (va_s + vb_s) ** 2 / (va_s**2 / (a.size - 1) + vb_s**2 / (b.size - 1))
-    if va <= 0 or vb <= 0:
-        raise DataError("constant group; t statistic undefined")
-    if not (np.isfinite(t) and np.isfinite(dof)):
-        raise NumericalError(f"t-test variances leave the float range: t={t}, dof={dof}")
-    p = 2.0 * stdtr(float(dof), -abs(float(t)))
-    return TTestResult(t_stat=float(t), dof=float(dof), p_value=p)
+    return t, dof, va, vb
 
 
 def pearson(x, y) -> float:
@@ -303,5 +314,8 @@ def pearson(x, y) -> float:
     if not np.isfinite(scale):
         raise NumericalError("correlation's sums of squares overflow the float range")
     if sx == 0 or sy == 0:
-        raise DataError("correlation undefined for a constant input")
+        if x.min() == x.max() or y.min() == y.max():
+            raise DataError("correlation undefined for a constant input")
+        # a sum of squares underflowed: each input times a power of two keeps r
+        return pearson(*(np.ldexp(v, -math.frexp(np.abs(v).max())[1]) for v in (x, y)))
     return float((xd * yd).sum() / scale)

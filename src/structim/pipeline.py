@@ -1,11 +1,11 @@
 """End-to-end prediction over a temporal network.
 
-Feature tables are built for every anchor snapshot with a successor and
-pooled once, in anchor order, then split by time once, in ``run_prediction``:
-the first 40% of rows train, the next 40% validate (through 5-fold forward
-chaining for the L2 grid search), the last 20% are held out for the final
-report. Correlation pruning and standardization are fitted on the first 80%
-only. Each fold's L2 grid is one warm-started path of IRLS fits that compute
+Feature tables are built for every anchor snapshot with a successor and pooled
+once, in anchor order, then split by time once, in ``run_prediction``: the
+first 80% of rows train and the last 20% are held out for the final report.
+Correlation pruning and standardization are fitted on the first 80% only, and
+the 5 forward-chaining folds of the L2 grid search validate on its last 5
+sixths. Each fold's L2 grid is one warm-started path of IRLS fits that compute
 only coefficients; the chosen classifier is a cold ``fit_logistic`` refit on
 the first 80%. Every fit is class-weighted and draws no random number, so the
 seed reaches only the bootstrap, the null models and permutation importance.
@@ -23,9 +23,9 @@ import numpy as np
 
 from ._special import expit
 from .errors import ArgumentError, DataError, NumericalError, _check_count, _check_real
-from .features import CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_target, build_table, pool, prune_correlated
+from .features import CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_target, build_table, prune_correlated
 from .graphs import TemporalNetwork
-from .model import (BOOTSTRAP_ITERS, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _irls,
+from .model import (BOOTSTRAP_ITERS, CI95_Z, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _irls,
                     _json_fields, _with_intercept, apply_standardization, binom_ci, bootstrap_auc_ci, evaluate,
                     fit_linear, fit_logistic, null_edge_presence, null_prior_predictor, null_shuffle_regression,
                     permutation_importance, r2_score, shap_linear, standardize)
@@ -39,7 +39,9 @@ FOLDS = 5
 
 @dataclass
 class PredictionResult:
-    """Everything cmd_predict reports, in analysis order."""
+    """Everything cmd_predict reports, in analysis order. A classifier's ``split``
+    is a 40/40/20 row cut that no fit uses: its folds and refit run on train +
+    validation, the first 80% of rows, which ``rel_change`` calls train."""
 
     target: str
     seed: int
@@ -62,23 +64,26 @@ class PredictionResult:
         return _json_fields(self, skip=("shap_values", "shap_rows"))
 
 
-def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = CHANGE_THRESHOLD):
-    """Feature tables for every anchor 1..T-2; each anchor is measured once.
-
-    An anchor whose table has no rows is left out.
-    """
+def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = CHANGE_THRESHOLD) -> FeatureTable:
+    """The horizon tables, pooled: the ``build_table`` rows of every anchor 1..T-2
+    in anchor order, each anchor measured once. ``meta`` holds each skip count
+    as a tuple over all anchors in order, anchors without rows included."""
     _check_target(target)
     anchors = range(1, tn.n_snapshots - 1)
     if not anchors:
         raise DataError("no usable feature rows at any anchor (an anchor needs a prior and a next snapshot)")
-    tables = []
-    for t in anchors:
-        table = build_table(tn, t, target, change_threshold=change_threshold)
-        if table.n_rows:
-            tables.append(table)
-    if not tables:
+    tables = [build_table(tn, t, target, change_threshold=change_threshold) for t in anchors]
+    pooled = FeatureTable(
+        columns=tables[0].columns,
+        X=np.vstack([t.X for t in tables]),
+        node_ids=tuple(v for t in tables for v in t.node_ids),
+        as_of=np.concatenate([t.as_of for t in tables]),
+        y=np.concatenate([t.y for t in tables]),
+        meta={key: tuple(t.meta[key] for t in tables) for key in tables[0].meta},
+    )
+    if not pooled.n_rows:
         raise DataError(f"anchors 1..{anchors[-1]} exist, but target {target!r} labels none of their featurizable nodes")
-    return tables
+    return pooled
 
 
 def _check_snapshots(tn: TemporalNetwork, target: str) -> None:
@@ -130,7 +135,7 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
     """Grid-search L2 by forward-chaining validation AUC over a pooled table.
 
     ``table`` is a labeled pool of horizon tables in time order (see
-    ``features.pool``) whose rows come from at least five distinct anchor
+    ``build_horizon_tables``) whose rows come from at least five distinct anchor
     times ``as_of``, so the forward-chaining folds see distinct eras; rows
     out of time order raise DataError, since a fold would then validate on
     rows older than its training rows. The first 80% of rows feed the grid
@@ -195,7 +200,6 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
 
 def _coefficient_table(model) -> list:
     """One row per estimate, intercept first: coef, Wald SE, p-value, 95% CI."""
-    z975 = 1.959963984540054
     estimates = zip(
         ("(intercept)",) + model.feature_names,
         (model.intercept, *model.coef),
@@ -204,7 +208,7 @@ def _coefficient_table(model) -> list:
     )
     return [
         {"feature": name, "coef": float(b), "se": float(s), "pvalue": float(p),
-         "ci_lo": float(b - z975 * s), "ci_hi": float(b + z975 * s)}
+         "ci_lo": float(b - CI95_Z * s), "ci_hi": float(b + CI95_Z * s)}
         for name, b, s, p in estimates
     ]
 
@@ -242,7 +246,7 @@ def run_prediction(
     """
     _check_prediction_args(seed, l2_grid, change_threshold, corr_threshold, null_trials, bootstrap_iters)
     _check_snapshots(tn, target)
-    pooled = pool(build_horizon_tables(tn, target, change_threshold=change_threshold))
+    pooled = build_horizon_tables(tn, target, change_threshold=change_threshold)
     n = pooled.n_rows
     i1, i2 = _split_ends(n)
     dropped_corr = prune_correlated(pooled.select_rows(np.arange(i2)), threshold=corr_threshold)

@@ -5,7 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ PUBLIC = (
     "leading_singular", "load_network", "load_snapshots_text",
     "mean_diff_ttest", "modularity", "node_importance", "node_importance_directed",
     "null_edge_presence", "null_prior_predictor", "null_shuffle_regression",
-    "pagerank", "pearson", "permutation_importance", "pool", "prune_correlated", "r2_score",
+    "pagerank", "pearson", "permutation_importance", "prune_correlated", "r2_score",
     "repeat_snapshot", "run_prediction", "select_eigencomponent", "shap_linear",
     "snapshot_measures", "standardize", "synthetic_temporal", "time_ordered_select",
     "write_edge_csv",
@@ -37,7 +37,7 @@ PUBLIC = (
 
 def test_public_surface_is_pinned():
     # a new export (or a private helper leaking out) must be added here on purpose
-    assert len(PUBLIC) == 65
+    assert len(PUBLIC) == 64
     assert sorted(structim.__all__) == sorted(PUBLIC)
     assert len(set(structim.__all__)) == len(structim.__all__)
     assert all(hasattr(structim, name) for name in PUBLIC)
@@ -48,6 +48,32 @@ def test_public_options_are_pinned():
     options = [(fn.__qualname__, p.name) for fn in public_callables()
                for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
     assert len(options) == 36, options
+
+
+def test_public_record_fields_are_pinned():
+    # a new field (or a removed one) of a public record must edit this list on purpose
+    records = {name: tuple(f.name for f in fields(getattr(structim, name))) for name in structim.__all__
+               if isinstance(getattr(structim, name), type) and is_dataclass(getattr(structim, name))}
+    assert records == {
+        "EvaluationReport": ("n_rows", "n_positive", "tp", "fp", "fn", "tn", "precision", "recall", "auc",
+                             "threshold", "notes", "precision_ci", "recall_ci", "auc_ci", "ci_method", "null_prior",
+                             "null_edge_presence", "permutation_importance", "shap_mean_abs"),
+        "FeatureTable": ("columns", "X", "node_ids", "as_of", "y", "meta"),
+        "ImportanceVector": ("scheme", "values", "eig_rank", "excluded"),
+        "LinearModel": ("feature_names", "intercept", "coef", "coef_se", "coef_pvalues", "intercept_se",
+                        "intercept_pvalue"),
+        "LogisticModel": ("feature_names", "intercept", "coef", "coef_se", "coef_pvalues", "intercept_se",
+                          "intercept_pvalue", "l2", "converged", "n_iter", "grad_norm", "separation_warning"),
+        "PredictionResult": ("target", "seed", "n_rows", "split", "columns", "dropped_correlated",
+                             "dropped_constant", "chosen_l2", "cv_auc_by_l2", "report", "regression", "coefficients",
+                             "shap_values", "shap_base", "shap_rows", "warnings"),
+        "SingularTriplet": ("s", "vector"),
+        "Snapshot": ("node_ids", "edges", "directed", "timestamp"),
+        "Spectrum": ("eigenvalues", "eigenvectors"),
+        "StandardizationConstants": ("columns", "means", "stds", "dropped"),
+        "TTestResult": ("t_stat", "dof", "p_value"),
+        "TemporalNetwork": ("snapshots", "universe", "negative_weight_count"),
+    }
 
 
 def _flags(parser, command=""):
@@ -152,7 +178,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 def _labeled_table():
     x = np.array([[1.0], [-1.0], [0.5], [-0.5]])
     return structim.FeatureTable(columns=("ma",), X=x, node_ids=(0, 1, 2, 3), as_of=1,
-                                 target="presence", y=np.array([1.0, 0.0, 0.0, 1.0]))
+                                 y=np.array([1.0, 0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("call", [
@@ -163,8 +189,6 @@ def _labeled_table():
     lambda: structim.fit_logistic(_labeled_table(), l2=-1.0),
     lambda: structim.binom_ci(2.5, 5),
     lambda: structim.binom_ci(6, 5),
-    lambda: structim.pool([_labeled_table(), replace(_labeled_table(), target="change")]),
-    lambda: structim.pool([_labeled_table(), replace(_labeled_table(), columns=("mb",))]),
     lambda: structim.build_features(network_from([clique(3), clique(3, timestamp=1)]), 0),
     lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), -1),
     lambda: structim.build_table(network_from([clique(3), clique(3, timestamp=1)]), 1, "presence"),
@@ -177,7 +201,7 @@ def _labeled_table():
     lambda: structim.shap_linear(replace(structim.fit_logistic(_labeled_table()), coef=np.ones(2)), np.ones((3, 1))),
     lambda: structim.shap_linear(structim.fit_logistic(_labeled_table()), np.ones((3, 1)), background_mean=np.zeros(2)),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
-        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range", "pool-targets", "pool-columns",
+        "fit-logistic-l2", "binom-ci-integers", "binom-ci-range",
         "build-features-anchor", "snapshot-measures-anchor",
         "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "eig-sym-nan", "eig-sym-inf",
         "leading-singular-shape", "r2-score-shape", "shap-linear-columns", "shap-linear-background"])

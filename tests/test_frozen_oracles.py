@@ -49,7 +49,6 @@ from structim import (
     load_network,
     null_prior_predictor,
     pagerank,
-    pool,
     snapshot_measures,
     standardize,
     synthetic_temporal,
@@ -112,7 +111,7 @@ def _logistic(coef, intercept=0.0):
 def _table(x, y):
     x = np.asarray(x, dtype=float)
     return FeatureTable(columns=tuple(f"f{i}" for i in range(x.shape[1])), X=x, node_ids=tuple(range(len(y))),
-                        as_of=1, target="presence", y=np.asarray(y, dtype=float))
+                        as_of=1, y=np.asarray(y, dtype=float))
 
 
 def _noisy_table(seed, n, p=1, noise=1.0):
@@ -273,7 +272,7 @@ def test_pagerank_oracle_cases_cover_dangling_and_none():
 # ------------------------------------------------------ feature table oracle
 
 
-def _feature_oracle(tn, t, keep=True, target=None, y=None):
+def _feature_oracle(tn, t, keep=True, y=None):
     """The feature table read node by node from the anchor's own measures,
     with the prior appearances counted snapshot by snapshot."""
     measures = snapshot_measures(tn, t)
@@ -291,13 +290,13 @@ def _feature_oracle(tn, t, keep=True, target=None, y=None):
             x.append(values + [float(prior)])
     return FeatureTable(
         columns=FEATURE_COLUMNS, X=np.array(x).reshape(len(rows), len(FEATURE_COLUMNS)),
-        node_ids=tuple(ids[k] for k in rows), as_of=t, target=target, y=None if y is None else y[rows],
+        node_ids=tuple(ids[k] for k in rows), as_of=t, y=None if y is None else y[rows],
         meta={"skipped_new_nodes": new, "skipped_undefined": undefined},
     )
 
 
 def _same_table(a, b, y_rtol=0.0):
-    assert a.columns == b.columns and a.node_ids == b.node_ids and a.target == b.target and a.meta == b.meta
+    assert a.columns == b.columns and a.node_ids == b.node_ids and a.meta == b.meta
     assert np.array_equal(a.as_of, b.as_of)
     assert np.array_equal(a.X, b.X)
     if y_rtol:
@@ -343,7 +342,7 @@ def test_build_table_matches_the_anchor_measures_at_every_anchor(net):
             keep = np.array([v in labels for v in ids], dtype=bool)
             y = np.array([labels.get(v, 0.0) for v in ids], dtype=float)
             # the reference sums strength edge by edge, so a ratio may differ in its last bits
-            _same_table(build_table(tn, t, target), _feature_oracle(tn, t, keep, target, y),
+            _same_table(build_table(tn, t, target), _feature_oracle(tn, t, keep, y),
                         y_rtol=1e-13 if target == "rel_change" else 0.0)
     for t in range(1, tn.n_snapshots):
         _same_table(build_features(tn, t), _feature_oracle(tn, t))
@@ -553,7 +552,7 @@ def _check_select(table, l2_grid):
 @pytest.mark.parametrize("net", range(len(_NETWORKS)))
 def test_time_ordered_select_matches_a_cold_fit_per_cell(net, grid):
     tn = _NETWORKS[net]()
-    scored = [_check_select(pool(build_horizon_tables(tn, target)), grid)
+    scored = [_check_select(build_horizon_tables(tn, target), grid)
               for target in ("presence", "change", "sign")]
     assert any(scored)
 
@@ -563,8 +562,7 @@ def _separable_pool(seed, anchors=6, rows=12, p=2):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(anchors * rows, p))
     return FeatureTable(columns=tuple(f"f{i}" for i in range(p)), X=x, node_ids=tuple(range(len(x))),
-                        as_of=np.repeat(np.arange(1, anchors + 1), rows), target="presence",
-                        y=(x[:, 0] > 0).astype(float))
+                        as_of=np.repeat(np.arange(1, anchors + 1), rows), y=(x[:, 0] > 0).astype(float))
 
 
 def test_time_ordered_select_matches_after_a_separated_fit(monkeypatch):
@@ -592,7 +590,7 @@ def test_time_ordered_select_fits_from_zero_where_a_warm_start_fails():
     # from the l2 = 0.1 coefficients the gradient at the largest float overflows;
     # a cold fit there converges in two steps
     tn = synthetic_temporal(12, 2, 1, -2.0, 8, seed=2)
-    assert _check_select(pool(build_horizon_tables(tn, "presence")), (0.1, sys.float_info.max))
+    assert _check_select(build_horizon_tables(tn, "presence"), (0.1, sys.float_info.max))
 
 
 # path neighbours on the default grid, in both directions

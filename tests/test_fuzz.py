@@ -288,14 +288,14 @@ def numeric_calls(cli_dir):
     """{(function, parameter): (bounds, call with one value)} over the numeric options."""
     from structim import (binom_ci, bootstrap_auc_ci, build_horizon_tables, build_table, fit_logistic,
                           load_network, null_edge_presence, null_prior_predictor, null_shuffle_regression,
-                          permutation_importance, pool, prune_correlated, run_prediction,
+                          permutation_importance, prune_correlated, run_prediction,
                           time_ordered_select)
     from structim.features import FeatureTable
 
     tn = synthetic_temporal(12, 2, 1, -2.0, 8, seed=2)  # five anchors and enough rows for run_prediction
-    pooled = pool(build_horizon_tables(tn, "presence"))
+    pooled = build_horizon_tables(tn, "presence")
     labeled = FeatureTable(columns=("ma",), X=np.array([[1.0], [-1.0], [0.5], [-0.5]]), node_ids=(0, 1, 2, 3),
-                           as_of=1, target="presence", y=np.array([1.0, 0.0, 0.0, 1.0]))
+                           as_of=1, y=np.array([1.0, 0.0, 0.0, 1.0]))
     model = fit_logistic(labeled)
     anchored = build_table(tn, 3, "presence")
     scores = np.full(anchored.n_rows, 0.5)

@@ -1,5 +1,6 @@
 """Classifier, regressor, metrics, intervals, nulls, and attributions."""
 
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -27,7 +28,6 @@ from structim import (
     null_prior_predictor,
     null_shuffle_regression,
     permutation_importance,
-    pool,
     r2_score,
     shap_linear,
     standardize,
@@ -48,7 +48,6 @@ def _table(columns, x, y=None):
         X=x,
         node_ids=tuple(range(x.shape[0])),
         as_of=1,
-        target=None if y is None else "presence",
         y=None if y is None else np.asarray(y, dtype=float),
     )
 
@@ -553,6 +552,13 @@ def _scored_rows(scores, as_of=0):
     return table, np.array(list(scores.values()), dtype=float)
 
 
+def _anchor_rows(tn, anchors):
+    """Feature rows for every node of each anchor snapshot, stacked in the given order."""
+    ids = [v for t in anchors for v in tn.snapshots[t].node_ids]
+    as_of = [t for t in anchors for _ in tn.snapshots[t].node_ids]
+    return FeatureTable(columns=("ma",), X=np.zeros((len(ids), 1)), node_ids=tuple(ids), as_of=np.array(as_of))
+
+
 def test_null_edge_presence_empty_next_snapshot():
     tn = network_from([
         clique(4, timestamp=0),
@@ -803,6 +809,22 @@ def test_r2_score_of_overflowing_squares_is_a_numerical_error():
     # the total sum of squares overflows; it once gave inf / inf = nan
     with pytest.raises(NumericalError, match="R\\^2 sums of squares are not finite: total inf"):
         r2_score([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])
+
+
+def test_r2_score_of_a_tiny_varying_target_is_not_constant():
+    # the total sum of squares underflows to 0; both inputs times 2**600 (exact) give R^2
+    y, pred = np.array([1e-170, 3e-170, 2e-170]), np.array([1e-170, 2e-170, 2e-170])
+    assert r2_score(y, pred) == r2_score(y * 2.0**600, pred * 2.0**600) == 0.4999999999999999
+    # scaled with y, this prediction leaves the float range: R^2 would be about -1e640
+    with pytest.raises(NumericalError, match="R\\^2 sums of squares are not finite"):
+        r2_score([1e-200, 2e-200], [1e120, 1.0])
+
+
+def test_ci95_z_is_the_normal_quantile_of_the_percentile_pair():
+    # the coefficient intervals and the percentile intervals are both 95%; scipy is
+    # the oracle, since structim's erfc-based ndtr reads 0.02500000000000002 here
+    tail = model_module.CI95_PERCENTILES[0] / 100.0
+    assert abs(stats.norm.cdf(-model_module.CI95_Z) - tail) <= 2 * math.ulp(tail)
 
 
 def test_null_shuffle_regression_destroys_signal():
@@ -1250,8 +1272,7 @@ def test_null_edge_presence_ignores_row_order():
     # their scores leaves every trial's counts and AUC as they were
     tn = synthetic_temporal(40, 2, 2, -2.0, 8, seed=3)
     rng = np.random.default_rng(3)
-    table = pool([_scored_rows(dict.fromkeys(tn.snapshots[t].node_ids, 0.0), as_of=t)[0]
-                  for t in range(tn.n_snapshots - 1)])
+    table = _anchor_rows(tn, range(tn.n_snapshots - 1))
     scores = rng.integers(0, 5, size=table.n_rows) / 4.0
     perm = rng.permutation(table.n_rows)
     assert null_edge_presence(tn, table.select_rows(perm), scores[perm], trials=250, seed=1) == \
@@ -1262,8 +1283,7 @@ def test_null_edge_presence_matches_oracle():
     for seed in (3, 4):
         tn = synthetic_temporal(40, 2, 2, -2.0, 8, seed=seed)
         rng = np.random.default_rng(seed)
-        anchors = range(tn.n_snapshots - 1)
-        table = pool([_scored_rows(dict.fromkeys(tn.snapshots[t].node_ids, 0.0), as_of=t)[0] for t in anchors])
+        table = _anchor_rows(tn, range(tn.n_snapshots - 1))
         scores = rng.integers(0, 5, size=table.n_rows) / 4.0  # tie-heavy, some at 0.5
         # 250 trials over ~210 rows span four kernel chunks
         got = null_edge_presence(tn, table, scores, trials=250, seed=[seed, 6])

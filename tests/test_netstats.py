@@ -444,6 +444,21 @@ def test_pearson_of_overflowing_squares_is_a_numerical_error():
         pearson([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])
 
 
+def test_pearson_of_a_tiny_varying_input_is_not_constant():
+    # the squared deviations of x underflow to 0; x times 2**600 (exact) gives r
+    assert pearson([1e-170, -1e-170, 0.0], [1.0, 2.0, 3.0]) == -0.4999999999999999
+    assert pearson(np.array([1e-170, -1e-170, 0.0]) * 2.0**600, [1.0, 2.0, 3.0]) == -0.4999999999999999
+
+
+def test_ttest_of_tiny_varying_groups_is_not_constant():
+    # both variances underflow to 0; the samples times 2**600 (exact) give the same answer
+    a, b = [1e-170, -1e-170, 0.0], [1e-170, 3e-170, 2e-170]
+    tiny = mean_diff_ttest(a, b)
+    assert tiny == mean_diff_ttest(np.array(a) * 2.0**600, np.array(b) * 2.0**600)
+    assert tiny.t_stat == -2.449489742783178
+    assert tiny.dof == pytest.approx(4.0, rel=1e-15) and tiny.p_value == pytest.approx(0.0705, abs=5e-5)
+
+
 def test_ttest_of_overflowing_variances_is_a_numerical_error():
     # the variance of a overflows; the p-value once failed in the incomplete beta with b=nan
     with pytest.raises(NumericalError, match="t-test variances leave the float range"):

@@ -10,12 +10,13 @@ import pytest
 from structim import (
     FEATURE_COLUMNS,
     L2_GRID,
+    TARGETS,
     DataError,
     FeatureTable,
     barbell,
     build_horizon_tables,
+    build_table,
     forward_chain_folds,
-    pool,
     repeat_snapshot,
     run_prediction,
     synthetic_temporal,
@@ -36,27 +37,20 @@ def test_unknown_target_is_rejected_without_any_anchor():
         build_horizon_tables(tn, "bogus")
 
 
-def _mk_tables(n_tables=6, rows=20, signal=2.0, seed=0, constant=False):
-    """Hand-built horizon tables with a controllable signal feature."""
+def _mk_pool(n_tables=6, rows=20, signal=2.0, seed=0, constant=False):
+    """A hand-built pooled table of ``n_tables`` anchors with a controllable signal feature."""
     rng = np.random.default_rng(seed)
-    tables = []
-    for t in range(n_tables):
+    blocks, labels = [], []
+    for _ in range(n_tables):
         y = np.tile([0.0, 1.0], rows // 2)
         if not constant:
             rng.shuffle(y)
         x0 = np.ones(rows) if constant else signal * (2.0 * y - 1.0) + rng.normal(size=rows)
         x1 = np.ones(rows) if constant else rng.normal(size=rows)
-        tables.append(
-            FeatureTable(
-                columns=("ma", "mb"),
-                X=np.column_stack([x0, x1]),
-                node_ids=tuple(range(rows)),
-                as_of=t + 1,
-                target="presence",
-                y=y,
-            )
-        )
-    return tables
+        blocks.append(np.column_stack([x0, x1]))
+        labels.append(y)
+    return FeatureTable(columns=("ma", "mb"), X=np.vstack(blocks), node_ids=tuple(range(rows)) * n_tables,
+                        as_of=np.repeat(np.arange(1, n_tables + 1), rows), y=np.concatenate(labels))
 
 
 # -------------------------------------------------------- build_horizon_tables
@@ -64,13 +58,26 @@ def _mk_tables(n_tables=6, rows=20, signal=2.0, seed=0, constant=False):
 
 def test_build_horizon_tables_one_per_anchor():
     tn = synthetic_temporal(30, 2, 2, 0.0, horizon=6, seed=1)
-    tables = build_horizon_tables(tn, "presence")
-    assert len(tables) == 4  # anchors 1..T-2
-    assert [set(t.as_of) for t in tables] == [{1}, {2}, {3}, {4}]
-    for t in tables:
-        assert t.target == "presence"
-        assert t.columns == FEATURE_COLUMNS
-        assert t.y is not None and t.n_rows > 0
+    table = build_horizon_tables(tn, "presence")
+    assert sorted(set(table.as_of)) == [1, 2, 3, 4]  # anchors 1..T-2
+    assert np.all(np.diff(table.as_of) >= 0)
+    assert table.columns == FEATURE_COLUMNS
+    assert table.y is not None and table.y.shape == (table.n_rows,) and table.n_rows > 0
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_build_horizon_tables_stacks_the_anchor_tables(target):
+    tn = synthetic_temporal(40, 2, 2, -2.0, 8, seed=3)
+    pooled = build_horizon_tables(tn, target)
+    tables = [build_table(tn, t, target) for t in range(1, tn.n_snapshots - 1)]
+    assert pooled.columns == FEATURE_COLUMNS
+    assert np.array_equal(pooled.X, np.vstack([t.X for t in tables]))
+    assert pooled.node_ids == tuple(v for t in tables for v in t.node_ids)
+    assert np.array_equal(pooled.as_of, np.concatenate([t.as_of for t in tables]))
+    assert np.array_equal(pooled.y, np.concatenate([t.y for t in tables]))
+    assert pooled.meta == {key: tuple(t.meta[key] for t in tables)
+                           for key in ("skipped_new_nodes", "skipped_undefined")}
+    assert len(pooled.meta["skipped_new_nodes"]) == tn.n_snapshots - 2
 
 
 def test_build_horizon_tables_validation():
@@ -87,7 +94,7 @@ def test_build_horizon_tables_names_the_target_that_labels_no_row():
     tied = repeat_snapshot(barbell(4, 2, 5), 12)
     with pytest.raises(DataError, match=r"^anchors 1\.\.10 exist, but target 'sign' labels none of their featurizable nodes$"):
         build_horizon_tables(tied, "sign")
-    assert len(build_horizon_tables(tied, "presence")) == 10
+    assert sorted(set(build_horizon_tables(tied, "presence").as_of)) == list(range(1, 11))
 
 
 # --------------------------------------------------------- forward_chain_folds
@@ -124,24 +131,18 @@ def test_forward_chain_folds_too_small():
 
 def test_select_needs_five_tables():
     with pytest.raises(DataError, match="at least 5"):
-        time_ordered_select(pool(_mk_tables(n_tables=4)))
+        time_ordered_select(_mk_pool(n_tables=4))
 
 
 def test_select_rejects_rows_out_of_time_order():
     # pooled newest first, every fold would validate on rows older than it trains on
     with pytest.raises(DataError, match="time order"):
-        time_ordered_select(pool(_mk_tables(seed=3)[::-1]))
-
-
-def test_select_rejects_mixed_targets():
-    tables = _mk_tables()
-    tables[2].target = "change"
-    with pytest.raises(ValueError, match="mix targets"):
-        time_ordered_select(pool(tables))
+        newest_first = _mk_pool(seed=3)
+        time_ordered_select(newest_first.select_rows(np.argsort(-newest_first.as_of, kind="stable")))
 
 
 def test_select_single_value_grid():
-    best, _ = time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=(0.1,))
+    best, _ = time_ordered_select(_mk_pool(seed=1), l2_grid=(0.1,))
     assert best == 0.1
 
 
@@ -154,16 +155,15 @@ def test_select_single_value_grid():
 def test_select_rejects_a_bad_grid_before_any_fit(monkeypatch, grid, message):
     monkeypatch.setattr("structim.pipeline._irls", lambda *args: pytest.fail("fit before the grid check"))
     with pytest.raises(ArgumentError, match=re.escape(message)):
-        time_ordered_select(pool(_mk_tables(seed=1)), l2_grid=grid)
+        time_ordered_select(_mk_pool(seed=1), l2_grid=grid)
 
 
 def test_select_uninformative_ties_keep_lowest_l2():
     # constant features are dropped, every fold scores exactly 0.5, and the
     # ascending scan with a strict improvement test keeps the smallest value
-    tables = _mk_tables(seed=2, constant=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        best, cv_auc_by_l2 = time_ordered_select(pool(tables))
+        best, cv_auc_by_l2 = time_ordered_select(_mk_pool(seed=2, constant=True))
     assert best == min(L2_GRID)
     assert set(cv_auc_by_l2.values()) == {0.5}
 
@@ -171,29 +171,26 @@ def test_select_uninformative_ties_keep_lowest_l2():
 def test_select_details_and_split():
     # the split and the standardization constants are run_prediction's; see
     # test_run_prediction_splits_and_standardizes_once
-    best, cv_auc_by_l2 = time_ordered_select(pool(_mk_tables(seed=3)))
+    best, cv_auc_by_l2 = time_ordered_select(_mk_pool(seed=3))
     assert best in L2_GRID
     assert sorted(cv_auc_by_l2) == sorted(float(v) for v in L2_GRID)
 
 
 def test_select_informative_beats_shuffled_control():
-    tables = _mk_tables(seed=3)
-    best_real = max(time_ordered_select(pool(tables))[1].values())
+    table = _mk_pool(seed=3)
+    best_real = max(time_ordered_select(table)[1].values())
 
     rng = np.random.default_rng(99)
-    shuffled = []
-    for t in tables:
-        c = t.select_rows(np.ones(t.n_rows, dtype=bool))
-        c.y = rng.permutation(t.y)
-        shuffled.append(c)
-    best_null = max(time_ordered_select(pool(shuffled))[1].values())
+    shuffled = table.select_rows(np.ones(table.n_rows, dtype=bool))
+    shuffled.y = np.concatenate([rng.permutation(table.y[table.as_of == t]) for t in np.unique(table.as_of)])
+    best_null = max(time_ordered_select(shuffled)[1].values())
     assert best_real > 0.9
     assert best_real > best_null + 0.15
 
 
 def test_select_deterministic():
-    a_best, a_cv = time_ordered_select(pool(_mk_tables(seed=4)))
-    b_best, b_cv = time_ordered_select(pool(_mk_tables(seed=4)))
+    a_best, a_cv = time_ordered_select(_mk_pool(seed=4))
+    b_best, b_cv = time_ordered_select(_mk_pool(seed=4))
     assert a_best == b_best
     assert a_cv == b_cv
 
@@ -420,15 +417,13 @@ def test_run_prediction_checks_options_before_building_tables(monkeypatch, coupl
 def test_pruning_ignores_held_out_rows(monkeypatch):
     # ma and mb are uncorrelated in the first 80% of the 120 pooled rows; one
     # outlier in the held-out block correlates them over all rows
-    clean = _mk_tables(seed=5)
-    spiked = _mk_tables(seed=5)
-    spiked[-1].X[-1] = [1000.0, 1000.0]
-    assert abs(np.corrcoef(pool(spiked).X.T)[0, 1]) > 0.8
+    clean = _mk_pool(seed=5)
+    spiked = _mk_pool(seed=5)
+    spiked.X[-1] = [1000.0, 1000.0]
+    assert abs(np.corrcoef(spiked.X.T)[0, 1]) > 0.8
     dropped = []
-    for tables in (clean, spiked):
-        for t in tables:
-            t.target = "sign"
-        monkeypatch.setattr("structim.pipeline.build_horizon_tables", lambda *args, **kwargs: tables)
+    for table in (clean, spiked):
+        monkeypatch.setattr("structim.pipeline.build_horizon_tables", lambda *args, **kwargs: table)
         res = run_prediction(repeat_snapshot(clique(4), 8), "sign", null_trials=20, bootstrap_iters=20)
         dropped.append(res.dropped_correlated)
     assert dropped[1] == dropped[0] == ()
