@@ -234,7 +234,7 @@ def prune_correlated(table: FeatureTable, threshold: float = CORR_THRESHOLD):
     if table.n_rows < 2:
         raise DataError("correlation pruning needs at least two rows")
 
-    with np.errstate(over="ignore"):  # an infinite std is not constant, and pearson raises on it
+    with np.errstate(over="ignore"):  # an infinite std is not constant, and pearson scales it to unit size
         variable = [c for c in table.columns if np.std(table.column(c)) > CONSTANT_STD]
     corr = {}
     for i, ci in enumerate(variable):

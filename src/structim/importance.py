@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, NumericalError
+from .errors import ArgumentError, DataError, NumericalError, _is_integer
 from .graphs import Snapshot
 from .spectral import Spectrum, eig_sym, leading_singular, select_eigencomponent
 
@@ -140,12 +140,14 @@ def edge_importance(spectrum: Spectrum, i: int, j: int) -> float:
     """Sensitivity of the leading eigenvalue to the (i, j) edge weight.
 
     Equals 2 * x0_i * x0_j where x0 is the leading eigenvector. Indices are
-    positions in the spectrum's node order; out-of-range indices raise
-    IndexError.
+    positions in the spectrum's node order; an index that is not an integer
+    raises ArgumentError, and an out-of-range one IndexError.
     """
     x0 = spectrum.eigenvectors[:, 0]
     n = x0.shape[0]
     for idx in (i, j):
+        if not _is_integer(idx):
+            raise ArgumentError(f"node index must be an integer, got {idx!r}")
         if not 0 <= idx < n:
             raise IndexError(f"node index {idx} out of range for {n} nodes")
     return float(2.0 * x0[i] * x0[j])

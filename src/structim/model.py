@@ -32,6 +32,7 @@ from ._special import betaincinv, expit, ndtr, stdtr
 from .errors import ArgumentError, DataError, NumericalError, _check_count, _check_real
 from .features import CONSTANT_STD, FeatureTable, _check_horizon
 from .graphs import TemporalNetwork
+from .netstats import _unit_scale
 
 SEPARATION_BOUND = 30.0
 # A prediction is positive at this probability or above, in evaluate and in
@@ -76,10 +77,16 @@ def standardize(table: FeatureTable):
     """Center and scale features to zero mean, unit standard deviation.
 
     Near-constant columns (std <= 1e-12) carry no information and break the
-    scaling, so they are dropped with a warning. Returns the standardized
-    table and the constants needed to transform other tables the same way.
+    scaling, so they are dropped with a warning; a column whose std is not
+    finite raises NumericalError. Returns the standardized table and the
+    constants needed to transform other tables the same way.
     """
-    keep = [c for c, s in zip(table.columns, table.X.std(axis=0)) if s > CONSTANT_STD]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite std is the error below
+        stds = table.X.std(axis=0)
+    bad = [c for c, s in zip(table.columns, stds) if not np.isfinite(s)]
+    if bad:
+        raise NumericalError(f"standard deviation not finite for feature columns: {', '.join(bad)}")
+    keep = [c for c, s in zip(table.columns, stds) if s > CONSTANT_STD]
     dropped = tuple(c for c in table.columns if c not in keep)
     if dropped:
         warnings.warn(f"dropping near-constant feature columns: {', '.join(dropped)}")
@@ -703,24 +710,23 @@ class LinearModel(_Coefficients):
 
 
 def r2_score(y_true, y_pred) -> float:
+    """R^2 of ``y_pred`` for ``y_true``, both scaled by the target's power of two (``netstats._unit_scale``).
+    An empty target or one with all values equal is a DataError, an R^2 past the float range a NumericalError."""
     y = np.asarray(y_true, dtype=float)
     pred = np.asarray(y_pred, dtype=float)
     if y.shape != pred.shape:
         raise ArgumentError(f"r2_score expects equal shapes, got {y.shape} and {pred.shape}")
     if y.size == 0:
         raise DataError("R^2 undefined for an empty target")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the error below
-        tss = float(np.sum((y - y.mean()) ** 2))
+    if y.min() == y.max():
+        raise DataError("R^2 undefined for a constant target")
+    k = _unit_scale(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R^2 is the error below
+        y, pred = np.ldexp(y, k), np.ldexp(pred, k)
         rss = float(np.sum((y - pred) ** 2))
-    if not (np.isfinite(tss) and np.isfinite(rss)):
-        raise NumericalError(f"R^2 sums of squares are not finite: total {tss}, residual {rss}")
-    if tss <= 0:
-        if y.min() == y.max():
-            raise DataError("R^2 undefined for a constant target")
-        # tss underflowed: both inputs times the power of two that brings y to unit magnitude keep R^2
-        k = np.frexp(np.abs(y).max())[1]
-        with np.errstate(over="ignore"):  # a prediction scaled past the float range fails the sums' check
-            return r2_score(np.ldexp(y, -k), np.ldexp(pred, -k))
+        tss = float(np.sum((y - y.mean()) ** 2))
+    if not np.isfinite(rss / tss):
+        raise NumericalError(f"R^2 sums of squares are not finite as a ratio: residual {rss} / total {tss}")
     return 1.0 - rss / tss
 
 

@@ -255,10 +255,9 @@ def mean_diff_ttest(a, b) -> TTestResult:
     """Welch's two-sided t-test for a difference in means.
 
     Uses the Welch-Satterthwaite degrees of freedom; each group needs at
-    least two finite samples and must not be constant. Where a variance
-    underflows, both groups are scaled by 2^-k; where squared variances overflow,
-    the degrees of freedom come from variances scaled by 2^-k. A t statistic or
-    degrees of freedom that still leave the float range raise NumericalError.
+    least two finite samples, and a group whose values are all equal is a
+    DataError. Both groups are scaled by one power of two (``_unit_scale``),
+    which leaves t and the degrees of freedom unchanged, before any sum.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -266,37 +265,28 @@ def mean_diff_ttest(a, b) -> TTestResult:
         raise DataError("each group needs at least two samples")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("t-test needs finite samples")
-    t, dof, va, vb = _welch(a, b)
-    if va <= 0 or vb <= 0:
-        if a.min() == a.max() or b.min() == b.max():
-            raise DataError("constant group; t statistic undefined")
-        # a variance underflowed: both groups times one power of two keep t and dof
-        k = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
-        t, dof, _, _ = _welch(np.ldexp(a, -k), np.ldexp(b, -k))
-    if not (np.isfinite(t) and np.isfinite(dof)):
-        raise NumericalError(f"t-test variances leave the float range: t={t}, dof={dof}")
+    if a.min() == a.max() or b.min() == b.max():
+        raise DataError("constant group; t statistic undefined")
+    k = _unit_scale(a, b)
+    a, b = np.ldexp(a, k), np.ldexp(b, k)
+    va = a.var(ddof=1) / a.size
+    vb = b.var(ddof=1) / b.size
+    denom = va + vb
+    t = (a.mean() - b.mean()) / np.sqrt(denom)
+    dof = denom**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
     p = 2.0 * stdtr(float(dof), -abs(float(t)))
     return TTestResult(t_stat=float(t), dof=float(dof), p_value=p)
 
 
-def _welch(a: np.ndarray, b: np.ndarray):
-    """(t, dof, va, vb) of Welch's test, va and vb the squared standard errors of the means."""
-    with np.errstate(all="ignore"):  # a zero variance or a non-finite result is the caller's error
-        va = a.var(ddof=1) / a.size
-        vb = b.var(ddof=1) / b.size
-        denom = va + vb
-        t = (a.mean() - b.mean()) / np.sqrt(denom)
-        dof = denom**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
-        if np.isfinite(t) and not np.isfinite(dof):  # scaling by a power of two is exact
-            scale = math.frexp(max(va, vb))[1]
-            va_s, vb_s = np.ldexp(va, -scale), np.ldexp(vb, -scale)
-            dof = (va_s + vb_s) ** 2 / (va_s**2 / (a.size - 1) + vb_s**2 / (b.size - 1))
-    return t, dof, va, vb
+def _unit_scale(*samples: np.ndarray) -> int:
+    """The k that brings the largest magnitude of ``samples`` times 2^k into [0.5, 1): an exact scaling,
+    after which the sample holding it has, unless constant, sums of squares inside the normal range."""
+    return -math.frexp(max(float(np.abs(s).max()) for s in samples))[1]
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation; raises DataError when either input is constant or
-    not finite, and NumericalError when its sums of squares overflow."""
+    """Pearson correlation, in [-1, 1], of the inputs each scaled by its own power of two
+    (``_unit_scale``); raises DataError when an input is not finite or has all its values equal."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -305,17 +295,10 @@ def pearson(x, y) -> float:
         raise DataError("need at least two observations")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("correlation needs finite observations")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale is the error below
-        xd = x - x.mean()
-        yd = y - y.mean()
-        sx = np.sqrt((xd**2).sum())
-        sy = np.sqrt((yd**2).sum())
-        scale = sx * sy
-    if not np.isfinite(scale):
-        raise NumericalError("correlation's sums of squares overflow the float range")
-    if sx == 0 or sy == 0:
-        if x.min() == x.max() or y.min() == y.max():
-            raise DataError("correlation undefined for a constant input")
-        # a sum of squares underflowed: each input times a power of two keeps r
-        return pearson(*(np.ldexp(v, -math.frexp(np.abs(v).max())[1]) for v in (x, y)))
-    return float((xd * yd).sum() / scale)
+    if x.min() == x.max() or y.min() == y.max():
+        raise DataError("correlation undefined for a constant input")
+    x, y = np.ldexp(x, _unit_scale(x)), np.ldexp(y, _unit_scale(y))
+    xd = x - x.mean()
+    yd = y - y.mean()
+    r = (xd * yd).sum() / (np.sqrt((xd**2).sum()) * np.sqrt((yd**2).sum()))
+    return min(1.0, max(-1.0, float(r)))  # the rounded square roots can put |r| an ulp above 1

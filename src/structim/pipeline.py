@@ -114,6 +114,7 @@ def forward_chain_folds(n: int):
     everything before a block trains. The remainder stays in the earliest
     training window.
     """
+    _check_count(n, 0, "n")
     block = n // (FOLDS + 1)
     if block < 1:
         raise DataError(f"too few rows ({n}) for {FOLDS}-fold forward chaining")

@@ -113,12 +113,13 @@ def bar_chart(labels, values, title="", ylabel="") -> str:
 
 
 def _kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    n = values.size
-    std = values.std()
-    bw = std * n ** (-1 / 5) if std > 0 else 1.0
-    bw = max(bw, 1e-12)
-    z = (grid[:, None] - values[None, :]) / bw
-    return np.exp(-0.5 * z**2).sum(axis=1) / (n * bw * math.sqrt(2 * math.pi))
+    with np.errstate(over="ignore"):  # an infinite bandwidth or z**2 gives the density's limit, 0
+        n = values.size
+        std = values.std()
+        bw = std * n ** (-1 / 5) if std > 0 else 1.0
+        bw = max(bw, 1e-12)
+        z = (grid[:, None] - values[None, :]) / bw
+        return np.exp(-0.5 * z**2).sum(axis=1) / (n * bw * math.sqrt(2 * math.pi))
 
 
 def violin_chart(groups, title="", ylabel="") -> str:

@@ -200,11 +200,14 @@ def _labeled_table():
     lambda: structim.r2_score([1.0, 2.0], [1.0]),
     lambda: structim.shap_linear(replace(structim.fit_logistic(_labeled_table()), coef=np.ones(2)), np.ones((3, 1))),
     lambda: structim.shap_linear(structim.fit_logistic(_labeled_table()), np.ones((3, 1)), background_mean=np.zeros(2)),
+    lambda: structim.forward_chain_folds(10.5),
+    lambda: structim.edge_importance(structim.eig_sym(clique(3).adjacency()), 0.5, 1),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range",
         "build-features-anchor", "snapshot-measures-anchor",
         "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "eig-sym-nan", "eig-sym-inf",
-        "leading-singular-shape", "r2-score-shape", "shap-linear-columns", "shap-linear-background"])
+        "leading-singular-shape", "r2-score-shape", "shap-linear-columns", "shap-linear-background",
+        "forward-chain-folds-n", "edge-importance-index"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):

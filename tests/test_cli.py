@@ -627,3 +627,28 @@ def test_directed_importance_that_overflows_is_a_numerical_error(tmp_path, capsy
     assert main(["importance", str(net), "--scheme", "directed", "--out", str(out)]) == 4
     assert capsys.readouterr().err == "numerical error: a @ a.T overflows the float range\n"
     assert not out.exists()
+
+
+def test_measures_past_the_float_range_stop_predict_in_standardize_and_not_analyze(tmp_path, capsys):
+    # node 5's weights at time 5 times 1e-205: rounding noise amplified by 1/S lifts mb to about
+    # 6e189, and its std overflows. Pruning and the t-test once stopped both runs with a
+    # NumericalError, and the violins warned (warnings are errors here)
+    path = tmp_path / "net.csv"
+    write_edge_csv(synthetic_temporal(120, 4, 4, -2.0, 8, seed=11), str(path))
+    rows = _read_csv(path)
+    for row in rows[1:]:
+        if row[0] == "5" and "5" in row[1:3]:
+            row[3] = repr(float(row[3]) * 1e-205)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["predict", str(path), "--out", str(tmp_path / "p")]) == 4
+    assert capsys.readouterr().err == "numerical error: standard deviation not finite for feature columns: mb\n"
+    assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_violin_of_values_whose_std_or_z_squared_overflows_is_drawn():
+    # group a's std overflows (an infinite bandwidth) and so do group b's z**2 on the tall grid:
+    # each density takes its limit, 0, where numpy warned
+    svg = cli.violin_chart([("a", [1e189, 1.0, 2.0]), ("b", [1.0, 2.0])])
+    assert svg.count("<polygon") == 2 and "nan" not in svg

@@ -14,7 +14,6 @@ from structim import (
     TARGETS,
     DataError,
     FeatureTable,
-    NumericalError,
     Snapshot,
     TemporalNetwork,
     build_features,
@@ -408,13 +407,13 @@ def test_prune_correlated_keeps_constant_columns():
     assert prune_correlated(table, threshold=0.5) == []
 
 
-def test_prune_correlated_of_overflowing_columns_is_a_numerical_error_without_a_warning():
-    # the std of each column overflows; numpy's overflow warning once escaped before the typed error
-    table = _manual_table(("ma", "mb"), np.array([[1e200, 2e200], [-1e200, 0.0], [0.0, -1e200]]))
+def test_prune_correlated_of_overflowing_columns_equals_the_scaled_call():
+    # the std of each column overflows; numpy's overflow warning once escaped, then pearson raised
+    x = np.array([[1e200, 2e200], [-1e200, 0.0], [0.0, -1e200]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="correlation's sums of squares overflow the float range"):
-            prune_correlated(table)
+        dropped = prune_correlated(_manual_table(("ma", "mb"), x))
+        assert dropped == prune_correlated(_manual_table(("ma", "mb"), np.ldexp(x, -665))) == []
 
 
 def test_prune_correlated_validation():

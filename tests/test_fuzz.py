@@ -241,8 +241,9 @@ def test_every_command_line_exits_with_a_documented_code(cli_dir, command_line):
 # ------------------------------------------------------------ numeric options
 #
 # Every parameter of a public callable whose default is a number or a tuple of
-# numbers, and the positional counts of the generators and of binom_ci, gets
-# one value at a time on a tiny network, the other arguments cheap valid ones.
+# numbers, and the positional counts of the generators, binom_ci and
+# forward_chain_folds, gets one value at a time on a tiny network, the other
+# arguments cheap valid ones.
 # A value that is no real number (a bool, a string, None) or is not finite
 # must raise ArgumentError; any other value gives a result or a StructimError.
 # A count that sets the amount of work is never given a valid large value, so
@@ -287,7 +288,7 @@ def _must_be_rejected(value) -> bool:
 def numeric_calls(cli_dir):
     """{(function, parameter): (bounds, call with one value)} over the numeric options."""
     from structim import (binom_ci, bootstrap_auc_ci, build_horizon_tables, build_table, fit_logistic,
-                          load_network, null_edge_presence, null_prior_predictor, null_shuffle_regression,
+                          forward_chain_folds, load_network, null_edge_presence, null_prior_predictor, null_shuffle_regression,
                           permutation_importance, prune_correlated, run_prediction,
                           time_ordered_select)
     from structim.features import FeatureTable
@@ -321,6 +322,7 @@ def numeric_calls(cli_dir):
         ("synthetic_temporal", "seed"): (seed, lambda v: synthetic_temporal(6, 2, 1, 0.0, 2, seed=v)),
         ("binom_ci", "successes"): ((0, 5), lambda v: binom_ci(v, 5)),
         ("binom_ci", "n"): (count, lambda v: binom_ci(1, v)),
+        ("forward_chain_folds", "n"): ((0, _MOST), forward_chain_folds),
         ("load_network", "aggregation"): (count, lambda v: load_network(path, aggregation=v)),
         ("load_snapshots_text", "aggregation"): (count, lambda v: load_snapshots_text(_VALID_CSV, aggregation=v)),
         ("build_table", "change_threshold"): (from_zero, lambda v: build_table(tn, 3, "change", change_threshold=v)),
@@ -358,7 +360,8 @@ _NUMERIC_OPTIONS = sorted({(fn.__qualname__, p.name) for fn in public_callables(
                            for p in inspect.signature(fn).parameters.values() if _is_numeric_default(p.default)}
                           | {("synthetic_temporal", name) for name in ("n", "communities", "hub_count",
                                                                        "dropout_coupling", "horizon")}
-                          | {("repeat_snapshot", "repeats"), ("binom_ci", "successes"), ("binom_ci", "n")})
+                          | {("repeat_snapshot", "repeats"), ("binom_ci", "successes"), ("binom_ci", "n"),
+                             ("forward_chain_folds", "n")})
 
 
 def test_numeric_fuzz_covers_every_numeric_option(numeric_calls):

@@ -97,6 +97,13 @@ def test_standardize_drops_constant_columns():
     assert constants.dropped == ("presence_count",)
 
 
+def test_standardize_of_an_overflowing_column_is_a_numerical_error():
+    # the std of ma overflows; numpy warned and the column became zeros (warnings are errors here)
+    table = _table(("ma", "mb"), [[1e200, 1.0], [-1e200, 2.0], [0.0, 4.0]])
+    with pytest.raises(NumericalError, match="standard deviation not finite for feature columns: ma$"):
+        standardize(table)
+
+
 def test_apply_standardization_uses_train_constants():
     train = _table(("ma",), [[1.0], [2.0], [3.0]])
     _, constants = standardize(train)
@@ -798,6 +805,9 @@ def test_r2_score_values():
     assert r2_score(y, np.array([3.0, 2.0, 1.0])) < 0.0
     with pytest.raises(DataError):
         r2_score(np.full(3, 5.0), y)
+    # the mean of three 0.1s is 0.10000000000000002, not 0.1: R^2 read -2.2e34
+    with pytest.raises(DataError, match="constant target"):
+        r2_score([0.1] * 3, y)
 
 
 def test_r2_score_of_empty_inputs_is_a_data_error_before_any_warning():
@@ -805,10 +815,19 @@ def test_r2_score_of_empty_inputs_is_a_data_error_before_any_warning():
         r2_score([], [])
 
 
-def test_r2_score_of_overflowing_squares_is_a_numerical_error():
-    # the total sum of squares overflows; it once gave inf / inf = nan
-    with pytest.raises(NumericalError, match="R\\^2 sums of squares are not finite: total inf"):
-        r2_score([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])
+def test_r2_score_of_overflowing_squares_equals_the_scaled_call():
+    # the total sum of squares overflows; it once gave inf / inf = nan, then raised NumericalError
+    y, pred = [1e200, -1e200, 0.0], [1.0, 2.0, 3.0]
+    assert r2_score(y, pred) == r2_score(np.ldexp(y, -665), np.ldexp(pred, -665)) == 0.0  # warnings are errors
+
+
+def test_r2_score_of_a_subnormal_total_sum_of_squares_is_not_minus_infinity():
+    # the total sum of squares is subnormal: R^2 read -inf where it is about -1e320, and the
+    # scaled call disagreed in the last bits
+    with pytest.raises(NumericalError, match="R\\^2 sums of squares are not finite"):
+        r2_score([1e-160, 2e-160, 3e-160], [1.0, 2.0, 3.0])
+    y = np.array([1e-160, 2e-160, 3e-160])
+    assert r2_score(y, y * 1.5) == r2_score(y * 2.0**600, y * 1.5 * 2.0**600) == -0.7499999999999996
 
 
 def test_r2_score_of_a_tiny_varying_target_is_not_constant():

@@ -1,4 +1,5 @@
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from structim import (
     DataError,
     NumericalError,
     Snapshot,
+    StructimError,
     barbell,
     detect_communities,
     eig_sym,
@@ -18,6 +20,7 @@ from structim import (
     modularity,
     pagerank,
     pearson,
+    r2_score,
     synthetic_temporal,
 )
 
@@ -405,6 +408,9 @@ def test_welch_ttest_validation():
         mean_diff_ttest([1.0], [1.0, 2.0])
     with pytest.raises(DataError):
         mean_diff_ttest([3.0, 3.0, 3.0], [1.0, 2.0, 4.0])  # constant group
+    # the mean of three 0.1s is 0.10000000000000002, not 0.1: t read -3.29, p 0.081
+    with pytest.raises(DataError, match="constant group"):
+        mean_diff_ttest([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -436,12 +442,15 @@ def test_pearson_of_a_non_finite_input_is_a_data_error(bad):
 def test_pearson_constant_input_errors():
     with pytest.raises(DataError):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    # the mean of three 0.1s is 0.10000000000000002, not 0.1: r read 0.0
+    with pytest.raises(DataError, match="constant input"):
+        pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
 
 
-def test_pearson_of_overflowing_squares_is_a_numerical_error():
-    # the squared deviations of x overflow; the correlation once read -0.0
-    with pytest.raises(NumericalError, match="correlation's sums of squares overflow the float range"):
-        pearson([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])
+def test_pearson_of_overflowing_squares_equals_the_scaled_call():
+    # the squared deviations of x overflow; the correlation once read -0.0, then raised NumericalError
+    big = pearson([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])  # warnings are errors (pyproject.toml)
+    assert big == pearson(np.ldexp([1e200, -1e200, 0.0], -665), [1.0, 2.0, 3.0]) == -0.4999999999999999
 
 
 def test_pearson_of_a_tiny_varying_input_is_not_constant():
@@ -459,10 +468,13 @@ def test_ttest_of_tiny_varying_groups_is_not_constant():
     assert tiny.dof == pytest.approx(4.0, rel=1e-15) and tiny.p_value == pytest.approx(0.0705, abs=5e-5)
 
 
-def test_ttest_of_overflowing_variances_is_a_numerical_error():
-    # the variance of a overflows; the p-value once failed in the incomplete beta with b=nan
-    with pytest.raises(NumericalError, match="t-test variances leave the float range"):
-        mean_diff_ttest([1e200, -1e200, 0.0], [1.0, 2.0, 3.0])
+def test_ttest_of_overflowing_variances_equals_the_scaled_call():
+    # the variance of a overflows; the p-value once failed in the incomplete beta with b=nan,
+    # then the test raised NumericalError
+    a, b = [1e200, -1e200, 0.0], [1.0, 2.0, 3.0]
+    big = mean_diff_ttest(a, b)  # warnings are errors (pyproject.toml)
+    assert big == mean_diff_ttest(np.ldexp(a, -665), np.ldexp(b, -665))
+    assert (big.t_stat, big.dof, big.p_value) == (-3.4641016151377545e-200, 2.0, 1.0)
 
 
 def test_ttest_whose_squared_variances_overflow_rescales_the_degrees_of_freedom():
@@ -472,3 +484,61 @@ def test_ttest_whose_squared_variances_overflow_rescales_the_degrees_of_freedom(
     small = mean_diff_ttest([1.0, -1.0, 0.0], [1e-80, 2e-80, 3e-80])
     assert (big.t_stat, big.dof, big.p_value) == (-3.4641016151377546e-80, 2.0, 1.0)
     assert big == small
+
+
+def test_pearson_of_a_subnormal_sum_of_squares_is_at_most_one():
+    # the sum of squared deviations of x is subnormal; r read 1.0000055664551362
+    x = np.array([1e-160, 2e-160, 3e-160])
+    assert pearson(x, [1.0, 2.0, 3.0]) == pearson(x * 2.0**600, [1.0, 2.0, 3.0]) == 1.0
+
+
+def test_ttest_of_subnormal_variances_equals_the_scaled_call():
+    # both variances are subnormal; t read -0.6108416131697934, the same samples times 1e160 -0.6108472217815262
+    a, b = np.array([1e-160, 2e-160, 3.5e-160]), np.array([1e-160, 3e-160, 5e-160])
+    tiny = mean_diff_ttest(a, b)
+    assert tiny == mean_diff_ttest(a * 2.0**600, b * 2.0**600) == mean_diff_ttest(a * 1e160, b * 1e160)
+    assert tiny.t_stat == -0.6108472217815262
+
+
+def _normal_scales(*samples):
+    """The range of k for which every nonzero value of ``samples`` times 2^k is a normal float."""
+    exponents = [math.frexp(v)[1] for s in samples for v in s if v != 0.0]
+    return -1021 - min(exponents), 1024 - max(exponents)
+
+
+_VALUES = st.builds(lambda m, negative: -m if negative else m,
+                    st.floats(1e-300, 1e300) | st.just(0.0), st.booleans())
+
+
+def _varying(size):
+    return st.lists(_VALUES, min_size=size, max_size=size).filter(lambda v: min(v) != max(v))
+
+
+def _outcome(call, *args):
+    """The repr of what the call returns, or the type of the StructimError it raises."""
+    try:
+        return repr(call(*args))
+    except StructimError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), m=st.integers(2, 6))
+def test_statistics_keep_their_bits_under_a_power_of_two(data, n, m):
+    # a common power of two leaves each statistic unchanged, so it must give the same bits or
+    # the same typed error; pearson's inputs may each take their own power
+    x, y = data.draw(_varying(n), label="x"), data.draw(_varying(n), label="y")
+    b = data.draw(_varying(m), label="b")
+    k = data.draw(st.integers(*_normal_scales(x, y, b)), label="k")
+    j = data.draw(st.integers(*_normal_scales(y)), label="j")
+    x2, y2, b2 = np.ldexp(x, k), np.ldexp(y, k), np.ldexp(b, k)
+
+    r = pearson(x, y)
+    assert abs(r) <= 1.0
+    assert repr(r) == _outcome(pearson, x2, np.ldexp(y, j))
+    test = mean_diff_ttest(x, b)
+    assert np.isfinite([test.t_stat, test.dof, test.p_value]).all()
+    assert repr(test) == _outcome(mean_diff_ttest, x2, b2)
+    r2 = _outcome(r2_score, x, y)
+    assert r2 == _outcome(r2_score, x2, y2)
+    assert r2 is NumericalError or math.isfinite(float(r2))
