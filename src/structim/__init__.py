@@ -11,13 +11,7 @@ from .errors import DataError, NumericalError, StructimError
 from .graphs import STRENGTH_MODES, Snapshot, TemporalNetwork
 from .ingest import load_network, load_snapshots_text, write_edge_csv
 from .generators import BASE_PRESENCE, barbell, repeat_snapshot, synthetic_temporal
-from .spectral import (
-    SingularTriplet,
-    Spectrum,
-    eig_sym,
-    leading_singular,
-    select_eigencomponent,
-)
+from .spectral import Spectrum, eig_sym, select_eigencomponent
 from .importance import (
     DIRECTED_SCHEME,
     SCHEMES,
@@ -93,7 +87,6 @@ __all__ = [
     "PredictionResult",
     "SCHEMES",
     "STRENGTH_MODES",
-    "SingularTriplet",
     "Snapshot",
     "Spectrum",
     "StandardizationConstants",
@@ -118,7 +111,6 @@ __all__ = [
     "fit_logistic",
     "forward_chain_folds",
     "importance_components",
-    "leading_singular",
     "load_network",
     "load_snapshots_text",
     "mean_diff_ttest",

@@ -33,7 +33,7 @@ from .errors import ArgumentError, DataError, _check_count, _check_real
 from .graphs import TemporalNetwork
 from .importance import node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
-from .spectral import Spectrum, eig_sym
+from .spectral import Spectrum, _check_spectrum, eig_sym
 
 # mc, identically zero for a zero-diagonal adjacency, is no measure column:
 # ``importance --scheme mc`` reports it as the check of that identity.
@@ -118,12 +118,23 @@ def snapshot_measures(
     A snapshot with no edges yields all-NaN columns. ``spectrum`` and
     ``communities`` may carry the snapshot's ``eig_sym`` decomposition and
     ``detect_communities`` labels when the caller has already computed them.
+    ArgumentError unless ``spectrum`` is a Spectrum of the snapshot's node
+    count and ``communities``, as an array, is one nonnegative integer label
+    per node; that a same-size spectrum or partition belongs to this
+    snapshot is the caller's promise.
     ``t`` is a snapshot position, 0..T-1. A directed network raises DataError
     before any decomposition.
     """
     _check_count(t, 0, "t", tn.n_snapshots - 1)
     _check_undirected(tn)
     s = tn.snapshots[t]
+    _check_spectrum(spectrum, s)
+    if communities is not None:
+        communities = np.asarray(communities)
+        if (communities.shape != (s.n_nodes,) or communities.dtype.kind not in "iu"
+                or (communities.size and communities.min() < 0)):
+            raise ArgumentError(f"communities must be {s.n_nodes} nonnegative integer labels, one per node of "
+                                f"snapshot {t}, got shape {communities.shape} and dtype {communities.dtype}")
     out = {name: np.full(tn.n_nodes, np.nan) for name in MEASURE_COLUMNS}
     if s.n_edges == 0:
         return out

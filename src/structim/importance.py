@@ -20,6 +20,8 @@ weight: 2 * x_{0,i} * x_{0,j}.
 The directed variant scores nodes by the leading singular value s of the arc
 matrix A through M = A @ A.T: m_i = (1 / (S_i * s)) * x_i * sum_j M_ij * x_j
 with x the leading eigenvector of M and S_i the strength under a chosen mode.
+M is formed once: its decomposition gives s = sqrt(lambda_0) and x, and the
+same M gives M @ x.
 
 Zero-strength nodes have no defined importance; they are excluded from the
 result and reported.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ArgumentError, DataError, NumericalError, _is_integer
 from .graphs import Snapshot
-from .spectral import Spectrum, eig_sym, leading_singular, select_eigencomponent
+from .spectral import Spectrum, _check_spectrum, eig_sym, select_eigencomponent
 
 SCHEMES = ("ma", "mb", "mc", "md")
 DIRECTED_SCHEME = "directed"
@@ -82,11 +84,15 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
 
     The snapshot must be undirected (use node_importance_directed otherwise).
     ``spectrum`` may carry a precomputed decomposition of the snapshot's
-    adjacency to avoid repeating it across schemes. Only the eigen-terms the
-    scheme reads are computed; mc reads none, as it is 0.0 for every node.
+    adjacency to avoid repeating it across schemes; one that is not a
+    Spectrum of the snapshot's node count raises ArgumentError, while a
+    same-size spectrum of another matrix cannot be detected and yields that
+    matrix's values. Only the eigen-terms the scheme reads are computed; mc
+    reads none, as it is 0.0 for every node.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    _check_spectrum(spectrum, snapshot)
     if snapshot.directed:
         raise DataError(f"scheme {scheme!r} requires an undirected snapshot")
     s = snapshot.strength()
@@ -126,13 +132,20 @@ def node_importance_directed(snapshot: Snapshot, strength_mode: str = "total") -
     if not mask.any():
         return ImportanceVector(scheme=DIRECTED_SCHEME, values={}, excluded=excluded)
 
-    trip = leading_singular(a)  # which checks that a @ a.T is finite
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is the error below
+        gram = a @ a.T
+        sym = (gram + gram.T) / 2.0  # clear float asymmetry from the product
+    if not np.isfinite(sym).all():
+        raise NumericalError("a @ a.T overflows the float range")
+    spec = eig_sym(sym)
+    sigma = float(np.sqrt(max(float(spec.eigenvalues[0]), 0.0)))
+    x = np.array(spec.eigenvectors[:, 0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        denom = s * trip.s
-        vals = trip.vector * (a @ a.T @ trip.vector) / denom
+        denom = s * sigma
+        vals = x * (gram @ x) / denom
     if not np.isfinite(denom).all():
         raise NumericalError("directed importance overflows the float range")
-    values = {v: float(x) for v, x, keep in zip(snapshot.node_ids, vals, mask) if keep}
+    values = {v: float(m) for v, m, keep in zip(snapshot.node_ids, vals, mask) if keep}
     return ImportanceVector(scheme=DIRECTED_SCHEME, values=values, excluded=excluded)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._special import stdtr
 from .errors import ArgumentError, DataError, NumericalError
 from .graphs import Snapshot
-from .spectral import Spectrum, eig_sym
+from .spectral import Spectrum, _check_spectrum, eig_sym
 
 # A merge must beat the running best gain by more than this.
 _GAIN_TOL = 1e-15
@@ -206,8 +206,11 @@ def eigenvector_centrality(snapshot: Snapshot, spectrum: Spectrum | None = None)
     """Magnitudes of the leading adjacency eigenvector (unit 2-norm).
 
     ``spectrum`` may carry a precomputed decomposition of the snapshot's
-    adjacency, as in ``importance.node_importance``.
+    adjacency, checked as in ``importance.node_importance``: another size or
+    type raises ArgumentError, and a same-size spectrum of another matrix is
+    the caller's promise.
     """
+    _check_spectrum(spectrum, snapshot)
     if snapshot.directed:
         raise DataError("eigenvector centrality is defined here for undirected snapshots only")
     if snapshot.n_edges == 0:

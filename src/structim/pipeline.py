@@ -17,6 +17,7 @@ R^2 against a shuffled-target null.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +115,7 @@ def forward_chain_folds(n: int):
     everything before a block trains. The remainder stays in the earliest
     training window.
     """
-    _check_count(n, 0, "n")
+    _check_count(n, 0, "n", sys.maxsize // np.dtype(np.intp).itemsize)  # the longest index array
     block = n // (FOLDS + 1)
     if block < 1:
         raise DataError(f"too few rows ({n}) for {FOLDS}-fold forward chaining")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, NumericalError
+from .errors import ArgumentError, DataError
 
 SYMMETRY_TOL = 1e-10
 
@@ -35,14 +35,6 @@ class Spectrum:
 
     def positive_count(self) -> int:
         return int(np.sum(self.eigenvalues > 0))
-
-
-@dataclass(frozen=True)
-class SingularTriplet:
-    """Leading singular value of A with the leading eigenvector of A @ A.T."""
-
-    s: float
-    vector: np.ndarray
 
 
 def eig_sym(a: np.ndarray) -> Spectrum:
@@ -71,29 +63,14 @@ def eig_sym(a: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def leading_singular(a: np.ndarray) -> SingularTriplet:
-    """Leading singular value of ``a`` and leading eigenvector of a @ a.T.
-
-    The all-zero matrix maps to s = 0 with the first coordinate vector, so
-    callers never see a NaN direction. A product a @ a.T beyond the float
-    range raises NumericalError.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ArgumentError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.any(a):
-        e0 = np.zeros(a.shape[0])
-        if e0.shape[0]:
-            e0[0] = 1.0
-        return SingularTriplet(s=0.0, vector=e0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is the error below
-        m = a @ a.T
-        m = (m + m.T) / 2.0  # clear float asymmetry from the product
-    if not np.isfinite(m).all():
-        raise NumericalError("a @ a.T overflows the float range")
-    spec = eig_sym(m)
-    lam = max(float(spec.eigenvalues[0]), 0.0)
-    return SingularTriplet(s=float(np.sqrt(lam)), vector=np.array(spec.eigenvectors[:, 0]))
+def _check_spectrum(spectrum, snapshot) -> None:
+    """ArgumentError unless ``spectrum`` is None or a Spectrum of the
+    snapshot's node count. A same-size spectrum of another matrix cannot be
+    told apart, so that it decomposes this snapshot's adjacency stays the
+    caller's promise."""
+    if spectrum is not None and not (isinstance(spectrum, Spectrum) and spectrum.n == snapshot.n_nodes):
+        got = f"one of {spectrum.n} nodes" if isinstance(spectrum, Spectrum) else type(spectrum).__name__
+        raise ArgumentError(f"spectrum must be a Spectrum of the snapshot's {snapshot.n_nodes} nodes, got {got}")
 
 
 def select_eigencomponent(spectrum: Spectrum) -> np.ndarray:

@@ -20,12 +20,12 @@ PUBLIC = (
     "BASE_PRESENCE", "DIRECTED_SCHEME", "DataError", "EvaluationReport", "FEATURE_COLUMNS",
     "FeatureTable", "ImportanceVector", "L2_GRID", "LinearModel", "LogisticModel",
     "MEASURE_COLUMNS", "NumericalError", "PredictionResult", "SCHEMES", "STRENGTH_MODES",
-    "SingularTriplet", "Snapshot", "Spectrum", "StandardizationConstants", "StructimError",
+    "Snapshot", "Spectrum", "StandardizationConstants", "StructimError",
     "TARGETS", "TTestResult", "TemporalNetwork", "apply_standardization", "auc_score",
     "barbell", "binom_ci", "bootstrap_auc_ci", "build_features", "build_horizon_tables",
     "build_table", "detect_communities", "edge_importance", "eig_sym", "eigenvector_centrality",
     "evaluate", "fit_linear", "fit_logistic", "forward_chain_folds", "importance_components",
-    "leading_singular", "load_network", "load_snapshots_text",
+    "load_network", "load_snapshots_text",
     "mean_diff_ttest", "modularity", "node_importance", "node_importance_directed",
     "null_edge_presence", "null_prior_predictor", "null_shuffle_regression",
     "pagerank", "pearson", "permutation_importance", "prune_correlated", "r2_score",
@@ -37,7 +37,7 @@ PUBLIC = (
 
 def test_public_surface_is_pinned():
     # a new export (or a private helper leaking out) must be added here on purpose
-    assert len(PUBLIC) == 64
+    assert len(PUBLIC) == 62
     assert sorted(structim.__all__) == sorted(PUBLIC)
     assert len(set(structim.__all__)) == len(structim.__all__)
     assert all(hasattr(structim, name) for name in PUBLIC)
@@ -67,7 +67,6 @@ def test_public_record_fields_are_pinned():
         "PredictionResult": ("target", "seed", "n_rows", "split", "columns", "dropped_correlated",
                              "dropped_constant", "chosen_l2", "cv_auc_by_l2", "report", "regression", "coefficients",
                              "shap_values", "shap_base", "shap_rows", "warnings"),
-        "SingularTriplet": ("s", "vector"),
         "Snapshot": ("node_ids", "edges", "directed", "timestamp"),
         "Spectrum": ("eigenvalues", "eigenvectors"),
         "StandardizationConstants": ("columns", "means", "stds", "dropped"),
@@ -196,18 +195,32 @@ def _labeled_table():
     lambda: structim.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]])),
     lambda: structim.eig_sym(np.array([[0.0, np.nan], [np.nan, 0.0]])),
     lambda: structim.eig_sym(np.array([[np.inf, 1.0], [1.0, 0.0]])),
-    lambda: structim.leading_singular(np.ones(3)),
     lambda: structim.r2_score([1.0, 2.0], [1.0]),
     lambda: structim.shap_linear(replace(structim.fit_logistic(_labeled_table()), coef=np.ones(2)), np.ones((3, 1))),
     lambda: structim.shap_linear(structim.fit_logistic(_labeled_table()), np.ones((3, 1)), background_mean=np.zeros(2)),
     lambda: structim.forward_chain_folds(10.5),
+    lambda: structim.forward_chain_folds(sys.maxsize),
     lambda: structim.edge_importance(structim.eig_sym(clique(3).adjacency()), 0.5, 1),
+    lambda: structim.node_importance(clique(4), "ma", spectrum=structim.eig_sym(clique(3).adjacency())),
+    lambda: structim.node_importance(clique(3), "mc", spectrum="spectrum"),
+    lambda: structim.eigenvector_centrality(clique(4), spectrum=structim.eig_sym(clique(3).adjacency())),
+    lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), 1,
+                                       spectrum=structim.eig_sym(clique(4).adjacency())),
+    lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), 1,
+                                       communities=np.array([0, 1])),
+    lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), 1,
+                                       communities=np.zeros(3)),
+    lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), 1,
+                                       communities=np.array([0, -1, 0])),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range",
         "build-features-anchor", "snapshot-measures-anchor",
         "labels-horizon", "eig-sym-shape", "eig-sym-symmetry", "eig-sym-nan", "eig-sym-inf",
-        "leading-singular-shape", "r2-score-shape", "shap-linear-columns", "shap-linear-background",
-        "forward-chain-folds-n", "edge-importance-index"])
+        "r2-score-shape", "shap-linear-columns", "shap-linear-background",
+        "forward-chain-folds-n", "forward-chain-folds-longest", "edge-importance-index",
+        "node-importance-spectrum-size", "node-importance-spectrum-type", "eigenvector-centrality-spectrum-size",
+        "snapshot-measures-spectrum-size", "snapshot-measures-communities-size",
+        "snapshot-measures-communities-float", "snapshot-measures-communities-negative"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):

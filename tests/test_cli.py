@@ -6,12 +6,14 @@ import inspect
 import json
 import os
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from structim import (
     DataError,
+    Snapshot,
     barbell,
     cli,
     features,
@@ -23,7 +25,7 @@ from structim import (
     synthetic_temporal,
     write_edge_csv,
 )
-from structim import cli
+from structim import cli, spectral
 from structim.cli import main
 
 from conftest import directed_triangles
@@ -330,6 +332,32 @@ def test_predict_artifacts(synthetic_csv, tmp_path, capsys):
     shap_rows = _read_csv(os.path.join(out, "shap.csv"))
     assert shap_rows[0] == ["node", "feature", "phi"]
     assert len(shap_rows) - 1 == doc["split"]["test"] * len(doc["columns"])
+
+
+@pytest.mark.filterwarnings("ignore:dropping near-constant feature columns")  # presence_count, on this input
+def test_predict_decomposes_each_measured_snapshot_once(tmp_path, monkeypatch):
+    # An 8-snapshot input has measured anchors 1..6. Each is decomposed once and
+    # builds its adjacency three times: for the spectrum, the strengths and
+    # PageRank. The last snapshot only labels, and builds it once for its
+    # strengths. So 6 eig_sym calls and 3 * 6 + 1 = 19 adjacency builds.
+    csv_path = str(tmp_path / "net.csv")
+    write_edge_csv(synthetic_temporal(40, 2, 4, -2.0, 8, seed=3), csv_path)
+    calls = {"eig_sym": 0, "adjacency": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    original = spectral.eig_sym
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "structim" and vars(module).get("eig_sym") is original:
+            monkeypatch.setattr(module, "eig_sym", counted("eig_sym", original))
+    monkeypatch.setattr(Snapshot, "adjacency", counted("adjacency", Snapshot.adjacency))
+    argv = ["predict", csv_path, "--trials", "20", "--bootstrap-iters", "50", "--out", str(tmp_path / "predict")]
+    assert main(argv) == 0
+    assert calls == {"eig_sym": 6, "adjacency": 19}
 
 
 def test_predict_regression_target(synthetic_csv, tmp_path, capsys):

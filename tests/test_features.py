@@ -75,10 +75,12 @@ def test_snapshot_measures_reuses_given_spectrum_and_communities():
     absent = 0
     for t, s in enumerate(tn.snapshots):
         given = snapshot_measures(tn, t, spectrum=eig_sym(s.adjacency()), communities=detect_communities(s))
+        listed = snapshot_measures(tn, t, communities=detect_communities(s).tolist())  # read as an array
         own = snapshot_measures(tn, t)
-        assert set(given) == set(own)
+        assert set(given) == set(listed) == set(own)
         for name in own:
             assert np.array_equal(given[name], own[name], equal_nan=True), name
+            assert np.array_equal(listed[name], own[name], equal_nan=True), name
         absent += int(np.isnan(own["ma"]).sum())
     assert absent > 0  # NaN positions are compared too
 

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from structim import (
     DataError,
-    NumericalError,
     barbell,
     eig_sym,
-    leading_singular,
     select_eigencomponent,
 )
 
@@ -100,35 +98,6 @@ def test_positive_count():
     spec = eig_sym(barbell(4, 2, 5).adjacency())
     assert spec.positive_count() == 3
     assert eig_sym(np.zeros((3, 3))).positive_count() == 0
-
-
-def test_leading_singular_frozen_nilpotent():
-    trip = leading_singular(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    assert trip.s == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(np.abs(trip.vector), [1.0, 0.0], atol=1e-9)
-
-
-def test_leading_singular_of_an_overflowing_product_is_a_numerical_error():
-    a = np.array([[0.0, 1e200], [1e200, 0.0]])
-    with np.errstate(all="raise"):
-        with pytest.raises(NumericalError, match=r"a @ a.T overflows the float range"):
-            leading_singular(a)
-
-
-def test_leading_singular_zero_matrix():
-    trip = leading_singular(np.zeros((3, 3)))
-    assert trip.s == 0.0
-    assert trip.vector.shape == (3,)
-
-
-def test_leading_singular_matches_eig_on_symmetric():
-    for seed in range(10):
-        rng = np.random.default_rng([41, seed])
-        a = np.abs(_random_symmetric(rng, 6))
-        np.fill_diagonal(a, 0.0)
-        trip = leading_singular(a)
-        lam = np.linalg.eigvalsh(a)
-        assert trip.s == pytest.approx(np.max(np.abs(lam)), rel=1e-9)
 
 
 def test_select_eigencomponent_barbell_ranks():
