@@ -72,7 +72,8 @@ class FeatureTable:
     table built for one anchor time carries a constant ``as_of``; an int
     given at construction is broadcast to every row. A pooled table (see
     ``pipeline.build_horizon_tables``) stacks several anchors in time order.
-    ``y`` holds the labels of the target the table was built for.
+    ``y`` holds the target's labels. DataError unless ``X`` has one column
+    per name and ``X``, ``node_ids``, ``as_of`` and ``y`` agree in rows.
     """
 
     columns: tuple
@@ -83,7 +84,12 @@ class FeatureTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.as_of = np.full(self.n_rows, self.as_of, dtype=int)
+        rows = len(self.node_ids)
+        if not (np.shape(self.X) == (rows, len(self.columns)) and np.shape(self.as_of) in ((), (rows,))
+                and (self.y is None or np.shape(self.y) == (rows,))):
+            raise DataError(f"feature table shapes disagree: X {np.shape(self.X)} for {len(self.columns)} columns "
+                            f"and {rows} node ids, as_of {np.shape(self.as_of)}, y {np.shape(self.y)}")
+        self.as_of = np.full(rows, self.as_of, dtype=int)
 
     @property
     def n_rows(self) -> int:

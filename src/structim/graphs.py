@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -33,13 +34,6 @@ _FORMAT_VERSION = 1
 STRENGTH_MODES = ("total", "in", "out")
 
 
-def _json_value(value, kind, rule: str):
-    """A JSON value as written, not coerced: a bool is no number, a string no list."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise TypeError(f"{rule}, got {value!r}")
-    return value
-
-
 _MAX_WEIGHT = sys.float_info.max
 
 
@@ -49,12 +43,23 @@ def _is_weight(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value <= _MAX_WEIGHT
 
 
-def _hashable_ids(ids, what: str) -> tuple:
-    """``ids`` as a tuple; they must be an iterable of distinct hashable ids."""
+def _in_order(values, what: str, items: str) -> tuple:
+    """``values`` as a tuple. A str, bytes, set or mapping is refused, not iterated: its
+    items are characters or keys, or come in an order that can change between processes."""
+    if isinstance(values, (str, bytes, Set, Mapping)):
+        raise DataError(f"{what} must be an ordered collection of {items}, got a {type(values).__name__}")
     try:
-        ids = tuple(ids)
+        return tuple(values)
+    except TypeError as exc:
+        raise DataError(f"{what} must be a collection of {items}: {exc}") from exc
+
+
+def _hashable_ids(ids, what: str) -> tuple:
+    """``ids`` as a tuple; they must be an ordered iterable of distinct hashable ids."""
+    ids = _in_order(ids, f"{what} node ids", "hashable ids")
+    try:
         distinct = set(ids)
-    except TypeError as exc:  # not iterable, or an id is unhashable
+    except TypeError as exc:  # an id is unhashable
         raise DataError(f"{what} has malformed node ids: {exc}") from exc
     if len(distinct) != len(ids):
         raise DataError(f"{what} has duplicate node ids")
@@ -73,8 +78,8 @@ class Snapshot:
     Parameters
     ----------
     node_ids:
-        Distinct, hashable ids of the nodes present in this window, stored
-        as a tuple.
+        Distinct, hashable ids of the nodes present in this window, in order
+        (not a str, set or mapping), stored as a tuple.
     edges:
         Tuples or lists ``(i, j, w)`` of local integer node indices and a
         strictly positive finite real weight, stored as plain ``(int, int,
@@ -105,11 +110,7 @@ class Snapshot:
         # The exact-type tests skip the slower ABC checks for ints and floats.
         ii, jj, ww = [], [], []
         seen = set()
-        try:
-            records = iter(self.edges)
-        except TypeError as exc:
-            raise DataError(f"edges must be a collection of (i, j, w) records: {exc}") from exc
-        for e in records:
+        for e in _in_order(self.edges, "edges", "(i, j, w) records"):
             if not (isinstance(e, (tuple, list)) and len(e) == 3):
                 raise DataError(f"edge record {e!r} is not an (i, j, w) triple")
             i, j, w = e
@@ -223,37 +224,17 @@ class Snapshot:
         i, j, _ = self._edge_arrays
         return np.bincount(i, minlength=self.n_nodes) + np.bincount(j, minlength=self.n_nodes)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "nodes": list(self.node_ids),
-            "edges": [[i, j, w] for i, j, w in self.edges],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, directed: bool) -> "Snapshot":
-        try:
-            nodes = tuple(_json_value(obj["nodes"], list, "nodes must be a JSON list"))
-            index = "edge index must be an integer"
-            edges = tuple((_json_value(i, int, index), _json_value(j, int, index),
-                           float(_json_value(w, (int, float), "edge weight must be a number")))
-                          for i, j, w in _json_value(obj["edges"], list, "edges must be a JSON list"))
-            timestamp = _json_value(obj["timestamp"], int, "timestamp must be an integer")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed snapshot record: {exc}") from exc
-        return cls(node_ids=nodes, edges=edges, directed=directed, timestamp=timestamp)
-
 
 @dataclass(frozen=True)
 class TemporalNetwork:
     """Ordered snapshot sequence over a shared node universe.
 
     ``universe`` fixes the global node indexing used by feature tables and
-    presence masks; every snapshot's node ids must be a subset. Both
-    ``snapshots`` and ``universe`` are stored as tuples, so a network is
-    hashable and equals its ``from_json(to_json())`` round trip.
-    ``negative_weight_count`` counts aggregated edge weights whose sign was
-    flipped during ingestion (kept for provenance, zero for generated data).
+    presence masks; every snapshot's node ids must be a subset. ``snapshots``
+    and ``universe`` come in order (no str, set or mapping) and are stored as
+    tuples, so a network is hashable and equals its ``from_json(to_json())``
+    round trip. ``negative_weight_count`` counts aggregated edge weights whose
+    sign was flipped during ingestion (kept for provenance, 0 when generated).
     """
 
     snapshots: tuple
@@ -268,10 +249,7 @@ class TemporalNetwork:
             raise DataError(f"negative_weight_count must be nonnegative, got {count!r}")
         object.__setattr__(self, "universe", _hashable_ids(self.universe, "universe"))
         uni = set(self.universe)
-        try:
-            object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        except TypeError as exc:
-            raise DataError(f"snapshots must be a collection of Snapshot objects: {exc}") from exc
+        object.__setattr__(self, "snapshots", _in_order(self.snapshots, "snapshots", "Snapshot objects"))
         last_t = None
         directed = None
         for s in self.snapshots:
@@ -337,28 +315,29 @@ class TemporalNetwork:
             "version": _FORMAT_VERSION,
             "directed": self.directed,
             "negative_weight_count": int(self.negative_weight_count),
-            "universe": list(self.universe),
-            "snapshots": [s.to_json_dict() for s in self.snapshots],
+            "universe": self.universe,
+            "snapshots": [{"timestamp": s.timestamp, "nodes": s.node_ids, "edges": s.edges} for s in self.snapshots],
         }
         return json.dumps(obj)
 
     @classmethod
     def from_json(cls, text: str) -> "TemporalNetwork":
+        """Read a ``to_json`` document: its values go unchanged to the constructors, which own every rule."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
             raise DataError("not a structim network document")
+        version = obj.get("version")
+        if type(version) is not int or version != _FORMAT_VERSION:
+            raise DataError(f"network document version {version!r} is not {_FORMAT_VERSION}")
+        directed = obj.get("directed", False)
         try:
-            directed = _json_value(obj.get("directed", False), bool, "directed must be true or false")
-            universe = tuple(_json_value(obj["universe"], list, "universe must be a JSON list"))
-            snapshots = _json_value(obj["snapshots"], list, "snapshots must be a JSON list")
-            snaps = tuple(Snapshot.from_json_dict(s, directed) for s in snapshots)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed network document: {exc}") from exc
-        # the constructor's rules, the negative_weight_count rule among them
-        try:
-            return cls(snapshots=snaps, universe=universe, negative_weight_count=obj.get("negative_weight_count", 0))
-        except (TypeError, DataError) as exc:
+            if not isinstance(directed, bool):  # a network without snapshots hands it to no constructor
+                raise DataError(f"directed must be true or false, got {directed!r}")
+            snaps = tuple(Snapshot(node_ids=s["nodes"], edges=s["edges"], directed=directed, timestamp=s["timestamp"])
+                          for s in _in_order(obj["snapshots"], "snapshots", "snapshot records"))
+            return cls(snaps, obj["universe"], negative_weight_count=obj.get("negative_weight_count", 0))
+        except (KeyError, TypeError, DataError) as exc:  # a KeyError names the missing key
             raise DataError(f"malformed network document: {exc}") from exc

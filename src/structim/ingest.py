@@ -230,7 +230,17 @@ def _build_network(period, starts, src, dst, w, ids, directed: bool) -> Temporal
 
 
 def write_edge_csv(tn: TemporalNetwork, path: str) -> None:
-    """Write a TemporalNetwork back out as a time,src,dst,value CSV."""
+    """Write a TemporalNetwork back out as a time,src,dst,value CSV.
+
+    A row is an edge: nodes without an edge and ``negative_weight_count`` are
+    not written (the JSON document keeps them). DataError, before the file is
+    opened, for an id ingest would read back as another id or kind: the str
+    "7" as the int 7, " x" as "x", the float 1.5 as the str "1.5".
+    """
+    for v in tn.universe:  # holds every snapshot's ids
+        back = _coerce_id(str(v).strip())
+        if back != v or isinstance(back, str) != isinstance(v, str):
+            raise DataError(f"node id {v!r} would be read back from a CSV as {back!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)

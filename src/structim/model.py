@@ -357,10 +357,14 @@ def _auc_rows(y, s) -> np.ndarray:
 def auc_score(y_true, scores) -> float:
     """Area under the ROC curve via the rank-sum statistic, ties by midrank.
 
-    Raises DataError for labels outside {0, 1} or a single class, and
+    Raises ArgumentError unless the inputs are two equal-length 1-D arrays,
+    DataError for labels outside {0, 1} or a single class, and
     NumericalError for non-finite scores.
     """
-    auc = _auc_rows(np.asarray(y_true)[None, :], np.asarray(scores, dtype=float)[None, :])[0]
+    y_true, scores = np.asarray(y_true), np.asarray(scores, dtype=float)
+    if y_true.shape != scores.shape or y_true.ndim != 1:
+        raise ArgumentError("auc_score expects two equal-length 1-D arrays")
+    auc = _auc_rows(y_true[None, :], scores[None, :])[0]
     if np.isnan(auc):
         raise DataError("AUC needs both classes present")
     return float(auc)

@@ -12,7 +12,7 @@ import pytest
 
 import structim
 from structim import cli, features, model, netstats, pipeline, svgplot
-from structim.errors import ArgumentError
+from structim.errors import ArgumentError, DataError
 
 from conftest import clique, network_from, public_callables
 
@@ -212,6 +212,9 @@ def _labeled_table():
                                        communities=np.zeros(3)),
     lambda: structim.snapshot_measures(network_from([clique(3), clique(3, timestamp=1)]), 1,
                                        communities=np.array([0, -1, 0])),
+    lambda: structim.auc_score([1, 0, 1], [0.1, 0.9]),
+    lambda: structim.auc_score([1, 0], [0.1, 0.9, 0.5]),
+    lambda: structim.auc_score([[0, 1]], [[0.1, 0.2]]),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range",
         "build-features-anchor", "snapshot-measures-anchor",
@@ -220,8 +223,23 @@ def _labeled_table():
         "forward-chain-folds-n", "forward-chain-folds-longest", "edge-importance-index",
         "node-importance-spectrum-size", "node-importance-spectrum-type", "eigenvector-centrality-spectrum-size",
         "snapshot-measures-spectrum-size", "snapshot-measures-communities-size",
-        "snapshot-measures-communities-float", "snapshot-measures-communities-negative"])
+        "snapshot-measures-communities-float", "snapshot-measures-communities-negative",
+        "auc-score-fewer-scores", "auc-score-more-scores", "auc-score-2d"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):
         call()
+
+
+@pytest.mark.parametrize("fields", [
+    {"as_of": np.array([1, 2])},
+    {"node_ids": (1, 2)},
+    {"X": np.zeros(3)},
+    {"X": np.zeros((3, 3))},
+    {"y": np.zeros(2)},
+], ids=["as-of-length", "node-ids-length", "x-1d", "x-columns", "y-length"])
+def test_a_feature_table_of_mismatched_shapes_is_a_data_error(fields):
+    # the first raised numpy's broadcast ValueError; the others built a table that failed later
+    args = {"columns": ("a", "b"), "X": np.zeros((3, 2)), "node_ids": (1, 2, 3), "as_of": 1, **fields}
+    with pytest.raises(DataError, match="feature table shapes disagree"):
+        structim.FeatureTable(**args)

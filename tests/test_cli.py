@@ -204,7 +204,7 @@ def test_malformed_json_document_is_data_error(tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_text(repeat_snapshot(barbell(3, 1, 3), 1).to_json().replace('"timestamp": 0', '"timestamp": 1e400'))
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "data error: malformed snapshot record" in capsys.readouterr().err
+    assert "data error: malformed network document" in capsys.readouterr().err
 
 
 def test_analyze_decomposes_each_snapshot_once(synthetic_csv, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structim import (DataError, Snapshot, TemporalNetwork, detect_communities, load_snapshots_text, modularity,
-                      node_importance, node_importance_directed, pagerank)
+from structim import (DataError, Snapshot, TemporalNetwork, barbell, detect_communities, load_snapshots_text,
+                      modularity, node_importance, node_importance_directed, pagerank, repeat_snapshot)
 
 from conftest import clique, network_from
 
@@ -440,8 +441,10 @@ def _network_doc(neg="0", time="0", weight="1.0", index="0", directed="false", u
 
 
 @pytest.mark.parametrize("field, text, message", [
-    ("weight", "1" + "0" * 400, "malformed snapshot record"),  # an int too large for a float
-    ("time", "1e400", "malformed snapshot record"),  # parses as inf, which no int holds
+    # an int too large for a float
+    ("weight", "1" + "0" * 400, "malformed network document: .*non-positive or non-finite weight 1000"),
+    # parses as inf, which no int holds
+    ("time", "1e400", "malformed network document: timestamp must be an integer, got inf"),
     ("neg", '"abc"', "malformed network document"),
     ("neg", "1e400", "malformed network document"),
 ], ids=["huge-int-weight", "inf-timestamp", "text-negative-count", "inf-negative-count"])
@@ -451,22 +454,104 @@ def test_json_with_an_unconvertible_number_is_a_data_error(field, text, message)
         TemporalNetwork.from_json(_network_doc(**{field: text}))
 
 
-@pytest.mark.parametrize("fields, message", [
-    ({"index": "0.7"}, "edge index must be an integer, got 0.7"),
+_WRONG_TYPE_CASES = pytest.mark.parametrize("fields, message", [
+    ({"index": "0.7"}, "edge (0.7, 1) has a node index that is not an integer"),
     ({"time": "2.9"}, "timestamp must be an integer, got 2.9"),
-    ({"weight": "true"}, "edge weight must be a number, got True"),
+    ({"weight": "true"}, "edge (0, 1) has non-positive or non-finite weight True"),
     ({"directed": '"no"'}, "directed must be true or false, got 'no'"),
-    ({"universe": '"01"', "nodes": '["0", "1"]'}, "universe must be a JSON list, got '01'"),
-    ({"nodes": '"01"', "universe": '["0", "1"]'}, "nodes must be a JSON list, got '01'"),
+    ({"universe": '"01"', "nodes": '["0", "1"]'},
+     "universe node ids must be an ordered collection of hashable ids, got a str"),
+    ({"nodes": '"01"', "universe": '["0", "1"]'},
+     "snapshot node ids must be an ordered collection of hashable ids, got a str"),
     ({"neg": "-4"}, "negative_weight_count must be nonnegative, got -4"),
     ({"neg": "2.5"}, "negative_weight_count must be an integer, got 2.5"),
     ({"universe": "[[0], 1]"}, "unhashable type: 'list'"),
 ], ids=["fractional-index", "fractional-timestamp", "bool-weight", "text-directed", "text-universe",
         "text-nodes", "negative-count", "fractional-count", "list-in-universe"])
+
+
+@_WRONG_TYPE_CASES
 def test_json_value_of_the_wrong_type_is_a_data_error_not_coerced(fields, message):
     # each document once loaded misread (0.7 as index 0, "01" as two ids) or raised a bare TypeError
     with pytest.raises(DataError, match=re.escape(message)):
         TemporalNetwork.from_json(_network_doc(**fields))
+
+
+@_WRONG_TYPE_CASES
+def test_the_document_error_is_the_constructor_error_for_the_same_values(fields, message):
+    # the loader once restated the rules with its own checks, and the two copies drifted
+    doc = json.loads(_network_doc(**fields))
+    with pytest.raises(DataError) as built:
+        TemporalNetwork(snapshots=tuple(Snapshot(node_ids=s["nodes"], edges=s["edges"], directed=doc["directed"],
+                                                 timestamp=s["timestamp"]) for s in doc["snapshots"]),
+                        universe=doc["universe"], negative_weight_count=doc["negative_weight_count"])
+    with pytest.raises(DataError) as loaded:
+        TemporalNetwork.from_json(_network_doc(**fields))
+    assert message in str(built.value)
+    assert str(loaded.value) == f"malformed network document: {built.value}"
+
+
+@pytest.mark.parametrize("version", ["", '"version": 2, ', '"version": true, ', '"version": 1.0, '],
+                         ids=["missing", "two", "bool", "float"])
+def test_a_document_of_another_version_is_a_data_error(version):
+    # the version was written and never read, so any version loaded as version 1
+    text = _network_doc().replace('"version": 1, ', version)
+    found = repr(json.loads(text).get("version"))
+    with pytest.raises(DataError, match=re.escape(f"network document version {found} is not 1")):
+        TemporalNetwork.from_json(text)
+
+
+@pytest.mark.parametrize("ids", ["ab", b"ab", {"a", "b"}, frozenset("ab"), {"a": 0, "b": 1}],
+                         ids=["str", "bytes", "set", "frozenset", "dict"])
+def test_collections_that_come_in_no_order_are_a_data_error(ids):
+    # "ab" built the nodes 'a' and 'b', and a set of str ids put them in an order
+    # that changed with the hash seed, so one edge joined different nodes in each process
+    unordered = f"must be an ordered collection of {{}}, got a {type(ids).__name__}"
+    with pytest.raises(DataError, match=re.escape("snapshot node ids " + unordered.format("hashable ids"))):
+        Snapshot(node_ids=ids, edges=((0, 1, 1.0),))
+    with pytest.raises(DataError, match=re.escape("universe node ids " + unordered.format("hashable ids"))):
+        TemporalNetwork(snapshots=(), universe=ids)
+    with pytest.raises(DataError, match=re.escape("edges " + unordered.format("(i, j, w) records"))):
+        Snapshot(node_ids=(0, 1), edges=ids)
+    with pytest.raises(DataError, match=re.escape("snapshots " + unordered.format("Snapshot objects"))):
+        TemporalNetwork(snapshots=ids, universe=())
+
+
+@pytest.mark.parametrize("value", ["", {}], ids=["str", "object"])
+@pytest.mark.parametrize("where", ["snapshots", "edges"])
+def test_an_empty_string_or_object_in_a_document_is_no_empty_list(where, value):
+    doc = json.loads(_network_doc())
+    (doc if where == "snapshots" else doc["snapshots"][0])[where] = value
+    with pytest.raises(DataError, match=f"malformed network document: {where} must be an ordered collection"):
+        TemporalNetwork.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("ids", [["a", "b"], ("a", "b"), range(2), np.array([3, 5])],
+                         ids=["list", "tuple", "range", "numpy"])
+def test_ids_in_an_ordered_collection_are_accepted(ids):
+    s = Snapshot(node_ids=ids, edges=((0, 1, 1.0),))
+    tn = TemporalNetwork(snapshots=(s,), universe=ids)
+    assert s.node_ids == tn.universe == tuple(ids)
+
+
+def _directed_network_with_a_bare_node():
+    s = Snapshot(node_ids=("a", "b", 7, "z"), edges=((1, 0, 0.25), (2, 1, 1 / 3), (0, 2, 3.0)), directed=True,
+                 timestamp=-3)
+    return TemporalNetwork(snapshots=(s,), universe=("b", "a", 7, "z", "u"), negative_weight_count=2)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: repeat_snapshot(barbell(3, 1, 3), 3),
+     "e08c64f102c9b3c8cfc4d0db31afbfc28e257aae096b40bb470340df730f370d"),
+    (lambda: TemporalNetwork(snapshots=(barbell(4, 2, 5, weight=0.1),), universe=tuple(range(12))),
+     "94b1f57f9468e5ee7003e11e587f9e3c39a6d2be4ec5ddb73f88dfbe1ba0356e"),
+    (_directed_network_with_a_bare_node, "e0def3a7b9b5805fb6c3939aeffe14d6c77448274f2a5781bfbe59ed51b34fe6"),
+], ids=["barbell-repeated", "barbell-universe-only-id", "directed-bare-node"])
+def test_network_document_bytes_are_frozen(build, digest):
+    # the document format is an interchange format: the writer's bytes may not drift
+    text = build().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert TemporalNetwork.from_json(text).to_json() == text
 
 
 @pytest.mark.parametrize("count, message", [(-4, "must be nonnegative, got -4"),

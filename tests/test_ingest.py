@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structim import (DataError, Snapshot, TemporalNetwork, load_network, load_snapshots_text,
+from structim import (DataError, Snapshot, TemporalNetwork, load_network, load_snapshots_text, synthetic_temporal,
                       write_edge_csv)
 from structim import ingest
 from structim.errors import ArgumentError
@@ -235,6 +235,33 @@ def test_write_then_load_round_trip(tmp_path):
     for s, t in zip(back.snapshots, tn.snapshots):
         assert np.array_equal(s.adjacency(), t.adjacency())
         assert s.node_ids == t.node_ids
+
+
+@pytest.mark.parametrize("args, seed", [((120, 4, 4, -2.0, 30), 11), ((40, 2, 4, -2.0, 8), 3),
+                                        ((16, 2, 1, 0.0, 5), 3)])
+def test_written_generated_networks_read_back_equal(tmp_path, args, seed):
+    tn = synthetic_temporal(*args, seed=seed)
+    path = str(tmp_path / "net.csv")
+    write_edge_csv(tn, path)
+    back = load_network(path)
+    # a universe-only id has no edge, so no row: the one thing the CSV leaves out here
+    touched = {v for s in tn.snapshots for v in s.node_ids}
+    assert back.snapshots == tn.snapshots
+    assert back.universe == tuple(v for v in tn.universe if v in touched)
+
+
+@pytest.mark.parametrize("node_ids, edges, message", [
+    (("7", "a", 7, "b"), ((0, 1, 1.0), (2, 3, 1.0)), "node id '7' would be read back from a CSV as 7"),
+    ((" x", "y"), ((0, 1, 1.0),), "node id ' x' would be read back from a CSV as 'x'"),
+    (("7", 7), ((0, 1, 1.0),), "node id '7' would be read back from a CSV as 7"),
+], ids=["str-and-int-merge", "padded-str", "self-loop-on-read"])
+def test_an_id_the_csv_cannot_keep_is_refused_before_writing(tmp_path, node_ids, edges, message):
+    # each file was written, and read back as 3 of 4 nodes, as "x", or refused as a self loop
+    tn = TemporalNetwork(snapshots=(Snapshot(node_ids=node_ids, edges=edges),), universe=node_ids)
+    path = tmp_path / "net.csv"
+    with pytest.raises(DataError, match=re.escape(message)):
+        write_edge_csv(tn, str(path))
+    assert not path.exists()
 
 
 def test_load_network_dispatches_on_extension(tmp_path):
