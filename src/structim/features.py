@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgumentError, DataError, _check_count, _check_real
-from .graphs import TemporalNetwork
+from .graphs import TemporalNetwork, _in_order
 from .importance import node_importance
 from .netstats import detect_communities, eigenvector_centrality, pagerank, pearson
 from .spectral import Spectrum, _check_spectrum, eig_sym
@@ -72,8 +72,10 @@ class FeatureTable:
     table built for one anchor time carries a constant ``as_of``; an int
     given at construction is broadcast to every row. A pooled table (see
     ``pipeline.build_horizon_tables``) stacks several anchors in time order.
-    ``y`` holds the target's labels. DataError unless ``X`` has one column
-    per name and ``X``, ``node_ids``, ``as_of`` and ``y`` agree in rows.
+    ``y`` holds the target's labels. DataError unless ``columns`` is an
+    ordered collection of str names, ``as_of`` an integer or integer array,
+    ``X`` has one column per name and ``X``, ``node_ids``, ``as_of`` and ``y``
+    agree in rows. Naming a column the table lacks is an ArgumentError.
     """
 
     columns: tuple
@@ -84,6 +86,11 @@ class FeatureTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.columns = _in_order(self.columns, "feature table columns", "str names")
+        if not all(isinstance(c, str) for c in self.columns):
+            raise DataError(f"feature table columns must be str names, got {self.columns!r}")
+        if np.asarray(self.as_of).dtype.kind not in "iu":  # its dtype, not each row: tables are rebuilt often
+            raise DataError(f"feature table as_of must be integers, got dtype {np.asarray(self.as_of).dtype}")
         rows = len(self.node_ids)
         if not (np.shape(self.X) == (rows, len(self.columns)) and np.shape(self.as_of) in ((), (rows,))
                 and (self.y is None or np.shape(self.y) == (rows,))):
@@ -95,13 +102,19 @@ class FeatureTable:
     def n_rows(self) -> int:
         return int(self.X.shape[0])
 
+    def _indices(self, names: tuple) -> list:
+        missing = [c for c in names if c not in self.columns]
+        if missing:
+            raise ArgumentError(f"feature table lacks column(s) {', '.join(map(repr, missing))}; it has {self.columns}")
+        return [self.columns.index(c) for c in names]
+
     def column(self, name: str) -> np.ndarray:
-        return self.X[:, self.columns.index(name)]
+        return self.X[:, self._indices((name,))[0]]
 
     def select_columns(self, names) -> "FeatureTable":
-        idx = [self.columns.index(c) for c in names]
+        names = tuple(names)
         # the copy is C-ordered like every other X; the fancy-indexed view is not
-        return replace(self, columns=tuple(names), X=self.X[:, idx].copy(),
+        return replace(self, columns=names, X=self.X[:, self._indices(names)].copy(),
                        y=None if self.y is None else self.y.copy(), meta=dict(self.meta))
 
     def select_rows(self, rows) -> "FeatureTable":

@@ -7,8 +7,10 @@ code never mutates the containers. Adjacency matrices are built on demand and
 never kept; the O(E + n) views (edge arrays, strength vectors, the presence
 matrix) are built once per container and are read-only.
 
-Node ids are opaque (ints or strings). An edge record is a tuple or list
-``(i, j, w)`` of integer (not bool) local indices into ``node_ids`` and a
+Node ids are opaque ints or strs; a numpy integer id is stored as an int, and
+any other id (bool, float, tuple, None, bytes) is a DataError, so every network
+the constructors accept round-trips through JSON. An edge record is a tuple or
+list ``(i, j, w)`` of integer (not bool) local indices into ``node_ids`` and a
 positive, finite real weight (not a bool), stored as a plain ``(int, int,
 float)`` tuple; undirected edges are stored once with ``i < j``. The public
 constructor checks every rule; outside input, the JSON loader, unpickling and
@@ -54,14 +56,19 @@ def _in_order(values, what: str, items: str) -> tuple:
         raise DataError(f"{what} must be a collection of {items}: {exc}") from exc
 
 
+def _node_id(v, what: str):
+    """A str id as it is, an integer id (numpy's too, not a bool) as an int; any other id is a DataError."""
+    if type(v) is int or isinstance(v, str):
+        return v
+    if _is_integer(v):
+        return int(v)
+    raise DataError(f"{what} node ids must be ints or strs, got {v!r}")
+
+
 def _hashable_ids(ids, what: str) -> tuple:
-    """``ids`` as a tuple; they must be an ordered iterable of distinct hashable ids."""
-    ids = _in_order(ids, f"{what} node ids", "hashable ids")
-    try:
-        distinct = set(ids)
-    except TypeError as exc:  # an id is unhashable
-        raise DataError(f"{what} has malformed node ids: {exc}") from exc
-    if len(distinct) != len(ids):
+    """``ids`` as a tuple of distinct ints and strs; they must come in order."""
+    ids = tuple(_node_id(v, what) for v in _in_order(ids, f"{what} node ids", "hashable ids"))
+    if len(set(ids)) != len(ids):
         raise DataError(f"{what} has duplicate node ids")
     return ids
 
@@ -78,8 +85,8 @@ class Snapshot:
     Parameters
     ----------
     node_ids:
-        Distinct, hashable ids of the nodes present in this window, in order
-        (not a str, set or mapping), stored as a tuple.
+        Distinct int or str ids of the nodes present in this window, in order
+        (not a str, set or mapping), stored as a tuple; numpy integers become ints.
     edges:
         Tuples or lists ``(i, j, w)`` of local integer node indices and a
         strictly positive finite real weight, stored as plain ``(int, int,

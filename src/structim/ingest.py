@@ -234,8 +234,8 @@ def write_edge_csv(tn: TemporalNetwork, path: str) -> None:
 
     A row is an edge: nodes without an edge and ``negative_weight_count`` are
     not written (the JSON document keeps them). DataError, before the file is
-    opened, for an id ingest would read back as another id or kind: the str
-    "7" as the int 7, " x" as "x", the float 1.5 as the str "1.5".
+    opened, for an id ingest would read back as another id or kind: the strs
+    "7" and "+7" as the int 7, " x" as "x".
     """
     for v in tn.universe:  # holds every snapshot's ids
         back = _coerce_id(str(v).strip())

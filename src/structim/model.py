@@ -24,7 +24,7 @@ skips, so its stream follows its block rule (``edge_presence_labels``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,22 +102,6 @@ def apply_standardization(constants: StandardizationConstants, table: FeatureTab
     return reduced
 
 
-def _json_fields(record, skip=()) -> dict:
-    """A dataclass record's fields but ``skip``, in declaration order, for JSON:
-    tuples become lists and a nested record serializes itself."""
-    out = {}
-    for f in fields(record):
-        if f.name in skip:
-            continue
-        val = getattr(record, f.name)
-        if isinstance(val, tuple):
-            val = list(val)
-        elif hasattr(val, "to_json_dict"):
-            val = val.to_json_dict()
-        out[f.name] = val
-    return out
-
-
 @dataclass
 class _Coefficients:
     """The estimates and Wald statistics that ``_wald`` fills in."""
@@ -130,6 +114,13 @@ class _Coefficients:
     intercept_se: float
     intercept_pvalue: float
 
+    def _linear_score(self, x) -> np.ndarray:
+        """intercept + coef . x per row; ArgumentError unless each row holds one value per coefficient."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self.coef.shape:
+            raise ArgumentError(f"{type(self).__name__} needs {self.coef.size} values per row, got shape {x.shape}")
+        return self.intercept + x @ self.coef
+
 
 @dataclass
 class LogisticModel(_Coefficients):
@@ -141,8 +132,7 @@ class LogisticModel(_Coefficients):
 
     def log_odds(self, x: np.ndarray) -> np.ndarray:
         """alpha + beta . x on already-standardized features."""
-        x = np.asarray(x, dtype=float)
-        return self.intercept + x @ self.coef
+        return self._linear_score(x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return expit(self.log_odds(x))
@@ -374,9 +364,10 @@ def auc_score(y_true, scores) -> float:
 class EvaluationReport:
     """Classification metrics plus the optional benchmarking extras.
 
-    evaluate() fills the metric fields; the prediction pipeline attaches CIs,
-    null-model summaries, permutation importances and attribution values
-    before serialization.
+    evaluate() fills the metric fields and their exact intervals; the
+    prediction pipeline attaches the bootstrap AUC interval, null-model
+    summaries, permutation importances and attribution values. Written with
+    ``dataclasses.asdict``, its keys follow the field order.
     """
 
     n_rows: int
@@ -399,16 +390,15 @@ class EvaluationReport:
     permutation_importance: dict | None = None
     shap_mean_abs: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        return _json_fields(self)
-
 
 def evaluate(model: LogisticModel, table: FeatureTable) -> EvaluationReport:
-    """Score a fitted classifier on a labeled table (metrics only).
+    """Score a fitted classifier on a labeled table: metrics and their exact intervals.
 
     Predictions are positive at probability >= ``THRESHOLD``. Precision is
     reported as None (with a note) when nothing is predicted positive; AUC is
-    None when the table is single-class.
+    None when the table is single-class. Precision and recall each get the
+    exact binomial interval of their counts (``binom_ci``), None where the
+    metric is.
     """
     if table.y is None:
         raise DataError("evaluate needs a labeled table")
@@ -419,17 +409,10 @@ def evaluate(model: LogisticModel, table: FeatureTable) -> EvaluationReport:
     fp = int(np.sum((yhat == 1) & (y == 0)))
     fn = int(np.sum((yhat == 0) & (y == 1)))
     tn = int(np.sum((yhat == 0) & (y == 0)))
-    notes = []
-    if tp + fp == 0:
-        precision = None
-        notes.append("no positive predictions; precision undefined")
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = None
-        notes.append("no positive labels; recall undefined")
-    else:
-        recall = tp / (tp + fn)
+    precision = tp / (tp + fp) if tp + fp else None
+    recall = tp / (tp + fn) if tp + fn else None
+    notes = [note for note, metric in (("no positive predictions; precision undefined", precision),
+                                       ("no positive labels; recall undefined", recall)) if metric is None]
     try:
         auc = auc_score(y, prob)
     except DataError:
@@ -447,6 +430,9 @@ def evaluate(model: LogisticModel, table: FeatureTable) -> EvaluationReport:
         auc=auc,
         threshold=THRESHOLD,
         notes=notes,
+        precision_ci=None if precision is None else binom_ci(tp, tp + fp),
+        recall_ci=None if recall is None else binom_ci(tp, tp + fn),
+        ci_method="exact",
     )
 
 
@@ -616,13 +602,13 @@ def edge_presence_labels(n_nodes: int, density: float, rng: np.random.Generator,
 def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials: int = NULL_TRIALS, seed=0) -> dict:
     """Benchmark for the presence target: labels from random-graph snapshots.
 
-    ``scores[r]`` is the predicted probability for row r of ``table``; rows
-    are grouped by their anchor time ``as_of`` (a single-anchor table is one
-    group). Each trial synthesizes snapshot t+1 of every group as an
-    independent random graph over the n nodes present at t, with pair
-    probability min(1, E / (n (n - 1) / 2)), E the count of every edge of the
-    real snapshot t+1, those with an end absent at t included, and scores
-    all groups' predictions together against
+    ``scores[r]`` is the predicted probability for row r of ``table``, one
+    per row (else ArgumentError); rows are grouped by their anchor time
+    ``as_of`` (a single-anchor table is one group). Each trial synthesizes
+    snapshot t+1 of every group as an independent random graph over the n
+    nodes present at t, with pair probability min(1, E / (n (n - 1) / 2)), E
+    the count of every edge of the real snapshot t+1, those with an end
+    absent at t included, and scores all groups' predictions together against
     the synthetic presence labels. Anchors with fewer than two present nodes
     are skipped. The random stream runs block of trials by block of trials,
     and within a block anchor group by anchor group (``edge_presence_labels``).
@@ -630,6 +616,9 @@ def null_edge_presence(tn: TemporalNetwork, table: FeatureTable, scores, trials:
     _check_count(trials, MIN_NULL_TRIALS, "trials")
     rng = _rng(seed)
     scores = np.asarray(scores, dtype=float)
+    if scores.shape != (table.n_rows,):
+        raise ArgumentError(f"null_edge_presence needs one score per row of the table ({table.n_rows}), "
+                            f"got shape {scores.shape}")
     groups = []
     for t in sorted(set(table.as_of)):
         _check_horizon(tn, t)
@@ -710,7 +699,7 @@ def shap_linear(model: LogisticModel, x: np.ndarray, background_mean: np.ndarray
 @dataclass
 class LinearModel(_Coefficients):
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + np.asarray(x, dtype=float) @ self.coef
+        return self._linear_score(x)
 
 
 def r2_score(y_true, y_pred) -> float:

@@ -18,7 +18,7 @@ R^2 against a shuffled-target null.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .errors import ArgumentError, DataError, NumericalError, _check_count, _che
 from .features import CHANGE_THRESHOLD, CORR_THRESHOLD, FeatureTable, _check_target, build_table, prune_correlated
 from .graphs import TemporalNetwork
 from .model import (BOOTSTRAP_ITERS, CI95_Z, MIN_NULL_TRIALS, NULL_TRIALS, EvaluationReport, _auc_rows, _irls,
-                    _json_fields, _with_intercept, apply_standardization, binom_ci, bootstrap_auc_ci, evaluate,
-                    fit_linear, fit_logistic, null_edge_presence, null_prior_predictor, null_shuffle_regression,
-                    permutation_importance, r2_score, shap_linear, standardize)
+                    _with_intercept, apply_standardization, bootstrap_auc_ci, evaluate, fit_linear, fit_logistic,
+                    null_edge_presence, null_prior_predictor, null_shuffle_regression, permutation_importance,
+                    r2_score, shap_linear, standardize)
 
 L2_GRID = (0.01, 0.1, 1.0, 10.0)
 MIN_ROWS = 25
@@ -42,7 +42,9 @@ FOLDS = 5
 class PredictionResult:
     """Everything cmd_predict reports, in analysis order. A classifier's ``split``
     is a 40/40/20 row cut that no fit uses: its folds and refit run on train +
-    validation, the first 80% of rows, which ``rel_change`` calls train."""
+    validation, the first 80% of rows, which ``rel_change`` calls train.
+    ``to_json_dict`` is ``dataclasses.asdict`` but the per-row attribution, so
+    prediction.json's keys follow the field order."""
 
     target: str
     seed: int
@@ -62,7 +64,7 @@ class PredictionResult:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return _json_fields(self, skip=("shap_values", "shap_rows"))
+        return {k: v for k, v in asdict(self).items() if k not in ("shap_values", "shap_rows")}
 
 
 def build_horizon_tables(tn: TemporalNetwork, target: str, change_threshold: float = CHANGE_THRESHOLD) -> FeatureTable:
@@ -152,9 +154,9 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
     Returns (chosen_l2, cv_auc_by_l2), the latter the mean fold AUC of each
     grid value; the caller refits cold at the chosen value with ``fit_logistic``.
 
-    Ties keep the smallest L2 because the grid is scanned in ascending order
-    with a strict improvement test. An empty grid, or a value that is not
-    finite and nonnegative, raises ArgumentError before any fit.
+    Ties keep the smallest L2: the grid ascends and ``np.argmax`` takes the
+    first maximum. An empty grid, or a value that is not finite and
+    nonnegative, raises ArgumentError before any fit.
     """
     _check_l2_grid(l2_grid)
     anchors = len(set(table.as_of))
@@ -188,16 +190,8 @@ def time_ordered_select(table: FeatureTable, l2_grid=L2_GRID):
     if not fold_aucs:
         raise DataError("every forward-chaining fold was single-class")
 
-    cv_means = {}
-    best_l2 = None
-    best_mean = -np.inf
-    for l2, aucs in zip(grid, np.transpose(fold_aucs)):
-        mean_auc = float(np.mean(aucs))
-        cv_means[l2] = mean_auc
-        if mean_auc > best_mean:
-            best_mean = mean_auc
-            best_l2 = l2
-    return best_l2, cv_means
+    means = np.mean(fold_aucs, axis=0)
+    return grid[int(np.argmax(means))], dict(zip(grid, means.tolist()))
 
 
 def _coefficient_table(model) -> list:
@@ -270,11 +264,6 @@ def run_prediction(
         best_l2, cv_auc_by_l2 = time_ordered_select(pooled, l2_grid=l2_grid)
         model = fit_logistic(train_std, l2=best_l2)
         report = evaluate(model, test_std)
-        report.ci_method = "exact"
-        if report.precision is not None:
-            report.precision_ci = binom_ci(report.tp, report.tp + report.fp)
-        if report.recall is not None:
-            report.recall_ci = binom_ci(report.tp, report.tp + report.fn)
         if report.auc is not None:
             report.auc_ci = bootstrap_auc_ci(model, test_std, iters=bootstrap_iters, seed=[seed, 4])
         report.null_prior = null_prior_predictor(pooled.y[:i2], test_std.y, trials=null_trials, seed=[seed, 5])

@@ -1,8 +1,10 @@
 """The package's public surface."""
 
 import argparse
+import functools
 import inspect
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -180,6 +182,18 @@ def _labeled_table():
                                  y=np.array([1.0, 0.0, 0.0, 1.0]))
 
 
+@functools.lru_cache(maxsize=None)
+def _pooled_fit():
+    """(network, pooled presence table, classifier fit on all of its columns)."""
+    tn = structim.synthetic_temporal(30, 2, 2, -2.0, 9, seed=1)
+    tab = structim.build_horizon_tables(tn, "presence")
+    return tn, tab, structim.fit_logistic(tab)
+
+
+def _one_column():
+    return _pooled_fit()[1].select_columns(["ma"])
+
+
 @pytest.mark.parametrize("call", [
     lambda: structim.pearson([1.0, 2.0], [1.0, 2.0, 3.0]),
     lambda: structim.importance_components(structim.eig_sym(clique(3).adjacency()), np.ones(4)),
@@ -215,6 +229,16 @@ def _labeled_table():
     lambda: structim.auc_score([1, 0, 1], [0.1, 0.9]),
     lambda: structim.auc_score([1, 0], [0.1, 0.9, 0.5]),
     lambda: structim.auc_score([[0, 1]], [[0.1, 0.2]]),
+    # each of these escaped as a bare numpy ValueError or an IndexError
+    lambda: structim.evaluate(_pooled_fit()[2], _one_column()),
+    lambda: structim.bootstrap_auc_ci(_pooled_fit()[2], _one_column()),
+    lambda: structim.permutation_importance(_pooled_fit()[2], _one_column()),
+    lambda: _pooled_fit()[2].predict_proba(np.zeros((2, 1))),
+    lambda: structim.fit_linear(_labeled_table()).predict(np.zeros((2, 2))),
+    lambda: _pooled_fit()[1].select_columns(["zz"]),
+    lambda: _pooled_fit()[1].column("zz"),
+    lambda: structim.apply_standardization(structim.standardize(_pooled_fit()[1])[1], _one_column()),
+    lambda: structim.null_edge_presence(_pooled_fit()[0], _pooled_fit()[1], [0.5]),
 ], ids=["pearson-shape", "importance-components-strength", "node-importance-scheme", "strength-mode",
         "fit-logistic-l2", "binom-ci-integers", "binom-ci-range",
         "build-features-anchor", "snapshot-measures-anchor",
@@ -224,7 +248,10 @@ def _labeled_table():
         "node-importance-spectrum-size", "node-importance-spectrum-type", "eigenvector-centrality-spectrum-size",
         "snapshot-measures-spectrum-size", "snapshot-measures-communities-size",
         "snapshot-measures-communities-float", "snapshot-measures-communities-negative",
-        "auc-score-fewer-scores", "auc-score-more-scores", "auc-score-2d"])
+        "auc-score-fewer-scores", "auc-score-more-scores", "auc-score-2d",
+        "evaluate-columns", "bootstrap-columns", "permutation-importance-columns", "predict-proba-columns",
+        "linear-predict-columns", "select-columns-missing", "column-missing", "apply-standardization-missing",
+        "null-edge-presence-scores"])
 def test_argument_errors_are_typed(call):
     # ArgumentError subclasses ValueError, so callers that catch ValueError still do
     with pytest.raises(ArgumentError):
@@ -243,3 +270,19 @@ def test_a_feature_table_of_mismatched_shapes_is_a_data_error(fields):
     args = {"columns": ("a", "b"), "X": np.zeros((3, 2)), "node_ids": (1, 2, 3), "as_of": 1, **fields}
     with pytest.raises(DataError, match="feature table shapes disagree"):
         structim.FeatureTable(**args)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"columns": "ab"}, "feature table columns must be an ordered collection of str names, got a str"),
+    ({"columns": ("a", 2)}, "feature table columns must be str names, got ('a', 2)"),
+    ({"as_of": np.array([1.7, 2.2])}, "as_of must be integers, got dtype float64"),
+    ({"as_of": 1.0}, "as_of must be integers, got dtype float64"),
+    ({"as_of": True}, "as_of must be integers, got dtype bool"),
+], ids=["str-columns", "int-column", "float-as-of", "float-scalar-as-of", "bool-as-of"])
+def test_a_feature_table_holds_str_columns_and_integer_anchors(fields, message):
+    # "ab" was kept as the columns, and fractional anchors were truncated to ints
+    args = {"columns": ("a", "b"), "X": np.zeros((2, 2)), "node_ids": (1, 2), "as_of": np.array([1, 2]), **fields}
+    with pytest.raises(DataError, match=re.escape(message)):
+        structim.FeatureTable(**args)
+    table = structim.FeatureTable(**{**args, "columns": ["a", "b"], "as_of": np.array([1, 2], dtype=np.uint8)})
+    assert table.columns == ("a", "b") and table.as_of.tolist() == [1, 2]

@@ -7,8 +7,9 @@ replaced: one ``rng.integers`` call per bootstrap resample and one
 every iteration, the feature table read node by node from the anchor's
 measures, IRLS evaluating the penalized log-likelihood of the current
 coefficients at the top of every iteration, ``analyze`` reading each
-labeled node's measures one cell at a time, and the L2 grid search fitting
-a cold ``fit_logistic`` and scoring one ``auc_score`` per (L2, fold) cell.
+labeled node's measures one cell at a time, the L2 grid search fitting
+a cold ``fit_logistic`` and scoring one ``auc_score`` per (L2, fold) cell,
+and prediction.json written by a hand walk over the records' fields.
 The tests assert equality (``==`` or ``np.array_equal``), never closeness,
 because the artifacts of a fixed seed are meant to stay byte-identical. The
 one exception is the feature-table test's ``rel_change`` labels: they come
@@ -20,6 +21,7 @@ import itertools
 import json
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -617,3 +619,34 @@ def test_a_warm_start_converges_to_the_cold_validation_auc(seed, n, p, neighbour
         assert converged and grad_norm <= 1e-8
         aucs.append(auc_score(y[n:], model_module.expit(float(beta[0]) + x[n:] @ beta[1:])))
     assert aucs[0] == aucs[1]
+
+
+# ------------------------------------------------------- prediction.json oracle
+
+
+def _json_fields_oracle(record, skip=()) -> dict:
+    """A dataclass record's fields but ``skip``, in declaration order, for JSON:
+    tuples become lists and a nested record is written the same way. The
+    serializer that ``dataclasses.asdict`` replaced."""
+    out = {}
+    for f in fields(record):
+        if f.name in skip:
+            continue
+        val = getattr(record, f.name)
+        if isinstance(val, tuple):
+            val = list(val)
+        elif is_dataclass(val):
+            val = _json_fields_oracle(val)
+        out[f.name] = val
+    return out
+
+
+@pytest.mark.parametrize("target", ["presence", "sign", "rel_change"])
+def test_prediction_json_matches_the_field_walk(target):
+    tn = synthetic_temporal(40, 2, 2, -2.0, 9, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # near-constant columns dropped
+        res = pipeline.run_prediction(tn, target, seed=1, null_trials=20, bootstrap_iters=50)
+    assert (res.report is None) == (target == "rel_change")
+    expected = _json_fields_oracle(res, skip=("shap_values", "shap_rows"))
+    assert json.dumps(res.to_json_dict()) == json.dumps(expected)

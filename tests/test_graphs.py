@@ -352,13 +352,34 @@ def test_lists_given_to_the_constructors_are_stored_as_tuples():
 
 
 def test_unhashable_node_id_is_a_data_error():
-    with pytest.raises(DataError, match=re.escape("snapshot has malformed node ids: unhashable type: 'list'")):
+    with pytest.raises(DataError, match=re.escape("snapshot node ids must be ints or strs, got [0]")):
         Snapshot(node_ids=([0],), edges=())
 
 
 def test_unhashable_universe_id_is_a_data_error():
-    with pytest.raises(DataError, match=re.escape("universe has malformed node ids: unhashable type: 'list'")):
+    with pytest.raises(DataError, match=re.escape("universe node ids must be ints or strs, got [1]")):
         TemporalNetwork(snapshots=(), universe=(0, [1]))
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), 1.5, np.float64(2.0), (1, 2), None, b"x"],
+                         ids=["bool", "numpy-bool", "float", "numpy-float", "tuple", "none", "bytes"])
+def test_an_id_that_is_no_int_or_str_is_a_data_error(bad):
+    # a tuple id was written as a JSON array, which from_json then refused as unhashable
+    message = re.escape(f"node ids must be ints or strs, got {bad!r}")
+    with pytest.raises(DataError, match="snapshot " + message):
+        Snapshot(node_ids=("a", bad), edges=((0, 1, 1.0),))
+    with pytest.raises(DataError, match="universe " + message):
+        TemporalNetwork(snapshots=(), universe=("a", bad))
+
+
+def test_numpy_integer_ids_are_stored_as_ints_and_round_trip():
+    # np.int64 ids were kept, and to_json raised a bare TypeError on them
+    s = Snapshot(node_ids=np.array([3, 5]), edges=((0, 1, 1.0),))
+    tn = TemporalNetwork(snapshots=(s,), universe=np.array([3, 5, 7], dtype=np.uint8))
+    assert [type(v) for v in s.node_ids + tn.universe] == [int] * 5
+    assert TemporalNetwork.from_json(tn.to_json()) == tn
+    with pytest.raises(DataError, match="universe has duplicate node ids"):
+        TemporalNetwork(snapshots=(), universe=(3, np.int64(3)))
 
 
 @pytest.mark.parametrize("directed", ["no", 1, 0.0, None, np.int64(1)])
@@ -465,7 +486,7 @@ _WRONG_TYPE_CASES = pytest.mark.parametrize("fields, message", [
      "snapshot node ids must be an ordered collection of hashable ids, got a str"),
     ({"neg": "-4"}, "negative_weight_count must be nonnegative, got -4"),
     ({"neg": "2.5"}, "negative_weight_count must be an integer, got 2.5"),
-    ({"universe": "[[0], 1]"}, "unhashable type: 'list'"),
+    ({"universe": "[[0], 1]"}, "universe node ids must be ints or strs, got [0]"),
 ], ids=["fractional-index", "fractional-timestamp", "bool-weight", "text-directed", "text-universe",
         "text-nodes", "negative-count", "fractional-count", "list-in-universe"])
 

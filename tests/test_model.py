@@ -1,9 +1,10 @@
 """Classifier, regressor, metrics, intervals, nulls, and attributions."""
 
+import json
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -369,9 +370,22 @@ def test_evaluate_report_serializes_tuples():
     model = _manual_logistic(0.0, [1.0], names=("ma",))
     rep = evaluate(model, _table(("ma",), [[10.0], [-10.0]], y=[1, 0]))
     rep.auc_ci = (0.5, 1.0)
-    out = rep.to_json_dict()
+    out = json.loads(json.dumps(asdict(rep)))
     assert out["auc_ci"] == [0.5, 1.0]
     assert out["tp"] == 1
+
+
+def test_evaluate_fills_the_exact_intervals_of_its_counts():
+    # run_prediction once patched these in after evaluate returned
+    model = _manual_logistic(0.0, [1.0], names=("ma",))
+    rep = evaluate(model, _table(("ma",), [[10.0], [10.0], [-10.0], [-10.0], [-10.0]], y=[1, 0, 1, 1, 0]))
+    assert (rep.tp, rep.fp, rep.fn) == (1, 1, 2)
+    assert rep.precision_ci == binom_ci(1, 2) and rep.recall_ci == binom_ci(1, 3)
+    assert rep.ci_method == "exact" and rep.auc_ci is None
+    undefined = evaluate(model, _table(("ma",), [[-10.0], [-10.0]], y=[0, 0]))
+    assert undefined.precision is undefined.precision_ci is undefined.recall is undefined.recall_ci is None
+    assert undefined.notes == ["no positive predictions; precision undefined", "no positive labels; recall undefined",
+                               "single-class labels; AUC undefined"]
 
 
 # ------------------------------------------------------------------- binom_ci

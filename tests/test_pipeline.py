@@ -273,7 +273,7 @@ _SUMMARY_KEYS = ["mean", "ci90", "ci95", "defined"]
 
 
 def test_prediction_json_keys_keep_their_order(presence_result, regression_result):
-    # the serializer walks the records' fields, so a moved field would reorder prediction.json
+    # dataclasses.asdict writes fields in declaration order, so a moved field would reorder prediction.json
     doc = presence_result.to_json_dict()
     assert list(doc) == _TOP_KEYS
     assert list(doc["report"]) == [
