@@ -73,9 +73,10 @@ class FeatureTable:
     given at construction is broadcast to every row. A pooled table (see
     ``pipeline.build_horizon_tables``) stacks several anchors in time order.
     ``y`` holds the target's labels. DataError unless ``columns`` is an
-    ordered collection of str names, ``as_of`` an integer or integer array,
-    ``X`` has one column per name and ``X``, ``node_ids``, ``as_of`` and ``y``
-    agree in rows. Naming a column the table lacks is an ArgumentError.
+    ordered collection of str names, ``node_ids`` an ordered collection (kept
+    as a tuple), ``as_of`` an integer or integer array, ``X`` a bool, integer
+    or float array with one column per name and ``X``, ``node_ids``, ``as_of``
+    and ``y`` agree in rows. Naming a column the table lacks is an ArgumentError.
     """
 
     columns: tuple
@@ -89,8 +90,12 @@ class FeatureTable:
         self.columns = _in_order(self.columns, "feature table columns", "str names")
         if not all(isinstance(c, str) for c in self.columns):
             raise DataError(f"feature table columns must be str names, got {self.columns!r}")
-        if np.asarray(self.as_of).dtype.kind not in "iu":  # its dtype, not each row: tables are rebuilt often
+        self.node_ids = _in_order(self.node_ids, "feature table node ids", "ids")
+        # dtypes, not each row: tables are rebuilt on every selection
+        if np.asarray(self.as_of).dtype.kind not in "iu":
             raise DataError(f"feature table as_of must be integers, got dtype {np.asarray(self.as_of).dtype}")
+        if np.asarray(self.X).dtype.kind not in "biuf":
+            raise DataError(f"feature table X must be bool, integer or float, got dtype {np.asarray(self.X).dtype}")
         rows = len(self.node_ids)
         if not (np.shape(self.X) == (rows, len(self.columns)) and np.shape(self.as_of) in ((), (rows,))
                 and (self.y is None or np.shape(self.y) == (rows,))):

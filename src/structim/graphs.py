@@ -11,8 +11,10 @@ Node ids are opaque ints or strs; a numpy integer id is stored as an int, and
 any other id (bool, float, tuple, None, bytes) is a DataError, so every network
 the constructors accept round-trips through JSON. An edge record is a tuple or
 list ``(i, j, w)`` of integer (not bool) local indices into ``node_ids`` and a
-positive, finite real weight (not a bool), stored as a plain ``(int, int,
-float)`` tuple; undirected edges are stored once with ``i < j``. The public
+positive, finite real weight (not a bool); undirected edges are stored once
+with ``i < j``. A snapshot stores its edges only as three read-only arrays
+(int, int, float); ``edges`` reads them back as plain ``(int, int, float)``
+tuples, built on first read and then kept. The public
 constructor checks every rule; outside input, the JSON loader, unpickling and
 ``copy`` go through it. Ingest and ``synthetic_temporal`` build snapshots with
 the trusted ``Snapshot._from_pairs``, which runs no rule.
@@ -89,7 +91,7 @@ class Snapshot:
         (not a str, set or mapping), stored as a tuple; numpy integers become ints.
     edges:
         Tuples or lists ``(i, j, w)`` of local integer node indices and a
-        strictly positive finite real weight, stored as plain ``(int, int,
+        strictly positive finite real weight, read back as plain ``(int, int,
         float)`` tuples. For undirected snapshots each pair appears once with
         ``i < j``; for directed snapshots ``(i, j)`` means an arc i -> j.
     directed:
@@ -137,6 +139,7 @@ class Snapshot:
             ii.append(i)
             jj.append(j)
             ww.append(w)
+        object.__delattr__(self, "edges")  # built again from the arrays on first read
         self._keep_edges(np.array(ii, dtype=int), np.array(jj, dtype=int), np.array(ww, dtype=float))
 
     @classmethod
@@ -158,12 +161,18 @@ class Snapshot:
         return snap
 
     def _keep_edges(self, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
-        """Keep the arrays, read-only, as ``_edge_arrays`` (int, int, float),
-        and ``edges`` as the plain (int, int, float) tuples they hold."""
-        object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist(), w.tolist())))
+        """Keep the arrays, read-only, as ``_edge_arrays`` (int, int, float): the one per-edge store."""
         for arr in (i, j, w):
             arr.setflags(write=False)
         object.__setattr__(self, "_edge_arrays", (i, j, w))
+
+    def __getattr__(self, name):
+        """``edges``, the plain (int, int, float) tuples the arrays hold, built on first read and then kept."""
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        i, j, w = self._edge_arrays
+        object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist(), w.tolist())))
+        return self.edges
 
     __reduce__ = _by_constructor
 
@@ -173,7 +182,7 @@ class Snapshot:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edge_arrays[2])
 
     @cached_property
     def node_index(self) -> dict:

@@ -97,9 +97,10 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
         raise DataError(f"scheme {scheme!r} requires an undirected snapshot")
     s = snapshot.strength()
     mask = s > 0
-    excluded = tuple(v for v, keep in zip(snapshot.node_ids, mask) if not keep)
+    kept = mask.tolist()
+    excluded = tuple(v for v, keep in zip(snapshot.node_ids, kept) if not keep)
     if scheme == "mc" or not mask.any():  # mc is (2/S_i) * A_ii, and A_ii = 0
-        values = {v: 0.0 for v, keep in zip(snapshot.node_ids, mask) if keep}
+        values = {v: 0.0 for v, keep in zip(snapshot.node_ids, kept) if keep}
         return ImportanceVector(scheme=scheme, values=values, excluded=excluded)
 
     spec = spectrum if spectrum is not None else eig_sym(snapshot.adjacency())
@@ -111,12 +112,12 @@ def node_importance(snapshot: Snapshot, scheme: str, spectrum: Spectrum | None =
     elif scheme == "mb":
         ranks = select_eigencomponent(spec)
         vals = _terms(lam[ranks - 1], vecs[np.arange(spec.n), ranks - 1], s)
-        eig_rank = {v: int(r) for v, r, keep in zip(snapshot.node_ids, ranks, mask) if keep}
+        eig_rank = {v: r for v, r, keep in zip(snapshot.node_ids, ranks.tolist(), kept) if keep}
     else:  # md: the positive columns
         cols = spec.positive_count()
         vals = _terms(lam[:cols], vecs[:, :cols], s[:, None]).sum(axis=1)
 
-    values = {v: float(x) for v, x, keep in zip(snapshot.node_ids, vals, mask) if keep}
+    values = {v: x for v, x, keep in zip(snapshot.node_ids, vals.tolist(), kept) if keep}
     return ImportanceVector(scheme=scheme, values=values, eig_rank=eig_rank, excluded=excluded)
 
 
@@ -128,7 +129,8 @@ def node_importance_directed(snapshot: Snapshot, strength_mode: str = "total") -
     a = snapshot.adjacency()
     s = snapshot.strength(strength_mode)
     mask = s > 0
-    excluded = tuple(v for v, keep in zip(snapshot.node_ids, mask) if not keep)
+    kept = mask.tolist()
+    excluded = tuple(v for v, keep in zip(snapshot.node_ids, kept) if not keep)
     if not mask.any():
         return ImportanceVector(scheme=DIRECTED_SCHEME, values={}, excluded=excluded)
 
@@ -145,7 +147,7 @@ def node_importance_directed(snapshot: Snapshot, strength_mode: str = "total") -
         vals = x * (gram @ x) / denom
     if not np.isfinite(denom).all():
         raise NumericalError("directed importance overflows the float range")
-    values = {v: float(m) for v, m, keep in zip(snapshot.node_ids, vals, mask) if keep}
+    values = {v: m for v, m, keep in zip(snapshot.node_ids, vals.tolist(), kept) if keep}
     return ImportanceVector(scheme=DIRECTED_SCHEME, values=values, excluded=excluded)
 
 

@@ -33,8 +33,11 @@ from .graphs import Snapshot, TemporalNetwork
 
 _HEADER = ("time", "src", "dst", "value")
 _INT_ID = re.compile(r"[+-]?[0-9]+")
-# Records read per block: the fields of one block are alive at a time.
-_BLOCK = 2048
+# Records read per block: the fields of one block are alive at a time. One
+# block holds one list per record, and 512 of them stay under the cyclic
+# garbage collector's first threshold (700 new tracked objects), so reading a
+# block does not start a collection of its own.
+_BLOCK = 512
 
 
 def _coerce_id(field: str):
@@ -234,19 +237,28 @@ def write_edge_csv(tn: TemporalNetwork, path: str) -> None:
 
     A row is an edge: nodes without an edge and ``negative_weight_count`` are
     not written (the JSON document keeps them). DataError, before the file is
-    opened, for an id ingest would read back as another id or kind: the strs
-    "7" and "+7" as the int 7, " x" as "x".
+    opened, for what ingest would read back as something else: an id of
+    another value or kind (the strs "7" and "+7" as the int 7, " x" as "x"),
+    or snapshots whose timestamps are not 0..T-1 or that have no edge, as
+    ingest drops edgeless periods and renumbers the rest.
     """
     for v in tn.universe:  # holds every snapshot's ids
         back = _coerce_id(str(v).strip())
         if back != v or isinstance(back, str) != isinstance(v, str):
             raise DataError(f"node id {v!r} would be read back from a CSV as {back!r}")
+    for t, s in enumerate(tn.snapshots):
+        if s.timestamp != t or not s.n_edges:
+            why = f"is at time {s.timestamp}" if s.timestamp != t else "has no edge"
+            raise DataError(f"snapshot {t} {why}; a CSV reads back only snapshots with edges, at times 0..T-1, "
+                            "so write this network with to_json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for s in tn.snapshots:
-            for i, j, w in s.edges:
-                writer.writerow([s.timestamp, s.node_ids[i], s.node_ids[j], repr(w)])
+            i, j, w = s._edge_arrays
+            ids = s.node_ids.__getitem__
+            writer.writerows(zip(itertools.repeat(s.timestamp), map(ids, i.tolist()), map(ids, j.tolist()),
+                                 map(repr, w.tolist())))
 
 
 def load_network(path: str, aggregation: int = 1, directed: bool = False) -> TemporalNetwork:

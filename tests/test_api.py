@@ -278,11 +278,16 @@ def test_a_feature_table_of_mismatched_shapes_is_a_data_error(fields):
     ({"as_of": np.array([1.7, 2.2])}, "as_of must be integers, got dtype float64"),
     ({"as_of": 1.0}, "as_of must be integers, got dtype float64"),
     ({"as_of": True}, "as_of must be integers, got dtype bool"),
-], ids=["str-columns", "int-column", "float-as-of", "float-scalar-as-of", "bool-as-of"])
+    ({"node_ids": "ab"}, "feature table node ids must be an ordered collection of ids, got a str"),
+    ({"X": np.array([["a", "b"], ["c", "d"]])}, "feature table X must be bool, integer or float, got dtype <U1"),
+], ids=["str-columns", "int-column", "float-as-of", "float-scalar-as-of", "bool-as-of", "str-node-ids", "str-x"])
 def test_a_feature_table_holds_str_columns_and_integer_anchors(fields, message):
-    # "ab" was kept as the columns, and fractional anchors were truncated to ints
+    # "ab" was kept as the columns or the node ids, fractional anchors were
+    # truncated to ints, and standardize met a str X with numpy's TypeError
     args = {"columns": ("a", "b"), "X": np.zeros((2, 2)), "node_ids": (1, 2), "as_of": np.array([1, 2]), **fields}
     with pytest.raises(DataError, match=re.escape(message)):
         structim.FeatureTable(**args)
-    table = structim.FeatureTable(**{**args, "columns": ["a", "b"], "as_of": np.array([1, 2], dtype=np.uint8)})
-    assert table.columns == ("a", "b") and table.as_of.tolist() == [1, 2]
+    table = structim.FeatureTable(**{**args, "columns": ["a", "b"], "as_of": np.array([1, 2], dtype=np.uint8),
+                                     "node_ids": ["p", "q"], "X": np.zeros((2, 2), dtype=bool)})
+    assert table.columns == ("a", "b") and table.as_of.tolist() == [1, 2] and table.node_ids == ("p", "q")
+    assert table.select_rows([1]).node_ids == ("q",)

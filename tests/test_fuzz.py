@@ -3,6 +3,7 @@ the input, reading it gives a network or a StructimError, never any other
 exception, and a command exits with 0, 2, 3 or 4."""
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -191,7 +192,11 @@ _OPTIONS_BY_COMMAND = {
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory):
     where = tmp_path_factory.mktemp("cli_fuzz")
-    write_edge_csv(synthetic_temporal(16, 2, 1, -2.0, 8, seed=3), str(where / "valid.csv"))
+    # snapshot 1 of this network has no edge, which a CSV cannot hold: write
+    # the other seven, renumbered 0..6, the network that ingest reads back
+    tn = synthetic_temporal(16, 2, 1, -2.0, 8, seed=3)
+    edged = tuple(dataclasses.replace(s, timestamp=t) for t, s in enumerate(s for s in tn.snapshots if s.n_edges))
+    write_edge_csv(TemporalNetwork(edged, tn.universe), str(where / "valid.csv"))
     write_edge_csv(repeat_snapshot(barbell(2, 0, 2, weight=1e308), 7), str(where / "overflow.csv"))
     (where / "garbled.csv").write_text('time,src\n0,a\n"1,b,c\n')
     (where / "directed.json").write_text(_NETWORKS[2].to_json())

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structim import (DataError, Snapshot, TemporalNetwork, barbell, detect_communities, load_snapshots_text,
-                      modularity, node_importance, node_importance_directed, pagerank, repeat_snapshot)
+                      modularity, node_importance, node_importance_directed, pagerank, repeat_snapshot,
+                      synthetic_temporal)
 
 from conftest import clique, network_from
 
@@ -226,6 +228,52 @@ def _assert_matches_loop_build(s):
 @given(_snapshots())
 def test_vectorized_views_match_loop_build(s):
     _assert_matches_loop_build(s)
+
+
+def _records(s):
+    """The records of ``s``'s edge arrays as plain (int, int, float) tuples, read without ``edges``."""
+    i, j, w = s._edge_arrays
+    return tuple((int(a), int(b), float(c)) for a, b, c in zip(i, j, w))
+
+
+_SNAPSHOT_SOURCES = {
+    "constructor": lambda: (Snapshot(node_ids=(5, 6, 7),
+                                     edges=((np.int64(0), np.int32(1), 2), [np.uint8(1), 2, 0.5])),),
+    "text": lambda: load_snapshots_text("0,a,b,1\n0,b,c,2.5\n1,a,c,-1\n").snapshots,
+    "synthetic": lambda: synthetic_temporal(12, 2, 1, -2.0, 3, seed=0).snapshots,
+}
+
+
+@pytest.mark.parametrize("source", list(_SNAPSHOT_SOURCES))
+def test_a_snapshot_builds_its_edges_on_first_read(source):
+    # the arrays are the one per-edge store; n_edges reads them
+    for s in _SNAPSHOT_SOURCES[source]():
+        assert "edges" not in vars(s)
+        assert s.n_edges == len(s._edge_arrays[0]) > 0 and "edges" not in vars(s)
+        edges = s.edges
+        assert vars(s)["edges"] is edges and s.edges is edges
+        assert edges == _records(s)
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in edges)
+    if source == "constructor":
+        assert edges == ((0, 1, 2.0), (1, 2, 0.5))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_snapshots())
+def test_edges_built_on_first_read_leave_equality_hash_pickle_copy_and_json_unchanged(s):
+    expected = _records(s)
+    assert "edges" not in vars(s)
+    assert hash(s) == hash((s.node_ids, expected, s.directed, s.timestamp))
+    assert s == Snapshot(node_ids=s.node_ids, edges=expected, directed=s.directed, timestamp=s.timestamp)
+    tn = network_from([s])
+    assert json.loads(tn.to_json())["snapshots"][0]["edges"] == [list(e) for e in expected]
+    # each of these goes through the constructor, so the copy also starts without edges
+    for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s), dataclasses.replace(s),
+                  TemporalNetwork.from_json(tn.to_json()).snapshots[0]):
+        assert "edges" not in vars(other)
+        assert other == s and hash(other) == hash(s) and other.edges == expected
+        assert [a.tolist() for a in other._edge_arrays] == [a.tolist() for a in s._edge_arrays]
+    assert dataclasses.replace(s, timestamp=4).edges == expected
 
 
 def test_vectorized_views_of_an_edgeless_snapshot():

@@ -250,6 +250,33 @@ def test_written_generated_networks_read_back_equal(tmp_path, args, seed):
     assert back.universe == tuple(v for v in tn.universe if v in touched)
 
 
+@pytest.mark.parametrize("block", [1, 7, 512, 2048])
+def test_load_network_reads_the_same_network_at_every_block_size(tmp_path, block):
+    tn = synthetic_temporal(40, 2, 4, -2.0, 8, seed=3)
+    path = str(tmp_path / "net.csv")
+    write_edge_csv(tn, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK", block)
+        back = load_network(path)
+    assert back.snapshots == tn.snapshots
+    assert [s.timestamp for s in back.snapshots] == list(range(tn.n_snapshots))
+
+
+@pytest.mark.parametrize("stamps, edgeless, message", [
+    ((0, 2, 5), (2,), "snapshot 1 is at time 2"),
+    ((1, 2), (), "snapshot 0 is at time 1"),
+    ((0, 1, 2), (1,), "snapshot 1 has no edge"),
+], ids=["gap-and-edgeless", "not-from-zero", "edgeless"])
+def test_snapshots_the_csv_cannot_keep_are_refused_before_writing(tmp_path, stamps, edgeless, message):
+    # the first was written and read back as two snapshots, at 0 and 1
+    snaps = tuple(Snapshot(node_ids=(0, 1), edges=() if t in edgeless else ((0, 1, 1.0),), timestamp=t)
+                  for t in stamps)
+    path = tmp_path / "net.csv"
+    with pytest.raises(DataError, match=re.escape(message) + ".* write this network with to_json"):
+        write_edge_csv(TemporalNetwork(snapshots=snaps, universe=(0, 1)), str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("node_ids, edges, message", [
     (("7", "a", 7, "b"), ((0, 1, 1.0), (2, 3, 1.0)), "node id '7' would be read back from a CSV as 7"),
     ((" x", "y"), ((0, 1, 1.0),), "node id ' x' would be read back from a CSV as 'x'"),
